@@ -236,7 +236,8 @@ class FieldElement:
     """A finite Laurent series over GF(q); immutable and hashable.
 
     terms is a tuple of (exponent, coefficient) pairs, sorted by exponent,
-    with coefficients in [1, q): zero coefficients are never stored.
+    with coefficients in [1, q): zero coefficients are never stored, and a
+    coefficient outside [0, q) raises ValueError.
     """
 
     __slots__ = ("cfg", "terms")
@@ -244,7 +245,7 @@ class FieldElement:
     def __init__(self, cfg: FieldConfig, terms: dict[int, int]):
         self.cfg = cfg
         self.terms = tuple(sorted(
-            (int(e), int(c)) for e, c in terms.items() if int(c) % cfg.q != 0))
+            (int(e), int(c)) for e, c in terms.items() if c))
         if any(not 0 < c < cfg.q for _, c in self.terms):
             raise ValueError("coefficients must lie in [0, q)")
 
@@ -483,11 +484,8 @@ class SystemConfig:
 
     def lambda_element(self, idx: LambdaIndex) -> FieldElement:
         n, delta = idx
-        if n < 0 or delta not in (0, 1):
+        if n < 0 or delta not in (0, 1) or delta >= self.branches:
             raise ValueError(f"bad lambda index {idx!r}")
-        if delta and self.N == 1:
-            # tolerated on input; enumeration never emits it for N = 1
-            pass
         lam = uindex(self.field, n)
         if delta:
             lam = lam + self.theta

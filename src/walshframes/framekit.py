@@ -12,12 +12,15 @@ exact evaluations:
     support-exact truncation of the translation sums, and
   * the per-scale energy identity with materialized projection operators.
 
-The FrameAnalyzer caches system members across calls, which matters when a
-whole suite of test functions is pushed through the same system.
+The FrameAnalyzer keeps one MemberBank per (generator, scale) pair: every
+translation member the scan can reach, as numpy arrays, so a whole suite of
+test functions is pushed through the same system by vectorized reductions.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -35,7 +38,6 @@ from .stepfn import (
     PeriodicStepFunction,
     StepFunction,
     dilate,
-    inner,
     prune,
     refine,
     translate,
@@ -46,17 +48,17 @@ __all__ = [
     "FrameAnalyzer",
     "GRAM_TOL",
     "Mask",
+    "MemberBank",
     "NORMALIZATION_GATE",
     "PRUNE_TOL",
     "STRUCTURAL_TOL",
     "TRANSFORM_TOL",
-    "analysis",
     "bessel_mask_check",
     "cascade",
     "check_partition",
+    "cell_integrals",
     "derive_generators",
     "eval_mask",
-    "frame_ratio",
     "iterate_refinement",
     "load_masks",
     "mask_cells",
@@ -64,7 +66,7 @@ __all__ = [
     "save_masks",
     "sigma_v0",
     "system_member",
-    "two_scale_check",
+    "translation_digits",
     "uep_gram",
     "wavelet_hat",
     "wavelet_time",
@@ -306,65 +308,198 @@ def system_member(l: int, j: int, idx: LambdaIndex, sys: SystemConfig,
     return g
 
 
-def _support_overlaps(f: StepFunction, g: StepFunction) -> bool:
-    if f.resolution <= g.resolution:
-        coarse, fine = f, g
-    else:
-        coarse, fine = g, f
-    keys = coarse.cells.keys()
-    kc = coarse.resolution
-    return any(rep.truncate(kc) in keys for rep in fine.cells)
+@lru_cache(maxsize=None)
+def _add_table(cfg: FieldConfig) -> np.ndarray:
+    return np.array([[cfg.gf_add(a, b) for b in range(cfg.q)]
+                     for a in range(cfg.q)], dtype=np.int64)
 
 
-def _energy(row: Mapping[LambdaIndex, complex]) -> float:
-    return sum(abs(c) ** 2 for c in row.values())
+def translation_digits(sys: SystemConfig, j: int, n: np.ndarray,
+                       delta: np.ndarray, lo: int, hi: int) -> dict[int, np.ndarray]:
+    """Digits of mu = (t nu^(-1))^j lambda(n, delta) at the exponents in
+    [lo, hi), one array entry per index; exponent -> digit array.
+
+    D^j T_lambda g = T_mu D^j g, so these are the translations that carry
+    member (l, j, 0) onto the others. Digits of mu at or above the member
+    resolution are cut, exactly as translate() truncates lambda.
+    """
+    cfg, q = sys.field, sys.q
+    unit = cfg.gf_inv(sys.nu) if j >= 0 else sys.nu
+    c = 1
+    for _ in range(abs(j)):
+        c = cfg.gf_mul(c, unit)
+    scale = np.array([cfg.gf_mul(c, a) for a in range(q)], dtype=np.int64)
+    add = _add_table(cfg)
+    theta = sys.theta if delta.any() else cfg.zero()
+    width = 0 if theta.is_zero else -theta.valuation()
+    top = int(n.max(initial=0))
+    while q ** width <= top:
+        width += 1
+    out = {}
+    for i in range(width):
+        e = j - 1 - i
+        if not lo <= e < hi:
+            continue
+        d = (n // q ** i) % q
+        t = theta.coefficient(-1 - i)
+        if t:
+            d = np.where(delta == 1, add[d, t], d)
+        out[e] = scale[d]
+    return out
+
+
+class MemberBank:
+    """Every reachable translate of one dilated generator h = member (l, j, 0).
+
+    All members of a (generator, scale) pair share h's nonzero cell values,
+    so the bank stores those once (conjugated) plus, per row, the indices of
+    the cells x + mu_row at resolution `resolution`, exponent resolution-1
+    least significant. An index below q^(resolution-lo) is then the cell's
+    position in a table over B^lo / B^resolution for every lo. Memory grows
+    like rows x member cells. Each row is reduced on its own, so an entry
+    does not depend on how many rows the bank holds.
+
+    x maps an exponent to the digit of each of h's nonzero cells there, mu
+    an exponent to the digit of each row's translation; rows are shaped by
+    `shape`.
+    """
+
+    __slots__ = ("resolution", "conj_values", "cells")
+
+    def __init__(self, cfg: FieldConfig, resolution: int,
+                 values: np.ndarray, x: Mapping[int, np.ndarray],
+                 mu: Mapping[int, np.ndarray], shape: tuple[int, ...]):
+        q = cfg.q
+        exps = [e for e in set(x) | set(mu) if e < resolution]
+        lo = min(exps, default=resolution)
+        if (resolution - lo) * math.log2(q) > 62:
+            raise ConfigError("member window too wide for 64-bit cell indices")
+        add = _add_table(cfg)
+        rows = int(np.prod(shape))
+        no_x = np.zeros(values.size, dtype=np.int64)
+        no_mu = np.zeros(rows, dtype=np.int64)
+        idx = np.zeros((rows, values.size), dtype=np.int64)
+        for e in range(lo, resolution):
+            idx *= q
+            idx += add[mu.get(e, no_mu)[:, None], x.get(e, no_x)]
+        self.resolution = resolution
+        self.conj_values = np.conj(values)
+        self.cells = idx.reshape(*shape, values.size)
+
+    def coefficients(self, integrals: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """<f, member> per row, from the cell integrals of f over the rows'
+        cells (self.cells, or a slice of it clipped to a sentinel)."""
+        return np.sum(integrals[cells] * self.conj_values, axis=-1)
+
+    def synthesize(self, coeffs: np.ndarray, cells: np.ndarray,
+                   size: int) -> np.ndarray:
+        """The table of sum_row coeffs[row] * member(row) over `size` cells
+        plus the sentinel: the materialized projection on f's cells."""
+        w = (coeffs[..., None] * np.conj(self.conj_values)).ravel()
+        flat = cells.ravel()
+        return (np.bincount(flat, weights=w.real, minlength=size + 1)
+                + 1j * np.bincount(flat, weights=w.imag, minlength=size + 1))
+
+
+def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
+    """Integral of a table at resolution k over each cell of resolution K.
+
+    values is indexed with exponent k-1 least significant over a window
+    B^lo / B^k with lo <= K; the result uses the same order at resolution K.
+    """
+    if k >= K:
+        return values.reshape(-1, q ** (k - K)).sum(axis=1) * float(q) ** (-k)
+    return np.repeat(values, q ** (K - k)) * float(q) ** (-K)
+
+
+def _dense(f: StepFunction) -> tuple[int, np.ndarray]:
+    """(l, table) of f over B^l / B^k, l its support ball, exponent k-1
+    least significant."""
+    q, k = f.cfg.q, f.resolution
+    lo = f.support_ball()
+    values = np.zeros(q ** (k - lo), dtype=complex)
+    for rep, v in f.cells.items():
+        values[sum(d * q ** (k - 1 - e) for e, d in rep.terms)] = v
+    return lo, values
 
 
 class FrameAnalyzer:
-    """Coefficient analysis against one system, with a member cache."""
+    """Coefficient analysis against one system, one member bank per (l, j)."""
 
-    __slots__ = ("sys", "generators", "_members")
+    __slots__ = ("sys", "generators", "_members", "_f", "_f_table")
 
     def __init__(self, sys: SystemConfig, generators: Sequence[StepFunction]):
         if not generators:
             raise ConfigError("need at least the refinable generator")
         self.sys = sys
         self.generators = tuple(generators)
-        self._members: dict[tuple, StepFunction] = {}
+        self._members: dict[tuple[int, int], MemberBank] = {}
+        self._f = None
+        self._f_table = None
 
     def member(self, l: int, j: int, idx: LambdaIndex) -> StepFunction:
-        # keyed on the translation value: degenerate indices share members
-        lam = self.sys.lambda_element(idx)
-        key = (l, j, lam.terms)
-        got = self._members.get(key)
-        if got is None:
-            got = self._members[key] = system_member(
-                l, j, idx, self.sys, self.generators)
+        """The member D^j T_lambda(idx) g_l as a step function."""
+        return system_member(l, j, idx, self.sys, self.generators)
+
+    def _bank(self, l: int, j: int, bound: int) -> MemberBank:
+        """Bank of (l, j) holding at least the translations n < bound of
+        every branch, rows shaped (delta, n); grown by rebuilding."""
+        got = self._members.get((l, j))
+        if got is not None and got.cells.shape[1] >= bound:
+            return got
+        h = self.member(l, j, LambdaIndex(0, 0))
+        reps = h.items_sorted()
+        x: dict[int, np.ndarray] = {}
+        for i, (rep, _) in enumerate(reps):
+            for e, d in rep.terms:
+                x.setdefault(e, np.zeros(len(reps), dtype=np.int64))[i] = d
+        values = np.array([v for _, v in reps], dtype=complex)
+        B = self.sys.branches
+        n = np.tile(np.arange(bound), B)
+        delta = np.repeat(np.arange(B), bound)
+        mu = translation_digits(self.sys, j, n, delta, -math.inf, h.resolution)
+        got = self._members[(l, j)] = MemberBank(
+            self.sys.field, h.resolution, values, x, mu, (B, bound))
         return got
+
+    def _table(self, f: StepFunction) -> tuple[int, np.ndarray]:
+        if f is not self._f:
+            self._f, self._f_table = f, _dense(f)
+        return self._f_table
+
+    def _row(self, f: StepFunction, l: int, j: int, margin: int = 0):
+        """(bank, window cells, f's cell integrals, f's cell support,
+        coefficients), rows (delta, n) over the exhaustive translation scan."""
+        lf, values = self._table(f)
+        A = min(lf - j, self.generators[l].support_ball())
+        exp = max(0, -A)
+        if self.sys.branches == 2:
+            exp = max(exp, -self.sys.theta.valuation())
+        bound = self.sys.q ** (exp + margin)
+        bank = self._bank(l, j, bound)
+        q, k, K = self.sys.q, f.resolution, bank.resolution
+        # a window down to B^min(l, K) holds f; the last entry is a zero
+        # sentinel for every member cell outside it
+        values = np.concatenate(
+            (values, np.zeros(q ** (k - min(lf, K)) - values.size, dtype=complex)))
+        integrals = np.append(cell_integrals(values, k, K, q), 0)
+        support = np.append(cell_integrals(values != 0, k, K, q) != 0, False)
+        cells = np.minimum(bank.cells[:, :bound], integrals.size - 1)
+        coeffs = bank.coefficients(integrals, cells)
+        return bank, cells, integrals, support, coeffs
 
     def coefficient_row(self, f: StepFunction, l: int, j: int,
                         margin: int = 0) -> dict[LambdaIndex, complex]:
         """All <f, member(l, j, idx)> whose supports overlap.
 
         Translations outside B^A, A = min(ball(f) - j, ball(g)), cannot meet
-        the support of f, so the index scan below is provably exhaustive;
-        margin widens it by a factor q^margin (the table must not change).
+        the support of f, so the index scan is provably exhaustive; margin
+        widens it by a factor q^margin (the table must not change).
         """
-        if f.is_zero or self.generators[l].is_zero:
-            return {}
-        A = min(f.support_ball() - j, self.generators[l].support_ball())
-        exp = max(0, -A)
-        if self.sys.branches == 2:
-            exp = max(exp, -self.sys.theta.valuation())
-        bound = self.sys.q ** (exp + margin)
-        row: dict[LambdaIndex, complex] = {}
-        for delta in range(self.sys.branches):
-            for n in range(bound):
-                idx = LambdaIndex(n, delta)
-                member = self.member(l, j, idx)
-                if _support_overlaps(f, member):
-                    row[idx] = inner(f, member)
-        return row
+        _, cells, _, support, coeffs = self._row(f, l, j, margin)
+        hit = support[cells].any(axis=-1)
+        return {LambdaIndex(int(n), int(delta)): complex(coeffs[delta, n])
+                for delta, n in zip(*np.nonzero(hit))}
 
     def analysis(self, f: StepFunction, j_range: Iterable[int],
                  margin: int = 0) -> dict[tuple[int, int], dict]:
@@ -372,12 +507,18 @@ class FrameAnalyzer:
         return {(l, j): self.coefficient_row(f, l, j, margin)
                 for l in range(1, len(self.generators)) for j in j_range}
 
-    def _expand(self, row: Mapping[LambdaIndex, complex],
-                l: int, j: int) -> StepFunction:
-        out = StepFunction(self.sys.field, 0, {})
-        for idx in sorted(row):
-            out = out + self.member(l, j, idx).scale(row[idx])
-        return out
+    def _energy(self, f: StepFunction, l: int, j: int) -> float:
+        coeffs = self._row(f, l, j)[-1]
+        return float(np.sum(np.abs(coeffs) ** 2))
+
+    def _energies(self, f: StepFunction, l: int, j: int) -> tuple[float, complex]:
+        """(sum |<f, member>|^2, <P f, f>) with P f = sum <f, member> member
+        materialized on f's cells."""
+        bank, cells, integrals, _, coeffs = self._row(f, l, j)
+        size = integrals.size - 1
+        proj = bank.synthesize(coeffs, cells, size)[:size]
+        return (float(np.sum(np.abs(coeffs) ** 2)),
+                complex(np.sum(proj * np.conj(integrals[:size]))))
 
     def two_scale_check(self, f: StepFunction, j: int) -> tuple[float, float]:
         """Energy balance across one scale step, by two independent routes.
@@ -386,21 +527,15 @@ class FrameAnalyzer:
         squared coefficients, the second materializes the projections P_j f
         and Q_j f and compares <P_j f, f> + <Q_j f, f> with <P_{j+1} f, f>.
         """
-        row_fine = self.coefficient_row(f, 0, j + 1)
-        row_coarse = self.coefficient_row(f, 0, j)
-        wave_rows = [self.coefficient_row(f, l, j)
-                     for l in range(1, len(self.generators))]
-        lhs = _energy(row_fine)
-        rhs = _energy(row_coarse) + sum(_energy(r) for r in wave_rows)
-        residual = abs(lhs - rhs)
-
-        p_fine = self._expand(row_fine, 0, j + 1)
-        p_coarse = self._expand(row_coarse, 0, j)
-        q_parts = 0j
-        for l, rw in enumerate(wave_rows, start=1):
-            q_parts += inner(self._expand(rw, l, j), f)
-        projector_residual = abs(
-            inner(p_coarse, f) + q_parts - inner(p_fine, f))
+        e_fine, p_fine = self._energies(f, 0, j + 1)
+        e_coarse, p_coarse = self._energies(f, 0, j)
+        e_wave, q_parts = 0.0, 0j
+        for l in range(1, len(self.generators)):
+            e, p = self._energies(f, l, j)
+            e_wave += e
+            q_parts += p
+        residual = abs(e_fine - (e_coarse + e_wave))
+        projector_residual = abs(p_coarse + q_parts - p_fine)
         return residual, projector_residual
 
     def frame_ratio(self, f: StepFunction, j0: int, j1: int) -> float:
@@ -408,27 +543,11 @@ class FrameAnalyzer:
         n2 = f.norm2()
         if n2 == 0.0:
             raise DegenerateInput("frame ratio of the zero function")
-        total = _energy(self.coefficient_row(f, 0, j0))
+        total = self._energy(f, 0, j0)
         for l in range(1, len(self.generators)):
             for j in range(j0, j1):
-                total += _energy(self.coefficient_row(f, l, j))
+                total += self._energy(f, l, j)
         return total / n2
-
-
-def analysis(f: StepFunction, sys: SystemConfig,
-             generators: Sequence[StepFunction], j_range: Iterable[int],
-             margin: int = 0) -> dict:
-    return FrameAnalyzer(sys, generators).analysis(f, j_range, margin)
-
-
-def two_scale_check(f: StepFunction, j: int, sys: SystemConfig,
-                    generators: Sequence[StepFunction]) -> tuple[float, float]:
-    return FrameAnalyzer(sys, generators).two_scale_check(f, j)
-
-
-def frame_ratio(f: StepFunction, sys: SystemConfig,
-                generators: Sequence[StepFunction], j0: int, j1: int) -> float:
-    return FrameAnalyzer(sys, generators).frame_ratio(f, j0, j1)
 
 
 # ---------------------------------------------------------------- mask files --
@@ -471,6 +590,7 @@ def load_masks(src: str | TextIO) -> SystemConfig:
         raise InputDataError("line 1: missing mask file header")
     header: dict[str, str] = {}
     rows: list[dict[tuple[int, int], complex]] = []
+    offset_lines: list[int] = []
     for lineno, raw in enumerate(src, start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -496,8 +616,15 @@ def load_masks(src: str | TextIO) -> SystemConfig:
             value = complex(float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise InputDataError(f"line {lineno}: malformed row ({exc})") from exc
+        if key[0] < 0 or key[1] not in (0, 1):
+            raise InputDataError(
+                f"line {lineno}: index needs n >= 0 and delta in {{0, 1}}")
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise InputDataError(f"line {lineno}: non-finite coefficient")
         if key in rows[-1]:
             raise InputDataError(f"line {lineno}: duplicate coefficient index")
+        if key[1]:
+            offset_lines.append(lineno)
         rows[-1][key] = value
     try:
         p = int(header["p"])
@@ -514,6 +641,9 @@ def load_masks(src: str | TextIO) -> SystemConfig:
         nu = int(header["nu"]) if "nu" in header else None
     except ValueError as exc:
         raise ConfigError(f"mask file header has a malformed value ({exc})") from exc
+    if N == 1 and offset_lines:
+        raise InputDataError(
+            f"line {offset_lines[0]}: delta = 1 needs an offset branch, but N = 1")
     cfg = FieldConfig(p, c, modulus)
     base = SystemConfig(cfg, N, r, dilation_unit=nu,
                         normalization=header.get("normalization", "unitary"))

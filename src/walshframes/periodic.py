@@ -14,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .algebra import LambdaIndex
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import system_member
+from .framekit import MemberBank, cell_integrals, system_member, translation_digits
 from .stepfn import PeriodicStepFunction, StepFunction, refine
 
 __all__ = [
     "PeriodicSystemSpec",
-    "periodic_member",
     "periodic_tightness_check",
     "periodic_two_scale_check",
     "periodize",
@@ -44,7 +44,15 @@ def periodize(f: StepFunction) -> PeriodicStepFunction:
 
 
 class PeriodicSystemSpec:
-    """Generators plus a scale cap, with folded members cached per label."""
+    """Generators plus a scale cap, with one folded member bank per (l, j).
+
+    A folded member depends on its translation only through the digits that
+    land at exponents 0..j-1 after j dilations, so the (qN)^j labels of
+    scale j fold onto at most q^j distinct members. The bank of (l, j) keeps
+    each distinct member once, weighted by its integer label count; the
+    weights sum to exactly (qN)^j, so a degenerate family counts every
+    coinciding member as often as it is indexed and nothing is deduplicated.
+    """
 
     __slots__ = ("sys", "generators", "j_max", "_members")
 
@@ -56,7 +64,37 @@ class PeriodicSystemSpec:
         self.sys = sys
         self.generators = tuple(generators)
         self.j_max = j_max
-        self._members: dict[tuple, PeriodicStepFunction] = {}
+        self._members: dict[tuple[int, int], tuple] = {}
+
+    def bank(self, l: int, j: int) -> tuple[MemberBank, np.ndarray, np.ndarray]:
+        """(bank, label count of each row, folded key of each row) at (l, j)."""
+        got = self._members.get((l, j))
+        if got is None:
+            sys = self.sys
+            h = periodize(system_member(l, j, LambdaIndex(0, 0), sys,
+                                        self.generators))
+            q, K = sys.q, h.resolution
+            cells = np.flatnonzero(h.values)
+            x = {e: (cells // q ** (K - 1 - e)) % q for e in range(K)}
+            # only n mod q^j reaches D after j dilations, so count the labels
+            # of each residue instead of enumerating all (qN)^j of them
+            residues = np.arange(q ** j)
+            L = sys.qN ** j
+            per_branch = (L,) if sys.branches == 1 else ((L + 1) // 2, L // 2)
+            counts = np.concatenate([m // residues.size + (residues < m % residues.size)
+                                     for m in per_branch])
+            n = np.tile(residues, sys.branches)
+            delta = np.repeat(np.arange(sys.branches), residues.size)
+            mu = translation_digits(sys, j, n, delta, 0, K)
+            keys, first, rows = np.unique(_folded_key(mu, q, K, n.size),
+                                          return_index=True, return_inverse=True)
+            weights = np.zeros(keys.size, dtype=np.int64)
+            np.add.at(weights, rows, counts)
+            bank = MemberBank(sys.field, K, h.values[cells], x,
+                              {e: d[first] for e, d in mu.items()},
+                              (keys.size,))
+            got = self._members[(l, j)] = (bank, weights, keys)
+        return got
 
     def member(self, l: int, j: int, label: int) -> PeriodicStepFunction:
         """periodize(system_member) for the label-th translation at scale j."""
@@ -65,35 +103,36 @@ class PeriodicSystemSpec:
         if not 0 <= label < self.sys.qN ** j:
             raise IndexError(
                 f"label {label} outside [0, {self.sys.qN ** j}) at scale {j}")
-        gen = self.generators[l]
-        idx = self.sys.branch_index(label)
-        # keyed on the translation value: degenerate labels share members
-        key = (l, j, self.sys.lambda_element(idx).terms)
-        got = self._members.get(key)
-        if got is None:
-            got = self._members[key] = periodize(
-                system_member(l, j, idx, self.sys, self.generators))
-        return got
+        bank, _, keys = self.bank(l, j)
+        n, delta = self.sys.branch_index(label)
+        K = bank.resolution
+        mu = translation_digits(self.sys, j, np.array([n]), np.array([delta]), 0, K)
+        row = np.searchsorted(keys, _folded_key(mu, self.sys.q, K, 1)[0])
+        values = np.zeros(self.sys.q ** K, dtype=complex)
+        values[bank.cells[row]] = np.conj(bank.conj_values)
+        return PeriodicStepFunction(self.sys.field, K, values)
 
 
-def periodic_member(l: int, j: int, label: int,
-                    spec: PeriodicSystemSpec) -> PeriodicStepFunction:
-    return spec.member(l, j, label)
+def _folded_key(mu: dict[int, np.ndarray], q: int, K: int, size: int) -> np.ndarray:
+    """The translation digits on D as one integer per index."""
+    key = np.zeros(size, dtype=np.int64)
+    for e, d in mu.items():
+        key += d * q ** (K - 1 - e)
+    return key
 
 
-def _scaling_energy(f: PeriodicStepFunction, j: int,
-                    spec: PeriodicSystemSpec) -> float:
-    return sum(abs(f.inner(spec.member(0, j, s))) ** 2
-               for s in range(spec.sys.qN ** j))
+def _energy(f: PeriodicStepFunction, l: int, j: int,
+            spec: PeriodicSystemSpec) -> float:
+    """sum over the labels of scale j of |<f, member(l, j, label)>|^2."""
+    bank, weights, _ = spec.bank(l, j)
+    integrals = cell_integrals(f.values, f.resolution, bank.resolution, f.cfg.q)
+    coeffs = bank.coefficients(integrals, bank.cells)
+    return float(np.sum(weights * np.abs(coeffs) ** 2))
 
 
 def _wavelet_energy(f: PeriodicStepFunction, j: int,
                     spec: PeriodicSystemSpec) -> float:
-    total = 0.0
-    for l in range(1, len(spec.generators)):
-        total += sum(abs(f.inner(spec.member(l, j, s))) ** 2
-                     for s in range(spec.sys.qN ** j))
-    return total
+    return sum(_energy(f, l, j, spec) for l in range(1, len(spec.generators)))
 
 
 def projection_energy_scan(f: PeriodicStepFunction, eps: float,
@@ -105,7 +144,7 @@ def projection_energy_scan(f: PeriodicStepFunction, eps: float,
     n2 = f.norm2()
     if n2 == 0.0:
         raise DegenerateInput("projection scan of the zero function")
-    sums = {j: _scaling_energy(f, j, spec) for j in range(spec.j_max + 1)}
+    sums = {j: _energy(f, 0, j, spec) for j in range(spec.j_max + 1)}
     J = None
     for start in range(spec.j_max + 1):
         if all((1 - eps) * n2 <= sums[j] <= (1 + eps) * n2
@@ -118,8 +157,8 @@ def projection_energy_scan(f: PeriodicStepFunction, eps: float,
 def periodic_two_scale_check(f: PeriodicStepFunction, j: int,
                              spec: PeriodicSystemSpec) -> float:
     """|scaling energy at j+1  -  scaling energy at j - wavelet energy at j|."""
-    lhs = _scaling_energy(f, j + 1, spec)
-    rhs = _scaling_energy(f, j, spec) + _wavelet_energy(f, j, spec)
+    lhs = _energy(f, 0, j + 1, spec)
+    rhs = _energy(f, 0, j, spec) + _wavelet_energy(f, j, spec)
     return abs(lhs - rhs)
 
 
@@ -137,7 +176,7 @@ def periodic_tightness_check(f: PeriodicStepFunction,
         raise TruncationError(
             f"scale cap {spec.j_max} cannot resolve a resolution-"
             f"{f.resolution} input")
-    total = abs(f.inner(spec.member(0, 0, 0))) ** 2
+    total = _energy(f, 0, 0, spec)
     for j in range(spec.j_max):
         total += _wavelet_energy(f, j, spec)
     tail = _wavelet_energy(f, spec.j_max, spec)

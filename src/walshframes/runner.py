@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import NORMALIZATIONS, FieldConfig, SystemConfig, uindex
-from .errors import ConfigError, WalshFramesError
+from .errors import ConfigError, DegenerateInput, WalshFramesError
 from .framekit import (
     GRAM_TOL,
     FrameAnalyzer,
@@ -222,7 +222,11 @@ class RunConfig:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a non-finite number is refused rather than written."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DegenerateInput(f"report holds a non-finite number ({exc})") from exc
 
 
 def suite_functions(cfg: FieldConfig, resolution: int, count: int, seed: int):

@@ -257,7 +257,11 @@ def load_csv(src: str | TextIO) -> StepFunction:
     header = src.readline()
     if not header.startswith(CSV_MAGIC):
         raise InputDataError("line 1: missing step function header")
-    fields = dict(tok.split("=", 1) for tok in header.split()[3:])
+    tokens = header.split()[3:]
+    bad = [tok for tok in tokens if "=" not in tok]
+    if bad:
+        raise InputDataError(f"line 1: header token {bad[0]!r} is not key=value")
+    fields = dict(tok.split("=", 1) for tok in tokens)
     try:
         p, c = int(fields["p"]), int(fields["c"])
         resolution = int(fields["resolution"])

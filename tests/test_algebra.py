@@ -151,6 +151,15 @@ def test_element_canonical_and_zero():
     assert F2.zero() == F2.element({})
 
 
+@pytest.mark.parametrize("cfg", [F2, F3, F4])
+def test_element_rejects_coefficients_outside_the_field(cfg):
+    # a multiple of q used to reduce silently to the zero coefficient
+    for bad in (cfg.q, 2 * cfg.q, cfg.q + 1, -1):
+        with pytest.raises(ValueError):
+            FieldElement(cfg, {0: bad})
+    assert FieldElement(cfg, {0: cfg.q - 1}).terms == ((0, cfg.q - 1),)
+
+
 def test_fe_add_char2_self_cancels():
     x = F2.element({0: 1, 1: 1})
     assert (x + x).is_zero
@@ -274,6 +283,12 @@ def test_lambda_element_uniform():
     sys = SystemConfig(F2, N=1, r=1)
     assert sys.lambda_element(LambdaIndex(5, 0)) == uindex(F2, 5)
     assert sys.branches == 1
+
+
+def test_lambda_element_rejects_offset_branch_without_one():
+    sys = SystemConfig(F2, N=1, r=1)
+    with pytest.raises(ValueError):
+        sys.lambda_element(LambdaIndex(0, 1))
 
 
 def test_lambda_element_nonuniform_char2():

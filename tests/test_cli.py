@@ -195,6 +195,17 @@ def test_transform_malformed_row_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_transform_header_token_without_equals_sign(tmp_path, capsys):
+    path = tmp_path / "junk.csv"
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- junk resolution=2\n"
+        "lo,digits,re,im\n"
+        "2,,1.0,0.0\n")
+    assert run(["transform", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 1" in err and "junk" in err
+
+
 def test_transform_empty_input(tmp_path, capsys):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -298,3 +309,42 @@ def test_corrupt_masks_file_is_input_data_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "", 2, body=f"[masks]\nfile = {masks}\n")
     assert run(["verify", "--config", cfg]) == 3
     assert "line 9" in capsys.readouterr().err
+
+
+def _masks_with_row(tmp_path, source, lineno, row):
+    lines = open(os.path.join(CONFIGS, source)).read().splitlines()
+    lines[lineno - 1] = row
+    masks = tmp_path / "edited.masks"
+    masks.write_text("\n".join(lines) + "\n")
+    return write_cfg(tmp_path, "", 2, body=f"[masks]\nfile = {masks}\n")
+
+
+@pytest.mark.parametrize("value", ["nan 0.0", "0.5 inf", "-inf 0.0"])
+def test_non_finite_mask_coefficient_is_input_data_error(tmp_path, capsys,
+                                                         value):
+    cfg = _masks_with_row(tmp_path, "haar_q2.masks", 9, f"0 0 {value}")
+    out = tmp_path / "report.json"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert "line 9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_offset_branch_row_needs_n_above_one(tmp_path, capsys):
+    cfg = _masks_with_row(tmp_path, "haar_q2.masks", 10,
+                          "1 1 0.7071067811865475 0.0")
+    assert run(["verify", "--config", cfg]) == 3
+    assert "line 10" in capsys.readouterr().err
+
+
+def test_negative_mask_index_is_input_data_error(tmp_path, capsys):
+    cfg = _masks_with_row(tmp_path, "haar_q2.masks", 9,
+                          "-1 0 0.7071067811865475 0.0")
+    assert run(["verify", "--config", cfg]) == 3
+    assert "line 9" in capsys.readouterr().err
+
+
+def test_reports_refuse_non_finite_numbers():
+    from walshframes.errors import DegenerateInput
+    from walshframes.runner import render_report
+    with pytest.raises(DegenerateInput):
+        render_report({"value": float("nan")})

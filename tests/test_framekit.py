@@ -13,13 +13,11 @@ from walshframes.errors import (
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
-    analysis,
     bessel_mask_check,
     cascade,
     check_partition,
     derive_generators,
     eval_mask,
-    frame_ratio,
     iterate_refinement,
     load_masks,
     mask_cells,
@@ -27,7 +25,6 @@ from walshframes.framekit import (
     save_masks,
     sigma_v0,
     system_member,
-    two_scale_check,
     uep_gram,
     wavelet_hat,
     wavelet_time,
@@ -319,7 +316,7 @@ def test_system_member_haar_scale_one_support():
 def test_analysis_haar_orthonormal_expansion():
     sys = haar_system()
     gens = derive_generators(sys, 2)
-    table = analysis(gens[1], sys, gens, range(0, 3))
+    table = FrameAnalyzer(sys, gens).analysis(gens[1], range(0, 3))
     assert table[(1, 0)][LambdaIndex(0, 0)] == pytest.approx(1.0)
     for key, row in table.items():
         for idx, coeff in row.items():
@@ -332,14 +329,14 @@ def test_analysis_margin_stability():
     sys = haar_system()
     gens = derive_generators(sys, 2)
     f = random_domain_step(F2, 3, rng)
-    assert analysis(f, sys, gens, range(0, 3)) == \
-        analysis(f, sys, gens, range(0, 3), margin=2)
+    an = FrameAnalyzer(sys, gens)
+    assert an.analysis(f, range(0, 3)) == an.analysis(f, range(0, 3), margin=2)
 
 
 def test_analysis_zero_function():
     sys = haar_system()
     gens = derive_generators(sys, 2)
-    table = analysis(StepFunction(F2, 0, {}), sys, gens, range(0, 2))
+    table = FrameAnalyzer(sys, gens).analysis(StepFunction(F2, 0, {}), range(0, 2))
     assert all(not row for row in table.values())
 
 
@@ -384,7 +381,8 @@ def test_two_scale_nonuniform_doubles_consistently():
 def test_two_scale_zero_function():
     sys = haar_system()
     gens = derive_generators(sys, 2)
-    assert two_scale_check(StepFunction(F2, 0, {}), 1, sys, gens) == (0.0, 0.0)
+    assert FrameAnalyzer(sys, gens).two_scale_check(
+        StepFunction(F2, 0, {}), 1) == (0.0, 0.0)
 
 
 def test_two_scale_perturbed_fails():
@@ -413,7 +411,8 @@ def test_frame_ratio_tight_systems():
 def test_frame_ratio_generator_expansion():
     sys = haar_system()
     gens = derive_generators(sys, 2)
-    assert frame_ratio(gens[0], sys, gens, 0, 2) == pytest.approx(1.0, abs=1e-9)
+    assert FrameAnalyzer(sys, gens).frame_ratio(gens[0], 0, 2) == \
+        pytest.approx(1.0, abs=1e-9)
 
 
 def test_frame_ratio_scales_quadratically():
@@ -422,7 +421,8 @@ def test_frame_ratio_scales_quadratically():
     gens = derive_generators(sys, 2)
     doubled = tuple(g.scale(2.0) for g in gens)
     f = random_domain_step(F2, 2, rng)
-    assert frame_ratio(f, sys, doubled, 0, 2) == pytest.approx(4.0, abs=1e-8)
+    assert FrameAnalyzer(sys, doubled).frame_ratio(f, 0, 2) == \
+        pytest.approx(4.0, abs=1e-8)
 
 
 def test_frame_ratio_nonuniform_doubles():
@@ -438,7 +438,7 @@ def test_frame_ratio_rejects_zero():
     sys = haar_system()
     gens = derive_generators(sys, 2)
     with pytest.raises(DegenerateInput):
-        frame_ratio(StepFunction(F2, 0, {}), sys, gens, 0, 2)
+        FrameAnalyzer(sys, gens).frame_ratio(StepFunction(F2, 0, {}), 0, 2)
 
 
 # ---------------------------------------------------------------- mask files --

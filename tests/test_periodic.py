@@ -9,7 +9,6 @@ from walshframes.framekit import FrameAnalyzer, Mask, derive_generators
 from walshframes.harmonic import character_table, fourier_table
 from walshframes.periodic import (
     PeriodicSystemSpec,
-    periodic_member,
     periodic_tightness_check,
     periodic_two_scale_check,
     periodize,
@@ -109,7 +108,7 @@ def test_member_at_scale_zero_is_periodized_generator():
     spec = haar_spec()
     phi, psi = spec.generators
     assert spec.member(0, 0, 0).allclose(periodize(phi), 0.0)
-    assert periodic_member(1, 0, 0, spec).allclose(periodize(psi), 0.0)
+    assert spec.member(1, 0, 0).allclose(periodize(psi), 0.0)
 
 
 def test_member_label_and_scale_gates():
