@@ -13,7 +13,6 @@ from .algebra import (
     LambdaIndex,
     SystemConfig,
     chi,
-    chi_xi,
     embed_integer,
     uindex,
 )

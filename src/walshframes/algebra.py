@@ -35,7 +35,6 @@ __all__ = [
     "LambdaIndex",
     "SystemConfig",
     "chi",
-    "chi_xi",
     "embed_integer",
     "uindex",
     "uindex_inverse",
@@ -352,11 +351,6 @@ def chi(x: FieldElement) -> complex:
     return x.cfg.roots[x.cfg.zeta0(x.coefficient(-1))]
 
 
-def chi_xi(xi: FieldElement, x: FieldElement) -> complex:
-    """The modulated character chi_xi(x) = chi(xi * x)."""
-    return chi(xi * x)
-
-
 # ------------------------------------------------------------------ uindex --
 
 def uindex(cfg: FieldConfig, n: int) -> FieldElement:
@@ -475,10 +469,6 @@ class SystemConfig:
     def lambda_degenerate(self) -> bool:
         """True when the offset branch folds into the lattice (multiset)."""
         return self.branches == 2 and all(e < 0 for e, _ in self.theta.terms)
-
-    def dilation_arg_factor(self) -> FieldElement:
-        """The factor t^(-1) * nu applied to the argument by one dilation."""
-        return self.field.monomial(self.nu, -1)
 
     # -- translation family ---------------------------------------------------
 

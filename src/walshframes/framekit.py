@@ -33,13 +33,14 @@ from .algebra import (
     chi,
 )
 from .errors import ConfigError, DegenerateInput, InputDataError, NotNormalized
-from .harmonic import character_table, inverse_transform
+from .harmonic import character_table, fast_inverse_transform
 from .stepfn import (
-    PeriodicStepFunction,
     StepFunction,
     dilate,
+    from_table,
     prune,
     refine,
+    to_table,
     translate,
     unit_ball,
 )
@@ -58,18 +59,15 @@ __all__ = [
     "check_partition",
     "cell_integrals",
     "derive_generators",
-    "eval_mask",
     "iterate_refinement",
     "load_masks",
     "mask_cells",
-    "refine_hat",
+    "mask_refine",
     "save_masks",
     "sigma_v0",
     "system_member",
     "translation_digits",
     "uep_gram",
-    "wavelet_hat",
-    "wavelet_time",
 ]
 
 STRUCTURAL_TOL = 1e-12   # identities that involve no transform roundoff
@@ -120,28 +118,18 @@ class Mask:
         return f"<Mask terms={len(self._terms)} K={self.constancy_resolution}>"
 
 
-def eval_mask(m: Mask, xi: FieldElement) -> complex:
-    return m.value(xi)
-
-
-def _domain_grid(cfg: FieldConfig, resolution: int) -> list[FieldElement]:
-    reps = [cfg.zero()]
-    for e in range(resolution):
-        reps = [r + cfg.monomial(d, e) for r in reps for d in range(cfg.q)]
-    return reps
-
-
 def mask_cells(m: Mask) -> StepFunction:
     """The finitely many values m takes on D, one cell per coset of B^K."""
-    cfg = m.sys.field
     K = m.constancy_resolution
-    return StepFunction(cfg, K, {rep: m.value(rep) for rep in _domain_grid(cfg, K)})
+    return from_table(m.sys.field, K, 0, _mask_table(m, m.sys.field.zero(), K))
 
 
 # --------------------------------------------------- frequency-side products --
 
-def _mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig) -> StepFunction:
-    """xi -> mask(w xi) * phi_hat(w xi) with w = t * nu^(-1), exact cellwise."""
+def mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig) -> StepFunction:
+    """xi -> mask(w xi) * phi_hat(w xi) with w = t * nu^(-1), exact cellwise:
+    the refinement product for the low-pass mask, a wavelet's transform for
+    a high-pass one."""
     cfg = sys.field
     k2 = max(phi_hat.resolution - 1, mask.constancy_resolution - 1)
     moved = StepFunction(cfg, phi_hat.resolution - 1, {
@@ -153,18 +141,6 @@ def _mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig) -> StepFu
         for rep, v in moved.cells.items()})
 
 
-def refine_hat(phi_hat: StepFunction, m0: Mask, sys: SystemConfig) -> StepFunction:
-    return _mask_refine(phi_hat, m0, sys)
-
-
-def wavelet_hat(phi_hat: StepFunction, ml: Mask, sys: SystemConfig) -> StepFunction:
-    return _mask_refine(phi_hat, ml, sys)
-
-
-def wavelet_time(phi_hat: StepFunction, ml: Mask, sys: SystemConfig) -> StepFunction:
-    return inverse_transform(wavelet_hat(phi_hat, ml, sys))
-
-
 def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int,
                        prune_tol: float = PRUNE_TOL) -> StepFunction:
     """Iterate the refinement product from the unit-ball seed; cells whose
@@ -174,7 +150,7 @@ def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int,
         raise ConfigError("iteration count must be nonnegative")
     phi_hat = unit_ball(sys.field)
     for _ in range(iterations):
-        phi_hat = prune(refine_hat(phi_hat, m0, sys), prune_tol)
+        phi_hat = prune(mask_refine(phi_hat, m0, sys), prune_tol)
     return phi_hat
 
 
@@ -184,7 +160,7 @@ def cascade(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunction:
     if dev > NORMALIZATION_GATE:
         raise NotNormalized(
             f"mask value at 0 is off by {dev:.3e} (gate {NORMALIZATION_GATE})")
-    return inverse_transform(iterate_refinement(m0, sys, iterations))
+    return fast_inverse_transform(iterate_refinement(m0, sys, iterations))
 
 
 def derive_generators(sys: SystemConfig, iterations: int = 4,
@@ -194,9 +170,10 @@ def derive_generators(sys: SystemConfig, iterations: int = 4,
     if not sys.masks:
         raise ConfigError("system has no masks configured")
     phi_hat = iterate_refinement(sys.masks[0], sys, iterations, prune_tol)
-    gens = [inverse_transform(phi_hat)]
+    gens = [fast_inverse_transform(phi_hat)]
     for ml in sys.masks[1:]:
-        gens.append(inverse_transform(prune(wavelet_hat(phi_hat, ml, sys), prune_tol)))
+        gens.append(fast_inverse_transform(
+            prune(mask_refine(phi_hat, ml, sys), prune_tol)))
     return tuple(gens)
 
 
@@ -245,7 +222,7 @@ def sigma_v0(phi_hat: StepFunction, sys: SystemConfig,
 # ------------------------------------------------------------- UEP matrix --
 
 def _mask_table(m: Mask, shift: FieldElement, resolution: int) -> np.ndarray:
-    """m(xi + shift) over the dense D-grid (PeriodicStepFunction indexing)."""
+    """m(xi + shift) over the dense D-grid in to_table order."""
     cfg = m.sys.field
     out = np.zeros(cfg.q ** resolution, dtype=complex)
     for _, lam, a in m._terms:
@@ -269,7 +246,7 @@ def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
     G = np.einsum("lsc,ltc->cst", T, np.conj(T))
     dev = np.abs(G - np.eye(len(sys.shift_set)))
     if sigma is not None:
-        sel = PeriodicStepFunction.from_step(refine(sigma, K)).values != 0
+        sel = to_table(refine(sigma, K), 0)[1] != 0
         dev = dev[sel]
     cells = int(dev.shape[0])
     max_dev = float(dev.max()) if cells else 0.0
@@ -412,17 +389,6 @@ def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
     return np.repeat(values, q ** (K - k)) * float(q) ** (-K)
 
 
-def _dense(f: StepFunction) -> tuple[int, np.ndarray]:
-    """(l, table) of f over B^l / B^k, l its support ball, exponent k-1
-    least significant."""
-    q, k = f.cfg.q, f.resolution
-    lo = f.support_ball()
-    values = np.zeros(q ** (k - lo), dtype=complex)
-    for rep, v in f.cells.items():
-        values[sum(d * q ** (k - 1 - e) for e, d in rep.terms)] = v
-    return lo, values
-
-
 class FrameAnalyzer:
     """Coefficient analysis against one system, one member bank per (l, j)."""
 
@@ -464,7 +430,7 @@ class FrameAnalyzer:
 
     def _table(self, f: StepFunction) -> tuple[int, np.ndarray]:
         if f is not self._f:
-            self._f, self._f_table = f, _dense(f)
+            self._f, self._f_table = f, to_table(f)
         return self._f_table
 
     def _row(self, f: StepFunction, l: int, j: int, margin: int = 0):

@@ -2,14 +2,16 @@
 
 The transform of a step function supported in B^l at resolution k is again a
 step function: supported in B^{-k}, constant on cosets of B^{-l}. Both
-directions are finite character sums, so they are computed exactly (up to
-floating point roundoff in the p-th roots of unity) by a dense kernel matrix
-or, cell count permitting, a digitwise tensor contraction that factors the
-kernel into k - l contractions of size q x q.
+directions are finite character sums over the digit group of the window
+B^l / B^k, a finite Vilenkin-Chrestenson transform, so they are computed
+exactly (up to floating point roundoff in the p-th roots of unity) by one
+digitwise tensor contraction that factors the character matrix into k - l
+contractions of size q x q.
 
 For functions on the unit ball D the relevant object is the coefficient
 sequence against the characters chi(u(n) .); a table at resolution k has
-exactly q^k nonzero coefficients and fourier_table returns them all at once.
+exactly q^k nonzero coefficients and fourier_table returns them all at once,
+through the same contraction.
 """
 
 from __future__ import annotations
@@ -18,19 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import FieldConfig, FieldElement, chi, chi_xi, uindex
-from .stepfn import PeriodicStepFunction, StepFunction
+from .algebra import FieldConfig, FieldElement
+from .stepfn import PeriodicStepFunction, StepFunction, from_table, to_table
 
 __all__ = [
     "character_table",
-    "chi",
-    "chi_xi",
     "fast_inverse_transform",
     "fast_transform",
-    "fourier_coefficient",
     "fourier_table",
     "inverse_transform",
-    "transform",
 ]
 
 
@@ -47,103 +45,44 @@ def _roots(cfg: FieldConfig) -> np.ndarray:
     return np.array(cfg.roots, dtype=complex)
 
 
-@lru_cache(maxsize=None)
-def _grid_reps(cfg: FieldConfig, lo: int, hi: int) -> tuple[FieldElement, ...]:
-    """Canonical representatives of B^lo / B^hi; index i carries digit
-    (i // q^(e-lo)) % q at exponent e."""
-    reps = []
-    for i in range(cfg.q ** (hi - lo)):
-        terms = {}
-        x = i
-        for e in range(lo, hi):
-            x, d = divmod(x, cfg.q)
-            if d:
-                terms[e] = d
-        reps.append(FieldElement(cfg, terms))
-    return tuple(reps)
+def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
+              forward: bool) -> np.ndarray:
+    """Character sum of a table of q^m cells, without the measure factor.
 
-
-def _rep_index(rep: FieldElement, lo: int) -> int:
-    q = rep.cfg.q
-    return sum(d * q ** (e - lo) for e, d in rep.terms)
-
-
-@lru_cache(maxsize=None)
-def _kernel(cfg: FieldConfig, k: int, l: int, forward: bool) -> np.ndarray:
-    """Character matrix between the input grid (ball l, resolution k) and the
-    output grid (ball -k, resolution -l), without the measure factor."""
+    Input digit i (most significant first) pairs with output digit m-1-i
+    through chi, so a table over B^l / B^k in to_table order maps to a table
+    over B^-k / B^-l in the same order; forward conjugates the characters.
+    """
     q, p = cfg.q, cfg.p
-    m = k - l
-    n = q ** m
-    beta = _beta(cfg)
-    idx = np.arange(n)
-    B = np.zeros((n, n), dtype=np.int64)
-    for pos in range(m):
-        din = (idx // q ** pos) % q
-        dout = (idx // q ** (m - 1 - pos)) % q
-        B += beta[np.ix_(dout, din)]
-    B %= p
-    if forward:
-        B = (-B) % p
-    return _roots(cfg)[B]
-
-
-def _load_vector(f: StepFunction, lo: int) -> np.ndarray:
-    v = np.zeros(f.cfg.q ** (f.resolution - lo), dtype=complex)
-    for rep, val in f.cells.items():
-        v[_rep_index(rep, lo)] = val
-    return v
-
-
-def _pack(cfg: FieldConfig, resolution: int, lo: int, out: np.ndarray) -> StepFunction:
-    reps = _grid_reps(cfg, lo, resolution)
-    return StepFunction(cfg, resolution,
-                        {reps[i]: out[i] for i in range(out.size)})
-
-
-def _apply_kernel(f: StepFunction, forward: bool) -> StepFunction:
-    cfg = f.cfg
-    k, l = f.resolution, f.support_ball()
-    v = _load_vector(f, l)
-    out = (_kernel(cfg, k, l, forward) @ v) * float(cfg.q) ** (-k)
-    return _pack(cfg, -l, -k, out)
-
-
-def _apply_tensor(f: StepFunction, forward: bool) -> StepFunction:
-    cfg = f.cfg
-    q, p = cfg.q, cfg.p
-    k, l = f.resolution, f.support_ball()
-    m = k - l
-    B = _beta(cfg) % p
+    B = _beta(cfg)
     W = _roots(cfg)[(-B) % p if forward else B]
-    T = _load_vector(f, l).reshape((q,) * m)
+    T = values.reshape((q,) * m)
     for _ in range(m):
-        # contract the highest remaining input exponent; its dual output
-        # axis lands at the end, so the final order only needs a reversal
+        # contract the leading input digit; its dual output digit lands
+        # at the end, so the final order only needs a reversal
         T = np.tensordot(T, W, axes=([0], [1]))
-    T = T.transpose(tuple(reversed(range(m))))
-    out = T.reshape(-1) * float(q) ** (-k)
-    return _pack(cfg, -l, -k, out)
+    return T.transpose(tuple(reversed(range(m)))).reshape(-1)
 
 
-def transform(f: StepFunction) -> StepFunction:
-    """f^(xi) = integral of f(x) conj(chi(xi x)) dx, exact on cells."""
-    return _apply_kernel(f, forward=True)
-
-
-def inverse_transform(f: StepFunction) -> StepFunction:
-    """g(x) = integral of f(xi) chi(xi x) dxi; inverse of transform."""
-    return _apply_kernel(f, forward=False)
+def _apply(f: StepFunction, forward: bool) -> StepFunction:
+    cfg, k = f.cfg, f.resolution
+    l, values = to_table(f)
+    out = _contract(cfg, values, k - l, forward) * float(cfg.q) ** (-k)
+    return from_table(cfg, -l, -k, out)
 
 
 def fast_transform(f: StepFunction) -> StepFunction:
-    """Same value as transform, via digitwise q x q contractions."""
-    return _apply_tensor(f, forward=True)
+    """f^(xi) = integral of f(x) conj(chi(xi x)) dx, exact on cells."""
+    return _apply(f, forward=True)
 
 
 def fast_inverse_transform(f: StepFunction) -> StepFunction:
-    """Same value as inverse_transform, via digitwise contractions."""
-    return _apply_tensor(f, forward=False)
+    """g(x) = integral of f(xi) chi(xi x) dxi; inverse of fast_transform."""
+    return _apply(f, forward=False)
+
+
+# perfbench/tracer.py looks this name up in harmonic; same function object
+inverse_transform = fast_inverse_transform
 
 
 def character_table(cfg: FieldConfig, xi: FieldElement, resolution: int) -> np.ndarray:
@@ -160,24 +99,8 @@ def character_table(cfg: FieldConfig, xi: FieldElement, resolution: int) -> np.n
     return _roots(cfg)[B % p]
 
 
-def fourier_coefficient(f: PeriodicStepFunction, n: int) -> complex:
-    """Coefficient of f against chi(u(n) .); identically 0 once n >= q^k."""
-    if n < 0:
-        raise ValueError("coefficient index must be nonnegative")
-    cfg, k = f.cfg, f.resolution
-    if n >= cfg.q ** k:
-        return 0j
-    table = character_table(cfg, uindex(cfg, n), k)
-    return complex(np.vdot(table, f.values)) * float(cfg.q) ** (-k)
-
-
 def fourier_table(f: PeriodicStepFunction) -> np.ndarray:
-    """All q^k coefficients of f at once; entry n is fourier_coefficient(f, n)."""
-    cfg, k = f.cfg, f.resolution
-    q, p = cfg.q, cfg.p
-    W = _roots(cfg)[(-(_beta(cfg) % p)) % p]
-    T = f.values.reshape((q,) * k)
-    for _ in range(k):
-        T = np.tensordot(T, W, axes=([0], [1]))
-    T = T.transpose(tuple(reversed(range(k))))
-    return T.reshape(-1) * float(q) ** (-k)
+    """All q^k coefficients <f, chi(u(n) .)> at once, entry n; the series
+    stops there, every coefficient from n = q^k on is identically 0."""
+    k = f.resolution
+    return _contract(f.cfg, f.values, k, forward=True) * float(f.cfg.q) ** (-k)

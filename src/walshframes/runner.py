@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .periodic import (
     periodic_two_scale_check,
     projection_energy_scan,
 )
-from .stepfn import PeriodicStepFunction, dump_csv
+from .stepfn import CELL_CAP, PeriodicStepFunction, dump_csv, within_cap
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -67,28 +68,23 @@ def _parse_modulus(token: str) -> tuple[int, ...]:
         raise ConfigError(f"malformed modulus {token!r}") from exc
 
 
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     """Parsed run configuration: system, scale ranges, suite, tolerances."""
 
-    __slots__ = ("cfg", "sys", "j0", "j1", "j_max", "epsilon",
-                 "cascade_iterations", "seed", "count", "resolution",
-                 "gram_tol", "residual_tol", "tail_tol")
-
-    def __init__(self, cfg, sys, j0, j1, j_max, epsilon, cascade_iterations,
-                 seed, count, resolution, gram_tol, residual_tol, tail_tol):
-        self.cfg = cfg
-        self.sys = sys
-        self.j0 = j0
-        self.j1 = j1
-        self.j_max = j_max
-        self.epsilon = epsilon
-        self.cascade_iterations = cascade_iterations
-        self.seed = seed
-        self.count = count
-        self.resolution = resolution
-        self.gram_tol = gram_tol
-        self.residual_tol = residual_tol
-        self.tail_tol = tail_tol
+    cfg: FieldConfig
+    sys: SystemConfig | None
+    j0: int
+    j1: int
+    j_max: int
+    epsilon: float
+    cascade_iterations: int
+    seed: int
+    count: int
+    resolution: int
+    gram_tol: float
+    residual_tol: float
+    tail_tol: float
 
     @classmethod
     def load(cls, path: str, seed: int | None = None, mode: str | None = None,
@@ -169,6 +165,10 @@ class RunConfig:
             raise ConfigError(f"suite count must be positive, got {count}")
         if resolution < 0:
             raise ConfigError(f"suite resolution must be >= 0, got {resolution}")
+        if not within_cap(cfg.q, resolution):
+            raise ConfigError(
+                f"suite resolution {resolution} needs q^{resolution} cells, "
+                f"above the cap of {CELL_CAP}")
 
         j0 = parser.getint("scales", "j0", fallback=0)
         j1 = parser.getint("scales", "j1", fallback=resolution)

@@ -10,13 +10,16 @@ A PeriodicStepFunction is a function on the unit ball D given by a complete
 value table over all q^k cells of D at resolution k, stored densely in a
 fixed digit-lexicographic order (the digit at exponent 0 is the most
 significant), which makes refinement an np.repeat and inner products dot
-products.
+products. to_table and from_table convert a StepFunction to and from the
+same dense layout over any window B^lo / B^k; CELL_CAP bounds the windows
+that input files and run configurations may ask for.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import math
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -25,21 +28,30 @@ from .algebra import FieldConfig, FieldElement, SystemConfig, chi
 from .errors import InputDataError, ResolutionError
 
 __all__ = [
+    "CELL_CAP",
     "PeriodicStepFunction",
     "StepFunction",
     "dilate",
     "dump_csv",
+    "from_table",
     "indicator",
     "inner",
     "load_csv",
     "modulate",
     "prune",
     "refine",
+    "to_table",
     "translate",
     "unit_ball",
+    "within_cap",
 ]
 
 CSV_MAGIC = "# walshframes-stepfn v1"
+
+# Largest dense table (cells of one window) that a step-function file or a
+# suite resolution may ask for: 2^24 complex cells take 256 MiB, far above
+# the 65,536 of a q=4, 8-digit transform yet small enough to allocate.
+CELL_CAP = 2 ** 24
 
 
 class StepFunction:
@@ -220,6 +232,46 @@ def inner(f: StepFunction, g: StepFunction) -> complex:
     return acc * float(f.cfg.q) ** (-k)
 
 
+# ------------------------------------------------------------ dense tables --
+
+def within_cap(q: int, digits: int) -> bool:
+    """Whether a window of q^digits cells stays within CELL_CAP."""
+    return digits < 64 and q ** digits <= CELL_CAP
+
+
+def to_table(f: StepFunction, lo: int | None = None) -> tuple[int, np.ndarray]:
+    """(lo, values): f over the window B^lo / B^k, k = f.resolution, with
+    the digit at exponent k-1 least significant. lo defaults to f's support
+    ball; a cell outside the window raises ValueError."""
+    q, k = f.cfg.q, f.resolution
+    if lo is None:
+        lo = f.support_ball()
+    values = np.zeros(q ** (k - lo), dtype=complex)
+    for rep, v in f.cells.items():
+        if rep.terms and rep.terms[0][0] < lo:
+            raise ValueError(f"cell {rep.text()} lies outside B^{lo}")
+        values[sum(d * q ** (k - 1 - e) for e, d in rep.terms)] = v
+    return lo, values
+
+
+def from_table(cfg: FieldConfig, resolution: int, lo: int,
+               values: np.ndarray) -> StepFunction:
+    """Inverse of to_table: the step function with the given dense values
+    over B^lo / B^resolution; zero cells are not stored."""
+    q, k = cfg.q, resolution
+    cells = {}
+    # one index at a time: a list of every index or value would sit in
+    # memory next to the two cell dicts of a table-sized step function
+    for idx in np.flatnonzero(values):
+        x, terms = int(idx), {}
+        for e in range(k - 1, lo - 1, -1):
+            x, d = divmod(x, q)
+            if d:
+                terms[e] = d
+        cells[FieldElement(cfg, terms)] = complex(values[idx])
+    return StepFunction(cfg, k, cells)
+
+
 # ------------------------------------------------------------- CSV format --
 
 def _modulus_token(cfg: FieldConfig) -> str:
@@ -286,14 +338,20 @@ def load_csv(src: str | TextIO) -> StepFunction:
             value = complex(float(re_s), float(im_s))
         except (IndexError, ValueError) as exc:
             raise InputDataError(f"line {lineno}: malformed row ({exc})") from exc
-        if digits and lo + len(digits) != resolution:
+        if lo + len(digits) != resolution:
             raise InputDataError(
-                f"line {lineno}: digit string does not reach resolution {resolution}")
+                f"line {lineno}: digits from lo = {lo} do not end at resolution "
+                f"{resolution}")
         if any(not 0 <= d < cfg.q for d in digits):
             raise InputDataError(f"line {lineno}: digit out of range [0, {cfg.q})")
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise InputDataError(f"line {lineno}: non-finite amplitude")
         rep = FieldElement(cfg, {lo + i: d for i, d in enumerate(digits)})
         if rep in cells:
             raise InputDataError(f"line {lineno}: duplicate representative")
+        if rep.terms and not within_cap(cfg.q, resolution - rep.terms[0][0]):
+            raise InputDataError(
+                f"line {lineno}: cell widens the table beyond {CELL_CAP} cells")
         cells[rep] = value
     return StepFunction(cfg, resolution, cells)
 
@@ -370,23 +428,15 @@ class PeriodicStepFunction:
         return bool(np.all(diff <= tol))
 
     def to_step(self) -> StepFunction:
-        cells = {}
-        for idx, v in enumerate(self.values):
-            if v != 0:
-                cells[self.rep_of_index(idx)] = complex(v)
-        return StepFunction(self.cfg, self.resolution, cells)
+        return from_table(self.cfg, self.resolution, 0, self.values)
 
     @classmethod
     def from_step(cls, f: StepFunction) -> "PeriodicStepFunction":
-        """Reinterpret a step function supported inside D as a complete table."""
+        """Reinterpret a step function supported inside D as a complete
+        table; ValueError if its support leaves D (periodize instead)."""
         if f.resolution < 0:
             f = refine(f, 0)
-        out = cls(f.cfg, f.resolution, np.zeros(f.cfg.q ** f.resolution, dtype=complex))
-        for rep, v in f.cells.items():
-            if rep.terms and rep.terms[0][0] < 0:
-                raise ValueError("support leaves the unit ball; periodize instead")
-            out.values[out.index_of_rep(rep)] = v
-        return out
+        return cls(f.cfg, f.resolution, to_table(f, 0)[1])
 
     def __repr__(self):
         return f"<PeriodicStepFunction res={self.resolution}>"

@@ -6,7 +6,9 @@ import pytest
 
 from walshframes.algebra import FieldConfig
 from walshframes.cli import main
-from walshframes.stepfn import StepFunction, dump_csv, load_csv
+from walshframes.errors import ConfigError
+from walshframes.runner import RunConfig
+from walshframes.stepfn import CELL_CAP, StepFunction, dump_csv, load_csv
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -165,6 +167,44 @@ resolution = 3
     assert run(["periodic", "--config", cfg]) == 2
 
 
+def _suite_cfg(tmp_path, resolution):
+    body = f"""[masks]
+file = {os.path.join(CONFIGS, "haar_q2.masks")}
+
+[scales]
+j1 = 1
+j_max = 1
+
+[suite]
+count = 1
+resolution = {resolution}
+"""
+    return write_cfg(tmp_path, "", 2, body=body)
+
+
+@pytest.mark.parametrize("command", ["verify", "periodic"])
+def test_suite_resolution_above_cell_cap_is_config_error(tmp_path, capsys,
+                                                         command):
+    # q^25 = 2^25 cells per suite function: refused before any table exists
+    cfg = _suite_cfg(tmp_path, 25)
+    assert run([command, "--config", cfg]) == 2
+    assert str(CELL_CAP) in capsys.readouterr().err
+
+
+def test_suite_resolution_at_cell_cap_loads(tmp_path):
+    rc = RunConfig.load(_suite_cfg(tmp_path, 24))
+    assert rc.cfg.q ** rc.resolution == CELL_CAP
+    with pytest.raises(ConfigError):
+        RunConfig.load(_suite_cfg(tmp_path, 25))
+
+
+def test_run_config_is_frozen(tmp_path):
+    rc = RunConfig.load(_suite_cfg(tmp_path, 2))
+    with pytest.raises(AttributeError):
+        rc.seed = 5
+    assert rc.seed == 0
+
+
 # ---------------------------------------------------------- transform --
 
 def test_transform_roundtrip(tmp_path):
@@ -215,6 +255,58 @@ def test_transform_empty_input(tmp_path, capsys):
 
 def test_transform_missing_input():
     assert run(["transform", "/nonexistent/f.csv"]) == 3
+
+
+@pytest.mark.parametrize("amplitude", ["nan,0.0", "1.0,inf", "-inf,nan"])
+def test_transform_rejects_non_finite_amplitude(tmp_path, capsys, amplitude):
+    path = tmp_path / "nan.csv"
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+        "lo,digits,re,im\n"
+        "0,1,1.0,0.0\n"
+        f"0,0,{amplitude}\n")
+    out = tmp_path / "out.csv"
+    assert run(["transform", str(path), "--out", str(out)]) == 3
+    assert "line 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transform_rejects_empty_digits_below_resolution(tmp_path, capsys):
+    # an empty digit string names the zero cell, which sits at lo = resolution
+    path = tmp_path / "lo.csv"
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+        "lo,digits,re,im\n"
+        "0,1,1.0,0.0\n"
+        "5,,1.0,0.0\n")
+    assert run(["transform", str(path)]) == 3
+    assert "line 4" in capsys.readouterr().err
+
+
+def test_transform_refuses_window_above_cell_cap(tmp_path, capsys):
+    # one cell at lo = -30 asks for a 2^60-cell table; refused at load
+    path = tmp_path / "wide.csv"
+    digits = ".".join(["1"] + ["0"] * 59)
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=30\n"
+        "lo,digits,re,im\n"
+        "30,,1.0,0.0\n"
+        f"-30,{digits},1.0,0.0\n")
+    assert run(["transform", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "line 4" in err and str(CELL_CAP) in err
+
+
+def test_load_csv_accepts_window_at_cell_cap(tmp_path):
+    # 2^24 cells exactly: loaded (the table itself is not built here)
+    path = tmp_path / "cap.csv"
+    digits = ".".join(["1"] + ["0"] * 23)
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=0\n"
+        "lo,digits,re,im\n"
+        f"-24,{digits},1.0,0.0\n")
+    assert CELL_CAP == 2 ** 24
+    assert load_csv(str(path)).support_ball() == -24
 
 
 # -------------------------------------------------- field-info, uindex --

@@ -17,18 +17,16 @@ from walshframes.framekit import (
     cascade,
     check_partition,
     derive_generators,
-    eval_mask,
     iterate_refinement,
     load_masks,
     mask_cells,
-    refine_hat,
+    mask_refine,
     save_masks,
     sigma_v0,
     system_member,
     uep_gram,
-    wavelet_hat,
-    wavelet_time,
 )
+from walshframes.harmonic import fast_inverse_transform
 from walshframes.stepfn import (
     PeriodicStepFunction,
     StepFunction,
@@ -81,23 +79,23 @@ def random_domain_step(cfg, resolution, rng):
 
 # --------------------------------------------------------------- masks --
 
-def test_eval_mask_haar_frozen():
+def test_mask_value_haar_frozen():
     sys = haar_system()
     m0, m1 = sys.masks
-    assert eval_mask(m0, F2.zero()) == pytest.approx(1.0)
-    assert eval_mask(m1, F2.zero()) == pytest.approx(0.0)
-    assert eval_mask(m0, F2.one()) == pytest.approx(0.0)
-    assert eval_mask(m1, F2.one()) == pytest.approx(1.0)
+    assert m0.value(F2.zero()) == pytest.approx(1.0)
+    assert m1.value(F2.zero()) == pytest.approx(0.0)
+    assert m0.value(F2.one()) == pytest.approx(0.0)
+    assert m1.value(F2.one()) == pytest.approx(1.0)
 
 
-def test_eval_mask_local_constancy():
+def test_mask_value_local_constancy():
     sys = fourier3_system()
     m = sys.masks[1]
     K = m.constancy_resolution
     assert K == 1
     xi = uindex(F3, 2) + F3.one()
     for probe in (F3.monomial(1, K), F3.monomial(2, K + 3)):
-        assert eval_mask(m, xi + probe) == pytest.approx(eval_mask(m, xi), abs=1e-14)
+        assert m.value(xi + probe) == pytest.approx(m.value(xi), abs=1e-14)
 
 
 def test_mask_cells_haar():
@@ -106,6 +104,20 @@ def test_mask_cells_haar():
         StepFunction(F2, 1, {F2.zero(): 1.0}), 1e-12)
     assert mask_cells(sys.masks[1]).allclose(
         StepFunction(F2, 1, {F2.one(): 1.0}), 1e-12)
+
+
+def test_mask_cells_match_pointwise_values():
+    wide = SystemConfig(F4, N=1, r=1)
+    masks = fourier3_system().masks + (
+        Mask(wide, {(0, 0): 0.5, (6, 0): 0.5j, (13, 0): -0.25}),)
+    for m in masks:
+        K = m.constancy_resolution
+        grid = PeriodicStepFunction(m.sys.field, K, np.zeros(m.sys.q ** K))
+        cells = mask_cells(m)
+        assert cells.resolution == K
+        for i in range(grid.values.size):
+            rep = grid.rep_of_index(i)
+            assert cells.cells.get(rep, 0j) == pytest.approx(m.value(rep), abs=1e-15)
 
 
 def test_mask_rejects_bad_index():
@@ -118,35 +130,35 @@ def test_mask_rejects_bad_index():
 
 # --------------------------------------------------- refinement iteration --
 
-def test_refine_hat_haar_fixed_point():
+def test_mask_refine_haar_fixed_point():
     sys = haar_system()
     phi_hat = unit_ball(F2)
-    stepped = refine_hat(phi_hat, sys.masks[0], sys)
+    stepped = mask_refine(phi_hat, sys.masks[0], sys)
     assert stepped.allclose(phi_hat, 1e-12)
     iterated = iterate_refinement(sys.masks[0], sys, 4)
     assert refine(iterated, 4).allclose(refine(unit_ball(F2), 4), 1e-12)
 
 
-def test_refine_hat_zero_and_value_at_zero():
+def test_mask_refine_zero_and_value_at_zero():
     sys = haar_system()
     z = StepFunction(F2, 0, {})
-    assert refine_hat(z, sys.masks[0], sys).is_zero
+    assert mask_refine(z, sys.masks[0], sys).is_zero
     phi_hat = unit_ball(F2).scale(0.7)
-    g = refine_hat(phi_hat, sys.masks[0], sys)
-    assert g.cells[F2.zero()] == pytest.approx(0.7 * eval_mask(sys.masks[0], F2.zero()))
+    g = mask_refine(phi_hat, sys.masks[0], sys)
+    assert g.cells[F2.zero()] == pytest.approx(0.7 * sys.masks[0].value(F2.zero()))
 
 
-def test_wavelet_time_haar_frozen():
+def test_mask_refine_wavelet_haar_frozen():
     sys = haar_system()
-    psi = wavelet_time(unit_ball(F2), sys.masks[1], sys)
+    psi = fast_inverse_transform(mask_refine(unit_ball(F2), sys.masks[1], sys))
     assert psi.allclose(StepFunction(F2, 1, {F2.zero(): 1.0, F2.one(): -1.0}), 1e-12)
     assert psi.norm2() == pytest.approx(1.0)
 
 
-def test_wavelet_hat_value_at_zero():
+def test_mask_refine_value_at_zero():
     sys = haar_system()
-    g = wavelet_hat(unit_ball(F2), sys.masks[0], sys)
-    assert g.cells[F2.zero()] == pytest.approx(eval_mask(sys.masks[0], F2.zero()))
+    g = mask_refine(unit_ball(F2), sys.masks[0], sys)
+    assert g.cells[F2.zero()] == pytest.approx(sys.masks[0].value(F2.zero()))
 
 
 def test_derive_generators_orthonormal_bank():

@@ -2,16 +2,15 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import dense_transform, enumerate_reps, fourier_coefficient
 
 from walshframes.algebra import FieldConfig, chi, uindex
 from walshframes.harmonic import (
     character_table,
     fast_inverse_transform,
     fast_transform,
-    fourier_coefficient,
     fourier_table,
-    inverse_transform,
-    transform,
 )
 from walshframes.stepfn import (
     PeriodicStepFunction,
@@ -31,25 +30,6 @@ F4 = FieldConfig(2, 2, (1, 1, 1))
 OMEGA3 = cmath.exp(2j * cmath.pi / 3)
 
 
-def enumerate_reps(cfg, lo, hi):
-    reps = [cfg.zero()]
-    for e in range(lo, hi):
-        reps = [r + cfg.monomial(d, e) for r in reps for d in range(cfg.q)]
-    return reps
-
-
-def oracle_transform(f):
-    # direct character sum over every output cell, no shared code path
-    cfg = f.cfg
-    l, k = f.support_ball(), f.resolution
-    meas = cfg.q ** float(-k)
-    cells = {}
-    for xi in enumerate_reps(cfg, -k, -l):
-        cells[xi] = sum(v * chi(xi * h).conjugate()
-                        for h, v in f.items_sorted()) * meas
-    return StepFunction(cfg, -l, cells)
-
-
 def random_step(cfg, resolution, rng, ball=-1):
     f = refine(indicator(cfg, ball, cfg.zero()), resolution)
     cells = {rep: complex(rng.standard_normal(), rng.standard_normal())
@@ -62,27 +42,26 @@ def test_transform_matches_direct_sum():
     for cfg in (F2, F3, F4):
         for resolution, ball in [(1, -1), (2, 0), (0, -2), (2, -1)]:
             f = random_step(cfg, resolution, rng, ball)
-            want = oracle_transform(f)
-            assert transform(f).allclose(want, 1e-12)
+            want = dense_transform(f)
             assert fast_transform(f).allclose(want, 1e-12)
 
 
 def test_transform_metadata():
     rng = np.random.Generator(np.random.PCG64(402))
     f = random_step(F3, 2, rng, ball=-1)
-    g = transform(f)
+    g = fast_transform(f)
     assert g.resolution == -f.support_ball()
     assert g.support_ball() == -f.resolution
 
 
 def test_unit_ball_is_self_dual():
     for cfg in (F2, F3, F4):
-        assert transform(unit_ball(cfg)) == unit_ball(cfg)
+        assert fast_transform(unit_ball(cfg)) == unit_ball(cfg)
 
 
 def test_small_ball_transforms_to_scaled_big_ball():
     f = indicator(F3, 1, F3.zero())
-    g = transform(f)
+    g = fast_transform(f)
     want = StepFunction(F3, -1, {F3.zero(): 1 / 3})
     assert g.allclose(want, 1e-15)
 
@@ -90,7 +69,7 @@ def test_small_ball_transforms_to_scaled_big_ball():
 def test_frozen_binary_cell():
     # indicator of t^-1 + B^1 over GF(2)
     f = indicator(F2, 1, uindex(F2, 1))
-    g = transform(f)
+    g = fast_transform(f)
     t_inv, one = uindex(F2, 1), F2.one()
     assert g == StepFunction(F2, 1, {
         F2.zero(): 0.5, t_inv: 0.5, one: -0.5, one + t_inv: -0.5})
@@ -98,7 +77,7 @@ def test_frozen_binary_cell():
 
 def test_frozen_ternary_point_mass():
     f = indicator(F3, 0, uindex(F3, 1))
-    g = transform(f)
+    g = fast_transform(f)
     assert g.resolution == 1 and g.support_ball() == 0
     got = dict(g.items_sorted())
     assert got[F3.zero()] == pytest.approx(1.0)
@@ -109,7 +88,7 @@ def test_frozen_ternary_point_mass():
 def test_frozen_quartic_cell():
     # multiplication through the quadratic extension shows up in the sign
     f = indicator(F4, 0, uindex(F4, 2))
-    g = transform(f)
+    g = fast_transform(f)
     assert g == StepFunction(F4, 1, {
         F4.zero(): 1.0, F4.one(): 1.0,
         F4.element({0: 2}): -1.0, F4.element({0: 3}): -1.0})
@@ -119,11 +98,10 @@ def test_plancherel_and_round_trip():
     rng = np.random.Generator(np.random.PCG64(403))
     for cfg in (F2, F3, F4):
         f = random_step(cfg, 2, rng, ball=-1)
-        g = transform(f)
+        g = fast_transform(f)
         assert g.norm2() == pytest.approx(f.norm2(), rel=1e-12)
-        assert inverse_transform(g).allclose(f, 1e-12)
-        assert transform(inverse_transform(f)).allclose(f, 1e-12)
-        assert fast_inverse_transform(fast_transform(f)).allclose(f, 1e-12)
+        assert fast_inverse_transform(g).allclose(f, 1e-12)
+        assert fast_transform(fast_inverse_transform(f)).allclose(f, 1e-12)
 
 
 def test_translation_and_modulation_duality():
@@ -132,15 +110,14 @@ def test_translation_and_modulation_duality():
         f = random_step(cfg, 2, rng, ball=-1)
         a = uindex(cfg, 2) + cfg.one()
         b = uindex(cfg, 1)
-        assert transform(translate(f, a)).allclose(
-            modulate(transform(f), -a), 1e-12)
-        assert transform(modulate(f, b)).allclose(
-            translate(transform(f), b), 1e-12)
+        assert fast_transform(translate(f, a)).allclose(
+            modulate(fast_transform(f), -a), 1e-12)
+        assert fast_transform(modulate(f, b)).allclose(
+            translate(fast_transform(f), b), 1e-12)
 
 
 def test_transform_of_zero_function_is_empty():
     z = StepFunction(F2, 1, {})
-    assert transform(z).is_zero
     assert fast_transform(z).is_zero
 
 
@@ -169,10 +146,11 @@ def test_fourier_coefficient_against_inner_product():
         assert fourier_coefficient(pf, cfg.q ** k + 7) == 0j
 
 
-def test_fourier_coefficient_frozen():
+def test_fourier_table_frozen():
     pf = PeriodicStepFunction(F2, 1, [1.0, -1.0])
-    assert fourier_coefficient(pf, 0) == 0j
-    assert fourier_coefficient(pf, 1) == 1 + 0j
+    table = fourier_table(pf)
+    assert table[0] == 0j
+    assert table[1] == 1 + 0j
 
 
 def test_fourier_table_and_parseval():
@@ -192,3 +170,69 @@ def test_fourier_table_zero_resolution():
     table = fourier_table(pf)
     assert table.shape == (1,)
     assert table[0] == pytest.approx(2.5 + 1j)
+
+
+# ------------------------------------------------------ property tests --
+#
+# The one contraction kernel against the dense character matrix of
+# tests/oracles.py, over prime and extension fields (GF(9) with the modulus
+# z^2 + 1 passed explicitly), support balls -2..1 and several resolutions.
+
+FIELDS = (F2, F3, F4, FieldConfig(2, 3), FieldConfig(3, 2, (1, 0, 1)))
+# widest window m = k - l per field: keeps the oracle matrix <= 81 x 81
+MAX_DIGITS = {2: 5, 3: 3, 4: 3, 8: 2, 9: 2}
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def step_functions(draw):
+    """A random step function over one of FIELDS with support ball exactly
+    `ball` (dense) or inside it (sparse, some cells zero)."""
+    cfg = draw(st.sampled_from(FIELDS))
+    ball = draw(st.integers(-2, 1))
+    digits = draw(st.integers(0, MAX_DIGITS[cfg.q]))
+    sparse = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cells = {}
+    for rep in enumerate_reps(cfg, ball, ball + digits):
+        if not sparse or rng.random() < 0.5:
+            cells[rep] = complex(rng.standard_normal(), rng.standard_normal())
+    return StepFunction(cfg, ball + digits, cells)
+
+
+@EXAMPLES
+@given(step_functions())
+def test_kernel_matches_dense_character_matrix(f):
+    for forward, kernel in ((True, fast_transform),
+                            (False, fast_inverse_transform)):
+        g = kernel(f)
+        assert g.resolution == -f.support_ball()
+        assert g.is_zero or g.support_ball() >= -f.resolution
+        assert g.allclose(dense_transform(f, forward), 1e-12)
+
+
+@EXAMPLES
+@given(step_functions())
+def test_kernel_round_trip_and_parseval(f):
+    g = fast_transform(f)
+    assert fast_inverse_transform(g).allclose(f, 1e-12)
+    assert fast_transform(fast_inverse_transform(f)).allclose(f, 1e-12)
+    assert g.norm2() == pytest.approx(f.norm2(), rel=1e-12, abs=1e-300)
+
+
+@EXAMPLES
+@given(st.sampled_from(FIELDS), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_fourier_table_matches_per_index_sums(cfg, k, seed):
+    k = min(k, MAX_DIGITS[cfg.q])
+    rng = np.random.default_rng(seed)
+    n = cfg.q ** k
+    pf = PeriodicStepFunction(cfg, k, rng.standard_normal(n)
+                              + 1j * rng.standard_normal(n))
+    table = fourier_table(pf)
+    assert table.shape == (n,)
+    for i in range(n):
+        assert table[i] == pytest.approx(fourier_coefficient(pf, i), abs=1e-12)
+    assert fourier_coefficient(pf, n) == 0j
+    assert np.sum(np.abs(table) ** 2) == pytest.approx(pf.norm2(), rel=1e-12)

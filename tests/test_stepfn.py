@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshframes.algebra import FieldConfig, SystemConfig, chi, uindex
 from walshframes.errors import InputDataError, ResolutionError
@@ -14,12 +15,14 @@ from walshframes.stepfn import (
     StepFunction,
     dilate,
     dump_csv,
+    from_table,
     indicator,
     inner,
     load_csv,
     modulate,
     prune,
     refine,
+    to_table,
     translate,
     unit_ball,
 )
@@ -284,3 +287,40 @@ def test_prune_drops_small_amplitudes():
     assert prune(f) == f
     with pytest.raises(ValueError):
         prune(f, -1.0)
+
+
+# ------------------------------------------------------------ dense tables --
+
+TABLE_FIELDS = (F2, F3, F4, FieldConfig(2, 3), FieldConfig(3, 2, (1, 0, 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(TABLE_FIELDS), st.integers(-2, 1), st.integers(0, 3),
+       st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_table_round_trip_against_index_of_rep(cfg, ball, digits, pad, seed):
+    digits = min(digits, 2) if cfg.q > 4 else digits
+    k = ball + digits
+    rng = np.random.default_rng(seed)
+    f = StepFunction(cfg, k, {
+        rep: complex(rng.standard_normal(), rng.standard_normal())
+        for rep, _ in refine(indicator(cfg, ball, cfg.zero()), k).items_sorted()
+        if rng.random() < 0.7})
+    lo, values = to_table(f)
+    assert lo == f.support_ball()
+    # a window padded below the support holds the same cells
+    wide_lo, wide = to_table(f, lo - pad)
+    assert wide_lo == lo - pad and wide.size == cfg.q ** (k - wide_lo)
+    assert np.count_nonzero(wide) == len(f.cells)
+    # the layout is the PeriodicStepFunction one, shifted to start at lo
+    grid = PeriodicStepFunction(cfg, k - wide_lo, wide)
+    for rep, v in f.cells.items():
+        assert wide[grid.index_of_rep(rep.shift(-wide_lo))] == v
+    assert from_table(cfg, k, lo, values) == f
+    assert from_table(cfg, k, wide_lo, wide) == f
+
+
+def test_to_table_rejects_cells_outside_the_window():
+    f = indicator(F3, 1, uindex(F3, 1))
+    with pytest.raises(ValueError):
+        to_table(f, 0)
+    assert to_table(f, -1)[1].tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
