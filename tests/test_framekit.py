@@ -79,7 +79,7 @@ def random_domain_step(cfg, resolution, rng):
 
 # --------------------------------------------------------------- masks --
 
-def test_mask_value_haar_frozen():
+def test_eval_mask_haar_frozen():
     sys = haar_system()
     m0, m1 = sys.masks
     assert m0.value(F2.zero()) == pytest.approx(1.0)
@@ -88,7 +88,7 @@ def test_mask_value_haar_frozen():
     assert m1.value(F2.one()) == pytest.approx(1.0)
 
 
-def test_mask_value_local_constancy():
+def test_eval_mask_local_constancy():
     sys = fourier3_system()
     m = sys.masks[1]
     K = m.constancy_resolution
@@ -130,7 +130,7 @@ def test_mask_rejects_bad_index():
 
 # --------------------------------------------------- refinement iteration --
 
-def test_mask_refine_haar_fixed_point():
+def test_refine_hat_haar_fixed_point():
     sys = haar_system()
     phi_hat = unit_ball(F2)
     stepped = mask_refine(phi_hat, sys.masks[0], sys)
@@ -139,7 +139,7 @@ def test_mask_refine_haar_fixed_point():
     assert refine(iterated, 4).allclose(refine(unit_ball(F2), 4), 1e-12)
 
 
-def test_mask_refine_zero_and_value_at_zero():
+def test_refine_hat_zero_and_value_at_zero():
     sys = haar_system()
     z = StepFunction(F2, 0, {})
     assert mask_refine(z, sys.masks[0], sys).is_zero
@@ -148,14 +148,14 @@ def test_mask_refine_zero_and_value_at_zero():
     assert g.cells[F2.zero()] == pytest.approx(0.7 * sys.masks[0].value(F2.zero()))
 
 
-def test_mask_refine_wavelet_haar_frozen():
+def test_wavelet_time_haar_frozen():
     sys = haar_system()
     psi = fast_inverse_transform(mask_refine(unit_ball(F2), sys.masks[1], sys))
     assert psi.allclose(StepFunction(F2, 1, {F2.zero(): 1.0, F2.one(): -1.0}), 1e-12)
     assert psi.norm2() == pytest.approx(1.0)
 
 
-def test_mask_refine_value_at_zero():
+def test_wavelet_hat_value_at_zero():
     sys = haar_system()
     g = mask_refine(unit_ball(F2), sys.masks[0], sys)
     assert g.cells[F2.zero()] == pytest.approx(sys.masks[0].value(F2.zero()))

@@ -146,7 +146,7 @@ def test_fourier_coefficient_against_inner_product():
         assert fourier_coefficient(pf, cfg.q ** k + 7) == 0j
 
 
-def test_fourier_table_frozen():
+def test_fourier_coefficient_frozen():
     pf = PeriodicStepFunction(F2, 1, [1.0, -1.0])
     table = fourier_table(pf)
     assert table[0] == 0j
