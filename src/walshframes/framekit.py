@@ -37,10 +37,10 @@ from .harmonic import character_table, fast_inverse_transform
 from .stepfn import (
     StepFunction,
     dilate,
-    from_table,
+    periodize,
     prune,
     refine,
-    to_table,
+    rescale,
     translate,
     unit_ball,
 )
@@ -77,6 +77,7 @@ NORMALIZATION_GATE = 1e-6
 PRUNE_TOL = 1e-14        # noise floor for iterated frequency products
 
 MASK_MAGIC = "# walshframes-masks v1"
+MASK_HEADER_KEYS = ("p", "c", "modulus", "N", "r", "nu", "normalization")
 
 
 class Mask:
@@ -108,20 +109,15 @@ class Mask:
     def items_sorted(self) -> list[tuple[LambdaIndex, complex]]:
         return [(idx, a) for idx, _, a in self._terms]
 
-    def value(self, xi: FieldElement) -> complex:
-        acc = 0j
-        for _, lam, a in self._terms:
-            acc += a * chi(lam * xi).conjugate()
-        return self.sys.mask_norm_const * acc
-
     def __repr__(self):
         return f"<Mask terms={len(self._terms)} K={self.constancy_resolution}>"
 
 
 def mask_cells(m: Mask) -> StepFunction:
-    """The finitely many values m takes on D, one cell per coset of B^K."""
+    """The finitely many values m takes on D, one cell per coset of B^K;
+    m is lattice periodic, so this table determines it everywhere."""
     K = m.constancy_resolution
-    return from_table(m.sys.field, K, 0, _mask_table(m, m.sys.field.zero(), K))
+    return StepFunction(m.sys.field, K, _mask_table(m, m.sys.field.zero(), K))
 
 
 # --------------------------------------------------- frequency-side products --
@@ -130,15 +126,11 @@ def mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig) -> StepFun
     """xi -> mask(w xi) * phi_hat(w xi) with w = t * nu^(-1), exact cellwise:
     the refinement product for the low-pass mask, a wavelet's transform for
     a high-pass one."""
-    cfg = sys.field
-    k2 = max(phi_hat.resolution - 1, mask.constancy_resolution - 1)
-    moved = StepFunction(cfg, phi_hat.resolution - 1, {
-        rep.scale(sys.nu).shift(-1): v for rep, v in phi_hat.cells.items()})
-    moved = refine(moved, k2)
-    inv_nu = cfg.gf_inv(sys.nu)
-    return StepFunction(cfg, k2, {
-        rep: v * mask.value(rep.scale(inv_nu).shift(1))
-        for rep, v in moved.cells.items()})
+    g = refine(phi_hat, max(phi_hat.resolution, mask.constancy_resolution))
+    # the mask repeats its table on D across every lattice translate of D
+    m = np.resize(refine(mask_cells(mask), g.resolution).values, g.values.size)
+    return rescale(StepFunction(sys.field, g.resolution, g.values * m, g.lo),
+                   sys.nu, -1)
 
 
 def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int,
@@ -156,7 +148,7 @@ def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int,
 
 def cascade(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunction:
     """Time-side refinable approximant; requires m0 normalized at 0."""
-    dev = abs(m0.value(sys.field.zero()) - 1)
+    dev = abs(mask_cells(m0).values[0] - 1)
     if dev > NORMALIZATION_GATE:
         raise NotNormalized(
             f"mask value at 0 is off by {dev:.3e} (gate {NORMALIZATION_GATE})")
@@ -179,33 +171,17 @@ def derive_generators(sys: SystemConfig, iterations: int = 4,
 
 # ------------------------------------------------------ partition of unity --
 
-def check_partition(phi_hat: StepFunction, sys: SystemConfig,
-                    lam_range: Iterable[LambdaIndex] | None = None) -> StepFunction:
+def check_partition(phi_hat: StepFunction, sys: SystemConfig) -> StepFunction:
     """Per-cell value of sum_lambda |phi_hat(xi + lambda)|^2 on D.
 
     Every translation has purely negative digits, so a support cell h + B^K
     lands in D under exactly one lattice value, its own fractional part; the
-    indexed family hits that value `branches` times. Passing an explicit
-    lam_range instead sums over exactly those indices.
+    indexed family hits that value `branches` times. The sum is therefore
+    the periodization of branches * |phi_hat|^2.
     """
-    cfg = sys.field
-    K = max(phi_hat.resolution, 0)
-    g = refine(phi_hat, K)
-    sums: dict[FieldElement, float] = {}
-    if lam_range is None:
-        mult = float(sys.branches)
-        for rep, v in g.items_sorted():
-            frac = rep.tail(0)
-            sums[frac] = sums.get(frac, 0.0) + abs(v) ** 2 * mult
-    else:
-        for idx in lam_range:
-            lam = sys.lambda_element(idx)
-            for rep, v in g.items_sorted():
-                d = rep - lam
-                if d.terms and d.terms[0][0] < 0:
-                    continue
-                sums[d] = sums.get(d, 0.0) + abs(v) ** 2
-    return StepFunction(cfg, K, sums)
+    g = refine(phi_hat, max(phi_hat.resolution, 0))
+    return periodize(StepFunction(g.cfg, g.resolution,
+                                  np.abs(g.values) ** 2 * sys.branches, g.lo))
 
 
 def sigma_v0(phi_hat: StepFunction, sys: SystemConfig,
@@ -215,14 +191,13 @@ def sigma_v0(phi_hat: StepFunction, sys: SystemConfig,
     The norm2 of the result is the Haar measure of that cell set.
     """
     part = check_partition(phi_hat, sys)
-    return StepFunction(sys.field, part.resolution,
-                        {rep: 1.0 for rep, v in part.cells.items() if abs(v) > tol})
+    return StepFunction(sys.field, part.resolution, np.abs(part.values) > tol)
 
 
 # ------------------------------------------------------------- UEP matrix --
 
 def _mask_table(m: Mask, shift: FieldElement, resolution: int) -> np.ndarray:
-    """m(xi + shift) over the dense D-grid in to_table order."""
+    """m(xi + shift) over the cells xi of D at the given resolution."""
     cfg = m.sys.field
     out = np.zeros(cfg.q ** resolution, dtype=complex)
     for _, lam, a in m._terms:
@@ -246,7 +221,7 @@ def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
     G = np.einsum("lsc,ltc->cst", T, np.conj(T))
     dev = np.abs(G - np.eye(len(sys.shift_set)))
     if sigma is not None:
-        sel = to_table(refine(sigma, K), 0)[1] != 0
+        sel = refine(sigma, K).window(0).values != 0
         dev = dev[sel]
     cells = int(dev.shape[0])
     max_dev = float(dev.max()) if cells else 0.0
@@ -329,39 +304,36 @@ class MemberBank:
     """Every reachable translate of one dilated generator h = member (l, j, 0).
 
     All members of a (generator, scale) pair share h's nonzero cell values,
-    so the bank stores those once (conjugated) plus, per row, the indices of
-    the cells x + mu_row at resolution `resolution`, exponent resolution-1
-    least significant. An index below q^(resolution-lo) is then the cell's
-    position in a table over B^lo / B^resolution for every lo. Memory grows
-    like rows x member cells. Each row is reduced on its own, so an entry
-    does not depend on how many rows the bank holds.
+    so the bank stores those once (conjugated) plus, per row, the table
+    indices of the cells x + mu_row, x running over h's nonzero cells and
+    mu_row over the rows' translations. An index is the cell's position in
+    every table at h's resolution whose window holds the cell (see stepfn).
+    Memory grows like rows x member cells. Each row is reduced on its own,
+    so an entry does not depend on how many rows the bank holds.
 
-    x maps an exponent to the digit of each of h's nonzero cells there, mu
-    an exponent to the digit of each row's translation; rows are shaped by
-    `shape`.
+    mu maps an exponent to the digit of each row's translation there; rows
+    are shaped by `shape`.
     """
 
     __slots__ = ("resolution", "conj_values", "cells")
 
-    def __init__(self, cfg: FieldConfig, resolution: int,
-                 values: np.ndarray, x: Mapping[int, np.ndarray],
-                 mu: Mapping[int, np.ndarray], shape: tuple[int, ...]):
-        q = cfg.q
-        exps = [e for e in set(x) | set(mu) if e < resolution]
-        lo = min(exps, default=resolution)
-        if (resolution - lo) * math.log2(q) > 62:
+    def __init__(self, h: StepFunction, mu: Mapping[int, np.ndarray],
+                 shape: tuple[int, ...]):
+        q, k = h.cfg.q, h.resolution
+        x = np.flatnonzero(h.values)
+        lo = min([h.lo] + [e for e in mu if e < k])
+        if (k - lo) * math.log2(q) > 62:
             raise ConfigError("member window too wide for 64-bit cell indices")
-        add = _add_table(cfg)
+        add = _add_table(h.cfg)
         rows = int(np.prod(shape))
-        no_x = np.zeros(values.size, dtype=np.int64)
         no_mu = np.zeros(rows, dtype=np.int64)
-        idx = np.zeros((rows, values.size), dtype=np.int64)
-        for e in range(lo, resolution):
+        idx = np.zeros((rows, x.size), dtype=np.int64)
+        for e in range(lo, k):
             idx *= q
-            idx += add[mu.get(e, no_mu)[:, None], x.get(e, no_x)]
-        self.resolution = resolution
-        self.conj_values = np.conj(values)
-        self.cells = idx.reshape(*shape, values.size)
+            idx += add[mu.get(e, no_mu)[:, None], x // q ** (k - 1 - e) % q]
+        self.resolution = k
+        self.conj_values = np.conj(h.values[x])
+        self.cells = idx.reshape(*shape, x.size)
 
     def coefficients(self, integrals: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """<f, member> per row, from the cell integrals of f over the rows'
@@ -392,7 +364,7 @@ def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
 class FrameAnalyzer:
     """Coefficient analysis against one system, one member bank per (l, j)."""
 
-    __slots__ = ("sys", "generators", "_members", "_f", "_f_table")
+    __slots__ = ("sys", "generators", "_members")
 
     def __init__(self, sys: SystemConfig, generators: Sequence[StepFunction]):
         if not generators:
@@ -400,8 +372,6 @@ class FrameAnalyzer:
         self.sys = sys
         self.generators = tuple(generators)
         self._members: dict[tuple[int, int], MemberBank] = {}
-        self._f = None
-        self._f_table = None
 
     def member(self, l: int, j: int, idx: LambdaIndex) -> StepFunction:
         """The member D^j T_lambda(idx) g_l as a step function."""
@@ -414,29 +384,17 @@ class FrameAnalyzer:
         if got is not None and got.cells.shape[1] >= bound:
             return got
         h = self.member(l, j, LambdaIndex(0, 0))
-        reps = h.items_sorted()
-        x: dict[int, np.ndarray] = {}
-        for i, (rep, _) in enumerate(reps):
-            for e, d in rep.terms:
-                x.setdefault(e, np.zeros(len(reps), dtype=np.int64))[i] = d
-        values = np.array([v for _, v in reps], dtype=complex)
         B = self.sys.branches
         n = np.tile(np.arange(bound), B)
         delta = np.repeat(np.arange(B), bound)
         mu = translation_digits(self.sys, j, n, delta, -math.inf, h.resolution)
-        got = self._members[(l, j)] = MemberBank(
-            self.sys.field, h.resolution, values, x, mu, (B, bound))
+        got = self._members[(l, j)] = MemberBank(h, mu, (B, bound))
         return got
-
-    def _table(self, f: StepFunction) -> tuple[int, np.ndarray]:
-        if f is not self._f:
-            self._f, self._f_table = f, to_table(f)
-        return self._f_table
 
     def _row(self, f: StepFunction, l: int, j: int, margin: int = 0):
         """(bank, window cells, f's cell integrals, f's cell support,
         coefficients), rows (delta, n) over the exhaustive translation scan."""
-        lf, values = self._table(f)
+        lf = f.support_ball()
         A = min(lf - j, self.generators[l].support_ball())
         exp = max(0, -A)
         if self.sys.branches == 2:
@@ -444,10 +402,9 @@ class FrameAnalyzer:
         bound = self.sys.q ** (exp + margin)
         bank = self._bank(l, j, bound)
         q, k, K = self.sys.q, f.resolution, bank.resolution
-        # a window down to B^min(l, K) holds f; the last entry is a zero
+        # f over the window down to B^min(lf, K); the last entry is a zero
         # sentinel for every member cell outside it
-        values = np.concatenate(
-            (values, np.zeros(q ** (k - min(lf, K)) - values.size, dtype=complex)))
+        values = f.window(min(lf, K)).values
         integrals = np.append(cell_integrals(values, k, K, q), 0)
         support = np.append(cell_integrals(values != 0, k, K, q) != 0, False)
         cells = np.minimum(bank.cells[:, :bound], integrals.size - 1)
@@ -569,10 +526,14 @@ def load_masks(src: str | TextIO) -> SystemConfig:
             rows.append({})
             continue
         if not rows:
-            key, sep, val = line.partition("=")
+            key, sep, val = (part.strip() for part in line.partition("="))
             if not sep:
                 raise InputDataError(f"line {lineno}: expected 'key = value'")
-            header[key.strip()] = val.strip()
+            if key not in MASK_HEADER_KEYS:
+                raise InputDataError(f"line {lineno}: unknown header key {key!r}")
+            if key in header:
+                raise InputDataError(f"line {lineno}: repeated header key {key!r}")
+            header[key] = val
             continue
         parts = line.split()
         if len(parts) != 4:

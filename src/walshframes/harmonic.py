@@ -11,7 +11,8 @@ contractions of size q x q.
 For functions on the unit ball D the relevant object is the coefficient
 sequence against the characters chi(u(n) .); a table at resolution k has
 exactly q^k nonzero coefficients and fourier_table returns them all at once,
-through the same contraction.
+through the same contraction. character_table gives chi(xi .) itself as a
+table over any window, in the layout of stepfn.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import FieldConfig, FieldElement
-from .stepfn import PeriodicStepFunction, StepFunction, from_table, to_table
+from .stepfn import StepFunction
 
 __all__ = [
     "character_table",
@@ -50,8 +51,8 @@ def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
     """Character sum of a table of q^m cells, without the measure factor.
 
     Input digit i (most significant first) pairs with output digit m-1-i
-    through chi, so a table over B^l / B^k in to_table order maps to a table
-    over B^-k / B^-l in the same order; forward conjugates the characters.
+    through chi, so a table over B^l / B^k maps to a table over
+    B^-k / B^-l in the same layout; forward conjugates the characters.
     """
     q, p = cfg.q, cfg.p
     B = _beta(cfg)
@@ -65,10 +66,9 @@ def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
 
 
 def _apply(f: StepFunction, forward: bool) -> StepFunction:
-    cfg, k = f.cfg, f.resolution
-    l, values = to_table(f)
-    out = _contract(cfg, values, k - l, forward) * float(cfg.q) ** (-k)
-    return from_table(cfg, -l, -k, out)
+    cfg, k, l = f.cfg, f.resolution, f.support_ball()
+    out = _contract(cfg, f.window(l).values, k - l, forward) * float(cfg.q) ** (-k)
+    return StepFunction(cfg, -l, out, -k)
 
 
 def fast_transform(f: StepFunction) -> StepFunction:
@@ -85,22 +85,24 @@ def fast_inverse_transform(f: StepFunction) -> StepFunction:
 inverse_transform = fast_inverse_transform
 
 
-def character_table(cfg: FieldConfig, xi: FieldElement, resolution: int) -> np.ndarray:
-    """chi(xi h) over the dense grid of D at the given resolution, indexed
-    like PeriodicStepFunction values (exponent 0 digit most significant)."""
+def character_table(cfg: FieldConfig, xi: FieldElement, resolution: int,
+                    lo: int = 0) -> np.ndarray:
+    """chi(xi h) over the cells h of B^lo / B^resolution (default: D), in
+    the StepFunction table layout; chi(xi .) must be constant on them."""
     q, p, k = cfg.q, cfg.p, resolution
-    idx = np.arange(q ** k)
+    idx = np.arange(q ** (k - lo))
     beta = _beta(cfg)
-    B = np.zeros(q ** k, dtype=np.int64)
-    for e in range(k):
+    B = np.zeros(idx.size, dtype=np.int64)
+    for e in range(lo, k):
         a = xi.coefficient(-1 - e)
         if a:
             B += beta[a, (idx // q ** (k - 1 - e)) % q]
     return _roots(cfg)[B % p]
 
 
-def fourier_table(f: PeriodicStepFunction) -> np.ndarray:
-    """All q^k coefficients <f, chi(u(n) .)> at once, entry n; the series
-    stops there, every coefficient from n = q^k on is identically 0."""
+def fourier_table(f: StepFunction) -> np.ndarray:
+    """All q^k coefficients <f, chi(u(n) .)> of a function on D at
+    resolution k at once, entry n; the series stops there, every
+    coefficient from n = q^k on is identically 0."""
     k = f.resolution
-    return _contract(f.cfg, f.values, k, forward=True) * float(f.cfg.q) ** (-k)
+    return _contract(f.cfg, f.window(0).values, k, forward=True) * float(f.cfg.q) ** (-k)

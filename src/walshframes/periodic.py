@@ -17,30 +17,14 @@ import numpy as np
 from .algebra import LambdaIndex
 from .errors import ConfigError, DegenerateInput, TruncationError
 from .framekit import MemberBank, cell_integrals, system_member, translation_digits
-from .stepfn import PeriodicStepFunction, StepFunction, refine
+from .stepfn import StepFunction, periodize
 
 __all__ = [
     "PeriodicSystemSpec",
     "periodic_tightness_check",
     "periodic_two_scale_check",
-    "periodize",
     "projection_energy_scan",
 ]
-
-
-def periodize(f: StepFunction) -> PeriodicStepFunction:
-    """Fold f onto the unit ball: x -> sum over lattice shifts of f(x + u(n)).
-
-    Each cell of f lands in exactly one lattice translate of the unit ball,
-    so the fold just reroutes every cell to its fractional part; cells of
-    resolution below zero are split first and contribute multiplicity.
-    """
-    k = max(f.resolution, 0)
-    g = refine(f, k)
-    out = PeriodicStepFunction(f.cfg, k, np.zeros(f.cfg.q ** k, dtype=complex))
-    for rep, v in g.items_sorted():
-        out.values[out.index_of_rep(rep.tail(0))] += v
-    return out
 
 
 class PeriodicSystemSpec:
@@ -74,8 +58,6 @@ class PeriodicSystemSpec:
             h = periodize(system_member(l, j, LambdaIndex(0, 0), sys,
                                         self.generators))
             q, K = sys.q, h.resolution
-            cells = np.flatnonzero(h.values)
-            x = {e: (cells // q ** (K - 1 - e)) % q for e in range(K)}
             # only n mod q^j reaches D after j dilations, so count the labels
             # of each residue instead of enumerating all (qN)^j of them
             residues = np.arange(q ** j)
@@ -90,13 +72,12 @@ class PeriodicSystemSpec:
                                           return_index=True, return_inverse=True)
             weights = np.zeros(keys.size, dtype=np.int64)
             np.add.at(weights, rows, counts)
-            bank = MemberBank(sys.field, K, h.values[cells], x,
-                              {e: d[first] for e, d in mu.items()},
+            bank = MemberBank(h, {e: d[first] for e, d in mu.items()},
                               (keys.size,))
             got = self._members[(l, j)] = (bank, weights, keys)
         return got
 
-    def member(self, l: int, j: int, label: int) -> PeriodicStepFunction:
+    def member(self, l: int, j: int, label: int) -> StepFunction:
         """periodize(system_member) for the label-th translation at scale j."""
         if not 0 <= j <= self.j_max:
             raise IndexError(f"scale {j} outside [0, {self.j_max}]")
@@ -110,7 +91,7 @@ class PeriodicSystemSpec:
         row = np.searchsorted(keys, _folded_key(mu, self.sys.q, K, 1)[0])
         values = np.zeros(self.sys.q ** K, dtype=complex)
         values[bank.cells[row]] = np.conj(bank.conj_values)
-        return PeriodicStepFunction(self.sys.field, K, values)
+        return StepFunction(self.sys.field, K, values)
 
 
 def _folded_key(mu: dict[int, np.ndarray], q: int, K: int, size: int) -> np.ndarray:
@@ -121,21 +102,22 @@ def _folded_key(mu: dict[int, np.ndarray], q: int, K: int, size: int) -> np.ndar
     return key
 
 
-def _energy(f: PeriodicStepFunction, l: int, j: int,
+def _energy(f: StepFunction, l: int, j: int,
             spec: PeriodicSystemSpec) -> float:
     """sum over the labels of scale j of |<f, member(l, j, label)>|^2."""
     bank, weights, _ = spec.bank(l, j)
-    integrals = cell_integrals(f.values, f.resolution, bank.resolution, f.cfg.q)
+    integrals = cell_integrals(f.window(0).values, f.resolution, bank.resolution,
+                               f.cfg.q)
     coeffs = bank.coefficients(integrals, bank.cells)
     return float(np.sum(weights * np.abs(coeffs) ** 2))
 
 
-def _wavelet_energy(f: PeriodicStepFunction, j: int,
+def _wavelet_energy(f: StepFunction, j: int,
                     spec: PeriodicSystemSpec) -> float:
     return sum(_energy(f, l, j, spec) for l in range(1, len(spec.generators)))
 
 
-def projection_energy_scan(f: PeriodicStepFunction, eps: float,
+def projection_energy_scan(f: StepFunction, eps: float,
                            spec: PeriodicSystemSpec):
     """Per-scale scaling energies S_j and the smallest J from which every
     S_j stays within (1 +- eps) of the squared norm, None if none does."""
@@ -154,7 +136,7 @@ def projection_energy_scan(f: PeriodicStepFunction, eps: float,
     return J, sums
 
 
-def periodic_two_scale_check(f: PeriodicStepFunction, j: int,
+def periodic_two_scale_check(f: StepFunction, j: int,
                              spec: PeriodicSystemSpec) -> float:
     """|scaling energy at j+1  -  scaling energy at j - wavelet energy at j|."""
     lhs = _energy(f, 0, j + 1, spec)
@@ -162,7 +144,7 @@ def periodic_two_scale_check(f: PeriodicStepFunction, j: int,
     return abs(lhs - rhs)
 
 
-def periodic_tightness_check(f: PeriodicStepFunction,
+def periodic_tightness_check(f: StepFunction,
                              spec: PeriodicSystemSpec) -> dict:
     """Full folded frame sum against the squared norm.
 

@@ -41,7 +41,7 @@ from .periodic import (
     periodic_two_scale_check,
     projection_energy_scan,
 )
-from .stepfn import CELL_CAP, PeriodicStepFunction, dump_csv, within_cap
+from .stepfn import CELL_CAP, StepFunction, dump_csv, within_cap
 
 __all__ = [
     "RESIDUAL_TOL",
@@ -59,6 +59,16 @@ __all__ = [
 RESIDUAL_TOL = 1e-9
 TAIL_TOL = 1e-12
 MAX_SEED = 2 ** 64
+# every section and option a run configuration may hold (configparser
+# lowercases option names)
+CONFIG_OPTIONS = {
+    "field": {"p", "c", "modulus"},
+    "system": {"n", "r", "dilation_unit", "normalization"},
+    "masks": {"file"},
+    "scales": {"j0", "j1", "j_max", "epsilon", "cascade_iterations"},
+    "suite": {"seed", "count", "resolution"},
+    "tolerances": {"gram", "residual", "tail"},
+}
 
 
 def _parse_modulus(token: str) -> tuple[int, ...]:
@@ -96,6 +106,14 @@ class RunConfig:
             raise ConfigError(f"cannot parse config file: {exc}") from exc
         if not found:
             raise ConfigError(f"cannot read config file {path!r}")
+        if parser.defaults():
+            raise ConfigError("unknown section [DEFAULT]")
+        for section in parser.sections():
+            if section not in CONFIG_OPTIONS:
+                raise ConfigError(f"unknown section [{section}]")
+            unknown = sorted(set(parser.options(section)) - CONFIG_OPTIONS[section])
+            if unknown:
+                raise ConfigError(f"unknown option {unknown[0]!r} in [{section}]")
         try:
             return cls._build(parser, path, seed, mode, need_masks)
         except ValueError as exc:
@@ -181,6 +199,12 @@ class RunConfig:
             raise ConfigError("j_max and cascade_iterations must be >= 0")
         if epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
+        if sys_cfg is not None:
+            for option, digits in _table_digits(sys_cfg, iterations, j1, j_max).items():
+                if not within_cap(cfg.q, digits):
+                    raise ConfigError(
+                        f"{option} needs tables of q^{digits} cells, above the "
+                        f"cap of {CELL_CAP}")
 
         gram_tol = parser.getfloat("tolerances", "gram", fallback=GRAM_TOL)
         residual_tol = parser.getfloat(
@@ -221,6 +245,31 @@ class RunConfig:
         return block
 
 
+def _table_digits(sys: SystemConfig, iterations: int, j1: int,
+                  j_max: int) -> dict[str, int]:
+    """Base-q digits of the largest table or member bank each option drives,
+    an upper bound worked out before anything is allocated.
+
+    With K the largest mask constancy resolution, each refinement step
+    widens phi_hat's window by one digit, to at most q^(K - 1 + iterations)
+    cells, and a wavelet product by one more; the time-side generators keep
+    those cell counts and reach resolution iterations + 1 at most. A verify
+    bank at a scale up to j1 holds, per branch, up to q^max(j1, K - 1,
+    -v(theta)) translates of at most q^(K + iterations) cells; a folded
+    bank at a scale j up to j_max holds up to q^j members of
+    q^(iterations + 1 + j) cells.
+    """
+    K = max((m.constancy_resolution for m in sys.masks), default=0)
+    generators = K + iterations
+    offset = -sys.theta.valuation() if sys.branches == 2 else 0
+    # q >= 2, so one more digit covers a second branch
+    return {
+        "cascade_iterations": generators,
+        "j1": max(j1, K - 1, offset) + generators + sys.branches - 1,
+        "j_max": 2 * j_max + iterations + 1,
+    }
+
+
 def render_report(report: dict) -> str:
     """Strict JSON: a non-finite number is refused rather than written."""
     try:
@@ -236,7 +285,7 @@ def suite_functions(cfg: FieldConfig, resolution: int, count: int, seed: int):
     n = cfg.q ** resolution
     for _ in range(count):
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        yield PeriodicStepFunction(cfg, resolution, vals)
+        yield StepFunction(cfg, resolution, vals)
 
 
 def _require_system(rc: RunConfig) -> SystemConfig:
@@ -298,13 +347,11 @@ def verify_report(rc: RunConfig) -> dict:
     phi_hat = iterate_refinement(sys_cfg.masks[0], sys_cfg,
                                  rc.cascade_iterations)
     part = check_partition(phi_hat, sys_cfg)
-    dense = PeriodicStepFunction.from_step(part).values.real
-    part_min = float(dense.min())
-    part_max = float(dense.max())
+    part_min = float(part.values.real.min())
+    part_max = float(part.values.real.max())
     partition_ok = abs(part_max - 1.0) <= rc.residual_tol and \
         abs(part_min - 1.0) <= rc.residual_tol
-    zero_cell = cfg.zero()
-    phi_at_zero = abs(phi_hat.cells.get(zero_cell, 0j))
+    phi_at_zero = abs(phi_hat.values[0])
 
     gram = uep_gram(sys_cfg)
     gram_ok = gram["max_deviation"] <= rc.gram_tol
@@ -316,12 +363,11 @@ def verify_report(rc: RunConfig) -> dict:
     worst_proj = 0.0
     worst_ratio = 0.0
     for f in suite_functions(cfg, rc.resolution, rc.count, rc.seed):
-        fs = f.to_step()
         for j in range(rc.j0, rc.j1):
-            residual, proj = analyzer.two_scale_check(fs, j)
+            residual, proj = analyzer.two_scale_check(f, j)
             worst = max(worst, residual)
             worst_proj = max(worst_proj, proj)
-        ratio = analyzer.frame_ratio(fs, rc.j0, rc.j1)
+        ratio = analyzer.frame_ratio(f, rc.j0, rc.j1)
         worst_ratio = max(worst_ratio, abs(ratio - 1.0))
     two_scale_ok = worst <= rc.residual_tol and worst_proj <= rc.residual_tol
     ratio_ok = worst_ratio <= rc.residual_tol

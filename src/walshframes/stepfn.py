@@ -1,30 +1,33 @@
-"""Step functions on K = GF(q)((t)) as finite coset tables.
+"""Step functions on K = GF(q)((t)) as dense digit tables.
 
-A StepFunction at resolution k is a finitely supported map from cosets of
-B^k to complex amplitudes. Each coset is stored through its canonical
-representative: the unique element whose digits all sit at exponents < k.
-Zero amplitudes are never stored. Haar measure gives every cell mass
-q^(-k), so inner products and norms are finite exact sums.
+A StepFunction at resolution k is constant on the cosets of B^k and
+vanishes outside a ball B^lo, lo <= k. It is stored as the complete table
+of its q^(k - lo) amplitudes over the window B^lo / B^k: values[i] is the
+amplitude on the coset whose digit at exponent e is the base-q digit
+k-1-e of i, so the digit at exponent k-1 is the least significant. A
+cell's index does not depend on lo, hence the table over a wider window is
+the same table padded with zeros at the end; refining by one level repeats
+each value q times. Haar measure gives every cell mass q^(-k), so inner
+products and norms are finite exact sums.
 
-A PeriodicStepFunction is a function on the unit ball D given by a complete
-value table over all q^k cells of D at resolution k, stored densely in a
-fixed digit-lexicographic order (the digit at exponent 0 is the most
-significant), which makes refinement an np.repeat and inner products dot
-products. to_table and from_table convert a StepFunction to and from the
-same dense layout over any window B^lo / B^k; CELL_CAP bounds the windows
-that input files and run configurations may ask for.
+A function on the unit ball D is the lo = 0 case, the complete table over
+the q^k cells of D. Every operator is an array operation on the table;
+FieldElement-keyed cells appear only at the edges: from_cells builds a
+function from {canonical representative: amplitude}, .cells reads one
+back, and the CSV format stores one row per nonzero cell. CELL_CAP bounds
+the windows that input files and run configurations may ask for.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-from typing import Iterable, Iterator, TextIO
+from types import MappingProxyType
+from typing import Mapping, TextIO
 
 import numpy as np
 
-from .algebra import FieldConfig, FieldElement, SystemConfig, chi
+from .algebra import FieldConfig, FieldElement, SystemConfig
 from .errors import InputDataError, ResolutionError
 
 __all__ = [
@@ -33,164 +36,249 @@ __all__ = [
     "StepFunction",
     "dilate",
     "dump_csv",
-    "from_table",
+    "from_cells",
     "indicator",
     "inner",
     "load_csv",
     "modulate",
+    "periodize",
     "prune",
     "refine",
-    "to_table",
+    "rescale",
     "translate",
     "unit_ball",
     "within_cap",
 ]
 
 CSV_MAGIC = "# walshframes-stepfn v1"
+CSV_HEADER_KEYS = ("p", "c", "modulus", "resolution")
 
 # Largest dense table (cells of one window) that a step-function file or a
-# suite resolution may ask for: 2^24 complex cells take 256 MiB, far above
+# run configuration may ask for: 2^24 complex cells take 256 MiB, far above
 # the 65,536 of a q=4, 8-digit transform yet small enough to allocate.
 CELL_CAP = 2 ** 24
 
 
+def within_cap(q: int, digits: int) -> bool:
+    """Whether a window of q^digits cells stays within CELL_CAP."""
+    return digits < 64 and q ** digits <= CELL_CAP
+
+
 class StepFunction:
-    """Finitely many cosets of B^resolution with complex amplitudes."""
+    """The amplitudes of a step function over the window B^lo / B^resolution."""
 
-    __slots__ = ("cfg", "resolution", "cells")
+    __slots__ = ("cfg", "resolution", "lo", "values")
 
-    def __init__(self, cfg: FieldConfig, resolution: int,
-                 cells: dict[FieldElement, complex]):
+    def __init__(self, cfg: FieldConfig, resolution: int, values, lo: int = 0):
+        resolution, lo = int(resolution), int(lo)
+        if lo > resolution:
+            raise ValueError(f"window B^{lo} / B^{resolution} holds no cell")
+        values = np.asarray(values, dtype=complex)
+        if values.shape != (cfg.q ** (resolution - lo),):
+            raise ValueError(f"need q^(resolution - lo) = "
+                             f"{cfg.q ** (resolution - lo)} values, got {values.shape}")
         self.cfg = cfg
-        self.resolution = int(resolution)
-        table: dict[FieldElement, complex] = {}
-        for rep, value in cells.items():
-            if rep.cfg != cfg:
-                raise ValueError("representative from a different field config")
-            if rep.terms and rep.terms[-1][0] >= self.resolution:
-                raise ValueError(
-                    f"representative {rep.text()} not canonical at resolution "
-                    f"{self.resolution}")
-            value = complex(value)
-            if value != 0:
-                table[rep] = value
-        self.cells = table
+        self.resolution = resolution
+        self.lo = lo
+        self.values = values
 
     # -- bookkeeping -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.cells
+        return not self.values.any()
 
-    def items_sorted(self) -> list[tuple[FieldElement, complex]]:
-        return sorted(self.cells.items(), key=lambda kv: kv[0].terms)
+    @property
+    def cells(self) -> Mapping[FieldElement, complex]:
+        """Read-only {canonical representative: amplitude} of the nonzero
+        cells in table order; an I/O view, built on every access."""
+        q, k = self.cfg.q, self.resolution
+        out = {}
+        for i in np.flatnonzero(self.values):
+            x, e, terms = int(i), k - 1, {}
+            while x:
+                x, terms[e] = divmod(x, q)
+                e -= 1
+            out[FieldElement(self.cfg, terms)] = complex(self.values[i])
+        return MappingProxyType(out)
 
     def support_ball(self) -> int:
         """Exponent l of the smallest ball B^l containing the support."""
+        nonzero = np.flatnonzero(self.values)
+        top = int(nonzero[-1]) if nonzero.size else 0
         l = self.resolution
-        for rep in self.cells:
-            if rep.terms:
-                l = min(l, rep.terms[0][0])
+        while top:   # each base-q digit of the last nonzero index is one exponent
+            top //= self.cfg.q
+            l -= 1
         return l
 
+    def window(self, lo: int) -> "StepFunction":
+        """The same function over B^lo / B^resolution; ValueError if a
+        nonzero cell lies outside B^lo."""
+        q, k = self.cfg.q, self.resolution
+        if lo == self.lo:
+            return self
+        if lo > self.lo:
+            size = q ** (k - lo) if lo <= k else 0
+            if not size or self.values[size:].any():
+                raise ValueError(f"a nonzero cell lies outside B^{lo}")
+            return StepFunction(self.cfg, k, self.values[:size], lo)
+        if not within_cap(q, k - lo):
+            raise ResolutionError(f"window B^{lo} / B^{k} exceeds {CELL_CAP} cells")
+        values = np.zeros(q ** (k - lo), dtype=complex)
+        values[:self.values.size] = self.values
+        return StepFunction(self.cfg, k, values, lo)
+
     def norm2(self) -> float:
-        meas = float(self.cfg.q) ** (-self.resolution)
-        return sum(abs(v) ** 2 for _, v in self.items_sorted()) * meas
+        # exactly rounded, so moving cells (a translation) keeps it bit for bit
+        return math.fsum(np.abs(self.values) ** 2) * float(self.cfg.q) ** (-self.resolution)
 
     def scale(self, z: complex) -> "StepFunction":
-        return StepFunction(self.cfg, self.resolution,
-                            {rep: v * z for rep, v in self.cells.items()})
+        return StepFunction(self.cfg, self.resolution, self.values * z, self.lo)
+
+    def refine(self, resolution: int) -> "StepFunction":
+        """Re-express f on the finer grid B^resolution; exact, norm preserving."""
+        k = self.resolution
+        if resolution < k:
+            raise ResolutionError(
+                f"cannot refine from resolution {k} down to {resolution}")
+        if resolution == k:
+            return self
+        return StepFunction(self.cfg, resolution,
+                            np.repeat(self.values, self.cfg.q ** (resolution - k)),
+                            self.lo)
+
+    def inner(self, other: "StepFunction") -> complex:
+        """Exact L2 inner product <f, g> = sum f conj(g) * q^(-k)."""
+        a, b = _common(self, other)
+        return complex(np.vdot(b.values, a.values)) * float(self.cfg.q) ** (-a.resolution)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
-        if self.cfg != other.cfg:
-            raise ValueError("mixed field configs")
-        k = max(self.resolution, other.resolution)
-        a, b = refine(self, k), refine(other, k)
-        acc = dict(a.cells)
-        for rep, v in b.cells.items():
-            acc[rep] = acc.get(rep, 0.0) + v
-        return StepFunction(self.cfg, k, acc)
+        a, b = _common(self, other)
+        return StepFunction(self.cfg, a.resolution, a.values + b.values, a.lo)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
         return self + other.scale(-1.0)
 
     def __eq__(self, other):
-        return (isinstance(other, StepFunction) and self.cfg == other.cfg
-                and self.resolution == other.resolution and self.cells == other.cells)
-
-    def __hash__(self):
-        return hash((self.resolution, tuple(self.items_sorted())))
+        if not (isinstance(other, StepFunction) and self.cfg == other.cfg
+                and self.resolution == other.resolution):
+            return False
+        a, b = _common(self, other)
+        return bool(np.array_equal(a.values, b.values))
 
     def allclose(self, other: "StepFunction", tol: float) -> bool:
         if self.cfg != other.cfg:
             return False
-        k = max(self.resolution, other.resolution)
-        a, b = refine(self, k), refine(other, k)
-        for rep in set(a.cells) | set(b.cells):
-            if abs(a.cells.get(rep, 0.0) - b.cells.get(rep, 0.0)) > tol:
-                return False
-        return True
+        a, b = _common(self, other)
+        return bool(np.all(np.abs(a.values - b.values) <= tol))
+
+    def to_step(self) -> "StepFunction":
+        return self  # perfbench/child.py's sweep calls this on suite functions
 
     def __repr__(self):
-        return (f"<StepFunction res={self.resolution} cells={len(self.cells)} "
+        return (f"<StepFunction res={self.resolution} lo={self.lo} "
                 f"ball={self.support_ball()}>")
+
+
+refine = StepFunction.refine
+inner = StepFunction.inner
+
+# perfbench/tracer.py looks this name up in stepfn; functions on D are lo = 0
+PeriodicStepFunction = StepFunction
+
+
+def _common(f: StepFunction, g: StepFunction) -> tuple[StepFunction, StepFunction]:
+    """f and g refined to one resolution over one window."""
+    if f.cfg != g.cfg:
+        raise ValueError("mixed field configs")
+    k = max(f.resolution, g.resolution)
+    f, g = refine(f, k), refine(g, k)
+    lo = min(f.lo, g.lo)
+    return f.window(lo), g.window(lo)
+
+
+def from_cells(cfg: FieldConfig, resolution: int,
+               cells: Mapping[FieldElement, complex]) -> StepFunction:
+    """The step function with the given {canonical representative: amplitude}
+    cells at resolution k; its window is the smallest ball holding them."""
+    q, k = cfg.q, int(resolution)
+    lo = k
+    for rep in cells:
+        if rep.cfg != cfg:
+            raise ValueError("representative from a different field config")
+        if rep.terms and rep.terms[-1][0] >= k:
+            raise ValueError(
+                f"representative {rep.text()} not canonical at resolution {k}")
+        if rep.terms:
+            lo = min(lo, rep.terms[0][0])
+    values = np.zeros(q ** (k - lo), dtype=complex)
+    for rep, value in cells.items():
+        values[sum(d * q ** (k - 1 - e) for e, d in rep.terms)] = value
+    return StepFunction(cfg, k, values, lo)
 
 
 def unit_ball(cfg: FieldConfig) -> StepFunction:
     """The indicator of the ring of integers D."""
-    return StepFunction(cfg, 0, {cfg.zero(): 1.0})
+    return StepFunction(cfg, 0, [1.0])
 
 
 def indicator(cfg: FieldConfig, resolution: int, h: FieldElement) -> StepFunction:
     """The indicator of the single coset h + B^resolution."""
-    return StepFunction(cfg, resolution, {h.truncate(resolution): 1.0})
-
-
-def refine(f: StepFunction, resolution: int) -> StepFunction:
-    """Re-express f on the finer grid B^resolution; exact, norm preserving."""
-    k = f.resolution
-    if resolution < k:
-        raise ResolutionError(
-            f"cannot refine from resolution {k} down to {resolution}")
-    if resolution == k:
-        return f
-    cfg = f.cfg
-    exps = range(k, resolution)
-    cells: dict[FieldElement, complex] = {}
-    for rep, value in f.cells.items():
-        base = dict(rep.terms)
-        for digits in itertools.product(range(cfg.q), repeat=resolution - k):
-            terms = dict(base)
-            for e, d in zip(exps, digits):
-                if d:
-                    terms[e] = d
-            cells[FieldElement(cfg, terms)] = value
-    return StepFunction(cfg, resolution, cells)
+    return from_cells(cfg, resolution, {h.truncate(resolution): 1.0})
 
 
 def prune(f: StepFunction, tol: float = 0.0) -> StepFunction:
-    """Drop cells whose amplitude magnitude is <= tol."""
+    """Zero the cells whose amplitude magnitude is <= tol; the window
+    shrinks to the support that remains."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    return StepFunction(f.cfg, f.resolution,
-                        {rep: v for rep, v in f.cells.items() if abs(v) > tol})
+    g = StepFunction(f.cfg, f.resolution,
+                     np.where(np.abs(f.values) > tol, f.values, 0), f.lo)
+    return g.window(g.support_ball())
+
+
+def _read_digits(f: StepFunction, sources: Mapping[int, tuple]) -> np.ndarray:
+    """f's table with the digit at each exponent e in sources read through
+    sources[e]: the output cell with digit d there takes the value of the
+    input cell with digit sources[e][d]."""
+    T = f.values.reshape((f.cfg.q,) * (f.resolution - f.lo))
+    for e, src in sources.items():
+        T = np.take(T, src, axis=e - f.lo)
+    return T.reshape(-1)
 
 
 def translate(f: StepFunction, a: FieldElement) -> StepFunction:
-    """(T_a f)(x) = f(x - a)."""
-    k = f.resolution
-    return StepFunction(f.cfg, k, {
-        (rep + a).truncate(k): v for rep, v in f.cells.items()})
+    """(T_a f)(x) = f(x - a): digitwise GF(q) addition, on a window widened
+    to hold a's digits below the resolution."""
+    cfg = f.cfg
+    digits = [(e, d) for e, d in a.terms if e < f.resolution]
+    if not digits:
+        return f
+    f = f.window(min(f.lo, digits[0][0]))
+    sources = {e: cfg._add[cfg.gf_neg(d)] for e, d in digits}
+    return StepFunction(cfg, f.resolution, _read_digits(f, sources), f.lo)
+
+
+def rescale(f: StepFunction, c: int, shift: int) -> StepFunction:
+    """x -> f(c^(-1) t^(-shift) x) for a unit c of GF(q): every digit is
+    multiplied by c and the window moves up by shift exponents."""
+    cfg = f.cfg
+    sources = {}
+    if c != 1:
+        sources = dict.fromkeys(range(f.lo, f.resolution), cfg._mul[cfg.gf_inv(c)])
+    return StepFunction(cfg, f.resolution + shift, _read_digits(f, sources),
+                        f.lo + shift)
 
 
 def modulate(f: StepFunction, b: FieldElement) -> StepFunction:
     """(E_b f)(x) = chi(b x) f(x); refines until chi(b .) is cellwise constant."""
+    from .harmonic import character_table  # harmonic builds on this module
     if b.is_zero:
         return f
-    k = max(f.resolution, -b.valuation())
-    g = refine(f, k)
-    return StepFunction(f.cfg, k, {
-        rep: v * chi(b * rep) for rep, v in g.cells.items()})
+    g = refine(f, max(f.resolution, -b.valuation()))
+    chars = character_table(g.cfg, b, g.resolution, g.lo)
+    return StepFunction(g.cfg, g.resolution, g.values * chars, g.lo)
 
 
 def dilate(f: StepFunction, sys: SystemConfig, direction: str = "fine") -> StepFunction:
@@ -199,77 +287,25 @@ def dilate(f: StepFunction, sys: SystemConfig, direction: str = "fine") -> StepF
     s is sys.dilation_amplitude: sqrt(q) in unitary mode (an isometry, since
     the argument map scales measure by q), sqrt(qN) in qn mode.
     """
-    cfg = f.cfg
     s = sys.dilation_amplitude
     if direction == "fine":
-        inv_nu = cfg.gf_inv(sys.nu)
-        return StepFunction(cfg, f.resolution + 1, {
-            rep.scale(inv_nu).shift(1): v * s for rep, v in f.cells.items()})
+        return rescale(f, f.cfg.gf_inv(sys.nu), 1).scale(s)
     if direction == "coarse":
-        return StepFunction(cfg, f.resolution - 1, {
-            rep.scale(sys.nu).shift(-1): v / s for rep, v in f.cells.items()})
+        return rescale(f, sys.nu, -1).scale(1 / s)
     raise ValueError(f"direction must be 'fine' or 'coarse', got {direction!r}")
 
 
-def inner(f: StepFunction, g: StepFunction) -> complex:
-    """Exact L2 inner product <f, g> = sum f conj(g) * q^(-k)."""
-    if f.cfg != g.cfg:
-        raise ValueError("mixed field configs")
-    k = max(f.resolution, g.resolution)
-    a, b = refine(f, k), refine(g, k)
-    # iterate the smaller table in canonical order, look up in the larger
-    acc = 0.0 + 0.0j
-    if len(a.cells) <= len(b.cells):
-        for rep, va in a.items_sorted():
-            vb = b.cells.get(rep)
-            if vb is not None:
-                acc += va * vb.conjugate()
-    else:
-        for rep, vb in b.items_sorted():
-            va = a.cells.get(rep)
-            if va is not None:
-                acc += va * vb.conjugate()
-    return acc * float(f.cfg.q) ** (-k)
+def periodize(f: StepFunction) -> StepFunction:
+    """Fold f onto the unit ball: x -> sum over lattice shifts of f(x + u(n)).
 
-
-# ------------------------------------------------------------ dense tables --
-
-def within_cap(q: int, digits: int) -> bool:
-    """Whether a window of q^digits cells stays within CELL_CAP."""
-    return digits < 64 and q ** digits <= CELL_CAP
-
-
-def to_table(f: StepFunction, lo: int | None = None) -> tuple[int, np.ndarray]:
-    """(lo, values): f over the window B^lo / B^k, k = f.resolution, with
-    the digit at exponent k-1 least significant. lo defaults to f's support
-    ball; a cell outside the window raises ValueError."""
-    q, k = f.cfg.q, f.resolution
-    if lo is None:
-        lo = f.support_ball()
-    values = np.zeros(q ** (k - lo), dtype=complex)
-    for rep, v in f.cells.items():
-        if rep.terms and rep.terms[0][0] < lo:
-            raise ValueError(f"cell {rep.text()} lies outside B^{lo}")
-        values[sum(d * q ** (k - 1 - e) for e, d in rep.terms)] = v
-    return lo, values
-
-
-def from_table(cfg: FieldConfig, resolution: int, lo: int,
-               values: np.ndarray) -> StepFunction:
-    """Inverse of to_table: the step function with the given dense values
-    over B^lo / B^resolution; zero cells are not stored."""
-    q, k = cfg.q, resolution
-    cells = {}
-    # one index at a time: a list of every index or value would sit in
-    # memory next to the two cell dicts of a table-sized step function
-    for idx in np.flatnonzero(values):
-        x, terms = int(idx), {}
-        for e in range(k - 1, lo - 1, -1):
-            x, d = divmod(x, q)
-            if d:
-                terms[e] = d
-        cells[FieldElement(cfg, terms)] = complex(values[idx])
-    return StepFunction(cfg, k, cells)
+    Each cell of f lands in exactly one lattice translate of the unit ball,
+    so the fold sums the table over the digits at negative exponents; cells
+    of resolution below zero are split first and contribute multiplicity.
+    """
+    g = refine(f, max(f.resolution, 0))
+    g = g.window(min(g.lo, 0))
+    q, k = g.cfg.q, g.resolution
+    return StepFunction(g.cfg, k, g.values.reshape(-1, q ** k).sum(axis=0))
 
 
 # ------------------------------------------------------------- CSV format --
@@ -281,24 +317,26 @@ def _modulus_token(cfg: FieldConfig) -> str:
 
 
 def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
-    """Write the cell table: header with field config and resolution, then
-    rows lo,digits,re,im (digits low to high exponent, '.'-separated)."""
+    """Write the nonzero cells in table order: header with field config and
+    resolution, then rows lo,digits,re,im (lo the cell's valuation, digits
+    from lo up to the resolution, '.'-separated)."""
     if isinstance(dest, str):
         with open(dest, "w", newline="") as fh:
             dump_csv(f, fh)
         return
+    q, k = f.cfg.q, f.resolution
     dest.write(f"{CSV_MAGIC} p={f.cfg.p} c={f.cfg.c} "
-               f"modulus={_modulus_token(f.cfg)} resolution={f.resolution}\n")
+               f"modulus={_modulus_token(f.cfg)} resolution={k}\n")
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(["lo", "digits", "re", "im"])
-    for rep, value in f.items_sorted():
-        if rep.is_zero:
-            lo, digits = f.resolution, ""
-        else:
-            lo = rep.valuation()
-            digits = ".".join(
-                str(rep.coefficient(e)) for e in range(lo, f.resolution))
-        writer.writerow([lo, digits, repr(value.real), repr(value.imag)])
+    for i in np.flatnonzero(f.values):
+        x, digits = int(i), []
+        while x:
+            x, d = divmod(x, q)
+            digits.append(str(d))
+        value = complex(f.values[i])
+        writer.writerow([k - len(digits), ".".join(reversed(digits)),
+                         repr(value.real), repr(value.imag)])
 
 
 def load_csv(src: str | TextIO) -> StepFunction:
@@ -309,11 +347,16 @@ def load_csv(src: str | TextIO) -> StepFunction:
     header = src.readline()
     if not header.startswith(CSV_MAGIC):
         raise InputDataError("line 1: missing step function header")
-    tokens = header.split()[3:]
-    bad = [tok for tok in tokens if "=" not in tok]
-    if bad:
-        raise InputDataError(f"line 1: header token {bad[0]!r} is not key=value")
-    fields = dict(tok.split("=", 1) for tok in tokens)
+    fields: dict[str, str] = {}
+    for tok in header.split()[3:]:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise InputDataError(f"line 1: header token {tok!r} is not key=value")
+        if key not in CSV_HEADER_KEYS:
+            raise InputDataError(f"line 1: unknown header key {key!r}")
+        if key in fields:
+            raise InputDataError(f"line 1: repeated header key {key!r}")
+        fields[key] = value
     try:
         p, c = int(fields["p"]), int(fields["c"])
         resolution = int(fields["resolution"])
@@ -322,121 +365,44 @@ def load_csv(src: str | TextIO) -> StepFunction:
     except (KeyError, ValueError) as exc:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
     cfg = FieldConfig(p, c, modulus)
-    cells: dict[FieldElement, complex] = {}
+    q = cfg.q
     rows = csv.reader(src)
-    for lineno, row in enumerate(rows, start=2):
-        if lineno == 2:
-            if row != ["lo", "digits", "re", "im"]:
-                raise InputDataError("line 2: expected column header lo,digits,re,im")
-            continue
+    if next(rows, None) != ["lo", "digits", "re", "im"]:
+        raise InputDataError("line 2: expected column header lo,digits,re,im")
+    cells: dict[int, complex] = {}
+    width = 0
+    for lineno, row in enumerate(rows, start=3):
         if not row:
             continue
+        if len(row) != 4:
+            raise InputDataError(
+                f"line {lineno}: expected 4 fields lo,digits,re,im, got {len(row)}")
         try:
             lo = int(row[0])
-            digit_str, re_s, im_s = row[1], row[2], row[3]
-            digits = [int(d) for d in digit_str.split(".")] if digit_str else []
-            value = complex(float(re_s), float(im_s))
-        except (IndexError, ValueError) as exc:
+            digits = [int(d) for d in row[1].split(".")] if row[1] else []
+            value = complex(float(row[2]), float(row[3]))
+        except ValueError as exc:
             raise InputDataError(f"line {lineno}: malformed row ({exc})") from exc
         if lo + len(digits) != resolution:
             raise InputDataError(
                 f"line {lineno}: digits from lo = {lo} do not end at resolution "
                 f"{resolution}")
-        if any(not 0 <= d < cfg.q for d in digits):
-            raise InputDataError(f"line {lineno}: digit out of range [0, {cfg.q})")
+        if any(not 0 <= d < q for d in digits):
+            raise InputDataError(f"line {lineno}: digit out of range [0, {q})")
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise InputDataError(f"line {lineno}: non-finite amplitude")
-        rep = FieldElement(cfg, {lo + i: d for i, d in enumerate(digits)})
-        if rep in cells:
-            raise InputDataError(f"line {lineno}: duplicate representative")
-        if rep.terms and not within_cap(cfg.q, resolution - rep.terms[0][0]):
+        lead = next((i for i, d in enumerate(digits) if d), len(digits))
+        if not within_cap(q, len(digits) - lead):
             raise InputDataError(
                 f"line {lineno}: cell widens the table beyond {CELL_CAP} cells")
-        cells[rep] = value
-    return StepFunction(cfg, resolution, cells)
-
-
-# ------------------------------------------------------- periodic functions --
-
-class PeriodicStepFunction:
-    """A complete value table over the q^k cells of D at resolution k >= 0.
-
-    values[i] is the amplitude on the cell whose representative has base-q
-    digit j of i at exponent k-1-j; equivalently the digit at exponent 0 is
-    the most significant, so refining by one level repeats each value q times.
-    """
-
-    __slots__ = ("cfg", "resolution", "values")
-
-    def __init__(self, cfg: FieldConfig, resolution: int, values: np.ndarray):
-        if resolution < 0:
-            raise ValueError("periodic resolution must be >= 0")
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (cfg.q ** resolution,):
-            raise ValueError(
-                f"need q^k = {cfg.q ** resolution} values, got {values.shape}")
-        self.cfg = cfg
-        self.resolution = resolution
-        self.values = values
-
-    def rep_of_index(self, idx: int) -> FieldElement:
-        q, k = self.cfg.q, self.resolution
-        terms = {}
-        for e in range(k):
-            d = (idx // q ** (k - 1 - e)) % q
-            if d:
-                terms[e] = d
-        return FieldElement(self.cfg, terms)
-
-    def index_of_rep(self, rep: FieldElement) -> int:
-        q, k = self.cfg.q, self.resolution
-        idx = 0
-        for e, cdig in rep.terms:
-            if not 0 <= e < k:
-                raise ValueError(f"representative {rep.text()} outside grid")
-            idx += cdig * q ** (k - 1 - e)
-        return idx
-
-    def refine(self, resolution: int) -> "PeriodicStepFunction":
-        if resolution < self.resolution:
-            raise ResolutionError("cannot coarsen a periodic table")
-        if resolution == self.resolution:
-            return self
-        reps = self.cfg.q ** (resolution - self.resolution)
-        return PeriodicStepFunction(self.cfg, resolution, np.repeat(self.values, reps))
-
-    def inner(self, other: "PeriodicStepFunction") -> complex:
-        k = max(self.resolution, other.resolution)
-        a, b = self.refine(k), other.refine(k)
-        return complex(np.vdot(b.values, a.values)) * float(self.cfg.q) ** (-k)
-
-    def norm2(self) -> float:
-        return float(np.vdot(self.values, self.values).real) \
-            * float(self.cfg.q) ** (-self.resolution)
-
-    def scale(self, z: complex) -> "PeriodicStepFunction":
-        return PeriodicStepFunction(self.cfg, self.resolution, self.values * z)
-
-    def __add__(self, other: "PeriodicStepFunction") -> "PeriodicStepFunction":
-        k = max(self.resolution, other.resolution)
-        return PeriodicStepFunction(
-            self.cfg, k, self.refine(k).values + other.refine(k).values)
-
-    def allclose(self, other: "PeriodicStepFunction", tol: float) -> bool:
-        k = max(self.resolution, other.resolution)
-        diff = np.abs(self.refine(k).values - other.refine(k).values)
-        return bool(np.all(diff <= tol))
-
-    def to_step(self) -> StepFunction:
-        return from_table(self.cfg, self.resolution, 0, self.values)
-
-    @classmethod
-    def from_step(cls, f: StepFunction) -> "PeriodicStepFunction":
-        """Reinterpret a step function supported inside D as a complete
-        table; ValueError if its support leaves D (periodize instead)."""
-        if f.resolution < 0:
-            f = refine(f, 0)
-        return cls(f.cfg, f.resolution, to_table(f, 0)[1])
-
-    def __repr__(self):
-        return f"<PeriodicStepFunction res={self.resolution}>"
+        # the table index, the same in every window that holds the cell
+        index = 0
+        for d in digits[lead:]:
+            index = index * q + d
+        if index in cells:
+            raise InputDataError(f"line {lineno}: duplicate representative")
+        cells[index] = value
+        width = max(width, len(digits) - lead)
+    values = np.zeros(q ** width, dtype=complex)
+    values[list(cells)] = list(cells.values())
+    return StepFunction(cfg, resolution, values, resolution - width)

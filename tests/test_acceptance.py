@@ -33,7 +33,6 @@ from walshframes.periodic import (
 )
 from walshframes.runner import RunConfig, periodic_report, verify_report
 from walshframes.stepfn import (
-    PeriodicStepFunction,
     StepFunction,
     inner,
     modulate,
@@ -57,7 +56,7 @@ def _report(criterion, ok, detail):
 def _random_table(cfg, resolution, rng):
     n = cfg.q ** resolution
     vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return PeriodicStepFunction(cfg, resolution, vals)
+    return StepFunction(cfg, resolution, vals)
 
 
 def test_criterion_1_character_orthonormality():
@@ -107,7 +106,7 @@ def test_criterion_3_plancherel_and_parseval():
             worst_parseval = max(
                 worst_parseval,
                 abs(float(np.sum(np.abs(coeffs) ** 2)) - n2) / n2)
-            g = translate(f.to_step(), uindex(cfg, 1))
+            g = translate(f, uindex(cfg, 1))
             defect = abs(fast_transform(g).norm2() - g.norm2()) / g.norm2()
             worst_plancherel = max(worst_plancherel, defect)
     _report(3, worst_plancherel <= 1e-9 and worst_parseval <= 1e-9,
@@ -124,7 +123,7 @@ def test_criterion_4_fast_transform_oracle():
         return max((abs(v) for v in diff.cells.values()), default=0.0)
 
     for _ in range(100):
-        f = translate(_random_table(cfg, 6, rng).to_step(), uindex(cfg, 1))
+        f = translate(_random_table(cfg, 6, rng), uindex(cfg, 1))
         worst = max(worst, cellwise(fast_transform(f), dense_transform(f)))
         worst = max(worst, cellwise(fast_inverse_transform(f),
                                     dense_transform(f, forward=False)))
@@ -221,7 +220,7 @@ def test_criterion_7_negative_controls():
                     f = _random_table(cfg, 3, rng)
                     worst_scale = max(
                         worst_scale,
-                        analyzer.two_scale_check(f.to_step(), 0)[0])
+                        analyzer.two_scale_check(f, 0)[0])
                     worst_tight = max(
                         worst_tight,
                         periodic_tightness_check(f, spec)["residual"])

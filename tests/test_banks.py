@@ -28,10 +28,9 @@ from walshframes.periodic import (
     PeriodicSystemSpec,
     periodic_tightness_check,
     periodic_two_scale_check,
-    periodize,
     projection_energy_scan,
 )
-from walshframes.stepfn import PeriodicStepFunction, StepFunction, inner
+from walshframes.stepfn import StepFunction, from_cells, inner, periodize
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -73,7 +72,7 @@ def random_step(cfg, ball, resolution, seed, sparse):
         terms = {ball + e: (i // q ** e) % q for e in range(resolution - ball)}
         cells[cfg.element(terms)] = complex(rng.standard_normal(),
                                             rng.standard_normal())
-    return StepFunction(cfg, resolution, cells)
+    return from_cells(cfg, resolution, cells)
 
 
 SYSTEMS = {
@@ -148,7 +147,7 @@ def _energy(row):
 
 
 def _expand(name, row, l, j):
-    out = StepFunction(SYSTEMS[name].field, 0, {})
+    out = from_cells(SYSTEMS[name].field, 0, {})
     for idx in sorted(row):
         out = out + oracle_member(name, l, j, idx).scale(row[idx])
     return out
@@ -261,8 +260,8 @@ def test_bank_row_of_a_shipped_suite_function():
         cfg = SYSTEMS[name].field
         rng = np.random.default_rng(20260814)
         n = cfg.q ** 4
-        f = PeriodicStepFunction(
-            cfg, 4, rng.standard_normal(n) + 1j * rng.standard_normal(n)).to_step()
+        f = StepFunction(
+            cfg, 4, rng.standard_normal(n) + 1j * rng.standard_normal(n))
         _check_rows(name, f, range(0, 4), margin_too=False)
 
 
@@ -280,11 +279,11 @@ def test_bank_grows_without_changing_entries():
 def test_zero_inputs_give_empty_rows():
     name = "haar_q2"
     an = FrameAnalyzer(SYSTEMS[name], GENERATORS[name])
-    zero = StepFunction(SYSTEMS[name].field, 2, {})
+    zero = from_cells(SYSTEMS[name].field, 2, {})
     assert an.coefficient_row(zero, 1, 1) == {}
     assert an.two_scale_check(zero, 0) == (0.0, 0.0)
     blank = FrameAnalyzer(SYSTEMS[name], (GENERATORS[name][0],
-                                          StepFunction(SYSTEMS[name].field, 0, {})))
+                                          from_cells(SYSTEMS[name].field, 0, {})))
     f = random_step(SYSTEMS[name].field, 0, 2, 3, False)
     assert blank.coefficient_row(f, 1, 1) == {}
 
@@ -299,7 +298,7 @@ def test_folded_energies_match_label_loop(name, resolution, seed):
     cfg = spec.sys.field
     rng = np.random.default_rng(seed)
     n = cfg.q ** resolution
-    f = PeriodicStepFunction(
+    f = StepFunction(
         cfg, resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     n2 = f.norm2()
     scale = n2 * spec.sys.qN ** J_MAX * max(g.norm2() for g in spec.generators)

@@ -7,8 +7,10 @@ import pytest
 from walshframes.algebra import FieldConfig
 from walshframes.cli import main
 from walshframes.errors import ConfigError
-from walshframes.runner import RunConfig
-from walshframes.stepfn import CELL_CAP, StepFunction, dump_csv, load_csv
+from walshframes.framekit import FrameAnalyzer, derive_generators
+from walshframes.periodic import PeriodicSystemSpec, periodic_tightness_check
+from walshframes.runner import RunConfig, _table_digits, suite_functions
+from walshframes.stepfn import CELL_CAP, dump_csv, from_cells, load_csv
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -215,7 +217,7 @@ def test_transform_roundtrip(tmp_path):
             cfg.one() + cfg.monomial(1, 2)]
     for rep in reps:
         cells[rep] = complex(rng.standard_normal(), rng.standard_normal())
-    f = StepFunction(cfg, 3, cells)
+    f = from_cells(cfg, 3, cells)
     src = str(tmp_path / "f.csv")
     fwd = str(tmp_path / "fhat.csv")
     back = str(tmp_path / "back.csv")
@@ -307,6 +309,28 @@ def test_load_csv_accepts_window_at_cell_cap(tmp_path):
         f"-24,{digits},1.0,0.0\n")
     assert CELL_CAP == 2 ** 24
     assert load_csv(str(path)).support_ball() == -24
+
+
+_CSV_HEAD = "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    # the magic line alone used to load as the zero function
+    (_CSV_HEAD, "line 2"),
+    # a repeated key used to let the last one win
+    ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=2 resolution=5\n"
+     "lo,digits,re,im\n", "line 1"),
+    ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1 scale=2\n"
+     "lo,digits,re,im\n", "line 1"),
+    # a fifth field used to be dropped, a missing one to fail without a name
+    (_CSV_HEAD + "lo,digits,re,im\n0,1,1.0,0.0,9\n", "line 3"),
+    (_CSV_HEAD + "lo,digits,re,im\n0,1,1.0,0.0\n0,0,1.0\n", "line 4"),
+])
+def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert run(["transform", str(path)]) == 3
+    assert line in capsys.readouterr().err
 
 
 # -------------------------------------------------- field-info, uindex --
@@ -433,6 +457,75 @@ def test_negative_mask_index_is_input_data_error(tmp_path, capsys):
                           "-1 0 0.7071067811865475 0.0")
     assert run(["verify", "--config", cfg]) == 3
     assert "line 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lineno, row", [
+    (5, "N = 3"),                  # repeated: N = 1 is on line 4
+    (7, "normalisation = qn"),     # misspelled: would run unitary
+])
+def test_mask_header_key_must_be_known_and_unique(tmp_path, capsys, lineno, row):
+    cfg = _masks_with_row(tmp_path, "haar_q2.masks", lineno, row)
+    assert run(["verify", "--config", cfg]) == 3
+    assert f"line {lineno}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    "[scales]\ncascade_iteration = 8\n",   # misspelled: would run 4
+    "[scale]\nj1 = 2\n",
+    "[DEFAULT]\ncount = 3\n",
+])
+def test_config_rejects_unknown_sections_and_options(tmp_path, capsys, extra):
+    body = f"[masks]\nfile = {os.path.join(CONFIGS, 'haar_q2.masks')}\n\n{extra}"
+    cfg = write_cfg(tmp_path, "", 2, body=body)
+    assert run(["verify", "--config", cfg]) == 2
+    assert "unknown" in capsys.readouterr().err
+
+
+def _scales_cfg(tmp_path, masks, **scales):
+    lines = "".join(f"{k} = {v}\n" for k, v in scales.items())
+    body = (f"[masks]\nfile = {os.path.join(CONFIGS, masks)}\n\n"
+            f"[scales]\n{lines}\n[suite]\ncount = 1\nresolution = 0\n")
+    return write_cfg(tmp_path, "", 2, body=body)
+
+
+@pytest.mark.parametrize("option, at_cap, scales", [
+    # haar, K = 1: generator tables of q^(K + iterations) cells
+    ("cascade_iterations", 23, {"j0": 0, "j1": 0, "j_max": 0}),
+    # verify banks of q^(max(j1, K - 1) + K + iterations) cells
+    ("j1", 23, {"j0": 0, "j_max": 0, "cascade_iterations": 0}),
+    # folded banks of q^(2 j_max + iterations + 1) cells: 2^23, then 2^25
+    ("j_max", 11, {"j0": 0, "j1": 0, "cascade_iterations": 0}),
+])
+def test_scale_options_are_capped_before_allocation(tmp_path, capsys, option,
+                                                    at_cap, scales):
+    # only RunConfig.load runs: the estimate refuses without building a table
+    rc = RunConfig.load(_scales_cfg(tmp_path, "haar_q2.masks",
+                                    **{option: at_cap}, **scales))
+    assert getattr(rc, option) == at_cap
+    cfg = _scales_cfg(tmp_path, "haar_q2.masks", **{option: at_cap + 1}, **scales)
+    with pytest.raises(ConfigError, match=option):
+        RunConfig.load(cfg)
+    assert run(["verify", "--config", cfg]) == 2
+    assert str(CELL_CAP) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["haar_q2", "fourier_q3", "nonuniform_q2_N3_r5"])
+def test_cap_estimate_bounds_the_tables_built(name):
+    rc = RunConfig.load(os.path.join(CONFIGS, f"{name}.cfg"))
+    digits = _table_digits(rc.sys, rc.cascade_iterations, rc.j1, rc.j_max)
+    q = rc.cfg.q
+    gens = derive_generators(rc.sys, rc.cascade_iterations)
+    assert max(g.values.size for g in gens) <= q ** digits["cascade_iterations"]
+    f = next(suite_functions(rc.cfg, rc.resolution, 1, rc.seed))
+    analyzer = FrameAnalyzer(rc.sys, gens)
+    for j in range(rc.j0, rc.j1):
+        analyzer.two_scale_check(f, j)
+    analyzer.frame_ratio(f, rc.j0, rc.j1)
+    assert max(b.cells.size for b in analyzer._members.values()) <= q ** digits["j1"]
+    spec = PeriodicSystemSpec(rc.sys, gens, rc.j_max)
+    periodic_tightness_check(f, spec)
+    assert max(b.cells.size for b, _, _ in spec._members.values()) \
+        <= q ** digits["j_max"]
 
 
 def test_reports_refuse_non_finite_numbers():

@@ -1,0 +1,76 @@
+"""Golden reports: every shipped config against its recorded reports.
+
+tests/golden/ holds the `verify` and `periodic` reports of the five shipped
+configs as recorded before the step functions became dense digit tables.
+A refactor must reproduce each exit code and verdict block exactly and
+every report number to 1e-12 relative; a number recorded below 1e-12 (a
+residual at roundoff level) only has to stay below 1e-12. Strings, such
+as the version, are not compared.
+"""
+
+import json
+import math
+import os
+
+import pytest
+
+from walshframes.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CONFIGS = os.path.join(HERE, "..", "configs")
+GOLDEN = os.path.join(HERE, "golden")
+NAMES = ("fourier_q3", "haar_q2", "haar_q2_perturbed",
+         "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5")
+REL = 1e-12
+FLOOR = 1e-12
+
+
+def differences(got, want, where="report"):
+    """Where got departs from the golden value want, as readable lines."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [line for key in want
+                for line in differences(got[key], want[key], f"{where}.{key}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{where}: {got} != {want}"]
+        return [line for i, (g, w) in enumerate(zip(got, want))
+                for line in differences(g, w, f"{where}[{i}]")]
+    if isinstance(want, str):
+        return []
+    if isinstance(want, float) and not isinstance(got, bool) \
+            and isinstance(got, (int, float)):
+        if abs(want) < FLOOR:
+            return [] if abs(got) < FLOOR else [f"{where}: {got} not below {FLOOR}"]
+        if math.isclose(got, want, rel_tol=REL, abs_tol=0.0):
+            return []
+        return [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want) or got != want:
+        return [f"{where}: {got!r} != {want!r}"]
+    return []
+
+
+@pytest.mark.parametrize("command", ["verify", "periodic"])
+@pytest.mark.parametrize("name", NAMES)
+def test_shipped_config_reproduces_golden_report(tmp_path, name, command):
+    with open(os.path.join(GOLDEN, f"{name}.{command}.json")) as fh:
+        want = json.load(fh)
+    out = str(tmp_path / "report.json")
+    code = main([command, "--config", os.path.join(CONFIGS, f"{name}.cfg"),
+                 "--out", out])
+    with open(out) as fh:
+        got = json.load(fh)
+    assert code == (0 if want["verdicts"]["overall"] else 1)
+    assert got["verdicts"] == want["verdicts"]
+    assert differences(got, want) == []
+
+
+def test_golden_comparison_catches_a_moved_number():
+    want = {"a": 1.0, "tiny": 1e-15, "flag": True, "xs": [2.0, None]}
+    assert differences(dict(want), want) == []
+    assert differences({**want, "tiny": 5e-13}, want) == []
+    assert differences({**want, "tiny": 2e-12}, want) != []
+    assert differences({**want, "a": 1.0 + 1e-11}, want) != []
+    assert differences({**want, "flag": False}, want) != []
+    assert differences({**want, "xs": [2.0, 0.0]}, want) != []

@@ -11,13 +11,13 @@ from walshframes.periodic import (
     PeriodicSystemSpec,
     periodic_tightness_check,
     periodic_two_scale_check,
-    periodize,
     projection_energy_scan,
 )
 from walshframes.stepfn import (
-    PeriodicStepFunction,
     StepFunction,
+    from_cells,
     indicator,
+    periodize,
     unit_ball,
 )
 
@@ -51,7 +51,7 @@ def fourier3_spec(j_max=3):
 def random_table(cfg, resolution, rng):
     n = cfg.q ** resolution
     vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return PeriodicStepFunction(cfg, resolution, vals)
+    return StepFunction(cfg, resolution, vals)
 
 
 # ----------------------------------------------------------- periodize --
@@ -69,7 +69,7 @@ def test_periodize_translated_cell_folds_back():
 
 
 def test_periodize_zero_function():
-    g = periodize(StepFunction(F2, 2, {}))
+    g = periodize(from_cells(F2, 2, {}))
     assert g.resolution == 2
     assert np.all(g.values == 0)
 
@@ -89,7 +89,7 @@ def test_periodize_linear_and_l1_contractive():
     def rand_step():
         cells = {rep: complex(rng.standard_normal(), rng.standard_normal())
                  for rep in reps}
-        return StepFunction(F2, 2, cells)
+        return from_cells(F2, 2, cells)
 
     for _ in range(5):
         f, g = rand_step(), rand_step()
@@ -142,7 +142,7 @@ def test_haar_scaling_members_tile_orthonormally():
 
 def test_zero_wavelet_gives_zero_member():
     sys = haar_spec().sys
-    spec = PeriodicSystemSpec(sys, (unit_ball(F2), StepFunction(F2, 0, {})), 2)
+    spec = PeriodicSystemSpec(sys, (unit_ball(F2), from_cells(F2, 0, {})), 2)
     assert np.all(spec.member(1, 1, 1).values == 0)
 
 
@@ -159,7 +159,7 @@ def test_member_fourier_energy_matches_norm():
 
 def test_scan_character_restriction_converges_at_one():
     spec = haar_spec()
-    f = PeriodicStepFunction(F2, 3, character_table(F2, uindex(F2, 1), 3))
+    f = StepFunction(F2, 3, character_table(F2, uindex(F2, 1), 3))
     J, sums = projection_energy_scan(f, 0.5, spec)
     assert J == 1
     assert sums[0] <= 1e-12
@@ -169,7 +169,7 @@ def test_scan_character_restriction_converges_at_one():
 
 def test_scan_constant_function_converges_at_zero():
     spec = haar_spec()
-    f = PeriodicStepFunction(F2, 0, np.array([1.0 + 0j]))
+    f = StepFunction(F2, 0, np.array([1.0 + 0j]))
     J, sums = projection_energy_scan(f, 0.5, spec)
     assert J == 0
     for j in range(spec.j_max + 1):
@@ -178,7 +178,7 @@ def test_scan_constant_function_converges_at_zero():
 
 def test_scan_large_slack_is_trivial():
     spec = haar_spec()
-    f = PeriodicStepFunction(F2, 3, character_table(F2, uindex(F2, 1), 3))
+    f = StepFunction(F2, 3, character_table(F2, uindex(F2, 1), 3))
     J, _ = projection_energy_scan(f, 2.0, spec)
     assert J == 0
 
@@ -186,7 +186,7 @@ def test_scan_large_slack_is_trivial():
 def test_scan_returns_none_when_bounds_never_hold():
     # this input oscillates below every scale the capped spec can reach
     spec = haar_spec(j_max=2)
-    f = PeriodicStepFunction(F2, 3, character_table(F2, uindex(F2, 4), 3))
+    f = StepFunction(F2, 3, character_table(F2, uindex(F2, 4), 3))
     J, sums = projection_energy_scan(f, 0.5, spec)
     assert J is None
     assert all(s <= 1e-12 for s in sums.values())
@@ -196,10 +196,10 @@ def test_scan_rejects_zero_function_and_bad_slack():
     spec = haar_spec(j_max=1)
     with pytest.raises(DegenerateInput):
         projection_energy_scan(
-            PeriodicStepFunction(F2, 1, np.zeros(2, dtype=complex)), 0.5, spec)
+            StepFunction(F2, 1, np.zeros(2, dtype=complex)), 0.5, spec)
     with pytest.raises(ConfigError):
         projection_energy_scan(
-            PeriodicStepFunction(F2, 0, np.array([1.0 + 0j])), 0.0, spec)
+            StepFunction(F2, 0, np.array([1.0 + 0j])), 0.0, spec)
 
 
 # ---------------------------------------------------- two-scale identity --
@@ -224,7 +224,7 @@ def test_two_scale_identity_fourier3_random():
 
 def test_two_scale_zero_function():
     spec = haar_spec(j_max=1)
-    zero = PeriodicStepFunction(F2, 1, np.zeros(2, dtype=complex))
+    zero = StepFunction(F2, 1, np.zeros(2, dtype=complex))
     assert periodic_two_scale_check(zero, 0, spec) == 0.0
 
 
@@ -251,7 +251,7 @@ def test_two_scale_matches_line_analysis_on_unfolded_input():
             f = random_table(spec.sys.field, res, rng)
             for j in range(res):
                 folded = periodic_two_scale_check(f, j, spec)
-                line = analyzer.two_scale_check(f.to_step(), j)[0]
+                line = analyzer.two_scale_check(f, j)[0]
                 assert abs(folded - line) <= 1e-9
 
 

@@ -1,28 +1,28 @@
-"""Step function cell tables: operators, inner products, serialization."""
+"""Step function digit tables: operators, inner products, serialization."""
 
-import cmath
 import io
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import enumerate_reps
 
 from walshframes.algebra import FieldConfig, SystemConfig, chi, uindex
 from walshframes.errors import InputDataError, ResolutionError
 from walshframes.stepfn import (
-    PeriodicStepFunction,
     StepFunction,
     dilate,
     dump_csv,
-    from_table,
+    from_cells,
     indicator,
     inner,
     load_csv,
     modulate,
+    periodize,
     prune,
     refine,
-    to_table,
     translate,
     unit_ball,
 )
@@ -34,11 +34,9 @@ F4 = FieldConfig(2, 2)
 
 def random_step(cfg, resolution, rng, ball=0):
     """Dense random complex step function on B^ball at a given resolution."""
-    f = refine(indicator(cfg, ball, cfg.zero()), resolution)
-    cells = {}
-    for rep, _ in f.items_sorted():
-        cells[rep] = complex(rng.standard_normal(), rng.standard_normal())
-    return StepFunction(cfg, resolution, cells)
+    n = cfg.q ** (resolution - ball)
+    return StepFunction(cfg, resolution,
+                        rng.standard_normal(n) + 1j * rng.standard_normal(n), ball)
 
 
 # ----------------------------------------------------------- construction --
@@ -53,11 +51,11 @@ def test_indicator_and_unit_ball():
 
 def test_constructor_rejects_non_canonical_rep():
     with pytest.raises(ValueError):
-        StepFunction(F2, 1, {F2.element({1: 1}): 1.0})
+        from_cells(F2, 1, {F2.element({1: 1}): 1.0})
 
 
 def test_zero_amplitudes_dropped():
-    f = StepFunction(F2, 0, {F2.zero(): 0.0})
+    f = from_cells(F2, 0, {F2.zero(): 0.0})
     assert f.is_zero
     assert f.norm2() == 0.0
 
@@ -185,9 +183,9 @@ def test_commutation_translate_modulate():
 def test_support_ball():
     assert unit_ball(F2).support_ball() == 0
     assert indicator(F2, 1, F2.zero()).support_ball() == 1
-    f = StepFunction(F2, 0, {uindex(F2, 2): 1.0, F2.zero(): 2.0})
+    f = from_cells(F2, 0, {uindex(F2, 2): 1.0, F2.zero(): 2.0})
     assert f.support_ball() == -2
-    assert StepFunction(F2, 3, {}).support_ball() == 3
+    assert from_cells(F2, 3, {}).support_ball() == 3
 
 
 def test_add_refines_to_common_resolution():
@@ -214,11 +212,21 @@ def test_csv_round_trip():
 
 
 def test_csv_negative_exponent_reps():
-    f = StepFunction(F2, 1, {uindex(F2, 3): 1.5 - 2.5j})
+    f = from_cells(F2, 1, {uindex(F2, 3): 1.5 - 2.5j})
     buf = io.StringIO()
     dump_csv(f, buf)
     buf.seek(0)
     assert load_csv(buf) == f
+
+
+def test_csv_rows_in_table_order():
+    # nonzero cells only, by table index: the digit at exponent 0 varies fastest
+    f = StepFunction(F3, 1, [5, 2, 0, 1, 0, 0, 0, 0, 3], -1)
+    buf = io.StringIO()
+    dump_csv(f, buf)
+    rows = [row.split(",")[:3] for row in buf.getvalue().splitlines()[2:]]
+    assert rows == [["1", "", "5.0"], ["0", "1", "2.0"], ["-1", "1.0", "1.0"],
+                    ["-1", "2.2", "3.0"]]
 
 
 def test_csv_rejects_malformed_rows():
@@ -240,20 +248,22 @@ def test_csv_rejects_bad_header():
 
 def test_periodic_from_complete_table():
     vals = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    f = PeriodicStepFunction(F2, 2, vals)
+    f = StepFunction(F2, 2, vals)
     assert f.norm2() == pytest.approx((1 + 4 + 9 + 16) / 4)
     # index order: digit at exponent 0 is most significant
-    assert f.rep_of_index(0b10) == F2.one()  # digits (1, 0) -> 1*t^0
+    one_hot = StepFunction(F2, 2, np.eye(4)[0b10])
+    assert list(one_hot.cells) == [F2.one()]  # digits (1, 0) -> 1*t^0
 
 
 def test_periodic_index_rep_round_trip():
-    f = PeriodicStepFunction(F3, 3, np.zeros(27, dtype=complex))
     for idx in range(27):
-        assert f.index_of_rep(f.rep_of_index(idx)) == idx
+        (rep,) = StepFunction(F3, 3, np.eye(27)[idx]).cells
+        assert rep == enumerate_reps(F3, 0, 3)[idx]
+        assert from_cells(F3, 3, {rep: 1.0}).window(0).values.argmax() == idx
 
 
 def test_periodic_refine_repeats():
-    f = PeriodicStepFunction(F2, 1, np.array([1.0, 2.0], dtype=complex))
+    f = StepFunction(F2, 1, np.array([1.0, 2.0], dtype=complex))
     g = f.refine(3)
     assert g.resolution == 3
     assert list(g.values.real.astype(int)) == [1, 1, 1, 1, 2, 2, 2, 2]
@@ -262,8 +272,8 @@ def test_periodic_refine_repeats():
 
 def test_periodic_inner_mixed_resolution():
     rng = np.random.Generator(np.random.PCG64(15))
-    a = PeriodicStepFunction(F2, 2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    b = PeriodicStepFunction(F2, 4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    a = StepFunction(F2, 2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    b = StepFunction(F2, 4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
     direct = a.refine(4).inner(b)
     assert a.inner(b) == pytest.approx(direct, rel=1e-14)
 
@@ -271,17 +281,16 @@ def test_periodic_inner_mixed_resolution():
 def test_periodic_step_conversion():
     rng = np.random.Generator(np.random.PCG64(16))
     vals = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    f = PeriodicStepFunction(F2, 3, vals)
-    g = f.to_step()
+    f = StepFunction(F2, 3, vals)
+    g = from_cells(F2, 3, f.cells)
     assert g.norm2() == pytest.approx(f.norm2(), rel=1e-14)
-    assert PeriodicStepFunction.from_step(g).allclose(f, 0)
+    assert g.window(0).allclose(f, 0)
     with pytest.raises(ValueError):
-        PeriodicStepFunction.from_step(
-            StepFunction(F2, 0, {uindex(F2, 1): 1.0}))  # support leaves D
+        from_cells(F2, 0, {uindex(F2, 1): 1.0}).window(0)  # support leaves D
 
 
 def test_prune_drops_small_amplitudes():
-    f = StepFunction(F2, 1, {F2.zero(): 1.0, F2.one(): 1e-15})
+    f = from_cells(F2, 1, {F2.zero(): 1.0, F2.one(): 1e-15})
     g = prune(f, 1e-14)
     assert g.cells == {F2.zero(): 1.0}
     assert prune(f) == f
@@ -289,9 +298,15 @@ def test_prune_drops_small_amplitudes():
         prune(f, -1.0)
 
 
+
+
 # ------------------------------------------------------------ dense tables --
 
 TABLE_FIELDS = (F2, F3, F4, FieldConfig(2, 3), FieldConfig(3, 2, (1, 0, 1)))
+# widest window per field: keeps the cell-dictionary oracles small
+MAX_DIGITS = {2: 5, 3: 3, 4: 3, 8: 2, 9: 2}
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -301,26 +316,93 @@ def test_table_round_trip_against_index_of_rep(cfg, ball, digits, pad, seed):
     digits = min(digits, 2) if cfg.q > 4 else digits
     k = ball + digits
     rng = np.random.default_rng(seed)
-    f = StepFunction(cfg, k, {
+    f = from_cells(cfg, k, {
         rep: complex(rng.standard_normal(), rng.standard_normal())
-        for rep, _ in refine(indicator(cfg, ball, cfg.zero()), k).items_sorted()
-        if rng.random() < 0.7})
-    lo, values = to_table(f)
+        for rep in enumerate_reps(cfg, ball, k) if rng.random() < 0.7})
+    lo = f.support_ball()
+    values = f.window(lo).values
     assert lo == f.support_ball()
     # a window padded below the support holds the same cells
-    wide_lo, wide = to_table(f, lo - pad)
-    assert wide_lo == lo - pad and wide.size == cfg.q ** (k - wide_lo)
-    assert np.count_nonzero(wide) == len(f.cells)
-    # the layout is the PeriodicStepFunction one, shifted to start at lo
-    grid = PeriodicStepFunction(cfg, k - wide_lo, wide)
+    wide = f.window(lo - pad)
+    assert wide.lo == lo - pad and wide.values.size == cfg.q ** (k - wide.lo)
+    assert np.count_nonzero(wide.values) == len(f.cells)
+    # cell i of the table is the i-th representative in digit order
+    reps = enumerate_reps(cfg, wide.lo, k)
     for rep, v in f.cells.items():
-        assert wide[grid.index_of_rep(rep.shift(-wide_lo))] == v
-    assert from_table(cfg, k, lo, values) == f
-    assert from_table(cfg, k, wide_lo, wide) == f
+        assert wide.values[reps.index(rep)] == v
+    assert StepFunction(cfg, k, values, lo) == f
+    assert StepFunction(cfg, k, wide.values, wide.lo) == f
 
 
 def test_to_table_rejects_cells_outside_the_window():
     f = indicator(F3, 1, uindex(F3, 1))
     with pytest.raises(ValueError):
-        to_table(f, 0)
-    assert to_table(f, -1)[1].tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+        f.window(0)
+    assert f.window(-1).values.tolist() == [0, 0, 0, 1, 0, 0, 0, 0, 0]
+
+
+@st.composite
+def tables(draw, cfg=None):
+    """A random step function over one of TABLE_FIELDS on a ball B^-2..B^1
+    with up to 5 digits, dense or with about half of its cells zero."""
+    cfg = cfg or draw(st.sampled_from(TABLE_FIELDS))
+    ball = draw(st.integers(-2, 1))
+    digits = draw(st.integers(0, MAX_DIGITS[cfg.q]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = cfg.q ** digits
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if draw(st.booleans()):
+        values[rng.random(n) < 0.5] = 0
+    return StepFunction(cfg, ball + digits, values, ball)
+
+
+def elements(cfg):
+    """Field elements with digits at exponents -2..1."""
+    return st.lists(st.integers(0, cfg.q - 1), min_size=4, max_size=4).map(
+        lambda ds: cfg.element(dict(zip(range(-2, 2), ds))))
+
+
+@st.composite
+def operands(draw):
+    """(f, g, a, b, sys): two functions, two elements and a system with a
+    random dilation unit, all over one field."""
+    f = draw(tables())
+    cfg = f.cfg
+    sys = SystemConfig(cfg, N=1, r=1,
+                       dilation_unit=draw(st.integers(1, cfg.q - 1)),
+                       normalization=draw(st.sampled_from(("unitary", "qn"))))
+    return f, draw(tables(cfg)), draw(elements(cfg)), draw(elements(cfg)), sys
+
+
+@EXAMPLES
+@given(operands(), st.integers(0, 2))
+def test_table_operators_match_cell_oracles(ops, extra):
+    f, g, a, b, sys = ops
+    assert refine(f, f.resolution + extra).allclose(
+        oracles.refine(f, f.resolution + extra), 1e-12)
+    assert translate(f, a).allclose(oracles.translate(f, a), 1e-12)
+    assert modulate(f, b).allclose(oracles.modulate(f, b), 1e-12)
+    for direction in ("fine", "coarse"):
+        assert dilate(f, sys, direction).allclose(
+            oracles.dilate(f, sys, direction), 1e-12)
+    assert abs(inner(f, g) - oracles.inner(f, g)) <= 1e-12
+    assert periodize(f).allclose(oracles.periodize(f), 1e-12)
+    # resolution and support ball as the cell dictionaries give them
+    for got, want in ((translate(f, a), oracles.translate(f, a)),
+                      (modulate(f, b), oracles.modulate(f, b))):
+        assert (got.resolution, got.support_ball()) == \
+            (want.resolution, want.support_ball())
+
+
+@EXAMPLES
+@given(operands())
+def test_commutation_identities(ops):
+    f, _, a, b, sys = ops
+    # T_a E_b = chi(-ab) E_b T_a
+    lhs = translate(modulate(f, b), a)
+    rhs = modulate(translate(f, a), b).scale(chi(-(a * b)))
+    assert lhs.allclose(rhs, 1e-12)
+    # D T_a = T_(t nu^-1 a) D
+    moved = a.scale(f.cfg.gf_inv(sys.nu)).shift(1)
+    assert dilate(translate(f, a), sys).allclose(
+        translate(dilate(f, sys), moved), 1e-12)
