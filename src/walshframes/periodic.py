@@ -21,6 +21,7 @@ from .stepfn import StepFunction, periodize
 
 __all__ = [
     "PeriodicSystemSpec",
+    "folded_energies",
     "periodic_tightness_check",
     "periodic_two_scale_check",
     "projection_energy_scan",
@@ -112,13 +113,20 @@ def _energy(f: StepFunction, l: int, j: int,
     return float(np.sum(weights * np.abs(coeffs) ** 2))
 
 
-def _wavelet_energy(f: StepFunction, j: int,
-                    spec: PeriodicSystemSpec) -> float:
-    return sum(_energy(f, l, j, spec) for l in range(1, len(spec.generators)))
+def folded_energies(f: StepFunction, spec: PeriodicSystemSpec
+                    ) -> tuple[list[float], list[float]]:
+    """(S, W) for 0 <= j <= j_max: S[j] the scaling energy of f at scale j,
+    W[j] its wavelet energy (summed over the wavelet generators), each bank
+    reduced once. The checks below take them as `energies`, so that one
+    suite function computes them once for all three."""
+    scales = range(spec.j_max + 1)
+    return ([_energy(f, 0, j, spec) for j in scales],
+            [sum(_energy(f, l, j, spec) for l in range(1, len(spec.generators)))
+             for j in scales])
 
 
 def projection_energy_scan(f: StepFunction, eps: float,
-                           spec: PeriodicSystemSpec):
+                           spec: PeriodicSystemSpec, energies=None):
     """Per-scale scaling energies S_j and the smallest J from which every
     S_j stays within (1 +- eps) of the squared norm, None if none does."""
     if eps <= 0:
@@ -126,7 +134,8 @@ def projection_energy_scan(f: StepFunction, eps: float,
     n2 = f.norm2()
     if n2 == 0.0:
         raise DegenerateInput("projection scan of the zero function")
-    sums = {j: _energy(f, 0, j, spec) for j in range(spec.j_max + 1)}
+    S, _ = energies or folded_energies(f, spec)
+    sums = dict(enumerate(S))
     J = None
     for start in range(spec.j_max + 1):
         if all((1 - eps) * n2 <= sums[j] <= (1 + eps) * n2
@@ -137,15 +146,17 @@ def projection_energy_scan(f: StepFunction, eps: float,
 
 
 def periodic_two_scale_check(f: StepFunction, j: int,
-                             spec: PeriodicSystemSpec) -> float:
-    """|scaling energy at j+1  -  scaling energy at j - wavelet energy at j|."""
-    lhs = _energy(f, 0, j + 1, spec)
-    rhs = _energy(f, 0, j, spec) + _wavelet_energy(f, j, spec)
-    return abs(lhs - rhs)
+                             spec: PeriodicSystemSpec, energies=None) -> float:
+    """|scaling energy at j+1  -  scaling energy at j - wavelet energy at j|,
+    for 0 <= j < j_max."""
+    if not 0 <= j < spec.j_max:
+        raise IndexError(f"scale {j} outside [0, {spec.j_max})")
+    S, W = energies or folded_energies(f, spec)
+    return abs(S[j + 1] - (S[j] + W[j]))
 
 
-def periodic_tightness_check(f: StepFunction,
-                             spec: PeriodicSystemSpec) -> dict:
+def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
+                             energies=None) -> dict:
     """Full folded frame sum against the squared norm.
 
     Scales 0 <= j < j_max are summed explicitly; the returned tail is the
@@ -158,14 +169,14 @@ def periodic_tightness_check(f: StepFunction,
         raise TruncationError(
             f"scale cap {spec.j_max} cannot resolve a resolution-"
             f"{f.resolution} input")
-    total = _energy(f, 0, 0, spec)
+    S, W = energies or folded_energies(f, spec)
+    total = S[0]
     for j in range(spec.j_max):
-        total += _wavelet_energy(f, j, spec)
-    tail = _wavelet_energy(f, spec.j_max, spec)
+        total += W[j]
     n2 = f.norm2()
     return {
         "total": total,
         "norm2": n2,
         "residual": abs(total - n2),
-        "tail": tail,
+        "tail": W[spec.j_max],
     }

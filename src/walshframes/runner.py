@@ -37,6 +37,7 @@ from .framekit import (
 )
 from .periodic import (
     PeriodicSystemSpec,
+    folded_energies,
     periodic_tightness_check,
     periodic_two_scale_check,
     projection_energy_scan,
@@ -430,7 +431,8 @@ def periodic_report(rc: RunConfig) -> dict:
     worst_tightness = 0.0
     worst_tail = 0.0
     for f in suite_functions(cfg, rc.resolution, rc.count, rc.seed):
-        J, sums = projection_energy_scan(f, rc.epsilon, spec)
+        energies = folded_energies(f, spec)
+        J, sums = projection_energy_scan(f, rc.epsilon, spec, energies)
         if first_scan is None:
             first_scan = {"J": J, "sums": [sums[j] for j in sorted(sums)]}
         if J is None:
@@ -439,8 +441,8 @@ def periodic_report(rc: RunConfig) -> dict:
             max_j = J
         for j in range(rc.j_max):
             worst_residual = max(worst_residual,
-                                 periodic_two_scale_check(f, j, spec))
-        out = periodic_tightness_check(f, spec)
+                                 periodic_two_scale_check(f, j, spec, energies))
+        out = periodic_tightness_check(f, spec, energies)
         worst_tightness = max(worst_tightness, out["residual"])
         worst_tail = max(worst_tail, out["tail"])
 

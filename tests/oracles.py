@@ -12,16 +12,29 @@ FieldElements cell by cell, and returns through from_cells. Pointwise mask
 values and the partition sum over an explicit list of translations are
 computed the same way. None of these share a code path with
 walshframes.harmonic's contraction or with stepfn's table operators.
+
+The CSV references read and write a step-function file one row at a time in
+Python, where stepfn parses and formats blocks of rows as arrays.
 """
 
+import csv
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from walshframes.algebra import FieldElement, chi, uindex
+from walshframes.algebra import FieldConfig, FieldElement, chi, uindex
+from walshframes.errors import InputDataError
 from walshframes.harmonic import character_table
-from walshframes.stepfn import from_cells
+from walshframes.stepfn import (
+    CELL_CAP,
+    CSV_HEADER_KEYS,
+    CSV_MAGIC,
+    StepFunction,
+    from_cells,
+    within_cap,
+)
 
 
 def enumerate_reps(cfg, lo, hi):
@@ -158,3 +171,88 @@ def mask_value(m, xi):
     for idx, a in m.items_sorted():
         acc += a * chi(m.sys.lambda_element(idx) * xi).conjugate()
     return m.sys.mask_norm_const * acc
+
+
+# -------------------------------------------------------------- CSV rows --
+
+def dump_csv(f, dest):
+    """stepfn.dump_csv, one row at a time through csv.writer."""
+    q, k = f.cfg.q, f.resolution
+    modulus = "-" if f.cfg.modulus is None else ".".join(map(str, f.cfg.modulus))
+    dest.write(f"{CSV_MAGIC} p={f.cfg.p} c={f.cfg.c} "
+               f"modulus={modulus} resolution={k}\n")
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(["lo", "digits", "re", "im"])
+    for i in np.flatnonzero(f.values):
+        x, digits = int(i), []
+        while x:
+            x, d = divmod(x, q)
+            digits.append(str(d))
+        value = complex(f.values[i])
+        writer.writerow([k - len(digits), ".".join(reversed(digits)),
+                         repr(value.real), repr(value.imag)])
+
+
+def load_csv(src):
+    """stepfn.load_csv, checking and indexing one row at a time."""
+    header = src.readline()
+    if not header.startswith(CSV_MAGIC):
+        raise InputDataError("line 1: missing step function header")
+    fields = {}
+    for tok in header.split()[3:]:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise InputDataError(f"line 1: header token {tok!r} is not key=value")
+        if key not in CSV_HEADER_KEYS:
+            raise InputDataError(f"line 1: unknown header key {key!r}")
+        if key in fields:
+            raise InputDataError(f"line 1: repeated header key {key!r}")
+        fields[key] = value
+    try:
+        p, c = int(fields["p"]), int(fields["c"])
+        resolution = int(fields["resolution"])
+        modulus = (None if fields["modulus"] == "-" else
+                   tuple(int(d) for d in fields["modulus"].split(".")))
+    except (KeyError, ValueError) as exc:
+        raise InputDataError(f"line 1: bad header field ({exc})") from exc
+    cfg = FieldConfig(p, c, modulus)
+    q = cfg.q
+    rows = csv.reader(src)
+    if next(rows, None) != ["lo", "digits", "re", "im"]:
+        raise InputDataError("line 2: expected column header lo,digits,re,im")
+    cells = {}
+    width = 0
+    for lineno, row in enumerate(rows, start=3):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise InputDataError(
+                f"line {lineno}: expected 4 fields lo,digits,re,im, got {len(row)}")
+        try:
+            lo = int(row[0])
+            digits = [int(d) for d in row[1].split(".")] if row[1] else []
+            value = complex(float(row[2]), float(row[3]))
+        except ValueError as exc:
+            raise InputDataError(f"line {lineno}: malformed row ({exc})") from exc
+        if lo + len(digits) != resolution:
+            raise InputDataError(
+                f"line {lineno}: digits from lo = {lo} do not end at resolution "
+                f"{resolution}")
+        if any(not 0 <= d < q for d in digits):
+            raise InputDataError(f"line {lineno}: digit out of range [0, {q})")
+        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            raise InputDataError(f"line {lineno}: non-finite amplitude")
+        lead = next((i for i, d in enumerate(digits) if d), len(digits))
+        if not within_cap(q, len(digits) - lead):
+            raise InputDataError(
+                f"line {lineno}: cell widens the table beyond {CELL_CAP} cells")
+        index = 0
+        for d in digits[lead:]:
+            index = index * q + d
+        if index in cells:
+            raise InputDataError(f"line {lineno}: duplicate representative")
+        cells[index] = value
+        width = max(width, len(digits) - lead)
+    values = np.zeros(q ** width, dtype=complex)
+    values[list(cells)] = list(cells.values())
+    return StepFunction(cfg, resolution, values, resolution - width)

@@ -8,6 +8,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walshframes.algebra import (
     DEFAULT_MODULI,
@@ -369,3 +370,66 @@ def test_normalization_amplitudes():
     assert qn.dilation_amplitude == pytest.approx(math.sqrt(6))
     assert uni.mask_norm_const == pytest.approx(1 / math.sqrt(2))
     assert qn.mask_norm_const == pytest.approx(1 / math.sqrt(6))
+
+
+# ------------------------------------------------------- property tests ---
+
+# (2,1), (3,1), (2,2), (2,3) and GF(9) with the explicit modulus z^2 + 1
+PROPERTY_FIELDS = (F2, F3, F4, F8, FieldConfig(3, 2, (1, 0, 1)))
+PROPERTIES = settings(max_examples=80, deadline=None, derandomize=True,
+                      database=None)
+
+
+@st.composite
+def field_triples(draw):
+    """A field and three Laurent elements with exponents in [-4, 4]."""
+    cfg = draw(st.sampled_from(PROPERTY_FIELDS))
+    element = st.dictionaries(st.integers(-4, 4), st.integers(0, cfg.q - 1),
+                              max_size=5).map(cfg.element)
+    return cfg, draw(element), draw(element), draw(element)
+
+
+@PROPERTIES
+@given(field_triples())
+def test_laurent_field_axioms(case):
+    cfg, x, y, z = case
+    zero, one = cfg.zero(), cfg.one()
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and (x * zero).is_zero
+    assert (x + -x).is_zero and x - y == x + -y
+    # p x = 0 in characteristic p
+    total = zero
+    for _ in range(cfg.p):
+        total = total + x
+    assert total.is_zero
+
+
+@PROPERTIES
+@given(st.sampled_from(PROPERTY_FIELDS), st.data())
+def test_gf_scalar_field_axioms(cfg, data):
+    a, b, c = (data.draw(st.integers(0, cfg.q - 1)) for _ in range(3))
+    add, mul = cfg.gf_add, cfg.gf_mul
+    assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, 0) == a and mul(a, 1) == a and add(a, cfg.gf_neg(a)) == 0
+    if a:
+        assert mul(a, cfg.gf_inv(a)) == 1
+    assert cfg.gf_from_digits(cfg.gf_digits(a)) == a
+
+
+@PROPERTIES
+@given(st.sampled_from(PROPERTY_FIELDS), st.integers(0, 6),
+       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+def test_uindex_digit_splitting(cfg, k, r, s):
+    # u(r q^k + s) = u(r) t^(-k) + u(s) for s < q^k; u is inverted exactly
+    s %= cfg.q ** k
+    n = r * cfg.q ** k + s
+    u = uindex(cfg, n)
+    assert u == uindex(cfg, r).shift(-k) + uindex(cfg, s)
+    assert uindex_inverse(u) == n
+    assert all(e < 0 for e, _ in u.terms)

@@ -311,6 +311,57 @@ def test_load_csv_accepts_window_at_cell_cap(tmp_path):
     assert load_csv(str(path)).support_ball() == -24
 
 
+@pytest.mark.parametrize("row, message", [
+    # 64 and 70 digits with a nonzero lead: no int64 index may be formed
+    ("-63," + ".".join(["1"] + ["0"] * 63) + ",1.0,0.0",
+     f"line 4: cell widens the table beyond {CELL_CAP} cells"),
+    ("-69," + ".".join(["1"] * 70) + ",1.0,0.0",
+     f"line 4: cell widens the table beyond {CELL_CAP} cells"),
+    (f"{10 ** 30},1,1.0,0.0",
+     f"line 4: digits from lo = {10 ** 30} do not end at resolution 1"),
+    (f"0,{10 ** 30},1.0,0.0", "line 4: digit out of range [0, 2)"),
+])
+def test_transform_refuses_overflowing_rows(tmp_path, capsys, row, message):
+    path = tmp_path / "big.csv"
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+        "lo,digits,re,im\n"
+        "0,1,1.0,0.0\n"
+        f"{row}\n")
+    assert run(["transform", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_load_csv_reads_leading_zero_digits_past_int64(tmp_path):
+    # 70 zeros below the leading 1: the cell is t^0 at resolution 1, index 1
+    path = tmp_path / "zeros.csv"
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+        "lo,digits,re,im\n"
+        "-70," + ".".join(["0"] * 70 + ["1"]) + ",2.5,-1.0\n")
+    f = load_csv(str(path))
+    assert (f.resolution, f.lo) == (1, 0)
+    assert f.values.tolist() == [0j, 2.5 - 1j]
+
+
+@pytest.mark.parametrize("first, message", [
+    ("0,1,1.0,0.0", "line 4: field larger than field limit"),
+    # an earlier failing row of the same block still names the error
+    ("0,1,1.0,nan", "line 3: non-finite amplitude"),
+])
+def test_transform_refuses_field_above_reader_limit(tmp_path, capsys, first,
+                                                    message):
+    # the csv module refuses a field past its size limit: exit 3 with the line
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+        "lo,digits,re,im\n"
+        f"{first}\n"
+        "1,," + "1" * 200_000 + ",0.0\n")
+    assert run(["transform", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 _CSV_HEAD = "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
 
 

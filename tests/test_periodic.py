@@ -1,18 +1,23 @@
+import collections
 import math
+import os
 
 import numpy as np
 import pytest
 
+from walshframes import periodic
 from walshframes.algebra import FieldConfig, SystemConfig, uindex
 from walshframes.errors import ConfigError, DegenerateInput, TruncationError
 from walshframes.framekit import FrameAnalyzer, Mask, derive_generators
 from walshframes.harmonic import character_table, fourier_table
 from walshframes.periodic import (
     PeriodicSystemSpec,
+    folded_energies,
     periodic_tightness_check,
     periodic_two_scale_check,
     projection_energy_scan,
 )
+from walshframes.runner import RunConfig, periodic_report
 from walshframes.stepfn import (
     StepFunction,
     from_cells,
@@ -226,6 +231,43 @@ def test_two_scale_zero_function():
     spec = haar_spec(j_max=1)
     zero = StepFunction(F2, 1, np.zeros(2, dtype=complex))
     assert periodic_two_scale_check(zero, 0, spec) == 0.0
+
+
+def test_two_scale_check_needs_a_scale_below_the_cap():
+    spec = haar_spec(j_max=2)
+    f = random_table(F2, 2, np.random.default_rng(3))
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            periodic_two_scale_check(f, j, spec)
+
+
+def test_checks_share_one_set_of_folded_energies():
+    spec = fourier3_spec(j_max=2)
+    f = random_table(F3, 2, np.random.default_rng(8))
+    energies = folded_energies(f, spec)
+    assert projection_energy_scan(f, 0.5, spec) == \
+        projection_energy_scan(f, 0.5, spec, energies)
+    for j in range(spec.j_max):
+        assert periodic_two_scale_check(f, j, spec) == \
+            periodic_two_scale_check(f, j, spec, energies)
+    assert periodic_tightness_check(f, spec) == \
+        periodic_tightness_check(f, spec, energies)
+
+
+def test_periodic_report_reduces_each_bank_once_per_function(monkeypatch):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "haar_q2.cfg")
+    rc = RunConfig.load(config)
+    calls = collections.Counter()
+    energy = periodic._energy
+
+    def counted(f, l, j, spec):
+        calls[l, j] += 1
+        return energy(f, l, j, spec)
+
+    monkeypatch.setattr(periodic, "_energy", counted)
+    periodic_report(rc)
+    assert calls == {(l, j): rc.count for l in range(2) for j in range(rc.j_max + 1)}
 
 
 def test_two_scale_detects_mask_perturbation():

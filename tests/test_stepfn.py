@@ -2,6 +2,7 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import enumerate_reps
 
+from walshframes import stepfn
 from walshframes.algebra import FieldConfig, SystemConfig, chi, uindex
 from walshframes.errors import InputDataError, ResolutionError
 from walshframes.stepfn import (
@@ -242,6 +244,210 @@ def test_csv_rejects_bad_header():
     buf = io.StringIO("lo,digits,re,im\n")
     with pytest.raises(InputDataError):
         load_csv(buf)
+
+
+# -------------------------------------------- CSV against the row oracles --
+
+# GF(16) digits take two characters; GF(9) has the explicit modulus z^2 + 1
+CSV_FIELDS = (F2, F3, F4, FieldConfig(3, 2, (1, 0, 1)),
+              FieldConfig(2, 4, (1, 1, 0, 0, 1)))
+# amplitudes whose repr is long, short, signed zero, subnormal or huge
+SPECIAL = (0.0, -0.0, 1.0, -1.5, 1 / 3, 5e-324, 1e300, -2.5e-17, 1e16, 123456.0)
+CSV_EXAMPLES = settings(max_examples=80, deadline=None, derandomize=True,
+                        database=None)
+
+
+@st.composite
+def csv_functions(draw):
+    """(step function, rng seed): windows of up to ~600 cells, about a third
+    of them zero, the rest drawn from SPECIAL and standard normals."""
+    cfg = draw(st.sampled_from(CSV_FIELDS))
+    width = draw(st.integers(0, {2: 9, 3: 5, 4: 4, 9: 2, 16: 2}[cfg.q]))
+    k = draw(st.integers(-3, 4))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    n = cfg.q ** width
+    pool = np.concatenate([SPECIAL, rng.standard_normal(8)])
+    values = rng.choice(pool, n) + 1j * rng.choice(pool, n)
+    values[rng.random(n) < 0.3] = 0
+    return StepFunction(cfg, k, values, k - width), seed
+
+
+def _oracle_text(f):
+    buf = io.StringIO()
+    oracles.dump_csv(f, buf)
+    return buf.getvalue()
+
+
+def _load_both(text, block):
+    """(stepfn.load_csv, oracles.load_csv) of text: each the loaded
+    (resolution, lo, table bytes) or the InputDataError message."""
+    out = []
+    for load in (load_csv, oracles.load_csv):
+        try:
+            with mock.patch.object(stepfn, "CSV_BLOCK", block):
+                g = load(io.StringIO(text))
+        except InputDataError as exc:
+            out.append(str(exc))
+        else:
+            out.append((g.resolution, g.lo, g.values.tobytes()))
+    return out
+
+
+def _shuffled(text, rng):
+    """The file with its cell rows in random order, some written with leading
+    zero digits below their valuation and some blank lines between them."""
+    head, rows = text.splitlines()[:2], text.splitlines()[2:]
+    out = []
+    for i in rng.permutation(len(rows)):
+        lo, digits, re, im = rows[i].split(",")
+        pad = int(rng.integers(0, 3)) if rng.random() < 0.3 else 0
+        if pad:
+            digits = ".".join(["0"] * pad + ([digits] if digits else []))
+            lo = str(int(lo) - pad)
+        out.append(",".join((lo, digits, re, im)))
+        if rng.random() < 0.05:
+            out.append("")
+    return "\n".join(head + out) + "\n"
+
+
+def _corrupt(row, kind, q):
+    lo, digits, re, im = row.split(",")
+    if kind == "extra field":
+        return row + ",9"
+    if kind == "missing field":
+        return ",".join((lo, digits, re))
+    if kind == "bad lo":
+        return ",".join(("x" + lo, digits, re, im))
+    if kind == "empty digit":
+        return ",".join((str(int(lo) - 1), digits + ".", re, im))
+    if kind == "spaced digit":   # int() accepts it: the row stays valid
+        return ",".join((str(int(lo) - 1), " 0" + ("." + digits if digits else ""),
+                         re, im))
+    if kind == "bad re":
+        return ",".join((lo, digits, "notafloat", im))
+    if kind == "bad im":
+        return ",".join((lo, digits, re, "1.0j"))
+    if kind == "lo":
+        return ",".join((str(int(lo) + 1), digits, re, im))
+    if kind == "huge lo":
+        return ",".join((str(10 ** 30), digits, re, im))
+    if kind == "digit range":
+        return ",".join((str(int(lo) - 1), f"{q}" + ("." + digits if digits else ""),
+                         re, im))
+    if kind == "negative digit":
+        return ",".join((str(int(lo) - 1), "-1" + ("." + digits if digits else ""),
+                         re, im))
+    if kind == "huge digit":
+        return ",".join((str(int(lo) - 1),
+                         str(10 ** 30) + ("." + digits if digits else ""), re, im))
+    if kind == "nan":
+        return ",".join((lo, digits, "nan", im))
+    if kind == "inf":
+        return ",".join((lo, digits, re, "-inf"))
+    if kind == "wide":
+        return ",".join((str(int(lo) - 70), ".".join(["1"] + ["0"] * 69)
+                         + ("." + digits if digits else ""), re, im))
+    raise ValueError(kind)
+
+
+CORRUPTIONS = ("extra field", "missing field", "bad lo", "empty digit",
+               "spaced digit", "bad re", "bad im", "lo", "huge lo",
+               "digit range", "negative digit", "huge digit", "nan", "inf",
+               "wide", "duplicate")
+
+
+@CSV_EXAMPLES
+@given(csv_functions(), st.sampled_from((1, 2, 3, 7, 4096)))
+def test_dump_csv_matches_row_writer(case, block):
+    f, _ = case
+    buf = io.StringIO()
+    with mock.patch.object(stepfn, "CSV_BLOCK", block):
+        dump_csv(f, buf)
+    assert buf.getvalue() == _oracle_text(f)
+
+
+@CSV_EXAMPLES
+@given(csv_functions(), st.sampled_from((1, 2, 3, 7, 4096)))
+def test_load_csv_matches_row_reader(case, block):
+    f, seed = case
+    text = _shuffled(_oracle_text(f), np.random.default_rng(seed))
+    new, old = _load_both(text, block)
+    assert not isinstance(old, str)
+    assert new == old
+
+
+@CSV_EXAMPLES
+@given(csv_functions(), st.sampled_from((1, 2, 3, 7, 4096)),
+       st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=3))
+def test_load_csv_errors_match_row_reader(case, block, kinds):
+    f, seed = case
+    rng = np.random.default_rng(seed)
+    lines = _shuffled(_oracle_text(f), rng).splitlines()
+    rows = [i for i, line in enumerate(lines) if i >= 2 and line]
+    if not rows:
+        lines.append(f"{f.resolution},,1.0,0.0")
+        rows = [len(lines) - 1]
+    # each kind on its own row; a duplicate copies its row's cell to a later line
+    targets = dict(zip(rng.permutation(rows).tolist(), kinds))
+    copies = []
+    for i, kind in targets.items():
+        if kind == "duplicate":
+            lo, digits, _, _ = lines[i].split(",")
+            copies.append((int(rng.integers(i + 1, len(lines) + 1)),
+                           f"{lo},{digits},2.0,-1.0"))
+        else:
+            lines[i] = _corrupt(lines[i], kind, f.cfg.q)
+    for at, line in sorted(copies, reverse=True):
+        lines.insert(at, line)
+    new, old = _load_both("\n".join(lines) + "\n", block)
+    assert new == old
+
+
+@pytest.mark.parametrize("row", [
+    "x,1,nan,0",                           # malformed before non-finite
+    "0,7,1.0j,0",                          # malformed before digit range
+    "9,x,1,0",                             # malformed before lo
+    "5,7,nan,0",                           # lo before digit range
+    "0,5,nan,0",                           # digit range before non-finite
+    "-69," + ".".join(["1"] * 70) + ",inf,0",     # non-finite before cap
+    "-69," + ".".join(["1"] * 69 + ["2"]) + ",1,0",   # digit range before cap
+])
+def test_load_csv_names_the_first_failing_check_of_a_row(row):
+    text = ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+            f"lo,digits,re,im\n0,1,1.0,0.0\n{row}\n0,1,2.0,0.0\n")
+    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    assert new == old
+    assert new.startswith("line 4: ")
+
+
+def _big_file():
+    """A 6,000-row GF(2) file: past the first block of CSV_BLOCK rows."""
+    rng = np.random.default_rng(77)
+    f = StepFunction(F2, 3, rng.standard_normal(2 ** 13), -10)
+    lines = _oracle_text(f).splitlines()[:6002]
+    assert stepfn.CSV_BLOCK < len(lines) - 2
+    return lines
+
+
+@pytest.mark.parametrize("kind", ["bad re", "lo", "wide", "nan", "extra field"])
+def test_load_csv_reports_row_past_first_block(kind):
+    lines = _big_file()
+    lines[5000] = _corrupt(lines[5000], kind, 2)
+    lines[5500] = _corrupt(lines[5500], "bad lo", 2)
+    text = "\n".join(lines) + "\n"
+    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    assert new == old
+    assert new.startswith("line 5001: ")
+
+
+def test_load_csv_reports_duplicate_across_blocks():
+    lines = _big_file()
+    lo, digits, _, _ = lines[10].split(",")
+    lines[4500] = f"{lo},{digits},1.0,1.0"
+    lines[5000] = _corrupt(lines[5000], "bad re", 2)
+    new, old = _load_both("\n".join(lines) + "\n", stepfn.CSV_BLOCK)
+    assert new == old == "line 4501: duplicate representative"
 
 
 # ------------------------------------------------------------- periodic type --
