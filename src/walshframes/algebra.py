@@ -26,6 +26,8 @@ import cmath
 import math
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, NonUnitScalar
 
 __all__ = [
@@ -75,12 +77,13 @@ def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
 class FieldConfig:
     """Parameters and lookup tables for GF(q) and the field K = GF(q)((t)).
 
-    Immutable; hashable on (p, c, modulus) so derived kernels can be cached.
-    All scalar arithmetic goes through precomputed q x q tables.
+    Immutable; hashable on (p, c, modulus). All scalar arithmetic goes
+    through precomputed q x q tables, held as tuples for scalars and as
+    read-only arrays (add_table, mul_table, root_table) for table code.
     """
 
-    __slots__ = ("p", "c", "q", "modulus", "roots",
-                 "_add", "_mul", "_inv", "_neg", "_key")
+    __slots__ = ("p", "c", "q", "modulus", "roots", "add_table", "mul_table",
+                 "root_table", "_add", "_mul", "_inv", "_neg", "_key")
 
     def __init__(self, p: int, c: int = 1, modulus: Iterable[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -116,6 +119,10 @@ class FieldConfig:
             self.roots = (1 + 0j, -1 + 0j)
         else:
             self.roots = tuple(cmath.exp(2j * math.pi * a / p) for a in range(p))
+        self.add_table, self.mul_table, self.root_table = (
+            np.array(t) for t in (self._add, self._mul, self.roots))
+        for table in (self.add_table, self.mul_table, self.root_table):
+            table.flags.writeable = False
         self._key = (self.p, self.c, self.modulus)
 
     def _check_irreducible(self) -> None:
@@ -138,13 +145,7 @@ class FieldConfig:
     def _build_tables(self) -> None:
         p, c, q = self.p, self.c, self.q
         digits = [self._int_digits(a, c) for a in range(q)]
-
-        def undig(ds):
-            n = 0
-            for d in reversed(ds):
-                n = n * p + d
-            return n
-
+        undig = self.gf_from_digits
         self._add = tuple(
             tuple(undig([(x + y) % p for x, y in zip(digits[a], digits[b])])
                   for b in range(q))
@@ -410,8 +411,7 @@ class SystemConfig:
     def __init__(self, field: FieldConfig, N: int = 1, r: int = 1,
                  dilation_unit: int | None = None,
                  normalization: str = "unitary",
-                 masks: tuple = (),
-                 shift_set: tuple[FieldElement, ...] = ()):
+                 masks: tuple = ()):
         if not isinstance(N, int) or N < 1:
             raise ConfigError(f"N must be a positive integer, got {N!r}")
         if not isinstance(r, int) or r % 2 == 0:
@@ -437,13 +437,10 @@ class SystemConfig:
         self.masks = tuple(masks)
         self.theta = uindex(field, r).scale(field.gf_inv(nu))
         self.branches = 1 if N == 1 else 2
-        if shift_set:
-            self.shift_set = tuple(shift_set)
-        else:
-            inv_nu = field.gf_inv(nu)
-            self.shift_set = tuple(
-                field.monomial(field.gf_mul(inv_nu, s), 0) if s else field.zero()
-                for s in range(field.q))
+        inv_nu = field.gf_inv(nu)
+        self.shift_set = tuple(
+            field.monomial(field.gf_mul(inv_nu, s), 0) if s else field.zero()
+            for s in range(field.q))
 
     # -- derived quantities ---------------------------------------------------
 
@@ -497,7 +494,7 @@ class SystemConfig:
 
     def with_masks(self, masks: tuple) -> "SystemConfig":
         return SystemConfig(self.field, self.N, self.r, self.nu,
-                            self.normalization, tuple(masks), self.shift_set)
+                            self.normalization, tuple(masks))
 
     def __repr__(self):
         return (f"SystemConfig(q={self.q}, N={self.N}, r={self.r}, nu={self.nu}, "

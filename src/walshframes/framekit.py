@@ -20,7 +20,6 @@ test functions is pushed through the same system by vectorized reductions.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -36,6 +35,10 @@ from .errors import ConfigError, DegenerateInput, InputDataError, NotNormalized
 from .harmonic import character_table, fast_inverse_transform
 from .stepfn import (
     StepFunction,
+    cell_digits,
+    cell_index,
+    cell_integrals,
+    digit_count,
     dilate,
     periodize,
     prune,
@@ -57,7 +60,6 @@ __all__ = [
     "bessel_mask_check",
     "cascade",
     "check_partition",
-    "cell_integrals",
     "derive_generators",
     "iterate_refinement",
     "load_masks",
@@ -133,16 +135,15 @@ def mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig) -> StepFun
                    sys.nu, -1)
 
 
-def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int,
-                       prune_tol: float = PRUNE_TOL) -> StepFunction:
+def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunction:
     """Iterate the refinement product from the unit-ball seed; cells whose
-    amplitude falls below prune_tol are dropped so that roundoff cannot
+    amplitude falls below PRUNE_TOL are dropped so that roundoff cannot
     inflate the support of a genuinely refinable limit."""
     if iterations < 0:
         raise ConfigError("iteration count must be nonnegative")
     phi_hat = unit_ball(sys.field)
     for _ in range(iterations):
-        phi_hat = prune(mask_refine(phi_hat, m0, sys), prune_tol)
+        phi_hat = prune(mask_refine(phi_hat, m0, sys), PRUNE_TOL)
     return phi_hat
 
 
@@ -155,17 +156,16 @@ def cascade(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunction:
     return fast_inverse_transform(iterate_refinement(m0, sys, iterations))
 
 
-def derive_generators(sys: SystemConfig, iterations: int = 4,
-                      prune_tol: float = PRUNE_TOL) -> tuple[StepFunction, ...]:
+def derive_generators(sys: SystemConfig, iterations: int = 4) -> tuple[StepFunction, ...]:
     """(phi, psi_1, ..., psi_L) from the configured masks; no normalization
     gate, so detectably broken masks still produce inspectable generators."""
     if not sys.masks:
         raise ConfigError("system has no masks configured")
-    phi_hat = iterate_refinement(sys.masks[0], sys, iterations, prune_tol)
+    phi_hat = iterate_refinement(sys.masks[0], sys, iterations)
     gens = [fast_inverse_transform(phi_hat)]
     for ml in sys.masks[1:]:
         gens.append(fast_inverse_transform(
-            prune(mask_refine(phi_hat, ml, sys), prune_tol)))
+            prune(mask_refine(phi_hat, ml, sys), PRUNE_TOL)))
     return tuple(gens)
 
 
@@ -184,14 +184,15 @@ def check_partition(phi_hat: StepFunction, sys: SystemConfig) -> StepFunction:
                                   np.abs(g.values) ** 2 * sys.branches, g.lo))
 
 
-def sigma_v0(phi_hat: StepFunction, sys: SystemConfig,
-             tol: float = STRUCTURAL_TOL) -> StepFunction:
-    """Indicator of the cells of D where the partition sum exceeds tol.
+def sigma_v0(phi_hat: StepFunction, sys: SystemConfig) -> StepFunction:
+    """Indicator of the cells of D where the partition sum exceeds
+    STRUCTURAL_TOL.
 
     The norm2 of the result is the Haar measure of that cell set.
     """
     part = check_partition(phi_hat, sys)
-    return StepFunction(sys.field, part.resolution, np.abs(part.values) > tol)
+    return StepFunction(sys.field, part.resolution,
+                        np.abs(part.values) > STRUCTURAL_TOL)
 
 
 # ------------------------------------------------------------- UEP matrix --
@@ -260,12 +261,6 @@ def system_member(l: int, j: int, idx: LambdaIndex, sys: SystemConfig,
     return g
 
 
-@lru_cache(maxsize=None)
-def _add_table(cfg: FieldConfig) -> np.ndarray:
-    return np.array([[cfg.gf_add(a, b) for b in range(cfg.q)]
-                     for a in range(cfg.q)], dtype=np.int64)
-
-
 def translation_digits(sys: SystemConfig, j: int, n: np.ndarray,
                        delta: np.ndarray, lo: int, hi: int) -> dict[int, np.ndarray]:
     """Digits of mu = (t nu^(-1))^j lambda(n, delta) at the exponents in
@@ -275,28 +270,23 @@ def translation_digits(sys: SystemConfig, j: int, n: np.ndarray,
     member (l, j, 0) onto the others. Digits of mu at or above the member
     resolution are cut, exactly as translate() truncates lambda.
     """
-    cfg, q = sys.field, sys.q
+    cfg = sys.field
     unit = cfg.gf_inv(sys.nu) if j >= 0 else sys.nu
     c = 1
     for _ in range(abs(j)):
         c = cfg.gf_mul(c, unit)
-    scale = np.array([cfg.gf_mul(c, a) for a in range(q)], dtype=np.int64)
-    add = _add_table(cfg)
     theta = sys.theta if delta.any() else cfg.zero()
-    width = 0 if theta.is_zero else -theta.valuation()
-    top = int(n.max(initial=0))
-    while q ** width <= top:
-        width += 1
+    width = max(0 if theta.is_zero else -theta.valuation(),
+                digit_count(sys.q, int(n.max(initial=0))))
     out = {}
-    for i in range(width):
-        e = j - 1 - i
-        if not lo <= e < hi:
+    # the cell of u(n) has index n at resolution 0
+    for e, d in cell_digits(sys.q, n, 0, -width):
+        if not lo <= e + j < hi:
             continue
-        d = (n // q ** i) % q
-        t = theta.coefficient(-1 - i)
+        t = theta.coefficient(e)
         if t:
-            d = np.where(delta == 1, add[d, t], d)
-        out[e] = scale[d]
+            d = np.where(delta == 1, cfg.add_table[d, t], d)
+        out[e + j] = cfg.mul_table[c, d]
     return out
 
 
@@ -324,13 +314,11 @@ class MemberBank:
         lo = min([h.lo] + [e for e in mu if e < k])
         if (k - lo) * math.log2(q) > 62:
             raise ConfigError("member window too wide for 64-bit cell indices")
-        add = _add_table(h.cfg)
-        rows = int(np.prod(shape))
-        no_mu = np.zeros(rows, dtype=np.int64)
-        idx = np.zeros((rows, x.size), dtype=np.int64)
-        for e in range(lo, k):
-            idx *= q
-            idx += add[mu.get(e, no_mu)[:, None], x // q ** (k - 1 - e) % q]
+        add = h.cfg.add_table
+        # one digit of x + mu at a time, added into idx in place
+        idx = cell_index(q, ((e, add[mu[e][:, None], d] if e in mu else d)
+                             for e, d in cell_digits(q, x, k, lo)),
+                         k, out=np.zeros((int(np.prod(shape)), x.size), dtype=np.int64))
         self.resolution = k
         self.conj_values = np.conj(h.values[x])
         self.cells = idx.reshape(*shape, x.size)
@@ -348,17 +336,6 @@ class MemberBank:
         flat = cells.ravel()
         return (np.bincount(flat, weights=w.real, minlength=size + 1)
                 + 1j * np.bincount(flat, weights=w.imag, minlength=size + 1))
-
-
-def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
-    """Integral of a table at resolution k over each cell of resolution K.
-
-    values is indexed with exponent k-1 least significant over a window
-    B^lo / B^k with lo <= K; the result uses the same order at resolution K.
-    """
-    if k >= K:
-        return values.reshape(-1, q ** (k - K)).sum(axis=1) * float(q) ** (-k)
-    return np.repeat(values, q ** (K - k)) * float(q) ** (-K)
 
 
 class FrameAnalyzer:

@@ -17,12 +17,10 @@ table over any window, in the layout of stepfn.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .algebra import FieldConfig, FieldElement
-from .stepfn import StepFunction
+from .stepfn import StepFunction, cell_digits
 
 __all__ = [
     "character_table",
@@ -33,19 +31,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def _beta(cfg: FieldConfig) -> np.ndarray:
-    # beta[a, b] = coordinate 0 of the product a*b, the digit chi reads
-    q = cfg.q
-    return np.array([[cfg.zeta0(cfg.gf_mul(a, b)) for b in range(q)]
-                     for a in range(q)], dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _roots(cfg: FieldConfig) -> np.ndarray:
-    return np.array(cfg.roots, dtype=complex)
-
-
 def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
               forward: bool) -> np.ndarray:
     """Character sum of a table of q^m cells, without the measure factor.
@@ -54,10 +39,9 @@ def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
     through chi, so a table over B^l / B^k maps to a table over
     B^-k / B^-l in the same layout; forward conjugates the characters.
     """
-    q, p = cfg.q, cfg.p
-    B = _beta(cfg)
-    W = _roots(cfg)[(-B) % p if forward else B]
-    T = values.reshape((q,) * m)
+    # chi reads coordinate 0 of a product, its residue mod p
+    W = cfg.root_table[(-cfg.mul_table if forward else cfg.mul_table) % cfg.p]
+    T = values.reshape((cfg.q,) * m)
     for _ in range(m):
         # contract the leading input digit; its dual output digit lands
         # at the end, so the final order only needs a reversal
@@ -89,15 +73,12 @@ def character_table(cfg: FieldConfig, xi: FieldElement, resolution: int,
                     lo: int = 0) -> np.ndarray:
     """chi(xi h) over the cells h of B^lo / B^resolution (default: D), in
     the StepFunction table layout; chi(xi .) must be constant on them."""
-    q, p, k = cfg.q, cfg.p, resolution
-    idx = np.arange(q ** (k - lo))
-    beta = _beta(cfg)
-    B = np.zeros(idx.size, dtype=np.int64)
-    for e in range(lo, k):
-        a = xi.coefficient(-1 - e)
-        if a:
-            B += beta[a, (idx // q ** (k - 1 - e)) % q]
-    return _roots(cfg)[B % p]
+    q, k = cfg.q, resolution
+    # a sum of products, whose residue mod p is the coordinate chi reads
+    B = np.zeros(q ** (k - lo), dtype=np.int64)
+    for e, d in cell_digits(q, np.arange(B.size), k, lo):
+        B += cfg.mul_table[xi.coefficient(-1 - e), d]
+    return cfg.root_table[B % cfg.p]
 
 
 def fourier_table(f: StepFunction) -> np.ndarray:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import LambdaIndex
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import MemberBank, cell_integrals, system_member, translation_digits
-from .stepfn import StepFunction, periodize
+from .framekit import MemberBank, system_member, translation_digits
+from .stepfn import StepFunction, cell_index, cell_integrals, periodize
 
 __all__ = [
     "PeriodicSystemSpec",
@@ -69,8 +69,10 @@ class PeriodicSystemSpec:
             n = np.tile(residues, sys.branches)
             delta = np.repeat(np.arange(sys.branches), residues.size)
             mu = translation_digits(sys, j, n, delta, 0, K)
-            keys, first, rows = np.unique(_folded_key(mu, q, K, n.size),
-                                          return_index=True, return_inverse=True)
+            # a translation's digits on D, as the index of its cell there
+            keys, first, rows = np.unique(
+                cell_index(q, mu.items(), K, out=np.zeros(n.size, dtype=np.int64)),
+                return_index=True, return_inverse=True)
             weights = np.zeros(keys.size, dtype=np.int64)
             np.add.at(weights, rows, counts)
             bank = MemberBank(h, {e: d[first] for e, d in mu.items()},
@@ -89,18 +91,11 @@ class PeriodicSystemSpec:
         n, delta = self.sys.branch_index(label)
         K = bank.resolution
         mu = translation_digits(self.sys, j, np.array([n]), np.array([delta]), 0, K)
-        row = np.searchsorted(keys, _folded_key(mu, self.sys.q, K, 1)[0])
+        key = cell_index(self.sys.q, mu.items(), K, out=np.zeros(1, dtype=np.int64))
+        row = np.searchsorted(keys, key[0])
         values = np.zeros(self.sys.q ** K, dtype=complex)
         values[bank.cells[row]] = np.conj(bank.conj_values)
         return StepFunction(self.sys.field, K, values)
-
-
-def _folded_key(mu: dict[int, np.ndarray], q: int, K: int, size: int) -> np.ndarray:
-    """The translation digits on D as one integer per index."""
-    key = np.zeros(size, dtype=np.int64)
-    for e, d in mu.items():
-        key += d * q ** (K - 1 - e)
-    return key
 
 
 def _energy(f: StepFunction, l: int, j: int,

@@ -16,6 +16,11 @@ FieldElement-keyed cells appear only at the edges: from_cells builds a
 function from {canonical representative: amplitude}, .cells reads one
 back, and the CSV format stores one row per nonzero cell. CELL_CAP bounds
 the windows that input files and run configurations may ask for.
+
+The table is the digit group of the window, which harmonic's
+Vilenkin-Chrestenson transform runs over. cell_digits, cell_index and
+digit_count are the one codec between its indices and digits, for every
+module; at resolution 0 the cell of u(n) has index n.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ __all__ = [
     "CELL_CAP",
     "PeriodicStepFunction",
     "StepFunction",
+    "cell_digits",
+    "cell_index",
+    "cell_integrals",
+    "digit_count",
     "dilate",
     "dump_csv",
     "from_cells",
@@ -64,6 +73,50 @@ CELL_CAP = 2 ** 24
 def within_cap(q: int, digits: int) -> bool:
     """Whether a window of q^digits cells stays within CELL_CAP."""
     return digits < 64 and q ** digits <= CELL_CAP
+
+
+# ------------------------------------------------------------ digit codec --
+
+def cell_digits(q: int, index, resolution: int, lo: int):
+    """(exponent e, digit at e) of the cells with the given table indices
+    (an int or an array) over B^lo / B^resolution, ascending in e and made
+    one at a time: base-q digit resolution-1-e of the index."""
+    return ((e, index // q ** (resolution - 1 - e) % q) for e in range(lo, resolution))
+
+
+def cell_index(q: int, digits, resolution: int, out=None):
+    """Table index at resolution of the cells with digit d at exponent e for
+    each (e, d) of digits, ascending in e and below resolution (every other
+    digit is 0). Horner's rule: given out (an array), the index accumulates
+    in place there, and only the digit being added is alive beside it."""
+    index, last = (0 if out is None else out), resolution - 1
+    for e, d in digits:
+        index *= q ** max(e - last, 0)   # 1 before the first digit
+        index += d
+        last = e
+    index *= q ** (resolution - 1 - last)
+    return index
+
+
+def digit_count(q: int, index):
+    """Base-q digit count of a table index (an int), or of each index of an
+    array: the exponents from a cell's leading nonzero digit to the resolution."""
+    if isinstance(index, np.ndarray):
+        top = digit_count(q, int(index.max(initial=0)))
+        return np.searchsorted(q ** np.arange(top, dtype=np.int64), index, side="right")
+    count = 0
+    while index:
+        index //= q
+        count += 1
+    return count
+
+
+def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
+    """Integral of a table over B^lo / B^k over each cell of resolution K,
+    lo <= K: the table of the same window at resolution K."""
+    if k >= K:
+        return values.reshape(-1, q ** (k - K)).sum(axis=1) * float(q) ** (-k)
+    return np.repeat(values, q ** (K - k)) * float(q) ** (-K)
 
 
 class StepFunction:
@@ -95,24 +148,16 @@ class StepFunction:
         """Read-only {canonical representative: amplitude} of the nonzero
         cells in table order; an I/O view, built on every access."""
         q, k = self.cfg.q, self.resolution
-        out = {}
-        for i in np.flatnonzero(self.values):
-            x, e, terms = int(i), k - 1, {}
-            while x:
-                x, terms[e] = divmod(x, q)
-                e -= 1
-            out[FieldElement(self.cfg, terms)] = complex(self.values[i])
-        return MappingProxyType(out)
+        return MappingProxyType({
+            FieldElement(self.cfg, dict(cell_digits(q, int(i), k, self.lo))):
+                complex(self.values[i])
+            for i in np.flatnonzero(self.values)})
 
     def support_ball(self) -> int:
         """Exponent l of the smallest ball B^l containing the support."""
         nonzero = np.flatnonzero(self.values)
         top = int(nonzero[-1]) if nonzero.size else 0
-        l = self.resolution
-        while top:   # each base-q digit of the last nonzero index is one exponent
-            top //= self.cfg.q
-            l -= 1
-        return l
+        return self.resolution - digit_count(self.cfg.q, top)
 
     def window(self, lo: int) -> "StepFunction":
         """The same function over B^lo / B^resolution; ValueError if a
@@ -216,7 +261,7 @@ def from_cells(cfg: FieldConfig, resolution: int,
             lo = min(lo, rep.terms[0][0])
     values = np.zeros(q ** (k - lo), dtype=complex)
     for rep, value in cells.items():
-        values[sum(d * q ** (k - 1 - e) for e, d in rep.terms)] = value
+        values[cell_index(q, rep.terms, k)] = value
     return StepFunction(cfg, k, values, lo)
 
 
@@ -258,7 +303,7 @@ def translate(f: StepFunction, a: FieldElement) -> StepFunction:
     if not digits:
         return f
     f = f.window(min(f.lo, digits[0][0]))
-    sources = {e: cfg._add[cfg.gf_neg(d)] for e, d in digits}
+    sources = {e: cfg.add_table[cfg.gf_neg(d)] for e, d in digits}
     return StepFunction(cfg, f.resolution, _read_digits(f, sources), f.lo)
 
 
@@ -268,7 +313,7 @@ def rescale(f: StepFunction, c: int, shift: int) -> StepFunction:
     cfg = f.cfg
     sources = {}
     if c != 1:
-        sources = dict.fromkeys(range(f.lo, f.resolution), cfg._mul[cfg.gf_inv(c)])
+        sources = dict.fromkeys(range(f.lo, f.resolution), cfg.mul_table[cfg.gf_inv(c)])
     return StepFunction(cfg, f.resolution + shift, _read_digits(f, sources),
                         f.lo + shift)
 
@@ -353,13 +398,11 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
     # most; both halves are read from tables of q^h digit strings
     h = (k - f.lo + 1) // 2
     plain, padded = _digit_strings(q, h)
-    powers = q ** np.arange(k - f.lo, dtype=np.int64)
     nonzero = np.flatnonzero(f.values)
     for start in range(0, nonzero.size, CSV_BLOCK):
         index = nonzero[start:start + CSV_BLOCK]
         value = f.values[index]
-        # the digit count of an index is the number of powers of q <= it
-        lengths = np.searchsorted(powers, index, side="right")
+        lengths = digit_count(q, index)
         high, low = np.divmod(index, q ** h)
         digits = [plain[a] + "." + padded[b] if a else plain[b]
                   for a, b in zip(high.tolist(), low.tolist())]
@@ -552,12 +595,17 @@ def load_csv(src: str | TextIO) -> StepFunction:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
     cfg = FieldConfig(p, c, modulus)
     q = cfg.q
+    try:
+        measure = float(q) ** (-resolution)   # of one cell
+    except OverflowError:
+        measure = math.inf
+    if not np.finfo(float).smallest_normal <= measure < math.inf:
+        raise InputDataError(f"line 1: resolution {resolution} gives cells of "
+                             f"measure {q}^{-resolution}, outside the normal floats")
     rows = csv.reader(src)
     if next(rows, None) != ["lo", "digits", "re", "im"]:
         raise InputDataError("line 2: expected column header lo,digits,re,im")
-    cap = 0   # widest cell, in digits from its leading nonzero one
-    while within_cap(q, cap + 1):
-        cap += 1
+    cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
     lines, indices = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     amplitudes = [np.zeros(0, dtype=complex)]
     width, next_line, error = 0, 3, None

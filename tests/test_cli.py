@@ -332,6 +332,20 @@ def test_transform_refuses_overflowing_rows(tmp_path, capsys, row, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("resolution", [10 ** 30, -2000])
+def test_transform_refuses_resolution_without_normal_measure(tmp_path, capsys,
+                                                             resolution):
+    # 10**30 once gave a silently zero transform, -2000 an OverflowError
+    path = tmp_path / "huge.csv"
+    path.write_text(
+        f"# walshframes-stepfn v1 p=3 c=1 modulus=- resolution={resolution}\n"
+        f"lo,digits,re,im\n{resolution},,1.0,0.0\n")
+    assert run(["transform", str(path), "--direction", "forward"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line 1: resolution {resolution} gives cells of "
+                          f"measure 3^{-resolution}")
+
+
 def test_load_csv_reads_leading_zero_digits_past_int64(tmp_path):
     # 70 zeros below the leading 1: the cell is t^0 at resolution 1, index 1
     path = tmp_path / "zeros.csv"

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import enumerate_reps
 
 from walshframes import stepfn
-from walshframes.algebra import FieldConfig, SystemConfig, chi, uindex
+from walshframes.algebra import FieldConfig, FieldElement, SystemConfig, chi, uindex
 from walshframes.errors import InputDataError, ResolutionError
 from walshframes.stepfn import (
     StepFunction,
+    cell_digits,
+    cell_index,
+    digit_count,
     dilate,
     dump_csv,
     from_cells,
@@ -244,6 +247,34 @@ def test_csv_rejects_bad_header():
     buf = io.StringIO("lo,digits,re,im\n")
     with pytest.raises(InputDataError):
         load_csv(buf)
+
+
+def one_cell_file(resolution, q):
+    """A CSV with the zero cell only, over the prime field GF(q)."""
+    return io.StringIO(f"# walshframes-stepfn v1 p={q} c=1 modulus=- "
+                       f"resolution={resolution}\nlo,digits,re,im\n"
+                       f"{resolution},,1.0,0.0\n")
+
+
+@pytest.mark.parametrize("resolution, q", [
+    (10 ** 30, 3),    # the measure q^-k underflows to 0.0
+    (-2000, 3),       # q^2000 overflows
+    (10 ** 400, 2),   # too large to convert to a float at all
+    (1023, 2),        # 2^-1023 is subnormal
+    (-1024, 2),       # 2^1024 overflows
+    (645, 3),         # 3^-645 is subnormal
+    (-647, 3),        # 3^647 overflows
+])
+def test_load_csv_refuses_resolution_without_normal_measure(resolution, q):
+    with pytest.raises(InputDataError, match=r"^line 1: resolution "):
+        load_csv(one_cell_file(resolution, q))
+
+
+@pytest.mark.parametrize("resolution, q", [(1022, 2), (-1023, 2), (644, 3),
+                                           (-646, 3)])
+def test_load_csv_accepts_resolution_with_normal_measure(resolution, q):
+    f = load_csv(one_cell_file(resolution, q))
+    assert (f.resolution, f.lo, f.values.tolist()) == (resolution, resolution, [1])
 
 
 # -------------------------------------------- CSV against the row oracles --
@@ -612,3 +643,75 @@ def test_commutation_identities(ops):
     moved = a.scale(f.cfg.gf_inv(sys.nu)).shift(1)
     assert dilate(translate(f, a), sys).allclose(
         translate(dilate(f, sys), moved), 1e-12)
+
+
+# ------------------------------------------------------------ digit codec --
+
+@EXAMPLES
+@given(st.sampled_from(TABLE_FIELDS), st.integers(-3, 3), st.integers(0, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_cell_index_inverts_cell_digits(cfg, k, width, seed):
+    q, lo = cfg.q, k - width
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, q ** width, size=7)
+    digits = dict(cell_digits(q, index, k, lo))
+    assert sorted(digits) == list(range(lo, k))
+    assert all(((0 <= d) & (d < q)).all() for d in digits.values())
+    # no digits (a one-cell window) leave index 0
+    assert (cell_index(q, digits.items(), k) == index).all()
+    out = np.zeros(index.size, dtype=np.int64)
+    assert cell_index(q, digits.items(), k, out=out) is out
+    assert out.tolist() == index.tolist()
+    # one int at a time, through the cell's representative
+    for i in index.tolist():
+        rep = FieldElement(cfg, dict(cell_digits(q, i, k, lo)))
+        assert cell_index(q, rep.terms, k) == i
+        assert cell_index(q, cell_digits(q, i, k, lo), k) == i
+    # digits given sparsely: zeros may be left out
+    sparse = [(e, d[0]) for e, d in digits.items() if d[0]]
+    assert cell_index(q, sparse, k) == index[0]
+
+
+@EXAMPLES
+@given(st.sampled_from(TABLE_FIELDS), st.integers(0, 10 ** 5))
+def test_cell_of_u_n_has_index_n_at_resolution_0(cfg, n):
+    q = cfg.q
+    u = uindex(cfg, n)
+    assert cell_index(q, u.terms, 0) == n
+    width = digit_count(q, n)
+    assert FieldElement(cfg, dict(cell_digits(q, n, 0, -width))) == u
+    assert from_cells(cfg, 0, {u: 1.0}).values[n] == 1
+
+
+@EXAMPLES
+@given(tables())
+def test_digit_count_agrees_with_support_ball(f):
+    q, k = f.cfg.q, f.resolution
+    nonzero = np.flatnonzero(f.values)
+    counts = digit_count(q, nonzero)
+    assert counts.tolist() == [digit_count(q, int(i)) for i in nonzero]
+    assert f.support_ball() == k - int(counts.max(initial=0))
+    # the smallest ball is the smallest window that still holds f
+    l = f.support_ball()
+    assert f.window(l) == f
+    if l < k:
+        with pytest.raises(ValueError):
+            f.window(l + 1)
+    # a count is the exponents from the leading nonzero digit to k
+    for i, count in zip(nonzero.tolist(), counts.tolist()):
+        rep = FieldElement(f.cfg, dict(cell_digits(q, i, k, f.lo)))
+        assert count == (k - rep.valuation() if i else 0)
+
+
+@pytest.mark.parametrize("cfg", TABLE_FIELDS, ids=repr)
+def test_field_array_tables_match_scalar_arithmetic(cfg):
+    q = cfg.q
+    assert cfg.add_table.shape == cfg.mul_table.shape == (q, q)
+    for a in range(q):
+        for b in range(q):
+            assert cfg.add_table[a, b] == cfg.gf_add(a, b)
+            assert cfg.mul_table[a, b] == cfg.gf_mul(a, b)
+    assert cfg.root_table.tolist() == list(cfg.roots)
+    for table in (cfg.add_table, cfg.mul_table, cfg.root_table):
+        with pytest.raises(ValueError):
+            table[0] = 1
