@@ -324,22 +324,18 @@ class MemberBank:
         self.cells = idx.reshape(*shape, x.size)
 
     def coefficients(self, integrals: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """<f, member> per row, from the cell integrals of f over the rows'
-        cells (self.cells, or a slice of it clipped to a sentinel)."""
-        return np.sum(integrals[cells] * self.conj_values, axis=-1)
-
-    def synthesize(self, coeffs: np.ndarray, cells: np.ndarray,
-                   size: int) -> np.ndarray:
-        """The table of sum_row coeffs[row] * member(row) over `size` cells
-        plus the sentinel: the materialized projection on f's cells."""
-        w = (coeffs[..., None] * np.conj(self.conj_values)).ravel()
-        flat = cells.ravel()
-        return (np.bincount(flat, weights=w.real, minlength=size + 1)
-                + 1j * np.bincount(flat, weights=w.imag, minlength=size + 1))
+        """<f, member> per row, from the cell integrals of f (a table, or a
+        block of them) over the rows' cells (self.cells, or a slice of it
+        clipped to a sentinel). A sum, not a BLAS matrix product, which would
+        make an entry depend on how many rows are reduced with it."""
+        gathered = integrals[..., cells]   # the largest table of a check
+        gathered *= self.conj_values
+        return gathered.sum(axis=-1)
 
 
 class FrameAnalyzer:
-    """Coefficient analysis against one system, one member bank per (l, j)."""
+    """Coefficient analysis against one system, one member bank per (l, j).
+    The checks take one function, or a block with one number per function."""
 
     __slots__ = ("sys", "generators", "_members")
 
@@ -354,49 +350,59 @@ class FrameAnalyzer:
         """The member D^j T_lambda(idx) g_l as a step function."""
         return system_member(l, j, idx, self.sys, self.generators)
 
-    def _bank(self, l: int, j: int, bound: int) -> MemberBank:
-        """Bank of (l, j) holding at least the translations n < bound of
-        every branch, rows shaped (delta, n); grown by rebuilding."""
-        got = self._members.get((l, j))
-        if got is not None and got.cells.shape[1] >= bound:
-            return got
-        h = self.member(l, j, LambdaIndex(0, 0))
-        B = self.sys.branches
-        n = np.tile(np.arange(bound), B)
-        delta = np.repeat(np.arange(B), bound)
-        mu = translation_digits(self.sys, j, n, delta, -math.inf, h.resolution)
-        got = self._members[(l, j)] = MemberBank(h, mu, (B, bound))
-        return got
-
-    def _row(self, f: StepFunction, l: int, j: int, margin: int = 0):
-        """(bank, window cells, f's cell integrals, f's cell support,
-        coefficients), rows (delta, n) over the exhaustive translation scan."""
-        lf = f.support_ball()
-        A = min(lf - j, self.generators[l].support_ball())
-        exp = max(0, -A)
+    def _bank(self, l: int, j: int, lf: int, margin: int = 0) -> tuple[MemberBank, int]:
+        """(bank of (l, j), bound): every branch's translations n < bound,
+        rows shaped (delta, n), the bank grown by rebuilding. Translations
+        outside B^A, A = min(lf - j, ball(g_l)), cannot meet a function
+        supported in B^lf, so this scan is provably exhaustive; margin
+        widens it by a factor q^margin."""
+        exp = max(0, j - lf, -self.generators[l].support_ball())
         if self.sys.branches == 2:
             exp = max(exp, -self.sys.theta.valuation())
         bound = self.sys.q ** (exp + margin)
-        bank = self._bank(l, j, bound)
-        q, k, K = self.sys.q, f.resolution, bank.resolution
-        # f over the window down to B^min(lf, K); the last entry is a zero
-        # sentinel for every member cell outside it
+        got = self._members.get((l, j))
+        if got is None or got.cells.shape[1] < bound:
+            h = self.member(l, j, LambdaIndex(0, 0))
+            B = self.sys.branches
+            n = np.tile(np.arange(bound), B)
+            delta = np.repeat(np.arange(B), bound)
+            mu = translation_digits(self.sys, j, n, delta, -math.inf, h.resolution)
+            got = self._members[(l, j)] = MemberBank(h, mu, (B, bound))
+        return got, bound
+
+    def _row(self, f: StepFunction, l: int, j: int, margin: int = 0,
+             tables: dict | None = None):
+        """(bank, window cells, f's cell integrals, coefficients), rows
+        (delta, n) over the translation scan of the union of f's supports;
+        tables keeps the integrals per bank resolution, so that a block forms
+        them once."""
+        lf = f.support_ball()
+        bank, bound = self._bank(l, j, lf, margin)
+        K = bank.resolution
+        tables = {} if tables is None else tables
+        if K not in tables:
+            tables[K] = self._integrals(f, lf, K)
+        integrals = tables[K]
+        cells = np.minimum(bank.cells[:, :bound], integrals.shape[-1] - 1)
+        return bank, cells, integrals, bank.coefficients(integrals, cells)
+
+    def _integrals(self, f: StepFunction, lf: int, K: int) -> np.ndarray:
+        """f's cell integrals at resolution K over the window down to
+        B^min(lf, K), each table ending in a zero sentinel for every member
+        cell outside that window."""
         values = f.window(min(lf, K)).values
-        integrals = np.append(cell_integrals(values, k, K, q), 0)
-        support = np.append(cell_integrals(values != 0, k, K, q) != 0, False)
-        cells = np.minimum(bank.cells[:, :bound], integrals.size - 1)
-        coeffs = bank.coefficients(integrals, cells)
-        return bank, cells, integrals, support, coeffs
+        pad = [(0, 0)] * (values.ndim - 1) + [(0, 1)]
+        return np.pad(cell_integrals(values, f.resolution, K, self.sys.q), pad)
 
     def coefficient_row(self, f: StepFunction, l: int, j: int,
                         margin: int = 0) -> dict[LambdaIndex, complex]:
-        """All <f, member(l, j, idx)> whose supports overlap.
-
-        Translations outside B^A, A = min(ball(f) - j, ball(g)), cannot meet
-        the support of f, so the index scan is provably exhaustive; margin
-        widens it by a factor q^margin (the table must not change).
-        """
-        _, cells, _, support, coeffs = self._row(f, l, j, margin)
+        """All <f, member(l, j, idx)> whose supports overlap, for one f; the
+        scan is exhaustive (see _bank), so margin must not change the row."""
+        bank, cells, _, coeffs = self._row(f, l, j, margin)
+        # a member meets f's support where the indicator of f's nonzero cells
+        # has a positive integral over one of its cells
+        ind = StepFunction(f.cfg, f.resolution, f.values != 0, f.lo)
+        support = self._integrals(ind, f.support_ball(), bank.resolution).real > 0
         hit = support[cells].any(axis=-1)
         return {LambdaIndex(int(n), int(delta)): complex(coeffs[delta, n])
                 for delta, n in zip(*np.nonzero(hit))}
@@ -407,46 +413,68 @@ class FrameAnalyzer:
         return {(l, j): self.coefficient_row(f, l, j, margin)
                 for l in range(1, len(self.generators)) for j in j_range}
 
-    def _energy(self, f: StepFunction, l: int, j: int) -> float:
-        coeffs = self._row(f, l, j)[-1]
-        return float(np.sum(np.abs(coeffs) ** 2))
-
-    def _energies(self, f: StepFunction, l: int, j: int) -> tuple[float, complex]:
+    def _energies(self, f: StepFunction, l: int, j: int, tables: dict | None = None):
         """(sum |<f, member>|^2, <P f, f>) with P f = sum <f, member> member
-        materialized on f's cells."""
-        bank, cells, integrals, _, coeffs = self._row(f, l, j)
-        size = integrals.size - 1
-        proj = bank.synthesize(coeffs, cells, size)[:size]
-        return (float(np.sum(np.abs(coeffs) ** 2)),
-                complex(np.sum(proj * np.conj(integrals[:size]))))
+        materialized on f's cells: one bincount over a block, the flat
+        indices offset by function."""
+        bank, cells, integrals, coeffs = self._row(f, l, j, tables=tables)
+        lead, size = integrals.shape[:-1], integrals.shape[-1]
+        b = math.prod(lead)
+        # real and imaginary parts as adjacent floats, summed by one bincount
+        # (its index and weight tables die before the projection is read)
+        proj = np.bincount(
+            (2 * (cells + size * np.arange(b).reshape(-1, 1, 1, 1))[..., None]
+             + [0, 1]).ravel(),
+            weights=(coeffs[..., None] * np.conj(bank.conj_values)).view(float).ravel(),
+            minlength=2 * b * size).view(complex).reshape(*lead, size)
+        return (np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)),
+                np.sum(proj[..., :-1] * np.conj(integrals[..., :-1]), axis=-1))
 
-    def two_scale_check(self, f: StepFunction, j: int) -> tuple[float, float]:
+    def energies(self, f: StepFunction, j0: int, j1: int) -> dict:
+        """(l, j) -> _energies of f for every bank the checks over [j0, j1)
+        read, each reduced once; two_scale_check and frame_ratio take them
+        as `energies`, so that a block computes them once for both."""
+        tables: dict = {}
+        return {(l, j): self._energies(f, l, j, tables) for l, j in self._pairs(j0, j1)}
+
+    def _pairs(self, j0: int, j1: int) -> list[tuple[int, int]]:
+        """The (l, j) of every bank the checks over [j0, j1) read."""
+        return [(0, j) for j in range(j0, j1 + 1)] + [
+            (l, j) for l in range(1, len(self.generators)) for j in range(j0, j1)]
+
+    def table_width(self, k: int, j0: int, j1: int) -> int:
+        """Entries one function on D at resolution k adds to the largest table
+        the checks over [j0, j1) form: a bank's gather, the cell integrals at
+        its resolution K, or the function over B^K when K < 0."""
+        q, banks = self.sys.q, (self._bank(l, j, 0) for l, j in self._pairs(j0, j1))
+        return max(max(bank.cells[:, :bound].size, q ** max(bank.resolution, 0) + 1,
+                       q ** (k - min(bank.resolution, 0))) for bank, bound in banks)
+
+    def two_scale_check(self, f: StepFunction, j: int, energies=None):
         """Energy balance across one scale step, by two independent routes.
 
         Returns (residual, projector_residual): the first compares summed
         squared coefficients, the second materializes the projections P_j f
         and Q_j f and compares <P_j f, f> + <Q_j f, f> with <P_{j+1} f, f>.
         """
-        e_fine, p_fine = self._energies(f, 0, j + 1)
-        e_coarse, p_coarse = self._energies(f, 0, j)
-        e_wave, q_parts = 0.0, 0j
-        for l in range(1, len(self.generators)):
-            e, p = self._energies(f, l, j)
-            e_wave += e
-            q_parts += p
-        residual = abs(e_fine - (e_coarse + e_wave))
-        projector_residual = abs(p_coarse + q_parts - p_fine)
+        E = self.energies(f, j, j + 1) if energies is None else energies
+        e_fine, p_fine = E[(0, j + 1)]
+        e_coarse, p_coarse = E[(0, j)]
+        waves = [E[(l, j)] for l in range(1, len(self.generators))]
+        residual = np.abs(e_fine - (e_coarse + sum(e for e, _ in waves)))
+        projector_residual = np.abs(p_coarse + sum(p for _, p in waves) - p_fine)
         return residual, projector_residual
 
-    def frame_ratio(self, f: StepFunction, j0: int, j1: int) -> float:
+    def frame_ratio(self, f: StepFunction, j0: int, j1: int, energies=None):
         """(coarse-scale energy + wavelet energies over [j0, j1)) / ||f||^2."""
         n2 = f.norm2()
-        if n2 == 0.0:
+        if np.any(n2 == 0.0):
             raise DegenerateInput("frame ratio of the zero function")
-        total = self._energy(f, 0, j0)
+        E = self.energies(f, j0, j1) if energies is None else energies
+        total = E[(0, j0)][0]
         for l in range(1, len(self.generators)):
             for j in range(j0, j1):
-                total += self._energy(f, l, j)
+                total = total + E[(l, j)][0]
         return total / n2
 
 

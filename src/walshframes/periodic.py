@@ -97,57 +97,66 @@ class PeriodicSystemSpec:
         values[bank.cells[row]] = np.conj(bank.conj_values)
         return StepFunction(self.sys.field, K, values)
 
+    def table_width(self) -> int:
+        """Entries one function adds to the largest table the folded checks
+        form: a bank's gather or f's cell integrals at the bank's resolution."""
+        banks = (self.bank(l, j)[0] for l in range(len(self.generators))
+                 for j in range(self.j_max + 1))
+        return max(max(b.cells.size, self.sys.q ** b.resolution) for b in banks)
 
-def _energy(f: StepFunction, l: int, j: int,
-            spec: PeriodicSystemSpec) -> float:
-    """sum over the labels of scale j of |<f, member(l, j, label)>|^2."""
+
+def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
+            tables: dict) -> np.ndarray:
+    """sum over the labels of scale j of |<f, member(l, j, label)>|^2, per
+    function of a block; tables keeps f's cell integrals per resolution."""
     bank, weights, _ = spec.bank(l, j)
-    integrals = cell_integrals(f.window(0).values, f.resolution, bank.resolution,
-                               f.cfg.q)
-    coeffs = bank.coefficients(integrals, bank.cells)
-    return float(np.sum(weights * np.abs(coeffs) ** 2))
+    K = bank.resolution
+    if K not in tables:
+        tables[K] = cell_integrals(f.window(0).values, f.resolution, K, f.cfg.q)
+    coeffs = bank.coefficients(tables[K], bank.cells)
+    return np.sum(weights * np.abs(coeffs) ** 2, axis=-1)
 
 
 def folded_energies(f: StepFunction, spec: PeriodicSystemSpec
-                    ) -> tuple[list[float], list[float]]:
-    """(S, W) for 0 <= j <= j_max: S[j] the scaling energy of f at scale j,
-    W[j] its wavelet energy (summed over the wavelet generators), each bank
-    reduced once. The checks below take them as `energies`, so that one
-    suite function computes them once for all three."""
-    scales = range(spec.j_max + 1)
-    return ([_energy(f, 0, j, spec) for j in scales],
-            [sum(_energy(f, l, j, spec) for l in range(1, len(spec.generators)))
-             for j in scales])
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(S, W) of shape (j_max + 1,) + block shape: S[j] the scaling energy of
+    f at scale j, W[j] its wavelet energy (summed over the wavelet
+    generators), each bank reduced once. The checks below take them as
+    `energies`, so that a block computes them once for all three."""
+    tables: dict = {}
+    E = np.array([[_energy(f, l, j, spec, tables) for j in range(spec.j_max + 1)]
+                  for l in range(len(spec.generators))])
+    return E[0], E[1:].sum(axis=0)
 
 
 def projection_energy_scan(f: StepFunction, eps: float,
                            spec: PeriodicSystemSpec, energies=None):
     """Per-scale scaling energies S_j and the smallest J from which every
-    S_j stays within (1 +- eps) of the squared norm, None if none does."""
+    S_j stays within (1 +- eps) of the squared norm, None if none does:
+    (J, {j: S_j}), or for a block (one J per function, S as an array)."""
     if eps <= 0:
         raise ConfigError(f"scan slack must be positive, got {eps!r}")
     n2 = f.norm2()
-    if n2 == 0.0:
+    if np.any(n2 == 0.0):
         raise DegenerateInput("projection scan of the zero function")
-    S, _ = energies or folded_energies(f, spec)
-    sums = dict(enumerate(S))
-    J = None
-    for start in range(spec.j_max + 1):
-        if all((1 - eps) * n2 <= sums[j] <= (1 + eps) * n2
-               for j in range(start, spec.j_max + 1)):
-            J = start
-            break
-    return J, sums
+    S, _ = folded_energies(f, spec) if energies is None else energies
+    inside = ((1 - eps) * n2 <= S) & (S <= (1 + eps) * n2)
+    # J opens the run of in-band scales that reaches j_max
+    run = np.logical_and.accumulate(inside[::-1], axis=0).sum(axis=0)
+    Js = [int(J) if J <= spec.j_max else None for J in np.ravel(S.shape[0] - run)]
+    if S.ndim == 1:
+        return Js[0], dict(enumerate(S.tolist()))
+    return Js, S
 
 
 def periodic_two_scale_check(f: StepFunction, j: int,
-                             spec: PeriodicSystemSpec, energies=None) -> float:
+                             spec: PeriodicSystemSpec, energies=None):
     """|scaling energy at j+1  -  scaling energy at j - wavelet energy at j|,
     for 0 <= j < j_max."""
     if not 0 <= j < spec.j_max:
         raise IndexError(f"scale {j} outside [0, {spec.j_max})")
-    S, W = energies or folded_energies(f, spec)
-    return abs(S[j + 1] - (S[j] + W[j]))
+    S, W = folded_energies(f, spec) if energies is None else energies
+    return np.abs(S[j + 1] - (S[j] + W[j]))
 
 
 def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
@@ -164,14 +173,14 @@ def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
         raise TruncationError(
             f"scale cap {spec.j_max} cannot resolve a resolution-"
             f"{f.resolution} input")
-    S, W = energies or folded_energies(f, spec)
+    S, W = folded_energies(f, spec) if energies is None else energies
     total = S[0]
     for j in range(spec.j_max):
-        total += W[j]
+        total = total + W[j]
     n2 = f.norm2()
     return {
         "total": total,
         "norm2": n2,
-        "residual": abs(total - n2),
+        "residual": np.abs(total - n2),
         "tail": W[spec.j_max],
     }

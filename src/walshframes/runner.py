@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -51,6 +52,7 @@ __all__ = [
     "dump_wavelets_report",
     "field_info_report",
     "render_report",
+    "suite_blocks",
     "suite_functions",
     "uindex_report",
     "verify_report",
@@ -59,6 +61,10 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-9
 TAIL_TOL = 1e-12
+# Table entries of one block of suite functions (see suite_blocks): 256 KiB
+# of complex entries, so a full block stays a few MB; the shipped configs
+# check their 100 functions in one block (two for periodic on fourier_q3).
+SUITE_BLOCK = 2 ** 14
 MAX_SEED = 2 ** 64
 # every section and option a run configuration may hold (configparser
 # lowercases option names)
@@ -198,8 +204,8 @@ class RunConfig:
             raise ConfigError(f"need j0 <= j1, got [{j0}, {j1}]")
         if j_max < 0 or iterations < 0:
             raise ConfigError("j_max and cascade_iterations must be >= 0")
-        if epsilon <= 0:
-            raise ConfigError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
         if sys_cfg is not None:
             for option, digits in _table_digits(sys_cfg, iterations, j1, j_max).items():
                 if not within_cap(cfg.q, digits):
@@ -207,12 +213,15 @@ class RunConfig:
                         f"{option} needs tables of q^{digits} cells, above the "
                         f"cap of {CELL_CAP}")
 
-        gram_tol = parser.getfloat("tolerances", "gram", fallback=GRAM_TOL)
-        residual_tol = parser.getfloat(
-            "tolerances", "residual", fallback=RESIDUAL_TOL)
-        tail_tol = parser.getfloat("tolerances", "tail", fallback=TAIL_TOL)
+        tolerances = []
+        for option, default in (("gram", GRAM_TOL), ("residual", RESIDUAL_TOL),
+                                ("tail", TAIL_TOL)):
+            tolerances.append(parser.getfloat("tolerances", option, fallback=default))
+            if not 0 <= tolerances[-1] < math.inf:
+                raise ConfigError(f"[tolerances] {option} must be finite and >= 0, "
+                                  f"got {tolerances[-1]}")
         return cls(cfg, sys_cfg, j0, j1, j_max, epsilon, iterations,
-                   seed, count, resolution, gram_tol, residual_tol, tail_tol)
+                   seed, count, resolution, *tolerances)
 
     def config_block(self) -> dict:
         cfg = self.cfg
@@ -279,14 +288,28 @@ def render_report(report: dict) -> str:
         raise DegenerateInput(f"report holds a non-finite number ({exc})") from exc
 
 
-def suite_functions(cfg: FieldConfig, resolution: int, count: int, seed: int):
+def suite_blocks(cfg: FieldConfig, resolution: int, count: int, seed: int,
+                 width: int = 1):
     """The deterministic random test family: complex standard-normal value
-    tables over the resolution grid, drawn from PCG64(seed)."""
+    tables over the resolution grid, drawn from PCG64(seed), real then
+    imaginary part per function, in blocks of max(1, SUITE_BLOCK //
+    max(q^resolution, width)) functions, width being the entries one
+    function adds to the largest table of its checks. Peak memory thus
+    does not grow with count, and the stream does not depend on the block."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     n = cfg.q ** resolution
-    for _ in range(count):
-        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        yield StepFunction(cfg, resolution, vals)
+    size = max(1, SUITE_BLOCK // max(n, width))
+    for start in range(0, count, size):
+        draw = rng.standard_normal((min(size, count - start), 2, n))
+        values = draw[:, 0] + 1j * draw[:, 1]
+        del draw   # not kept alive while the block is checked
+        yield StepFunction(cfg, resolution, values)
+
+
+def suite_functions(cfg: FieldConfig, resolution: int, count: int, seed: int):
+    """The functions of suite_blocks one at a time."""
+    for block in suite_blocks(cfg, resolution, count, seed):
+        yield from (StepFunction(cfg, resolution, v) for v in block.values)
 
 
 def _require_system(rc: RunConfig) -> SystemConfig:
@@ -363,13 +386,15 @@ def verify_report(rc: RunConfig) -> dict:
     worst = 0.0
     worst_proj = 0.0
     worst_ratio = 0.0
-    for f in suite_functions(cfg, rc.resolution, rc.count, rc.seed):
-        for j in range(rc.j0, rc.j1):
-            residual, proj = analyzer.two_scale_check(f, j)
-            worst = max(worst, residual)
-            worst_proj = max(worst_proj, proj)
-        ratio = analyzer.frame_ratio(f, rc.j0, rc.j1)
-        worst_ratio = max(worst_ratio, abs(ratio - 1.0))
+    width = analyzer.table_width(rc.resolution, rc.j0, rc.j1)
+    for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, width):
+        energies = analyzer.energies(f, rc.j0, rc.j1)
+        checks = [analyzer.two_scale_check(f, j, energies) for j in range(rc.j0, rc.j1)]
+        worst = max([worst] + [float(residual.max()) for residual, _ in checks])
+        worst_proj = max([worst_proj] + [float(proj.max()) for _, proj in checks])
+        ratio = analyzer.frame_ratio(f, rc.j0, rc.j1, energies)
+        worst_ratio = max(worst_ratio, float(np.abs(ratio - 1.0).max()))
+        del f, energies, checks, ratio   # not alive during the next block
     two_scale_ok = worst <= rc.residual_tol and worst_proj <= rc.residual_tol
     ratio_ok = worst_ratio <= rc.residual_tol
 
@@ -425,26 +450,26 @@ def periodic_report(rc: RunConfig) -> dict:
     spec = PeriodicSystemSpec(sys_cfg, generators, rc.j_max)
 
     all_finite = True
-    max_j = None
+    finite_js = set()
     first_scan = None
     worst_residual = 0.0
     worst_tightness = 0.0
     worst_tail = 0.0
-    for f in suite_functions(cfg, rc.resolution, rc.count, rc.seed):
+    for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, spec.table_width()):
         energies = folded_energies(f, spec)
-        J, sums = projection_energy_scan(f, rc.epsilon, spec, energies)
+        Js, S = projection_energy_scan(f, rc.epsilon, spec, energies)
         if first_scan is None:
-            first_scan = {"J": J, "sums": [sums[j] for j in sorted(sums)]}
-        if J is None:
-            all_finite = False
-        elif max_j is None or J > max_j:
-            max_j = J
+            first_scan = {"J": Js[0], "sums": S[:, 0].tolist()}
+        all_finite = all_finite and None not in Js
+        finite_js.update(J for J in Js if J is not None)
         for j in range(rc.j_max):
-            worst_residual = max(worst_residual,
-                                 periodic_two_scale_check(f, j, spec, energies))
+            worst_residual = max(worst_residual, float(
+                periodic_two_scale_check(f, j, spec, energies).max()))
         out = periodic_tightness_check(f, spec, energies)
-        worst_tightness = max(worst_tightness, out["residual"])
-        worst_tail = max(worst_tail, out["tail"])
+        worst_tightness = max(worst_tightness, float(out["residual"].max()))
+        worst_tail = max(worst_tail, float(out["tail"].max()))
+        del f, energies, Js, S, out   # not alive during the next block
+    max_j = max(finite_js, default=None)
 
     two_scale_ok = worst_residual <= rc.residual_tol
     tightness_ok = worst_tightness <= rc.residual_tol and \

@@ -113,14 +113,19 @@ def digit_count(q: int, index):
 
 def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
     """Integral of a table over B^lo / B^k over each cell of resolution K,
-    lo <= K: the table of the same window at resolution K."""
+    lo <= K: the table of the same window at resolution K (row by row)."""
     if k >= K:
-        return values.reshape(-1, q ** (k - K)).sum(axis=1) * float(q) ** (-k)
-    return np.repeat(values, q ** (K - k)) * float(q) ** (-K)
+        return values.reshape(*values.shape[:-1], -1, q ** (k - K)).sum(axis=-1) \
+            * float(q) ** (-k)
+    return np.repeat(values, q ** (K - k), axis=-1) * float(q) ** (-K)
 
 
 class StepFunction:
-    """The amplitudes of a step function over the window B^lo / B^resolution."""
+    """The amplitudes of a step function over the window B^lo / B^resolution.
+
+    values may hold a block of functions on one window, one table per row;
+    window, norm2 (per row) and support_ball (of the union) take a block.
+    """
 
     __slots__ = ("cfg", "resolution", "lo", "values")
 
@@ -129,7 +134,7 @@ class StepFunction:
         if lo > resolution:
             raise ValueError(f"window B^{lo} / B^{resolution} holds no cell")
         values = np.asarray(values, dtype=complex)
-        if values.shape != (cfg.q ** (resolution - lo),):
+        if values.ndim not in (1, 2) or values.shape[-1] != cfg.q ** (resolution - lo):
             raise ValueError(f"need q^(resolution - lo) = "
                              f"{cfg.q ** (resolution - lo)} values, got {values.shape}")
         self.cfg = cfg
@@ -155,7 +160,7 @@ class StepFunction:
 
     def support_ball(self) -> int:
         """Exponent l of the smallest ball B^l containing the support."""
-        nonzero = np.flatnonzero(self.values)
+        nonzero = np.flatnonzero(np.atleast_2d(self.values).any(axis=0))
         top = int(nonzero[-1]) if nonzero.size else 0
         return self.resolution - digit_count(self.cfg.q, top)
 
@@ -167,18 +172,20 @@ class StepFunction:
             return self
         if lo > self.lo:
             size = q ** (k - lo) if lo <= k else 0
-            if not size or self.values[size:].any():
+            if not size or self.values[..., size:].any():
                 raise ValueError(f"a nonzero cell lies outside B^{lo}")
-            return StepFunction(self.cfg, k, self.values[:size], lo)
+            return StepFunction(self.cfg, k, self.values[..., :size], lo)
         if not within_cap(q, k - lo):
             raise ResolutionError(f"window B^{lo} / B^{k} exceeds {CELL_CAP} cells")
-        values = np.zeros(q ** (k - lo), dtype=complex)
-        values[:self.values.size] = self.values
+        values = np.zeros(self.values.shape[:-1] + (q ** (k - lo),), dtype=complex)
+        values[..., :self.values.shape[-1]] = self.values
         return StepFunction(self.cfg, k, values, lo)
 
-    def norm2(self) -> float:
+    def norm2(self):
         # exactly rounded, so moving cells (a translation) keeps it bit for bit
-        return math.fsum(np.abs(self.values) ** 2) * float(self.cfg.q) ** (-self.resolution)
+        sq = np.abs(self.values) ** 2
+        sums = math.fsum(sq) if sq.ndim == 1 else np.array([math.fsum(r) for r in sq])
+        return sums * float(self.cfg.q) ** (-self.resolution)
 
     def scale(self, z: complex) -> "StepFunction":
         return StepFunction(self.cfg, self.resolution, self.values * z, self.lo)

@@ -15,6 +15,10 @@ walshframes.harmonic's contraction or with stepfn's table operators.
 
 The CSV references read and write a step-function file one row at a time in
 Python, where stepfn parses and formats blocks of rows as arrays.
+
+The suite references draw the random test family and run the verify and
+periodic checks one function at a time, where runner draws and checks
+blocks of functions as arrays.
 """
 
 import csv
@@ -26,7 +30,15 @@ import numpy as np
 
 from walshframes.algebra import FieldConfig, FieldElement, chi, uindex
 from walshframes.errors import InputDataError
+from walshframes.framekit import FrameAnalyzer, derive_generators
 from walshframes.harmonic import character_table
+from walshframes.periodic import (
+    PeriodicSystemSpec,
+    folded_energies,
+    periodic_tightness_check,
+    periodic_two_scale_check,
+    projection_energy_scan,
+)
 from walshframes.stepfn import (
     CELL_CAP,
     CSV_HEADER_KEYS,
@@ -256,3 +268,59 @@ def load_csv(src):
     values = np.zeros(q ** width, dtype=complex)
     values[list(cells)] = list(cells.values())
     return StepFunction(cfg, resolution, values, resolution - width)
+
+
+# ------------------------------------------------------------------ suite --
+
+def suite_functions(cfg, resolution, count, seed):
+    """The random test family one function at a time: the real part, then
+    the imaginary part of each table, drawn from PCG64(seed)."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    n = cfg.q ** resolution
+    for _ in range(count):
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield StepFunction(cfg, resolution, vals)
+
+
+def verify_numbers(rc):
+    """The suite numbers of a verify report, checking one function at a
+    time; norm2 is the largest squared norm of the suite."""
+    analyzer = FrameAnalyzer(rc.sys, derive_generators(rc.sys, rc.cascade_iterations))
+    out = {"max_residual": 0.0, "max_projector_residual": 0.0,
+           "max_abs_deviation": 0.0, "norm2": 0.0}
+    for f in suite_functions(rc.cfg, rc.resolution, rc.count, rc.seed):
+        for j in range(rc.j0, rc.j1):
+            residual, proj = analyzer.two_scale_check(f, j)
+            out["max_residual"] = max(out["max_residual"], residual)
+            out["max_projector_residual"] = max(out["max_projector_residual"], proj)
+        ratio = analyzer.frame_ratio(f, rc.j0, rc.j1)
+        out["max_abs_deviation"] = max(out["max_abs_deviation"], abs(ratio - 1.0))
+        out["norm2"] = max(out["norm2"], f.norm2())
+    return out
+
+
+def periodic_numbers(rc):
+    """The suite numbers of a periodic report, checking one function at a
+    time; norm2 is the largest squared norm of the suite."""
+    spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, rc.cascade_iterations),
+                              rc.j_max)
+    out = {"all_finite": True, "max_J": None, "first_function": None,
+           "max_residual": 0.0, "max_tightness": 0.0, "max_tail": 0.0,
+           "norm2": 0.0}
+    for f in suite_functions(rc.cfg, rc.resolution, rc.count, rc.seed):
+        energies = folded_energies(f, spec)
+        J, sums = projection_energy_scan(f, rc.epsilon, spec, energies)
+        if out["first_function"] is None:
+            out["first_function"] = {"J": J, "sums": [sums[j] for j in sorted(sums)]}
+        if J is None:
+            out["all_finite"] = False
+        elif out["max_J"] is None or J > out["max_J"]:
+            out["max_J"] = J
+        for j in range(rc.j_max):
+            out["max_residual"] = max(out["max_residual"],
+                                      periodic_two_scale_check(f, j, spec, energies))
+        tight = periodic_tightness_check(f, spec, energies)
+        out["max_tightness"] = max(out["max_tightness"], tight["residual"])
+        out["max_tail"] = max(out["max_tail"], tight["tail"])
+        out["norm2"] = max(out["norm2"], f.norm2())
+    return out

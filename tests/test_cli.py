@@ -574,6 +574,31 @@ def test_scale_options_are_capped_before_allocation(tmp_path, capsys, option,
     assert str(CELL_CAP) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("section, option", [
+    ("scales", "epsilon"),
+    ("tolerances", "gram"),
+    ("tolerances", "residual"),
+    ("tolerances", "tail"),
+])
+@pytest.mark.parametrize("command", ["verify", "periodic"])
+def test_non_finite_or_negative_settings_are_config_errors(tmp_path, capsys, monkeypatch,
+                                                           command, section, option,
+                                                           value):
+    # nan and inf used to run the whole suite and fail in render_report; a
+    # negative tolerance failed every verdict with exit 1
+    body = (f"[masks]\nfile = {os.path.join(CONFIGS, 'haar_q2.masks')}\n\n"
+            f"[{section}]\n{option} = {value}\n\n[suite]\ncount = 2\nresolution = 2\n")
+    cfg = write_cfg(tmp_path, "", 2, body=body)
+    with pytest.raises(ConfigError, match=option):
+        RunConfig.load(cfg)
+    # refused before any work
+    monkeypatch.setattr("walshframes.runner.derive_generators", None)
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert option in err and value.lstrip("-") in err
+
+
 @pytest.mark.parametrize("name", ["haar_q2", "fourier_q3", "nonuniform_q2_N3_r5"])
 def test_cap_estimate_bounds_the_tables_built(name):
     rc = RunConfig.load(os.path.join(CONFIGS, f"{name}.cfg"))

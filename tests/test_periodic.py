@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from walshframes import periodic
+from walshframes import periodic, runner
 from walshframes.algebra import FieldConfig, SystemConfig, uindex
 from walshframes.errors import ConfigError, DegenerateInput, TruncationError
 from walshframes.framekit import FrameAnalyzer, Mask, derive_generators
@@ -254,20 +254,26 @@ def test_checks_share_one_set_of_folded_energies():
         periodic_tightness_check(f, spec, energies)
 
 
-def test_periodic_report_reduces_each_bank_once_per_function(monkeypatch):
+def test_periodic_report_reduces_each_bank_once_per_block(monkeypatch):
     config = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "haar_q2.cfg")
     rc = RunConfig.load(config)
+    spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, 4), rc.j_max)
+    # blocks of 7 functions: 100 = 14 * 7 + 2
+    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width())
     calls = collections.Counter()
+    sizes = collections.Counter()
     energy = periodic._energy
 
-    def counted(f, l, j, spec):
+    def counted(f, l, j, spec, tables):
         calls[l, j] += 1
-        return energy(f, l, j, spec)
+        sizes[f.values.shape[0]] += 1
+        return energy(f, l, j, spec, tables)
 
     monkeypatch.setattr(periodic, "_energy", counted)
     periodic_report(rc)
-    assert calls == {(l, j): rc.count for l in range(2) for j in range(rc.j_max + 1)}
+    assert calls == {(l, j): 15 for l in range(2) for j in range(rc.j_max + 1)}
+    assert sizes == {7: 14 * len(calls), 2: len(calls)}
 
 
 def test_two_scale_detects_mask_perturbation():
