@@ -333,6 +333,11 @@ class MemberBank:
         return gathered.sum(axis=-1)
 
 
+def _coefficient_energy(coeffs: np.ndarray) -> np.ndarray:
+    """sum |<f, member>|^2 over a bank's rows, per function of a block."""
+    return np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
+
+
 class FrameAnalyzer:
     """Coefficient analysis against one system, one member bank per (l, j).
     The checks take one function, or a block with one number per function."""
@@ -427,7 +432,7 @@ class FrameAnalyzer:
              + [0, 1]).ravel(),
             weights=(coeffs[..., None] * np.conj(bank.conj_values)).view(float).ravel(),
             minlength=2 * b * size).view(complex).reshape(*lead, size)
-        return (np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)),
+        return (_coefficient_energy(coeffs),
                 np.sum(proj[..., :-1] * np.conj(integrals[..., :-1]), axis=-1))
 
     def energies(self, f: StepFunction, j0: int, j1: int) -> dict:
@@ -470,12 +475,12 @@ class FrameAnalyzer:
         n2 = f.norm2()
         if np.any(n2 == 0.0):
             raise DegenerateInput("frame ratio of the zero function")
-        E = self.energies(f, j0, j1) if energies is None else energies
-        total = E[(0, j0)][0]
-        for l in range(1, len(self.generators)):
-            for j in range(j0, j1):
-                total = total + E[(l, j)][0]
-        return total / n2
+        pairs = [(l, j) for l, j in self._pairs(j0, j1) if l or j == j0]
+        if energies is None:   # the coefficient energies alone
+            tables: dict = {}
+            energies = {pair: (_coefficient_energy(self._row(f, *pair, tables=tables)[3]),)
+                        for pair in pairs}
+        return sum(energies[pair][0] for pair in pairs) / n2
 
 
 # ---------------------------------------------------------------- mask files --

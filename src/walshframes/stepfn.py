@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice
 from types import MappingProxyType
 from typing import Mapping, TextIO
 
@@ -378,14 +377,15 @@ def _modulus_token(cfg: FieldConfig) -> str:
 
 
 def _digit_strings(q: int, h: int) -> tuple[list[str], list[str]]:
-    """For every x < q^h, its base-q digits '.'-joined, most significant
-    first: without leading zeros (empty for 0), and padded to h digits."""
+    """Digits of a cell index high * q^h + low, '.'-joined, most significant first:
+    high_part[high] is high's digits and a '.' ("" for 0), low_part[low + q^h *
+    (high > 0)] low's, padded to h digits after a high part, else unpadded."""
     plain, padded = [""], [""]
     for _ in range(h):
         plain = [f"{a}.{d}" if a else (str(d) if d else "")
                  for a in plain for d in range(q)]
         padded = [f"{a}.{d}" if a else str(d) for a in padded for d in range(q)]
-    return plain, padded
+    return [a + "." if a else "" for a in plain], plain + padded
 
 
 def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
@@ -404,18 +404,19 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
     # a cell index splits into a high and a low half of h digits each at
     # most; both halves are read from tables of q^h digit strings
     h = (k - f.lo + 1) // 2
-    plain, padded = _digit_strings(q, h)
+    high_part, low_part = _digit_strings(q, h)
     nonzero = np.flatnonzero(f.values)
     for start in range(0, nonzero.size, CSV_BLOCK):
         index = nonzero[start:start + CSV_BLOCK]
         value = f.values[index]
-        lengths = digit_count(q, index)
         high, low = np.divmod(index, q ** h)
-        digits = [plain[a] + "." + padded[b] if a else plain[b]
-                  for a, b in zip(high.tolist(), low.tolist())]
-        dest.write("".join(map("{},{},{!r},{!r}\n".format,
-                               map(operator.sub, repeat(k), lengths.tolist()),
-                               digits, value.real.tolist(), value.imag.tolist())))
+        fields = [None] * (5 * index.size)   # the rows' fields, interleaved
+        fields[0::5] = (k - digit_count(q, index)).tolist()
+        fields[1::5] = map(high_part.__getitem__, high.tolist())
+        fields[2::5] = map(low_part.__getitem__, (low + (high > 0) * q ** h).tolist())
+        fields[3::5] = value.real.tolist()
+        fields[4::5] = value.imag.tolist()
+        dest.write("%d,%s%s,%r,%r\n" * index.size % tuple(fields))
 
 
 def _parse(tokens, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -440,25 +441,33 @@ def _parse(tokens, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
     return values, bad
 
 
-def _digits(joined: str) -> tuple[np.ndarray, np.ndarray]:
-    """The '.'-separated digit tokens of joined, read by int. Tokens
-    of 1 to 18 ASCII decimal digits, all a file written by dump_csv holds,
-    are decoded from the bytes in one pass; any other token sends the whole
-    string through _parse."""
-    raw = np.frombuffer(joined.encode("ascii"), np.uint8) if joined.isascii() else None
-    if raw is not None and raw.size:
-        dot = raw == ord(".")
-        ends = np.append(np.flatnonzero(dot), raw.size)   # one past each token
+def _digits(column) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tokens, bad, counts): the '.'-separated digit tokens of each row read
+    by int, row r owning counts[r] of them, and the mask of those int refuses
+    (read as 0). ASCII rows without ',' whose tokens are 1 to 18 decimal
+    digits, all dump_csv writes, are decoded from their ','-joined bytes."""
+    joined = ",".join(column)
+    if column and joined.isascii() and joined.count(",") == len(column) - 1:
+        raw = np.frombuffer(joined.encode("ascii"), np.uint8)
+        code = raw - ord("0")   # below 10 for a decimal digit only
+        sep = np.flatnonzero(code > 9)
+        ends = np.append(sep, raw.size)   # one past each piece
         lengths = np.diff(ends, prepend=-1) - 1
-        if (((raw - ord("0")) < 10) | dot).all() and 1 <= lengths.min() \
-                and lengths.max() <= 18:
-            chars = np.flatnonzero(~dot)
-            token = np.cumsum(dot)[chars]
-            terms = (raw[chars] - ord("0")).astype(np.int64) \
-                * 10 ** (ends[token] - chars - 1)
-            values = np.add.reduceat(terms, ends - lengths - np.arange(ends.size))
-            return values, np.zeros(values.size, dtype=bool)
-    return _parse(joined.split(".") if joined else [], int, np.int64)
+        # a row has one piece more than '.'s; an empty row's one piece is no token
+        first = np.insert(np.flatnonzero(raw[sep] == ord(",")) + 1, 0, 0)
+        pieces = np.diff(first, append=ends.size)
+        empty = (pieces == 1) & (lengths[first] == 0)
+        ends, lengths = np.delete(ends, first[empty]), np.delete(lengths, first[empty])
+        if np.isin(raw[sep], list(b".,")).all() and 1 <= lengths.min(initial=1) \
+                and lengths.max(initial=1) <= 18:
+            values = np.zeros(ends.size, dtype=np.int64)
+            for e in reversed(range(lengths.max(initial=0))):   # e places from the end
+                values = values * 10 + np.where(lengths > e, code[ends - 1 - e], 0)
+            return values, np.zeros(values.size, dtype=bool), pieces - empty
+    counts = np.fromiter((d.count(".") + 1 if d else 0 for d in column), np.int64,
+                         len(column))
+    return (*_parse(".".join(filter(None, column)).split(".") if counts.any() else [],
+                    int, np.int64), counts)
 
 
 def _per_row(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
@@ -471,9 +480,8 @@ def _per_row(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _malformed(row: list[str]) -> ValueError:
+def _malformed(lo: str, digits: str, re: str, im: str) -> ValueError:
     """The error of a malformed row's first bad token, in reading order."""
-    lo, digits, re, im = row
     tokens = [(int, lo), *((int, d) for d in (digits.split(".") if digits else ())),
               (float, re), (float, im)]
     for convert, tok in tokens:
@@ -483,46 +491,77 @@ def _malformed(row: list[str]) -> ValueError:
             return exc
 
 
-def _parse_rows(block: list[list[str]], first_line: int, q: int,
-                resolution: int, cap: int):
-    """The cells of a block of CSV rows, with every check load_csv makes.
+def _split(lines: list[str]):
+    """The four columns of a block that csv.reader reads as line.split(","),
+    or None: plain means no '"', NUL or CR, three ','s on every line (so no
+    blank line), no line past the field limit."""
+    text = "".join(lines)
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    text += "" if text.endswith("\n") else "\n"
+    # a ',' or '\n' byte is that character; a lone surrogate becomes neither
+    raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if raw[at].tobytes() != b",,,\n" * len(lines) \
+            or np.diff(at[3::4], prepend=-1).max(initial=0) > csv.field_size_limit():
+        return None
+    fields = text.replace("\n", ",").split(",")
+    return [fields[0:-1:4], fields[1::4], fields[2::4], fields[3::4]]
 
-    Returns (line, index, amplitude, width) of the rows before the first
-    failing one (blank rows skipped), and that row's InputDataError or None.
-    Within a row the checks run in a fixed order and the first failing one
-    names the error: field count, malformed token, lo against the digit
-    count, digit range, finite amplitude, cell cap. Duplicates span blocks
-    and are left to the caller.
-    """
-    line = first_line + np.arange(len(block))
-    fields = np.fromiter(map(len, block), np.int64, len(block))
-    errors = []   # (line, InputDataError) of the first failing row per check
-    shaped = fields == 4
-    if not shaped.all():
-        wrong = np.flatnonzero(~shaped & (fields != 0))
+
+def _blocks(src: TextIO):
+    """(line numbers, columns, (line, InputDataError) of a wrong field count
+    or of a record csv.reader refuses, or None) of the non-blank rows after
+    the column header, CSV_BLOCK records at a time: split while plain, then
+    read by csv.reader from the first block that is not."""
+    first = 3
+    while lines := list(islice(src, CSV_BLOCK)):
+        if (columns := _split(lines)) is None:
+            break
+        yield first + np.arange(len(lines)), columns, None
+        first += len(lines)
+    rows = csv.reader(chain(lines, src))
+    while True:
+        block, error = [], None
+        try:
+            # extend keeps the rows read before a record the reader refuses
+            block.extend(islice(rows, CSV_BLOCK))
+        except csv.Error as exc:
+            error = (first + len(block), InputDataError(f"line {first + len(block)}: {exc}"))
+        if not block and error is None:
+            return
+        line = first + np.arange(len(block))
+        fields = np.fromiter(map(len, block), np.int64, len(block))
+        wrong = np.flatnonzero((fields != 4) & (fields != 0))
         if wrong.size:
-            r = wrong[0]
-            errors.append((line[r], InputDataError(
-                f"line {line[r]}: expected 4 fields lo,digits,re,im, got {fields[r]}")))
-        block = list(compress(block, shaped))
-        line = line[shaped]
-    m = len(block)
-    lo_tok, digit_tok, re_tok, im_tok = zip(*block) if m else ((),) * 4
-    # lo - resolution, which must be minus the row's digit count
-    offset, bad = _parse(lo_tok, lambda tok: int(tok) - resolution, np.int64)
+            n, got = line[wrong[0]], fields[wrong[0]]
+            error = (n, InputDataError(f"line {n}: expected 4 fields lo,digits,re,im, got {got}"))
+        yield line[fields == 4], list(zip(*compress(block, fields == 4))) or [()] * 4, error
+        first += len(block)
+
+
+def _parse_rows(line: np.ndarray, columns, error, q: int, resolution: int, cap: int):
+    """(line, index, amplitude, width) of a block's rows from _blocks before
+    the first failing one, and the error of that row or of the block, or
+    None. A row's checks run in a fixed order, the first failing one naming
+    the error: field count, malformed token, lo against the digit count,
+    digit range, finite amplitude, cell cap. Duplicates span blocks and are
+    left to the caller."""
+    errors = [] if error is None else [error]
+    lo_tok, digit_tok, re_tok, im_tok = columns
+    m = len(lo_tok)
+    lo, bad = _parse(lo_tok, int, np.int64)
     re, bad_re = _parse(re_tok, float, float)
     im, bad_im = _parse(im_tok, float, float)
     # all digits of the block in one flat array; row r owns
     # digits[starts[r]:starts[r] + counts[r]]
-    counts = (np.fromiter(map(str.count, digit_tok, repeat(".")), np.int64, m)
-              + (np.fromiter(map(len, digit_tok), np.int64, m) > 0))
-    joined = ".".join(filter(None, digit_tok))
-    digits, bad_digit = _digits(joined)
+    digits, bad_digit, counts = _digits(digit_tok)
     starts = np.cumsum(counts) - counts
     row = np.repeat(np.arange(m), counts)
     dist = (starts + counts)[row] - np.arange(row.size)   # 1 for a row's last digit
     bad |= bad_re | bad_im | _per_row(np.maximum, bad_digit, starts, counts)
-    lo_wrong = offset != -counts
+    # |resolution| stays below 1100 (normal cell measure), so this cannot wrap
+    lo_wrong = lo != resolution - counts
     out_of_range = _per_row(np.maximum, (digits < 0) | (digits >= q), starts, counts)
     nonfinite = ~(np.isfinite(re) & np.isfinite(im))
     # digits from the leading nonzero one: the first nonzero is farthest from the end
@@ -533,12 +572,12 @@ def _parse_rows(block: list[list[str]], first_line: int, q: int,
         r = int(np.argmax(failed))
         n = line[r]
         if bad[r]:
-            exc = _malformed(block[r])
+            exc = _malformed(*(column[r] for column in columns))
             error = InputDataError(f"line {n}: malformed row ({exc})")
             error.__cause__ = exc
         elif lo_wrong[r]:
             error = InputDataError(
-                f"line {n}: digits from lo = {int(block[r][0])} do not end at "
+                f"line {n}: digits from lo = {int(lo_tok[r])} do not end at "
                 f"resolution {resolution}")
         elif out_of_range[r]:
             error = InputDataError(f"line {n}: digit out of range [0, {q})")
@@ -609,36 +648,22 @@ def load_csv(src: str | TextIO) -> StepFunction:
     if not np.finfo(float).smallest_normal <= measure < math.inf:
         raise InputDataError(f"line 1: resolution {resolution} gives cells of "
                              f"measure {q}^{-resolution}, outside the normal floats")
-    rows = csv.reader(src)
-    if next(rows, None) != ["lo", "digits", "re", "im"]:
+    if next(csv.reader(src), None) != ["lo", "digits", "re", "im"]:
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
-    lines, indices = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    amplitudes = [np.zeros(0, dtype=complex)]
-    width, next_line, error = 0, 3, None
-    while error is None:
-        block = []
-        try:
-            # extend keeps the rows read before a row the reader refuses
-            block.extend(islice(rows, CSV_BLOCK))
-        except csv.Error as exc:
-            error = InputDataError(f"line {next_line + len(block)}: {exc}")
-        if not block:
+    parsed, error = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex), 0)], None
+    for block in _blocks(src):
+        *cells, error = _parse_rows(*block, q, resolution, cap)
+        parsed.append(cells)
+        if error is not None:
             break
-        line, index, amplitude, w, row_error = _parse_rows(
-            block, next_line, q, resolution, cap)
-        lines.append(line)
-        indices.append(index)
-        amplitudes.append(amplitude)
-        width = max(width, w)
-        next_line += len(block)
-        error = row_error or error
+    lines, indices, amplitudes, widths = zip(*parsed)
     index = np.concatenate(indices)
     duplicate = _first_duplicate(index, np.concatenate(lines))
     if duplicate is not None:
         raise InputDataError(f"line {duplicate}: duplicate representative")
     if error is not None:
         raise error
-    values = np.zeros(q ** width, dtype=complex)
+    values = np.zeros(q ** max(widths), dtype=complex)
     values[index] = np.concatenate(amplitudes)
-    return StepFunction(cfg, resolution, values, resolution - width)
+    return StepFunction(cfg, resolution, values, resolution - max(widths))

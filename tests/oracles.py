@@ -234,7 +234,13 @@ def load_csv(src):
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cells = {}
     width = 0
-    for lineno, row in enumerate(rows, start=3):
+    for lineno in itertools.count(3):
+        try:
+            row = next(rows)
+        except StopIteration:
+            break
+        except csv.Error as exc:   # e.g. a NUL before Python 3.11
+            raise InputDataError(f"line {lineno}: {exc}") from exc
         if not row:
             continue
         if len(row) != 4:

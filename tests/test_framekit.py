@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -427,6 +428,28 @@ def test_frame_ratio_nonuniform_doubles():
         an = FrameAnalyzer(sys, derive_generators(sys, 3))
         f = random_domain_step(F2, 3, rng)
         assert an.frame_ratio(f, 0, 3) == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("system, res, j0", [
+    (haar_system, 3, 0), (fourier3_system, 2, 0), (fourier3_system, 2, -1),
+    (lambda: nonuniform_system(5), 3, 0)])
+def test_frame_ratio_without_energies_reads_coefficients_only(system, res, j0):
+    # no projection is materialized (np.bincount may not run), and the ratio
+    # equals the one read from shared energies bit for bit, for a block and
+    # for one function
+    sys = system()
+    gens = derive_generators(sys, 3)
+    rng = np.random.Generator(np.random.PCG64(511))
+    n = sys.field.q ** res
+    block = StepFunction(sys.field, res, rng.standard_normal((3, n))
+                         + 1j * rng.standard_normal((3, n)))
+    for f in (block, StepFunction(sys.field, res, block.values[1])):
+        an = FrameAnalyzer(sys, gens)
+        want = an.frame_ratio(f, j0, res, energies=an.energies(f, j0, res))
+        with mock.patch.object(np, "bincount", side_effect=AssertionError("bincount")):
+            got = FrameAnalyzer(sys, gens).frame_ratio(f, j0, res)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_frame_ratio_rejects_zero():

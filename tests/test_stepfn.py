@@ -379,13 +379,31 @@ def _corrupt(row, kind, q):
     if kind == "wide":
         return ",".join((str(int(lo) - 70), ".".join(["1"] + ["0"] * 69)
                          + ("." + digits if digits else ""), re, im))
+    # the kinds below make a block that is not plain, read by csv.reader
+    if kind == "quoted digits":
+        return ",".join((lo, f'"{digits}"', re, im))
+    if kind == "quoted newline":   # one record on two lines; float() strips the newline
+        return ",".join((lo, digits, re, f'"{im}\n"'))
+    if kind == "crlf":
+        return row + "\r"
+    if kind == "inner cr":   # csv refuses a CR inside an unquoted field
+        return ",".join((lo, digits + "\r", re, im))
+    if kind == "whitespace line":
+        return " \t"
+    if kind == "nul":   # csv refuses it before Python 3.11, int() after
+        return ",".join((lo + "\0", digits, re, im))
+    if kind == "underscored lo":   # int() accepts it: the row stays valid
+        sign = "-" if lo.startswith("-") else ""
+        return ",".join((sign + "0_" + lo.lstrip("-"), digits, re, im))
     raise ValueError(kind)
 
 
+READER_CORRUPTIONS = ("quoted digits", "quoted newline", "crlf", "inner cr",
+                      "whitespace line", "nul", "underscored lo")
 CORRUPTIONS = ("extra field", "missing field", "bad lo", "empty digit",
                "spaced digit", "bad re", "bad im", "lo", "huge lo",
                "digit range", "negative digit", "huge digit", "nan", "inf",
-               "wide", "duplicate")
+               "wide", "duplicate") + READER_CORRUPTIONS
 
 
 @CSV_EXAMPLES
@@ -470,6 +488,81 @@ def test_load_csv_reports_row_past_first_block(kind):
     new, old = _load_both(text, stepfn.CSV_BLOCK)
     assert new == old
     assert new.startswith("line 5001: ")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
+@pytest.mark.parametrize("kind", READER_CORRUPTIONS)
+def test_load_csv_hands_blocks_that_are_not_plain_to_the_reader(kind, block):
+    # the first corrupted row ends the block of raw lines it starts in, so a
+    # quoted newline runs across a block boundary; a later plain row must
+    # still name its error at its record number
+    lines = _big_file()[:block + 50]
+    lines[block + 1] = _corrupt(lines[block + 1], kind, 2)
+    lines[block + 40] = _corrupt(lines[block + 40], "lo", 2)
+    new, old = _load_both("\n".join(lines) + "\n", block)
+    assert new == old
+    assert isinstance(new, str)
+
+
+@pytest.mark.parametrize("digits", [
+    "", "0", "1.0.1", "0.0.0.1", "01.1", "0" * 17 + "1", "0" * 18 + "1", "1" * 18,
+    "1..1", ".", "1.", ".1", "+1", "-0", " 1", "1_0", "\u0661", "1,0"])
+def test_load_csv_reads_digit_strings_like_int(digits):
+    # among plain rows, so that the digits are decoded from the block's bytes
+    # unless the string itself needs int()
+    lo = 2 - (digits.count(".") + 1 if digits else 0)
+    field = f'"{digits}"' if "," in digits else digits
+    text = ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=2\n"
+            f"lo,digits,re,im\n1,1,1.0,0.0\n{lo},{field},2.0,0.5\n0,1.1,3.0,0.0\n")
+    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    assert new == old
+
+
+@pytest.mark.parametrize("field", range(4))
+def test_load_csv_reads_a_lone_surrogate_like_the_reader(field):
+    # a file read with errors="surrogateescape" holds one for each byte that
+    # is not UTF-8
+    lines = _big_file()[:60]
+    row = lines[20].split(",")
+    row[field] += "\udcff"
+    lines[20] = ",".join(row)
+    new, old = _load_both("\n".join(lines) + "\n", 7)
+    assert new == old
+    assert new.startswith("line 21: malformed row")
+
+
+def test_load_csv_reports_a_record_the_reader_refuses_like_the_row_reader():
+    lines = _big_file()[:60]
+    lines[20] += "0" * 200_000   # a field past csv.field_size_limit()
+    new, old = _load_both("\n".join(lines) + "\n", 7)
+    assert new == old
+    assert new.startswith("line 21: field larger than field limit")
+
+
+def test_load_csv_reads_crlf_file_like_the_reader():
+    text = "\r\n".join(_big_file()[:3000]) + "\r\n"
+    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    assert new == old
+    assert not isinstance(new, str)
+
+
+def test_full_size_csv_round_trip_is_byte_identical():
+    # 65,536 rows over GF(4) at resolution 8: 16 blocks, each amplitude
+    # part from SPECIAL or a standard normal, no zero cell
+    rng = np.random.default_rng(2024)
+    n = 4 ** 8
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    values.real[:len(SPECIAL)] = SPECIAL
+    f = StepFunction(FieldConfig(2, 2, (1, 1, 1)), 8, values)
+    text = _oracle_text(f)
+    assert text.count("\n") == n + 2 and n == 16 * stepfn.CSV_BLOCK
+    g = load_csv(io.StringIO(text))
+    buf = io.StringIO()
+    dump_csv(g, buf)
+    assert buf.getvalue() == text
+    old = oracles.load_csv(io.StringIO(text))
+    assert (g.resolution, g.lo) == (old.resolution, old.lo) == (8, 0)
+    assert g.values.tobytes() == old.values.tobytes() == values.tobytes()
 
 
 def test_load_csv_reports_duplicate_across_blocks():
