@@ -15,15 +15,20 @@ q as sum_i b_i q^i, u(n) = sum_i gf(b_i) * t^(-1-i) where gf(b) is the
 scalar with base-p digit vector of b. u is injective, u(0) = 0, and
 u(r q^k + s) = u(r) t^(-k) + u(s) for s < q^k.
 
+The digit codec of every module, cell_digits / cell_index / digit_count,
+numbers a cell of B^lo / B^k by the integer whose base-q digit k-1-e is the
+cell's digit at exponent e: u(n) is the cell of index n at resolution 0.
+
 The additive character chi is trivial on D and is evaluated from the
 zeta_0-coordinate a of the coefficient at exponent -1: chi(x) =
-exp(2*pi*i*a/p), read from a precomputed table of p-th roots of unity.
+exp(2*pi*i*a/p), read from the table of p-th roots of unity.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from itertools import product
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -36,7 +41,10 @@ __all__ = [
     "FieldElement",
     "LambdaIndex",
     "SystemConfig",
+    "cell_digits",
+    "cell_index",
     "chi",
+    "digit_count",
     "embed_integer",
     "uindex",
     "uindex_inverse",
@@ -52,14 +60,7 @@ NORMALIZATIONS = ("unitary", "qn")
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
@@ -77,22 +78,21 @@ def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
 class FieldConfig:
     """Parameters and lookup tables for GF(q) and the field K = GF(q)((t)).
 
-    Immutable; hashable on (p, c, modulus). All scalar arithmetic goes
-    through precomputed q x q tables, held as tuples for scalars and as
-    read-only arrays (add_table, mul_table, root_table) for table code.
+    Immutable; hashable on (p, c, modulus). All scalar arithmetic reads
+    precomputed read-only arrays: add_table and mul_table (q x q),
+    neg_table and inv_table (q; inv_table[0] is 0) and root_table (the p-th
+    roots of unity). The scalar gf_* methods return Python ints.
     """
 
-    __slots__ = ("p", "c", "q", "modulus", "roots", "add_table", "mul_table",
-                 "root_table", "_add", "_mul", "_inv", "_neg", "_key")
+    __slots__ = ("p", "c", "q", "modulus", "add_table", "mul_table",
+                 "neg_table", "inv_table", "root_table", "_key")
 
     def __init__(self, p: int, c: int = 1, modulus: Iterable[int] | None = None):
         if not isinstance(p, int) or not _is_prime(p):
             raise ConfigError(f"p must be prime, got {p!r}")
         if not isinstance(c, int) or c < 1:
             raise ConfigError(f"c must be a positive integer, got {c!r}")
-        self.p = p
-        self.c = c
-        self.q = p ** c
+        self.p, self.c, self.q = p, c, p ** c
         if c == 1:
             self.modulus = None
             if modulus is not None:
@@ -112,90 +112,66 @@ class FieldConfig:
             if modulus[-1] != 1:
                 raise ConfigError("modulus must be monic")
             self.modulus = modulus
-            self._check_irreducible()
-        self._build_tables()
-        if p == 2:
-            # representable exactly; keeps binary character sums float-exact
-            self.roots = (1 + 0j, -1 + 0j)
-        else:
-            self.roots = tuple(cmath.exp(2j * math.pi * a / p) for a in range(p))
-        self.add_table, self.mul_table, self.root_table = (
-            np.array(t) for t in (self._add, self._mul, self.roots))
-        for table in (self.add_table, self.mul_table, self.root_table):
+            # trial division by every monic polynomial of degree <= c/2
+            for deg in range(1, c // 2 + 1):
+                for g in product(range(p), repeat=deg):
+                    if not any(_poly_rem(list(modulus), g + (1,), p)):
+                        raise ConfigError(
+                            f"modulus {modulus} is reducible over GF({p})")
+        # the p = 2 roots are exact, which keeps binary character sums float-exact
+        roots = ((1 + 0j, -1 + 0j) if p == 2
+                 else [cmath.exp(2j * math.pi * a / p) for a in range(p)])
+        tables = [np.array(t) for t in (*self._scalar_tables(), roots)]
+        for table in tables:
             table.flags.writeable = False
+        self.add_table, self.mul_table, self.neg_table, self.inv_table, self.root_table = tables
         self._key = (self.p, self.c, self.modulus)
 
-    def _check_irreducible(self) -> None:
-        # trial division by every monic polynomial of degree <= c/2
+    def _scalar_tables(self) -> tuple:
+        """GF(q)'s add, mul, neg and inv tables by polynomial arithmetic."""
         p, c = self.p, self.c
-        for deg in range(1, c // 2 + 1):
-            for idx in range(p ** deg):
-                g = self._int_digits(idx, deg) + (1,)
-                if not any(_poly_rem(list(self.modulus), g, p)):
-                    raise ConfigError(
-                        f"modulus {self.modulus} is reducible over GF({p})")
+        digits = [self.gf_digits(a) for a in range(self.q)]
+        undig = {ds: a for a, ds in enumerate(digits)}.__getitem__
 
-    def _int_digits(self, n: int, width: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(width):
-            n, d = divmod(n, self.p)
-            out.append(d)
-        return tuple(out)
+        def times(da, db):
+            prod = [0] * (2 * c - 1)
+            for i, x in enumerate(da):
+                for j, y in enumerate(db):
+                    prod[i + j] += x * y
+            return undig(tuple(_poly_rem(prod, self.modulus, p) if c > 1 else [prod[0] % p]))
 
-    def _build_tables(self) -> None:
-        p, c, q = self.p, self.c, self.q
-        digits = [self._int_digits(a, c) for a in range(q)]
-        undig = self.gf_from_digits
-        self._add = tuple(
-            tuple(undig([(x + y) % p for x, y in zip(digits[a], digits[b])])
-                  for b in range(q))
-            for a in range(q))
-        self._neg = tuple(undig([(-x) % p for x in digits[a]]) for a in range(q))
-        mul = []
-        for a in range(q):
-            row = []
-            for b in range(q):
-                prod = [0] * (2 * c - 1)
-                for i, x in enumerate(digits[a]):
-                    for j, y in enumerate(digits[b]):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-                if c > 1:
-                    prod = _poly_rem(prod, self.modulus, p)
-                row.append(undig(prod[:c]))
-            mul.append(tuple(row))
-        self._mul = tuple(mul)
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._mul[a].index(1)
-        self._inv = tuple(inv)
+        add = [[undig(tuple((x + y) % p for x, y in zip(da, db))) for db in digits]
+               for da in digits]
+        mul = [[times(da, db) for db in digits] for da in digits]
+        neg = [undig(tuple(-x % p for x in da)) for da in digits]
+        inv = [0] + [row.index(1) for row in mul[1:]]
+        return add, mul, neg, inv
 
     # -- scalar arithmetic ------------------------------------------------
 
     def gf_add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        return self.add_table.item(a, b)
 
     def gf_neg(self, a: int) -> int:
-        return self._neg[a]
+        return self.neg_table.item(a)
 
     def gf_mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul_table.item(a, b)
 
     def gf_inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(q)")
-        return self._inv[a]
+        return self.inv_table.item(a)
 
     def gf_digits(self, a: int) -> tuple[int, ...]:
-        return self._int_digits(a, self.c)
+        """a's power-basis coordinates, low to high: the digits of u(a) over GF(p)."""
+        return tuple(d for _, d in cell_digits(self.p, a, 0, -self.c))[::-1]
 
     def gf_from_digits(self, ds: Iterable[int]) -> int:
-        ds = list(ds)
+        ds = [d % self.p for d in ds]
         if len(ds) != self.c:
             raise ValueError(f"need exactly {self.c} digits")
-        n = 0
-        for d in reversed(ds):
-            n = n * self.p + d % self.p
-        return n
+        return cell_index(self.p, zip(range(-self.c, 0), reversed(ds)), 0)
 
     def zeta0(self, a: int) -> int:
         """Coordinate of a on the basis element 1 (used by the character)."""
@@ -306,10 +282,7 @@ class FieldElement:
         return float(self.cfg.q) ** (-self.terms[0][0])
 
     def coefficient(self, exponent: int) -> int:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return 0
+        return dict(self.terms).get(exponent, 0)
 
     def truncate(self, k: int) -> "FieldElement":
         """Keep exponents < k: the canonical representative mod B^k."""
@@ -349,34 +322,58 @@ class FieldElement:
 def chi(x: FieldElement) -> complex:
     """Additive character of K: exp(2*pi*i*a/p) with a the zeta_0 coordinate
     of the coefficient at exponent -1. Trivial on D, nontrivial on B^(-1)."""
-    return x.cfg.roots[x.cfg.zeta0(x.coefficient(-1))]
+    return x.cfg.root_table.item(x.cfg.zeta0(x.coefficient(-1)))
 
 
-# ------------------------------------------------------------------ uindex --
+# ------------------------------------------------------------ digit codec --
+
+def cell_digits(q: int, index, resolution: int, lo: int):
+    """(exponent e, digit at e) of the cells with the given table indices
+    (an int or an array) over B^lo / B^resolution, ascending in e and made
+    one at a time: base-q digit resolution-1-e of the index."""
+    return ((e, index // q ** (resolution - 1 - e) % q) for e in range(lo, resolution))
+
+
+def cell_index(q: int, digits, resolution: int, out=None):
+    """Table index at resolution of the cells with digit d at exponent e for
+    each (e, d) of digits, ascending in e and below resolution (every other
+    digit is 0). Horner's rule: given out (an array), the index accumulates
+    in place there, and only the digit being added is alive beside it."""
+    index, last = (0 if out is None else out), resolution - 1
+    for e, d in digits:
+        index *= q ** max(e - last, 0)   # 1 before the first digit
+        index += d
+        last = e
+    index *= q ** (resolution - 1 - last)
+    return index
+
+
+def digit_count(q: int, index):
+    """Base-q digit count of a table index (an int), or of each index of an
+    array: the exponents from a cell's leading nonzero digit to the resolution."""
+    if isinstance(index, np.ndarray):
+        top = digit_count(q, int(index.max(initial=0)))
+        return np.searchsorted(q ** np.arange(top, dtype=np.int64), index, side="right")
+    count = 0
+    while index:
+        index //= q
+        count += 1
+    return count
+
 
 def uindex(cfg: FieldConfig, n: int) -> FieldElement:
-    """The n-th coset representative of D: base-q digits of n placed at
-    exponents -1, -2, ... as GF(q) scalars."""
+    """The n-th coset representative of D: base-q digit i of n placed at
+    exponent -1-i as a GF(q) scalar, i.e. the cell of index n at resolution 0."""
     if n < 0:
         raise ValueError("uindex is defined on nonnegative integers")
-    terms = {}
-    e = -1
-    while n:
-        n, b = divmod(n, cfg.q)
-        if b:
-            terms[e] = b
-        e -= 1
-    return FieldElement(cfg, terms)
+    return FieldElement(cfg, dict(cell_digits(cfg.q, n, 0, -digit_count(cfg.q, n))))
 
 
 def uindex_inverse(x: FieldElement) -> int:
     """Recover n from u(n); the element must have exponents < 0 only."""
     if any(e >= 0 for e, _ in x.terms):
         raise ValueError("not a lattice representative: nonnegative exponents")
-    n = 0
-    for e, c in x.terms:
-        n += c * x.cfg.q ** (-e - 1)
-    return n
+    return cell_index(x.cfg.q, x.terms, 0)
 
 
 def embed_integer(cfg: FieldConfig, n: int) -> int:

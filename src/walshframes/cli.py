@@ -1,15 +1,17 @@
 """Command line front end.
 
 Exit codes: 0 all checks passed, 1 a check computed a failing verdict,
-2 configuration error, 3 input data error. Reports go to --out when given,
-otherwise to stdout, and are byte-identical across runs with equal inputs.
+2 configuration error or an unwritable --out, 3 input data error. Reports
+go to --out when given, otherwise to stdout, and are byte-identical across
+runs with equal inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .errors import ConfigError, InputDataError, WalshFramesError
@@ -72,11 +74,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _writing(path: str | None):
+    """An OSError in the block is an output that cannot be written (exit 2):
+    --out, or stdout without one, whose reader may have left (`| head`)."""
+    try:
+        yield
+    except OSError as exc:
+        if path is None:   # else the flush at exit fails once more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise WalshFramesError(f"cannot write {path or '<stdout>'!r}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
-    with open(out_path, "w") as fh:
+    with _writing(out_path), open(out_path, "w") as fh:
         fh.write(text)
 
 
@@ -98,9 +112,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise InputDataError(f"cannot read {args.input!r}: {exc}") from exc
         g = fast_transform(f) if args.direction == "forward" \
             else fast_inverse_transform(f)
-        buf = io.StringIO()
-        dump_csv(g, buf)
-        _emit(buf.getvalue(), args.out)
+        with _writing(args.out):
+            dump_csv(g, sys.stdout if args.out is None else args.out)
         return 0
 
     if args.command == "verify":
@@ -117,7 +130,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "dump-wavelets":
         rc = RunConfig.load(args.config, mode=args.mode)
-        sys.stdout.write(render_report(dump_wavelets_report(rc, args.out)))
+        with _writing(args.out):
+            report = dump_wavelets_report(rc, args.out)
+        sys.stdout.write(render_report(report))
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

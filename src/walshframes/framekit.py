@@ -29,16 +29,16 @@ from .algebra import (
     FieldElement,
     LambdaIndex,
     SystemConfig,
+    cell_digits,
+    cell_index,
     chi,
+    digit_count,
 )
 from .errors import ConfigError, DegenerateInput, InputDataError, NotNormalized
 from .harmonic import character_table, fast_inverse_transform
 from .stepfn import (
     StepFunction,
-    cell_digits,
-    cell_index,
     cell_integrals,
-    digit_count,
     dilate,
     periodize,
     prune,

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FieldConfig, FieldElement
-from .stepfn import StepFunction, cell_digits
+from .algebra import FieldConfig, FieldElement, cell_digits
+from .stepfn import StepFunction
 
 __all__ = [
     "character_table",

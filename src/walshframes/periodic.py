@@ -14,10 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import LambdaIndex
+from .algebra import LambdaIndex, cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
 from .framekit import MemberBank, system_member, translation_digits
-from .stepfn import StepFunction, cell_index, cell_integrals, periodize
+from .stepfn import StepFunction, cell_integrals, periodize
 
 __all__ = [
     "PeriodicSystemSpec",

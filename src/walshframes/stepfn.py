@@ -18,9 +18,10 @@ back, and the CSV format stores one row per nonzero cell. CELL_CAP bounds
 the windows that input files and run configurations may ask for.
 
 The table is the digit group of the window, which harmonic's
-Vilenkin-Chrestenson transform runs over. cell_digits, cell_index and
-digit_count are the one codec between its indices and digits, for every
-module; at resolution 0 the cell of u(n) has index n.
+Vilenkin-Chrestenson transform runs over. The codec between its indices
+and digits is algebra's cell_digits, cell_index and digit_count (exported
+here too), the one that also defines u(n): at resolution 0 the cell of
+u(n) has index n.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Mapping, TextIO
 
 import numpy as np
 
-from .algebra import FieldConfig, FieldElement, SystemConfig
+from .algebra import (FieldConfig, FieldElement, SystemConfig, cell_digits, cell_index,
+                      digit_count)
 from .errors import InputDataError, ResolutionError
 
 __all__ = [
@@ -72,42 +74,6 @@ CELL_CAP = 2 ** 24
 def within_cap(q: int, digits: int) -> bool:
     """Whether a window of q^digits cells stays within CELL_CAP."""
     return digits < 64 and q ** digits <= CELL_CAP
-
-
-# ------------------------------------------------------------ digit codec --
-
-def cell_digits(q: int, index, resolution: int, lo: int):
-    """(exponent e, digit at e) of the cells with the given table indices
-    (an int or an array) over B^lo / B^resolution, ascending in e and made
-    one at a time: base-q digit resolution-1-e of the index."""
-    return ((e, index // q ** (resolution - 1 - e) % q) for e in range(lo, resolution))
-
-
-def cell_index(q: int, digits, resolution: int, out=None):
-    """Table index at resolution of the cells with digit d at exponent e for
-    each (e, d) of digits, ascending in e and below resolution (every other
-    digit is 0). Horner's rule: given out (an array), the index accumulates
-    in place there, and only the digit being added is alive beside it."""
-    index, last = (0 if out is None else out), resolution - 1
-    for e, d in digits:
-        index *= q ** max(e - last, 0)   # 1 before the first digit
-        index += d
-        last = e
-    index *= q ** (resolution - 1 - last)
-    return index
-
-
-def digit_count(q: int, index):
-    """Base-q digit count of a table index (an int), or of each index of an
-    array: the exponents from a cell's leading nonzero digit to the resolution."""
-    if isinstance(index, np.ndarray):
-        top = digit_count(q, int(index.max(initial=0)))
-        return np.searchsorted(q ** np.arange(top, dtype=np.int64), index, side="right")
-    count = 0
-    while index:
-        index //= q
-        count += 1
-    return count
 
 
 def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
@@ -648,7 +614,11 @@ def load_csv(src: str | TextIO) -> StepFunction:
     if not np.finfo(float).smallest_normal <= measure < math.inf:
         raise InputDataError(f"line 1: resolution {resolution} gives cells of "
                              f"measure {q}^{-resolution}, outside the normal floats")
-    if next(csv.reader(src), None) != ["lo", "digits", "re", "im"]:
+    try:
+        columns = next(csv.reader(src), None)
+    except csv.Error as exc:
+        raise InputDataError(f"line 2: {exc}") from exc
+    if columns != ["lo", "digits", "re", "im"]:
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
     parsed, error = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex), 0)], None

@@ -4,6 +4,9 @@ The GF oracle below multiplies polynomials over Z/p by hand and reduces by
 trial division, independently of the table construction in the package.
 """
 
+import cmath
+import functools
+import itertools
 import math
 import random
 
@@ -16,6 +19,7 @@ from walshframes.algebra import (
     FieldElement,
     LambdaIndex,
     SystemConfig,
+    chi,
     embed_integer,
     uindex,
     uindex_inverse,
@@ -433,3 +437,97 @@ def test_uindex_digit_splitting(cfg, k, r, s):
     assert u == uindex(cfg, r).shift(-k) + uindex(cfg, s)
     assert uindex_inverse(u) == n
     assert all(e < 0 for e, _ in u.terms)
+
+
+# ------------------------------------------- tables on random moduli --
+
+def _has_root(modulus, p):
+    return any(sum(m * x ** i for i, m in enumerate(modulus)) % p == 0
+               for x in range(p))
+
+
+# a polynomial of degree 2 or 3 is irreducible exactly when it has no root
+IRREDUCIBLE = {
+    (p, c): [low + (1,) for low in itertools.product(range(p), repeat=c)
+             if not _has_root(low + (1,), p)]
+    for p in (2, 3, 5, 7) for c in (2, 3)}
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, c, modulus):
+    return FieldConfig(p, c, modulus)
+
+
+@st.composite
+def random_fields(draw):
+    """GF(p^c) for p in {2, 3, 5}, c <= 3, on a random monic irreducible
+    modulus."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    c = draw(st.sampled_from((1, 2, 3)))
+    return _field(p, c, None if c == 1 else draw(st.sampled_from(IRREDUCIBLE[(p, c)])))
+
+
+@pytest.mark.parametrize("p, c", itertools.product((2, 3, 5, 7), (1, 2, 3)))
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_tables_match_polynomial_arithmetic_on_random_moduli(p, c, data):
+    cfg = _field(p, c, None if c == 1 else data.draw(st.sampled_from(IRREDUCIBLE[(p, c)])))
+    q = cfg.q
+    rows = data.draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=6))
+    for a in rows:
+        da = _digits(a, p, c)
+        for b in range(q):
+            db = _digits(b, p, c)
+            assert cfg.add_table[a, b] == _undigits(
+                [(x + y) % p for x, y in zip(da, db)], p)
+            assert cfg.mul_table[a, b] == oracle_gf_mul(a, b, p, c, cfg.modulus)
+    for a in range(q):
+        assert cfg.neg_table[a] == _undigits([-x % p for x in _digits(a, p, c)], p)
+        # the inverse is unique, so the product with it decides it
+        if a:
+            assert oracle_gf_mul(a, cfg.inv_table[a], p, c, cfg.modulus) == 1
+    assert cfg.inv_table[0] == 0
+    for a in range(p):
+        assert abs(cfg.root_table[a] - cmath.exp(2j * math.pi * a / p)) <= 1e-15
+    if p == 2:
+        assert cfg.root_table.tolist() == [1, -1]
+
+
+RANDOM_FIELDS = settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+
+
+@RANDOM_FIELDS
+@given(random_fields(), st.data())
+def test_tables_are_read_only_and_scalars_are_python_ints(cfg, data):
+    a, b = (data.draw(st.integers(0, cfg.q - 1)) for _ in range(2))
+    tables = (cfg.add_table, cfg.mul_table, cfg.neg_table, cfg.inv_table,
+              cfg.root_table)
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0
+    assert [table.shape for table in tables] == [
+        (cfg.q, cfg.q), (cfg.q, cfg.q), (cfg.q,), (cfg.q,), (cfg.p,)]
+    values = [cfg.gf_add(a, b), cfg.gf_mul(a, b), cfg.gf_neg(a)]
+    if a:
+        values.append(cfg.gf_inv(a))
+    assert all(type(v) is int for v in values)
+    assert type(chi(cfg.monomial(a, -1))) is complex
+    assert all(type(d) is int for d in cfg.gf_digits(a))
+    assert type(cfg.gf_from_digits(cfg.gf_digits(a))) is int
+
+
+@RANDOM_FIELDS
+@given(random_fields(), st.integers(0, 6), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+def test_uindex_places_base_q_digit_i_at_exponent_minus_1_minus_i(cfg, k, r, s):
+    q = cfg.q
+    s %= q ** k
+    n = r * q ** k + s
+    u = uindex(cfg, n)
+    assert u == uindex(cfg, r).shift(-k) + uindex(cfg, s)
+    # n < (10^6 + 1) q^6 has at most 27 base-q digits
+    digits = _digits(n, q, 40)
+    assert [u.coefficient(-1 - i) for i in range(40)] == digits
+    assert all(-40 <= e < 0 for e, _ in u.terms)
+    assert uindex_inverse(u) == n and type(uindex_inverse(u)) is int

@@ -1,16 +1,20 @@
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import walshframes
 from walshframes.algebra import FieldConfig
 from walshframes.cli import main
 from walshframes.errors import ConfigError
 from walshframes.framekit import FrameAnalyzer, derive_generators
 from walshframes.periodic import PeriodicSystemSpec, periodic_tightness_check
 from walshframes.runner import RunConfig, _table_digits, suite_functions
-from walshframes.stepfn import CELL_CAP, dump_csv, from_cells, load_csv
+from walshframes.stepfn import CELL_CAP, StepFunction, dump_csv, from_cells, load_csv
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -227,6 +231,54 @@ def test_transform_roundtrip(tmp_path):
     assert load_csv(back).allclose(f, 1e-12)
 
 
+def _transform_input(tmp_path, resolution):
+    cfg = FieldConfig(2, 2)
+    rng = np.random.default_rng(1)
+    values = np.array([1, 1j]) @ rng.standard_normal((2, 4 ** resolution))
+    src = str(tmp_path / "f.csv")
+    dump_csv(StepFunction(cfg, resolution, values), src)
+    return src
+
+
+def test_transform_writes_the_same_bytes_to_stdout_and_out(tmp_path, capsys):
+    src = _transform_input(tmp_path, 4)
+    out = tmp_path / "fhat.csv"
+    for direction in ("forward", "inverse"):
+        assert run(["transform", src, "--direction", direction]) == 0
+        printed = capsys.readouterr().out
+        assert run(["transform", src, "--direction", direction,
+                    "--out", str(out)]) == 0
+        assert printed.encode() == out.read_bytes()
+
+
+def test_transform_does_not_hold_its_output_twice(tmp_path):
+    # 65,536 cells give about 4 MB of CSV; a copy of it in memory beside the
+    # one being written doubles the peak
+    src = _transform_input(tmp_path, 8)
+    out = tmp_path / "fhat.csv"
+    tracemalloc.start()
+    try:
+        assert run(["transform", src, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.stat().st_size
+
+
+def test_transform_into_a_closed_pipe_exits_2_without_traceback(tmp_path):
+    # about 240 KB of CSV: more than a pipe holds, so writing outlives the reader
+    src = _transform_input(tmp_path, 6)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(walshframes.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "walshframes.cli", "transform", src],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"# walshframes-stepfn v1")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: cannot write '<stdout>': [Errno 32] Broken pipe\n"
+
+
 def test_transform_malformed_row_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -379,6 +431,20 @@ def test_transform_refuses_field_above_reader_limit(tmp_path, capsys, first,
 _CSV_HEAD = "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
 
 
+@pytest.mark.parametrize("column_header, message", [
+    # the csv module refuses a field past its size limit
+    ("lo,digits,re," + "1" * 200_000, "line 2: field larger than field limit"),
+    # Python 3.10's csv refuses a NUL; later ones read a wrong header
+    ("lo,digits,re,i\0m", "line 2: "),
+], ids=["field-limit", "nul"])
+def test_transform_refuses_bad_column_header_line(tmp_path, capsys, column_header,
+                                                  message):
+    path = tmp_path / "bad.csv"
+    path.write_text(_CSV_HEAD + column_header + "\n0,1,1.0,0.0\n")
+    assert run(["transform", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("text, line", [
     # the magic line alone used to load as the zero function
     (_CSV_HEAD, "line 2"),
@@ -441,6 +507,23 @@ def test_dump_wavelets(tmp_path):
     for name in names:
         g = load_csv(os.path.join(out_dir, name))
         assert g.norm2() == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------------ unwritable --out --
+
+@pytest.mark.parametrize("command", [
+    "field-info", "uindex", "verify", "periodic", "transform", "dump-wavelets"])
+def test_unwritable_out_is_exit_2(tmp_path, capsys, command):
+    # a path below a regular file cannot be created, whatever the user
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    if command == "transform":
+        args = [command, _transform_input(tmp_path, 2)]
+    else:
+        args = [command, "--config", write_cfg(tmp_path, "haar_q2.masks", 2)]
+    assert run(args + ["--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out!r}: ")
 
 
 # ----------------------------------------------------- config errors --

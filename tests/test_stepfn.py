@@ -804,7 +804,6 @@ def test_field_array_tables_match_scalar_arithmetic(cfg):
         for b in range(q):
             assert cfg.add_table[a, b] == cfg.gf_add(a, b)
             assert cfg.mul_table[a, b] == cfg.gf_mul(a, b)
-    assert cfg.root_table.tolist() == list(cfg.roots)
     for table in (cfg.add_table, cfg.mul_table, cfg.root_table):
         with pytest.raises(ValueError):
             table[0] = 1
