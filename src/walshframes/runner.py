@@ -66,6 +66,9 @@ TAIL_TOL = 1e-12
 # check their 100 functions in one block (two for periodic on fourier_q3).
 SUITE_BLOCK = 2 ** 14
 MAX_SEED = 2 ** 64
+# Largest uindex count: every report row, about 1.5 KB, is held until the
+# report is written, so a table at the cap adds about 25 MB of peak memory.
+UINDEX_CAP = 2 ** 14
 # every section and option a run configuration may hold (configparser
 # lowercases option names)
 CONFIG_OPTIONS = {
@@ -352,8 +355,9 @@ def _uindex_rows(cfg: FieldConfig, count: int) -> list[dict]:
 
 
 def uindex_report(rc: RunConfig, count: int) -> dict:
-    if count < 1:
-        raise ConfigError(f"need a positive enumeration count, got {count}")
+    if not 1 <= count <= UINDEX_CAP:
+        raise ConfigError(f"need an enumeration count in [1, UINDEX_CAP = {UINDEX_CAP}], "
+                          f"got {count}")
     return {
         "version": __version__,
         "command": "uindex",

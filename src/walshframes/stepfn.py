@@ -26,9 +26,10 @@ u(n) has index n.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from types import MappingProxyType
 from typing import Mapping, TextIO
 
@@ -385,76 +386,31 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
         dest.write("%d,%s%s,%r,%r\n" * index.size % tuple(fields))
 
 
-def _parse(tokens, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """convert(token) for every token as an array of dtype, and the mask of
-    the tokens convert refuses (read as 0)."""
-    try:
-        return (np.fromiter(map(convert, tokens), dtype, len(tokens)),
-                np.zeros(len(tokens), dtype=bool))
-    except (ValueError, OverflowError):
-        pass
-    values = np.zeros(len(tokens), dtype=dtype)
-    bad = np.zeros(len(tokens), dtype=bool)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = convert(tok)
-        except ValueError:
-            bad[i] = True
-        except OverflowError:
-            # an integer past int64: no digit, and no lo within a row's
-            # digit count of the resolution
-            values[i] = np.iinfo(np.int64).max
-    return values, bad
-
-
-def _digits(column) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(tokens, bad, counts): the '.'-separated digit tokens of each row read
-    by int, row r owning counts[r] of them, and the mask of those int refuses
-    (read as 0). ASCII rows without ',' whose tokens are 1 to 18 decimal
-    digits, all dump_csv writes, are decoded from their ','-joined bytes."""
+def _digits(column):
+    """(digits, counts): the '.'-separated digit tokens of every row as one
+    array, row r owning counts[r] of them, decoded from the rows' ','-joined
+    bytes; None unless every token is 1 to 18 ASCII decimal digits and no
+    row holds a ',', which covers all that dump_csv writes."""
     joined = ",".join(column)
-    if column and joined.isascii() and joined.count(",") == len(column) - 1:
-        raw = np.frombuffer(joined.encode("ascii"), np.uint8)
-        code = raw - ord("0")   # below 10 for a decimal digit only
-        sep = np.flatnonzero(code > 9)
-        ends = np.append(sep, raw.size)   # one past each piece
-        lengths = np.diff(ends, prepend=-1) - 1
-        # a row has one piece more than '.'s; an empty row's one piece is no token
-        first = np.insert(np.flatnonzero(raw[sep] == ord(",")) + 1, 0, 0)
-        pieces = np.diff(first, append=ends.size)
-        empty = (pieces == 1) & (lengths[first] == 0)
-        ends, lengths = np.delete(ends, first[empty]), np.delete(lengths, first[empty])
-        if np.isin(raw[sep], list(b".,")).all() and 1 <= lengths.min(initial=1) \
-                and lengths.max(initial=1) <= 18:
-            values = np.zeros(ends.size, dtype=np.int64)
-            for e in reversed(range(lengths.max(initial=0))):   # e places from the end
-                values = values * 10 + np.where(lengths > e, code[ends - 1 - e], 0)
-            return values, np.zeros(values.size, dtype=bool), pieces - empty
-    counts = np.fromiter((d.count(".") + 1 if d else 0 for d in column), np.int64,
-                         len(column))
-    return (*_parse(".".join(filter(None, column)).split(".") if counts.any() else [],
-                    int, np.int64), counts)
-
-
-def _per_row(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
-             counts: np.ndarray) -> np.ndarray:
-    """ufunc reduced over each row's digits; 0 for a row without digits."""
-    out = np.zeros(counts.size, dtype=values.dtype)
-    has = counts > 0
-    if has.any():
-        out[has] = ufunc.reduceat(values, starts[has])
-    return out
-
-
-def _malformed(lo: str, digits: str, re: str, im: str) -> ValueError:
-    """The error of a malformed row's first bad token, in reading order."""
-    tokens = [(int, lo), *((int, d) for d in (digits.split(".") if digits else ())),
-              (float, re), (float, im)]
-    for convert, tok in tokens:
-        try:
-            convert(tok)
-        except ValueError as exc:
-            return exc
+    if not joined.isascii() or joined.count(",") != len(column) - 1:
+        return None
+    raw = np.frombuffer(joined.encode("ascii"), np.uint8)
+    code = raw - ord("0")   # below 10 for a decimal digit only
+    sep = np.flatnonzero(code > 9)
+    ends = np.append(sep, raw.size)   # one past each piece
+    lengths = np.diff(ends, prepend=-1) - 1
+    # a row has one piece more than '.'s; an empty row's one piece is no token
+    first = np.insert(np.flatnonzero(raw[sep] == ord(",")) + 1, 0, 0)
+    pieces = np.diff(first, append=ends.size)
+    empty = (pieces == 1) & (lengths[first] == 0)
+    ends, lengths = np.delete(ends, first[empty]), np.delete(lengths, first[empty])
+    if not (np.isin(raw[sep], list(b".,")).all() and 1 <= lengths.min(initial=1)
+            and lengths.max(initial=1) <= 18):
+        return None
+    values = np.zeros(ends.size, dtype=np.int64)
+    for e in reversed(range(lengths.max(initial=0))):   # e places from the end
+        values = values * 10 + np.where(lengths > e, code[ends - 1 - e], 0)
+    return values, pieces - empty
 
 
 def _split(lines: list[str]):
@@ -476,15 +432,17 @@ def _split(lines: list[str]):
 
 
 def _blocks(src: TextIO):
-    """(line numbers, columns, (line, InputDataError) of a wrong field count
-    or of a record csv.reader refuses, or None) of the non-blank rows after
-    the column header, CSV_BLOCK records at a time: split while plain, then
-    read by csv.reader from the first block that is not."""
+    """(line numbers, columns, rows, InputDataError of a record csv.reader
+    refuses or None) of the non-blank records after the column header,
+    CSV_BLOCK records at a time: split while plain, then read by csv.reader
+    from the first block that is not. rows are the records; columns are
+    their four columns, or None unless every record has 4 fields and none
+    is refused."""
     first = 3
     while lines := list(islice(src, CSV_BLOCK)):
         if (columns := _split(lines)) is None:
             break
-        yield first + np.arange(len(lines)), columns, None
+        yield first + np.arange(len(lines)), columns, zip(*columns), None
         first += len(lines)
     rows = csv.reader(chain(lines, src))
     while True:
@@ -493,78 +451,85 @@ def _blocks(src: TextIO):
             # extend keeps the rows read before a record the reader refuses
             block.extend(islice(rows, CSV_BLOCK))
         except csv.Error as exc:
-            error = (first + len(block), InputDataError(f"line {first + len(block)}: {exc}"))
+            error = InputDataError(f"line {first + len(block)}: {exc}")
         if not block and error is None:
             return
-        line = first + np.arange(len(block))
-        fields = np.fromiter(map(len, block), np.int64, len(block))
-        wrong = np.flatnonzero((fields != 4) & (fields != 0))
-        if wrong.size:
-            n, got = line[wrong[0]], fields[wrong[0]]
-            error = (n, InputDataError(f"line {n}: expected 4 fields lo,digits,re,im, got {got}"))
-        yield line[fields == 4], list(zip(*compress(block, fields == 4))) or [()] * 4, error
+        line = first + np.flatnonzero(list(map(len, block)))   # of the non-blank records
         first += len(block)
+        block = [row for row in block if row]
+        whole = error is None and all(len(row) == 4 for row in block)
+        yield line, list(zip(*block)) if whole else None, block, error
 
 
-def _parse_rows(line: np.ndarray, columns, error, q: int, resolution: int, cap: int):
-    """(line, index, amplitude, width) of a block's rows from _blocks before
-    the first failing one, and the error of that row or of the block, or
-    None. A row's checks run in a fixed order, the first failing one naming
-    the error: field count, malformed token, lo against the digit count,
-    digit range, finite amplitude, cell cap. Duplicates span blocks and are
-    left to the caller."""
-    errors = [] if error is None else [error]
+def _accept(columns, q: int, resolution: int, cap: int):
+    """(index, amplitude) of a block's rows if every row passes _check, else
+    None. Array passes over the four columns give up at the first sign that
+    a row may fail: a token that int or float refuses or an int past int64,
+    digits the byte decoder does not take, a wrong lo, a digit out of range,
+    a non-finite amplitude or a cell past the cap."""
     lo_tok, digit_tok, re_tok, im_tok = columns
     m = len(lo_tok)
-    lo, bad = _parse(lo_tok, int, np.int64)
-    re, bad_re = _parse(re_tok, float, float)
-    im, bad_im = _parse(im_tok, float, float)
-    # all digits of the block in one flat array; row r owns
-    # digits[starts[r]:starts[r] + counts[r]]
-    digits, bad_digit, counts = _digits(digit_tok)
-    starts = np.cumsum(counts) - counts
+    try:
+        lo = np.fromiter(map(int, lo_tok), np.int64, m)
+        re, im = (np.fromiter(map(float, tok), float, m) for tok in (re_tok, im_tok))
+    except (ValueError, OverflowError):
+        return None
+    if (decoded := _digits(digit_tok)) is None:
+        return None
+    # all digits of the block in one flat array; row r owns the counts[r]
+    # digits that end at ends[r]
+    digits, counts = decoded
+    ends = np.cumsum(counts)
     row = np.repeat(np.arange(m), counts)
-    dist = (starts + counts)[row] - np.arange(row.size)   # 1 for a row's last digit
-    bad |= bad_re | bad_im | _per_row(np.maximum, bad_digit, starts, counts)
+    dist = ends[row] - np.arange(row.size)   # 1 for a row's last digit
     # |resolution| stays below 1100 (normal cell measure), so this cannot wrap
-    lo_wrong = lo != resolution - counts
-    out_of_range = _per_row(np.maximum, (digits < 0) | (digits >= q), starts, counts)
-    nonfinite = ~(np.isfinite(re) & np.isfinite(im))
-    # digits from the leading nonzero one: the first nonzero is farthest from the end
-    width = _per_row(np.maximum, np.where(digits != 0, dist, 0), starts, counts)
-    too_wide = width > cap
-    failed = bad | lo_wrong | out_of_range | nonfinite | too_wide
-    if failed.any():
-        r = int(np.argmax(failed))
-        n = line[r]
-        if bad[r]:
-            exc = _malformed(*(column[r] for column in columns))
-            error = InputDataError(f"line {n}: malformed row ({exc})")
-            error.__cause__ = exc
-        elif lo_wrong[r]:
-            error = InputDataError(
-                f"line {n}: digits from lo = {int(lo_tok[r])} do not end at "
-                f"resolution {resolution}")
-        elif out_of_range[r]:
-            error = InputDataError(f"line {n}: digit out of range [0, {q})")
-        elif nonfinite[r]:
-            error = InputDataError(f"line {n}: non-finite amplitude")
-        else:
-            error = InputDataError(
-                f"line {n}: cell widens the table beyond {CELL_CAP} cells")
-        errors.append((n, error))
-    error_line, error = min(errors, key=lambda e: e[0], default=(None, None))
-    keep = slice(None) if error is None else slice(int(np.searchsorted(line, error_line)))
-    # the table index, formed only from rows that passed the cap: below the
-    # leading nonzero digit every digit is 0, so the weights stop at q^cap
-    ok = ~failed
+    if (lo != resolution - counts).any() or (digits >= q).any() \
+            or not (np.isfinite(re).all() and np.isfinite(im).all()) \
+            or (dist[digits != 0] > cap).any():
+        return None
+    # below a row's leading nonzero digit every digit is 0, so the weights
+    # stop at q^cap; an index is below q^cap <= CELL_CAP, exact as a double
     weights = q ** np.arange(cap + 1, dtype=np.int64)
-    terms = np.where(ok[row], digits, 0) * weights[np.minimum(dist - 1, cap)]
-    index = _per_row(np.add, terms, starts, counts)
+    terms = digits * weights[np.minimum(dist - 1, cap)]
     amplitude = np.empty(m, dtype=complex)
     amplitude.real, amplitude.imag = re, im
-    return (line[keep], index[keep], amplitude[keep],
-            int(width[keep].max(initial=0)), error)
+    return np.bincount(row, terms, m).astype(np.int64), amplitude
+
+
+def _check(line: np.ndarray, rows, error, q: int, resolution: int, cap: int):
+    """(line, index, amplitude) of a block's rows before the first failing
+    one, and that row's InputDataError, else error (the block's). A row's
+    checks run in this order, the first failing one naming the error: field
+    count, malformed token, lo against the digit count, digit range, finite
+    amplitude, cell cap. Duplicates span blocks and are left to the caller."""
+    kept = []
+    try:
+        for n, row in zip(line.tolist(), rows):
+            if len(row) != 4:
+                raise InputDataError(
+                    f"line {n}: expected 4 fields lo,digits,re,im, got {len(row)}")
+            try:
+                lo = int(row[0])
+                digits = [int(d) for d in row[1].split(".")] if row[1] else []
+                value = complex(float(row[2]), float(row[3]))
+            except ValueError as exc:
+                raise InputDataError(f"line {n}: malformed row ({exc})") from exc
+            if lo + len(digits) != resolution:
+                raise InputDataError(f"line {n}: digits from lo = {lo} do not end at "
+                                     f"resolution {resolution}")
+            if not all(0 <= d < q for d in digits):
+                raise InputDataError(f"line {n}: digit out of range [0, {q})")
+            if not cmath.isfinite(value):
+                raise InputDataError(f"line {n}: non-finite amplitude")
+            if any(digits[:max(len(digits) - cap, 0)]):   # a nonzero digit past q^cap
+                raise InputDataError(
+                    f"line {n}: cell widens the table beyond {CELL_CAP} cells")
+            kept.append((n, cell_index(q, enumerate(digits, lo), resolution), value))
+    except InputDataError as exc:
+        error = exc
+    line, index, amplitude = zip(*kept) if kept else ((),) * 3
+    return (np.array(line, dtype=np.int64), np.array(index, dtype=np.int64),
+            np.array(amplitude, dtype=complex), error)
 
 
 def _first_duplicate(index: np.ndarray, line: np.ndarray):
@@ -575,12 +540,13 @@ def _first_duplicate(index: np.ndarray, line: np.ndarray):
 
 
 def load_csv(src: str | TextIO) -> StepFunction:
-    """Inverse of dump_csv; raises InputDataError with a line number.
+    """Inverse of dump_csv; raises InputDataError with a line number, also
+    for a header field that FieldConfig refuses (line 1).
 
-    Rows may come in any order. They are checked a block at a time, and the
-    first failing row in the file names the error; a duplicate cell is
-    reported at its second row. The cell cap is checked before any index is
-    formed or any table is allocated.
+    Rows may come in any order. A block is accepted by _accept's array
+    passes, or read row by row by _check if it may fail; the first failing
+    row in the file names the error, a duplicate cell its second row. The
+    cell cap is checked before any index is formed or any table allocated.
     """
     if isinstance(src, str):
         with open(src, newline="") as fh:
@@ -603,9 +569,9 @@ def load_csv(src: str | TextIO) -> StepFunction:
         resolution = int(fields["resolution"])
         modulus = (None if fields["modulus"] == "-" else
                    tuple(int(d) for d in fields["modulus"].split(".")))
+        cfg = FieldConfig(p, c, modulus)   # its ConfigError is a ValueError
     except (KeyError, ValueError) as exc:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
-    cfg = FieldConfig(p, c, modulus)
     q = cfg.q
     try:
         measure = float(q) ** (-resolution)   # of one cell
@@ -621,19 +587,22 @@ def load_csv(src: str | TextIO) -> StepFunction:
     if columns != ["lo", "digits", "re", "im"]:
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
-    parsed, error = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex), 0)], None
-    for block in _blocks(src):
-        *cells, error = _parse_rows(*block, q, resolution, cap)
+    parsed, error = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex),)], None
+    for line, columns, rows, error in _blocks(src):
+        if cells := columns and _accept(columns, q, resolution, cap):
+            parsed.append((line, *cells))
+            continue
+        *cells, error = _check(line, rows, error, q, resolution, cap)
         parsed.append(cells)
         if error is not None:
             break
-    lines, indices, amplitudes, widths = zip(*parsed)
-    index = np.concatenate(indices)
-    duplicate = _first_duplicate(index, np.concatenate(lines))
+    line, index, amplitude = (np.concatenate(part) for part in zip(*parsed))
+    duplicate = _first_duplicate(index, line)
     if duplicate is not None:
         raise InputDataError(f"line {duplicate}: duplicate representative")
     if error is not None:
         raise error
-    values = np.zeros(q ** max(widths), dtype=complex)
-    values[index] = np.concatenate(amplitudes)
-    return StepFunction(cfg, resolution, values, resolution - max(widths))
+    width = digit_count(q, int(index.max(initial=0)))
+    values = np.zeros(q ** width, dtype=complex)
+    values[index] = amplitude
+    return StepFunction(cfg, resolution, values, resolution - width)

@@ -9,12 +9,15 @@ import functools
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walshframes import algebra
 from walshframes.algebra import (
     DEFAULT_MODULI,
+    Q_CAP,
     FieldConfig,
     FieldElement,
     LambdaIndex,
@@ -139,6 +142,21 @@ def test_field_config_validation():
     # shipped defaults fill in for (2,2) and (2,3)
     assert FieldConfig(2, 2).modulus == DEFAULT_MODULI[(2, 2)]
     assert FieldConfig(2, 3).modulus == DEFAULT_MODULI[(2, 3)]
+
+
+def test_field_config_is_bounded_before_it_is_built():
+    # p past the cap is refused before its primality is tested
+    with mock.patch.object(algebra, "_is_prime", side_effect=AssertionError("tested")), \
+            pytest.raises(ConfigError, match=f"p must be prime and <= Q_CAP = {Q_CAP}"):
+        FieldConfig(Q_CAP + 1)
+    # the first c past the cap for p = 2, and the smallest q = p^c past it with c > 1
+    for p, c in ((2, Q_CAP.bit_length()), (11, 3)):
+        assert p ** c > Q_CAP
+        with pytest.raises(ConfigError, match=rf"q = p\^c <= Q_CAP = {Q_CAP}"):
+            FieldConfig(p, c)
+    # q = 2^10 is within the cap: refused only for want of a modulus
+    with pytest.raises(ConfigError, match="no shipped modulus"):
+        FieldConfig(2, Q_CAP.bit_length() - 1)
 
 
 def test_gf_digit_round_trip():

@@ -3,17 +3,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import walshframes
-from walshframes.algebra import FieldConfig
+from walshframes import runner
+from walshframes.algebra import Q_CAP, FieldConfig
 from walshframes.cli import main
 from walshframes.errors import ConfigError
 from walshframes.framekit import FrameAnalyzer, derive_generators
 from walshframes.periodic import PeriodicSystemSpec, periodic_tightness_check
-from walshframes.runner import RunConfig, _table_digits, suite_functions
+from walshframes.runner import UINDEX_CAP, RunConfig, _table_digits, suite_functions
 from walshframes.stepfn import CELL_CAP, StepFunction, dump_csv, from_cells, load_csv
 
 CONFIGS = os.path.abspath(
@@ -464,6 +466,23 @@ def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line)
     assert line in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ("p=4 c=1 modulus=-", "p must be prime"),
+    ("p=2 c=2 modulus=1.0.1", "reducible"),           # z^2 + 1 = (z + 1)^2
+    ("p=3 c=2 modulus=-", "no shipped modulus"),
+    (f"p={Q_CAP + 1} c=1 modulus=-", f"<= Q_CAP = {Q_CAP}"),
+    ("p=2 c=11 modulus=-", f"<= Q_CAP = {Q_CAP}"),
+    ("p=11 c=3 modulus=-", f"<= Q_CAP = {Q_CAP}"),     # q = 1331
+], ids=["nonprime-p", "reducible", "no-modulus", "p-cap", "c-cap", "q-cap"])
+def test_transform_refuses_a_bad_field_on_line_1(tmp_path, capsys, fields, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# walshframes-stepfn v1 {fields} resolution=1\n"
+                    "lo,digits,re,im\n1,,1.0,0.0\n")
+    assert run(["transform", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: bad header field (") and message in err
+
+
 # -------------------------------------------------- field-info, uindex --
 
 def test_field_info_without_masks(tmp_path, capsys):
@@ -494,6 +513,33 @@ def test_uindex_command(tmp_path, capsys):
     assert report["table"][0]["valuation"] is None
     assert report["table"][4]["valuation"] == -3
     assert run(["uindex", "--config", cfg, "0"]) == 2
+
+
+def test_uindex_count_is_capped_before_any_row(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "", 2, body="[field]\np = 2\n")
+    with mock.patch.object(runner, "_uindex_rows", wraps=runner._uindex_rows) as rows:
+        assert run(["uindex", "--config", cfg, str(UINDEX_CAP + 1)]) == 2
+        assert rows.call_count == 0
+    assert f"UINDEX_CAP = {UINDEX_CAP}" in capsys.readouterr().err
+    assert run(["uindex", "--config", cfg, str(UINDEX_CAP)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["table"]) == UINDEX_CAP
+
+
+@pytest.mark.parametrize("body", [
+    f"[field]\np = {Q_CAP + 1}\n",
+    "[field]\np = 2\nc = 11\nmodulus = 1.0.0.0.0.0.0.0.0.0.0.1\n",
+    "[field]\np = 11\nc = 3\nmodulus = 1.0.0.1\n",   # q = 1331
+], ids=["p", "c", "q"])
+def test_config_field_is_capped_before_it_is_built(tmp_path, capsys, body):
+    cfg = write_cfg(tmp_path, "", 2, body=body)
+    assert run(["field-info", "--config", cfg]) == 2
+    assert f"<= Q_CAP = {Q_CAP}" in capsys.readouterr().err
+
+
+def test_mask_file_field_is_capped_before_it_is_built(tmp_path, capsys):
+    cfg = _masks_with_row(tmp_path, "haar_q2.masks", 2, f"p = {Q_CAP + 1}")
+    assert run(["verify", "--config", cfg]) == 2
+    assert f"<= Q_CAP = {Q_CAP}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------ dump-wavelets --

@@ -574,6 +574,64 @@ def test_load_csv_reports_duplicate_across_blocks():
     assert new == old == "line 4501: duplicate representative"
 
 
+def _load_counting_checks(text):
+    """(load_csv's result or InputDataError message, _check's call count)."""
+    with mock.patch.object(stepfn, "_check", wraps=stepfn._check) as check:
+        try:
+            out = load_csv(io.StringIO(text))
+        except InputDataError as exc:
+            out = str(exc)
+    return out, check.call_count
+
+
+@CSV_EXAMPLES
+@given(csv_functions(), st.sampled_from((1, 2, 3, 7, 4096)))
+def test_load_csv_accepts_every_block_dump_csv_writes(case, block):
+    f, _ = case
+    buf = io.StringIO()
+    dump_csv(f, buf)
+    with mock.patch.object(stepfn, "CSV_BLOCK", block):
+        g, checks = _load_counting_checks(buf.getvalue())
+    assert checks == 0
+    assert g == f.window(g.lo)
+
+
+def test_load_csv_accepts_the_full_size_file_without_row_checks():
+    rng = np.random.default_rng(2025)
+    n = 4 ** 8
+    f = StepFunction(FieldConfig(2, 2, (1, 1, 1)), 8,
+                     rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    buf = io.StringIO()
+    dump_csv(f, buf)
+    g, checks = _load_counting_checks(buf.getvalue())
+    assert checks == 0
+    assert g.values.tobytes() == f.values.tobytes()
+
+
+def test_load_csv_accepts_blocks_with_blank_lines_without_row_checks():
+    # a blank line hands the rest of the file to csv.reader; its blank
+    # records are skipped, not checked row by row
+    lines = _big_file()
+    for at in range(len(lines) - 1, 2, -1000):
+        lines.insert(at, "")
+    text = "\n".join(lines) + "\n"
+    new, checks = _load_counting_checks(text)
+    assert checks == 0
+    assert (new.resolution, new.lo, new.values.tobytes()) == \
+        _load_both(text, stepfn.CSV_BLOCK)[1]
+
+
+@pytest.mark.parametrize("kind", ["bad re", "lo", "huge digit", "nan", "wide",
+                                  "extra field", "inner cr"])
+def test_load_csv_checks_row_by_row_only_the_block_that_fails(kind):
+    lines = _big_file()   # two blocks of CSV_BLOCK rows, the second not full
+    lines[-3] = _corrupt(lines[-3], kind, 2)
+    new, checks = _load_counting_checks("\n".join(lines) + "\n")
+    assert checks == 1
+    assert new == _load_both("\n".join(lines) + "\n", stepfn.CSV_BLOCK)[1]
+    assert new.startswith(f"line {len(lines) - 2}: ")
+
+
 # ------------------------------------------------------------- periodic type --
 
 def test_periodic_from_complete_table():
