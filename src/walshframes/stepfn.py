@@ -27,9 +27,8 @@ u(n) has index n.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
-from itertools import chain, islice
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, TextIO
 
@@ -389,12 +388,10 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
 def _digits(column):
     """(digits, counts): the '.'-separated digit tokens of every row as one
     array, row r owning counts[r] of them, decoded from the rows' ','-joined
-    bytes; None unless every token is 1 to 18 ASCII decimal digits and no
-    row holds a ',', which covers all that dump_csv writes."""
-    joined = ",".join(column)
-    if not joined.isascii() or joined.count(",") != len(column) - 1:
-        return None
-    raw = np.frombuffer(joined.encode("ascii"), np.uint8)
+    bytes; None unless every token is 1 to 18 ASCII decimal digits, which
+    covers all that dump_csv writes."""
+    # a non-ASCII character becomes bytes above 127, neither digit nor separator
+    raw = np.frombuffer(",".join(column).encode(errors="surrogatepass"), np.uint8)
     code = raw - ord("0")   # below 10 for a decimal digit only
     sep = np.flatnonzero(code > 9)
     ends = np.append(sep, raw.size)   # one past each piece
@@ -414,51 +411,26 @@ def _digits(column):
 
 
 def _split(lines: list[str]):
-    """The four columns of a block that csv.reader reads as line.split(","),
-    or None: plain means no '"', NUL or CR, three ','s on every line (so no
-    blank line), no line past the field limit."""
-    text = "".join(lines)
-    if '"' in text or "\0" in text or "\r" in text:
-        return None
-    text += "" if text.endswith("\n") else "\n"
-    # a ',' or '\n' byte is that character; a lone surrogate becomes neither
+    """The four columns of a block of lines that holds to the grammar, or
+    None: exactly three ','s and no CR on every line (so no blank line), an
+    LF at the end of each but maybe the file's last."""
+    text = "".join(lines).removesuffix("\n") + "\n"
+    # a ',', CR or LF byte is that character; a lone surrogate becomes none
     raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
-    at = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
-    if raw[at].tobytes() != b",,,\n" * len(lines) \
-            or np.diff(at[3::4], prepend=-1).max(initial=0) > csv.field_size_limit():
+    at = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")) | (raw == ord("\n")))
+    if raw[at].tobytes() != b",,,\n" * len(lines):
         return None
     fields = text.replace("\n", ",").split(",")
     return [fields[0:-1:4], fields[1::4], fields[2::4], fields[3::4]]
 
 
 def _blocks(src: TextIO):
-    """(line numbers, columns, rows, InputDataError of a record csv.reader
-    refuses or None) of the non-blank records after the column header,
-    CSV_BLOCK records at a time: split while plain, then read by csv.reader
-    from the first block that is not. rows are the records; columns are
-    their four columns, or None unless every record has 4 fields and none
-    is refused."""
+    """(line numbers, lines, _split's columns of them) of the lines after
+    the column header, CSV_BLOCK lines at a time."""
     first = 3
     while lines := list(islice(src, CSV_BLOCK)):
-        if (columns := _split(lines)) is None:
-            break
-        yield first + np.arange(len(lines)), columns, zip(*columns), None
+        yield first + np.arange(len(lines)), lines, _split(lines)
         first += len(lines)
-    rows = csv.reader(chain(lines, src))
-    while True:
-        block, error = [], None
-        try:
-            # extend keeps the rows read before a record the reader refuses
-            block.extend(islice(rows, CSV_BLOCK))
-        except csv.Error as exc:
-            error = InputDataError(f"line {first + len(block)}: {exc}")
-        if not block and error is None:
-            return
-        line = first + np.flatnonzero(list(map(len, block)))   # of the non-blank records
-        first += len(block)
-        block = [row for row in block if row]
-        whole = error is None and all(len(row) == 4 for row in block)
-        yield line, list(zip(*block)) if whole else None, block, error
 
 
 def _accept(columns, q: int, resolution: int, cap: int):
@@ -487,24 +459,33 @@ def _accept(columns, q: int, resolution: int, cap: int):
             or not (np.isfinite(re).all() and np.isfinite(im).all()) \
             or (dist[digits != 0] > cap).any():
         return None
-    # below a row's leading nonzero digit every digit is 0, so the weights
-    # stop at q^cap; an index is below q^cap <= CELL_CAP, exact as a double
-    weights = q ** np.arange(cap + 1, dtype=np.int64)
-    terms = digits * weights[np.minimum(dist - 1, cap)]
+    # the digits by exponent, one row per exponent from resolution - cap up,
+    # under a row 0 for the zeros further up: an index is below q^cap <= CELL_CAP
+    column = np.zeros((cap + 1, m), dtype=np.int64)
+    column[np.maximum(cap + 1 - dist, 0), row] = digits
     amplitude = np.empty(m, dtype=complex)
     amplitude.real, amplitude.imag = re, im
-    return np.bincount(row, terms, m).astype(np.int64), amplitude
+    return cell_index(q, zip(range(resolution - cap, resolution), column[1:]),
+                      resolution, np.zeros(m, dtype=np.int64)), amplitude
 
 
-def _check(line: np.ndarray, rows, error, q: int, resolution: int, cap: int):
+def _line(text: str, n: int) -> str:
+    """Line n of a file without its LF; InputDataError if it holds a CR."""
+    if "\r" in text:
+        raise InputDataError(f"line {n}: CR in line (lines end in LF alone)")
+    return text.removesuffix("\n")
+
+
+def _check(line: np.ndarray, lines, q: int, resolution: int, cap: int):
     """(line, index, amplitude) of a block's rows before the first failing
-    one, and that row's InputDataError, else error (the block's). A row's
-    checks run in this order, the first failing one naming the error: field
-    count, malformed token, lo against the digit count, digit range, finite
+    one, and that row's InputDataError, else None. A row's checks run in
+    this order, the first failing one naming the error: no CR, field count,
+    malformed token, lo against the digit count, digit range, finite
     amplitude, cell cap. Duplicates span blocks and are left to the caller."""
-    kept = []
+    kept, error = [], None
     try:
-        for n, row in zip(line.tolist(), rows):
+        for n, text in zip(line.tolist(), lines):
+            row = _line(text, n).split(",")
             if len(row) != 4:
                 raise InputDataError(
                     f"line {n}: expected 4 fields lo,digits,re,im, got {len(row)}")
@@ -543,15 +524,17 @@ def load_csv(src: str | TextIO) -> StepFunction:
     """Inverse of dump_csv; raises InputDataError with a line number, also
     for a header field that FieldConfig refuses (line 1).
 
-    Rows may come in any order. A block is accepted by _accept's array
-    passes, or read row by row by _check if it may fail; the first failing
-    row in the file names the error, a duplicate cell its second row. The
-    cell cap is checked before any index is formed or any table allocated.
+    Every line ends in LF (the file's last may not) and holds no CR; after
+    the two header lines each is a row of four ','-separated fields, rows in
+    any order. A block of lines is accepted by _accept's array passes, or
+    read row by row by _check if it may fail; the first failing line names
+    the error, a duplicate cell its second row. The cell cap is checked
+    before any index is formed or any table allocated.
     """
     if isinstance(src, str):
         with open(src, newline="") as fh:
             return load_csv(fh)
-    header = src.readline()
+    header = _line(src.readline(), 1)
     if not header.startswith(CSV_MAGIC):
         raise InputDataError("line 1: missing step function header")
     fields: dict[str, str] = {}
@@ -580,19 +563,15 @@ def load_csv(src: str | TextIO) -> StepFunction:
     if not np.finfo(float).smallest_normal <= measure < math.inf:
         raise InputDataError(f"line 1: resolution {resolution} gives cells of "
                              f"measure {q}^{-resolution}, outside the normal floats")
-    try:
-        columns = next(csv.reader(src), None)
-    except csv.Error as exc:
-        raise InputDataError(f"line 2: {exc}") from exc
-    if columns != ["lo", "digits", "re", "im"]:
+    if _line(src.readline(), 2) != "lo,digits,re,im":
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
     parsed, error = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex),)], None
-    for line, columns, rows, error in _blocks(src):
+    for line, lines, columns in _blocks(src):
         if cells := columns and _accept(columns, q, resolution, cap):
             parsed.append((line, *cells))
             continue
-        *cells, error = _check(line, rows, error, q, resolution, cap)
+        *cells, error = _check(line, lines, q, resolution, cap)
         parsed.append(cells)
         if error is not None:
             break

@@ -14,7 +14,9 @@ computed the same way. None of these share a code path with
 walshframes.harmonic's contraction or with stepfn's table operators.
 
 The CSV references read and write a step-function file one row at a time in
-Python, where stepfn parses and formats blocks of rows as arrays.
+Python, where stepfn parses and formats blocks of rows as arrays. The reader
+holds to the format's line grammar by itself: it refuses a line with a CR
+and splits every other line at ','.
 
 The suite references draw the random test family and run the verify and
 periodic checks one function at a time, where runner draws and checks
@@ -205,9 +207,15 @@ def dump_csv(f, dest):
                          repr(value.real), repr(value.imag)])
 
 
+def _line(lineno, text):
+    if "\r" in text:
+        raise InputDataError(f"line {lineno}: CR in line (lines end in LF alone)")
+    return text[:-1] if text.endswith("\n") else text
+
+
 def load_csv(src):
-    """stepfn.load_csv, checking and indexing one row at a time."""
-    header = src.readline()
+    """stepfn.load_csv, splitting, checking and indexing one line at a time."""
+    header = _line(1, src.readline())
     if not header.startswith(CSV_MAGIC):
         raise InputDataError("line 1: missing step function header")
     fields = {}
@@ -229,20 +237,12 @@ def load_csv(src):
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
     cfg = FieldConfig(p, c, modulus)
     q = cfg.q
-    rows = csv.reader(src)
-    if next(rows, None) != ["lo", "digits", "re", "im"]:
+    if _line(2, src.readline()).split(",") != ["lo", "digits", "re", "im"]:
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cells = {}
     width = 0
-    for lineno in itertools.count(3):
-        try:
-            row = next(rows)
-        except StopIteration:
-            break
-        except csv.Error as exc:   # e.g. a NUL before Python 3.11
-            raise InputDataError(f"line {lineno}: {exc}") from exc
-        if not row:
-            continue
+    for lineno, text in enumerate(src, 3):
+        row = _line(lineno, text).split(",")
         if len(row) != 4:
             raise InputDataError(
                 f"line {lineno}: expected 4 fields lo,digits,re,im, got {len(row)}")

@@ -413,13 +413,13 @@ def test_load_csv_reads_leading_zero_digits_past_int64(tmp_path):
 
 
 @pytest.mark.parametrize("first, message", [
-    ("0,1,1.0,0.0", "line 4: field larger than field limit"),
+    ("0,1,1.0,0.0", "line 4: non-finite amplitude"),
     # an earlier failing row of the same block still names the error
     ("0,1,1.0,nan", "line 3: non-finite amplitude"),
 ])
-def test_transform_refuses_field_above_reader_limit(tmp_path, capsys, first,
-                                                    message):
-    # the csv module refuses a field past its size limit: exit 3 with the line
+def test_transform_refuses_a_long_field_by_its_value(tmp_path, capsys, first,
+                                                     message):
+    # a line has no length limit: 200,000 digits of re read as inf, exit 3
     path = tmp_path / "long.csv"
     path.write_text(
         "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
@@ -434,11 +434,10 @@ _CSV_HEAD = "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
 
 
 @pytest.mark.parametrize("column_header, message", [
-    # the csv module refuses a field past its size limit
-    ("lo,digits,re," + "1" * 200_000, "line 2: field larger than field limit"),
-    # Python 3.10's csv refuses a NUL; later ones read a wrong header
-    ("lo,digits,re,i\0m", "line 2: "),
-], ids=["field-limit", "nul"])
+    ("lo,digits,re," + "1" * 200_000, "line 2: expected column header"),
+    ("lo,digits,re,i\0m", "line 2: expected column header"),
+    ("lo,digits,re,im\r", "line 2: CR in line"),
+], ids=["long", "nul", "cr"])
 def test_transform_refuses_bad_column_header_line(tmp_path, capsys, column_header,
                                                   message):
     path = tmp_path / "bad.csv"
@@ -458,6 +457,10 @@ def test_transform_refuses_bad_column_header_line(tmp_path, capsys, column_heade
     # a fifth field used to be dropped, a missing one to fail without a name
     (_CSV_HEAD + "lo,digits,re,im\n0,1,1.0,0.0,9\n", "line 3"),
     (_CSV_HEAD + "lo,digits,re,im\n0,1,1.0,0.0\n0,0,1.0\n", "line 4"),
+    # CRLF line ends, a blank line and a lone CR used to be read as csv reads them
+    (_CSV_HEAD.replace("\n", "\r\n") + "lo,digits,re,im\r\n", "line 1: CR"),
+    (_CSV_HEAD + "lo,digits,re,im\n0,1,1.0,0.0\n\n1,,1.0,0.0\n", "line 4: expected 4"),
+    (_CSV_HEAD + "lo,digits,re,im\n0,1\r,1.0,0.0\n", "line 3: CR"),
 ])
 def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line):
     path = tmp_path / "bad.csv"

@@ -327,7 +327,7 @@ def _load_both(text, block):
 
 def _shuffled(text, rng):
     """The file with its cell rows in random order, some written with leading
-    zero digits below their valuation and some blank lines between them."""
+    zero digits below their valuation."""
     head, rows = text.splitlines()[:2], text.splitlines()[2:]
     out = []
     for i in rng.permutation(len(rows)):
@@ -337,8 +337,6 @@ def _shuffled(text, rng):
             digits = ".".join(["0"] * pad + ([digits] if digits else []))
             lo = str(int(lo) - pad)
         out.append(",".join((lo, digits, re, im)))
-        if rng.random() < 0.05:
-            out.append("")
     return "\n".join(head + out) + "\n"
 
 
@@ -379,18 +377,20 @@ def _corrupt(row, kind, q):
     if kind == "wide":
         return ",".join((str(int(lo) - 70), ".".join(["1"] + ["0"] * 69)
                          + ("." + digits if digits else ""), re, im))
-    # the kinds below make a block that is not plain, read by csv.reader
+    # the kinds below make a block that _split refuses, read row by row
     if kind == "quoted digits":
         return ",".join((lo, f'"{digits}"', re, im))
-    if kind == "quoted newline":   # one record on two lines; float() strips the newline
+    if kind == "quoted newline":   # a '"' opens im, and a line of '"' follows
         return ",".join((lo, digits, re, f'"{im}\n"'))
     if kind == "crlf":
         return row + "\r"
-    if kind == "inner cr":   # csv refuses a CR inside an unquoted field
+    if kind == "inner cr":   # float() would take a CR at the end of a field
         return ",".join((lo, digits + "\r", re, im))
     if kind == "whitespace line":
         return " \t"
-    if kind == "nul":   # csv refuses it before Python 3.11, int() after
+    if kind == "blank line":
+        return ""
+    if kind == "nul":   # int() refuses it
         return ",".join((lo + "\0", digits, re, im))
     if kind == "underscored lo":   # int() accepts it: the row stays valid
         sign = "-" if lo.startswith("-") else ""
@@ -398,12 +398,12 @@ def _corrupt(row, kind, q):
     raise ValueError(kind)
 
 
-READER_CORRUPTIONS = ("quoted digits", "quoted newline", "crlf", "inner cr",
-                      "whitespace line", "nul", "underscored lo")
+GRAMMAR_CORRUPTIONS = ("quoted digits", "quoted newline", "crlf", "inner cr",
+                       "whitespace line", "blank line", "nul", "underscored lo")
 CORRUPTIONS = ("extra field", "missing field", "bad lo", "empty digit",
                "spaced digit", "bad re", "bad im", "lo", "huge lo",
                "digit range", "negative digit", "huge digit", "nan", "inf",
-               "wide", "duplicate") + READER_CORRUPTIONS
+               "wide", "duplicate") + GRAMMAR_CORRUPTIONS
 
 
 @CSV_EXAMPLES
@@ -491,11 +491,10 @@ def test_load_csv_reports_row_past_first_block(kind):
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
-@pytest.mark.parametrize("kind", READER_CORRUPTIONS)
-def test_load_csv_hands_blocks_that_are_not_plain_to_the_reader(kind, block):
-    # the first corrupted row ends the block of raw lines it starts in, so a
-    # quoted newline runs across a block boundary; a later plain row must
-    # still name its error at its record number
+@pytest.mark.parametrize("kind", GRAMMAR_CORRUPTIONS)
+def test_load_csv_reads_blocks_that_are_not_plain_row_by_row(kind, block):
+    # the corrupted row is the last line of the first block; a later plain
+    # row must still name its error at its line number
     lines = _big_file()[:block + 50]
     lines[block + 1] = _corrupt(lines[block + 1], kind, 2)
     lines[block + 40] = _corrupt(lines[block + 40], "lo", 2)
@@ -509,7 +508,7 @@ def test_load_csv_hands_blocks_that_are_not_plain_to_the_reader(kind, block):
     "1..1", ".", "1.", ".1", "+1", "-0", " 1", "1_0", "\u0661", "1,0"])
 def test_load_csv_reads_digit_strings_like_int(digits):
     # among plain rows, so that the digits are decoded from the block's bytes
-    # unless the string itself needs int()
+    # unless the string itself needs int(); a quoted ',' is a fifth field
     lo = 2 - (digits.count(".") + 1 if digits else 0)
     field = f'"{digits}"' if "," in digits else digits
     text = ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=2\n"
@@ -519,7 +518,7 @@ def test_load_csv_reads_digit_strings_like_int(digits):
 
 
 @pytest.mark.parametrize("field", range(4))
-def test_load_csv_reads_a_lone_surrogate_like_the_reader(field):
+def test_load_csv_reads_a_lone_surrogate_as_a_malformed_row(field):
     # a file read with errors="surrogateescape" holds one for each byte that
     # is not UTF-8
     lines = _big_file()[:60]
@@ -531,19 +530,42 @@ def test_load_csv_reads_a_lone_surrogate_like_the_reader(field):
     assert new.startswith("line 21: malformed row")
 
 
-def test_load_csv_reports_a_record_the_reader_refuses_like_the_row_reader():
+def test_load_csv_reads_a_long_line_like_any_other():
+    # 200,000 more digits of the im field, past what the csv module reads
     lines = _big_file()[:60]
-    lines[20] += "0" * 200_000   # a field past csv.field_size_limit()
+    text = "\n".join(lines) + "\n"
+    lines[20] += "0" * 200_000
     new, old = _load_both("\n".join(lines) + "\n", 7)
-    assert new == old
-    assert new.startswith("line 21: field larger than field limit")
+    assert new == old == _load_both(text, 7)[0]
+    assert not isinstance(new, str)
 
 
-def test_load_csv_reads_crlf_file_like_the_reader():
+def test_load_csv_refuses_a_crlf_file_on_line_1():
     text = "\r\n".join(_big_file()[:3000]) + "\r\n"
     new, old = _load_both(text, stepfn.CSV_BLOCK)
+    assert new == old == "line 1: CR in line (lines end in LF alone)"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\r\n", "line 2: CR in line"),
+    ("lo,digits,re,im\r\n", "line 2: CR in line"),
+    ("lo,digits,re,im\n0,1,1.0,0.0\r\n", "line 3: CR in line"),
+    ("lo,digits,re,im\n0,1,1.0,0.0\n0,0,1.0,0.0\r", "line 4: CR in line"),
+    ("lo,digits,re,im\n\n0,1,1.0,0.0\n", "line 3: expected 4 fields"),
+    ('"lo","digits","re","im"\n0,1,1.0,0.0\n', "line 2: expected column header"),
+    ("lo,digits,re,im", None),
+    ("lo,digits,re,im\n0,1,1.0,0.0", None),
+])
+def test_load_csv_holds_to_the_line_grammar(text, message):
+    # a CR on any line is refused, also on the header lines; the final LF
+    # is optional
+    new, old = _load_both("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+                          + text, stepfn.CSV_BLOCK)
     assert new == old
-    assert not isinstance(new, str)
+    if message is None:
+        assert not isinstance(new, str)
+    else:
+        assert new.startswith(message)
 
 
 def test_full_size_csv_round_trip_is_byte_identical():
@@ -608,17 +630,16 @@ def test_load_csv_accepts_the_full_size_file_without_row_checks():
     assert g.values.tobytes() == f.values.tobytes()
 
 
-def test_load_csv_accepts_blocks_with_blank_lines_without_row_checks():
-    # a blank line hands the rest of the file to csv.reader; its blank
-    # records are skipped, not checked row by row
+def test_load_csv_names_the_first_blank_line():
+    # the block that holds it is the only one read row by row
     lines = _big_file()
     for at in range(len(lines) - 1, 2, -1000):
         lines.insert(at, "")
     text = "\n".join(lines) + "\n"
     new, checks = _load_counting_checks(text)
-    assert checks == 0
-    assert (new.resolution, new.lo, new.values.tobytes()) == \
-        _load_both(text, stepfn.CSV_BLOCK)[1]
+    assert checks == 1
+    assert new == _load_both(text, stepfn.CSV_BLOCK)[1]
+    assert new == f"line {lines.index('', 2) + 1}: expected 4 fields lo,digits,re,im, got 1"
 
 
 @pytest.mark.parametrize("kind", ["bad re", "lo", "huge digit", "nan", "wide",
