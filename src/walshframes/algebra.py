@@ -179,12 +179,6 @@ class FieldConfig:
         """a's power-basis coordinates, low to high: the digits of u(a) over GF(p)."""
         return tuple(d for _, d in cell_digits(self.p, a, 0, -self.c))[::-1]
 
-    def gf_from_digits(self, ds: Iterable[int]) -> int:
-        ds = [d % self.p for d in ds]
-        if len(ds) != self.c:
-            raise ValueError(f"need exactly {self.c} digits")
-        return cell_index(self.p, zip(range(-self.c, 0), reversed(ds)), 0)
-
     def zeta0(self, a: int) -> int:
         """Coordinate of a on the basis element 1 (used by the character)."""
         return a % self.p
@@ -199,9 +193,6 @@ class FieldConfig:
 
     def one(self) -> "FieldElement":
         return FieldElement(self, {0: 1})
-
-    def prime_element(self) -> "FieldElement":
-        return FieldElement(self, {1: 1})
 
     def monomial(self, coeff: int, exponent: int) -> "FieldElement":
         return FieldElement(self, {exponent: coeff})
@@ -494,12 +485,6 @@ class SystemConfig:
         if self.N == 1:
             return LambdaIndex(label, 0)
         return LambdaIndex(label // 2, label % 2)
-
-    def coset_label_decompose(self, k: int, j: int) -> tuple[int, int]:
-        """Split k = r * (qN)^j + s with 0 <= s < (qN)^j."""
-        if k < 0 or j < 0:
-            raise ValueError("k and j must be nonnegative")
-        return divmod(k, self.qN ** j)
 
     def with_masks(self, masks: tuple) -> "SystemConfig":
         return SystemConfig(self.field, self.N, self.r, self.nu,

@@ -1,9 +1,11 @@
 """Mask calculus and exact frame verification.
 
 A mask is a finitely supported character polynomial over the translation
-family: m(xi) = norm_const * sum_idx a_idx * conj(chi(lambda_idx * xi)).
-Masks are locally constant, so every check below reduces to finitely many
-exact evaluations:
+family: m(xi) = norm_const * sum_idx a_idx * conj(chi(lambda_idx * xi)),
+the transform of F_m, the amplitudes a_idx placed on the cells
+lambda_idx + D. Mask values come from harmonic's kernel alone, and a shift
+in D only translates their digits. Masks are locally constant, so every
+check below reduces to finitely many exact evaluations:
 
   * refinement and wavelet generation in the frequency domain,
   * the partition-of-unity sum over the translation family,
@@ -31,11 +33,10 @@ from .algebra import (
     SystemConfig,
     cell_digits,
     cell_index,
-    chi,
     digit_count,
 )
 from .errors import ConfigError, DegenerateInput, InputDataError, NotNormalized
-from .harmonic import character_table, fast_inverse_transform
+from .harmonic import fast_inverse_transform, fast_transform
 from .stepfn import (
     StepFunction,
     cell_integrals,
@@ -85,7 +86,7 @@ MASK_HEADER_KEYS = ("p", "c", "modulus", "N", "r", "nu", "normalization")
 class Mask:
     """Finitely supported coefficients over the translation family."""
 
-    __slots__ = ("sys", "coeffs", "_terms", "constancy_resolution")
+    __slots__ = ("sys", "coeffs", "_cells", "constancy_resolution")
 
     def __init__(self, sys: SystemConfig,
                  coeffs: Mapping | Iterable[tuple]):
@@ -100,26 +101,29 @@ class Mask:
                 table[idx] = value
         self.sys = sys
         self.coeffs = table
-        self._terms = tuple((idx, sys.lambda_element(idx), a)
-                            for idx, a in sorted(table.items()))
-        K = 0
-        for _, lam, _ in self._terms:
-            if not lam.is_zero:
-                K = max(K, -lam.valuation())
-        self.constancy_resolution = K
+        # lambda_idx has negative exponents only, so lambda_idx + D is the
+        # cell of this index at resolution 0; K is the widest one's digit count
+        self._cells = [(cell_index(sys.q, sys.lambda_element(idx).terms, 0), a)
+                       for idx, a in sorted(table.items())]
+        self.constancy_resolution = digit_count(
+            sys.q, max((cell for cell, _ in self._cells), default=0))
 
     def items_sorted(self) -> list[tuple[LambdaIndex, complex]]:
-        return [(idx, a) for idx, _, a in self._terms]
+        return sorted(self.coeffs.items())
 
     def __repr__(self):
-        return f"<Mask terms={len(self._terms)} K={self.constancy_resolution}>"
+        return f"<Mask terms={len(self.coeffs)} K={self.constancy_resolution}>"
 
 
 def mask_cells(m: Mask) -> StepFunction:
     """The finitely many values m takes on D, one cell per coset of B^K;
     m is lattice periodic, so this table determines it everywhere."""
-    K = m.constancy_resolution
-    return StepFunction(m.sys.field, K, _mask_table(m, m.sys.field.zero(), K))
+    cfg, K = m.sys.field, m.constancy_resolution
+    F_m = np.zeros(cfg.q ** K, dtype=complex)
+    for cell, a in m._cells:
+        F_m[cell] += a   # two indices of the degenerate family share a cell
+    m_hat = fast_transform(StepFunction(cfg, 0, F_m, -K))
+    return refine(m_hat, K).scale(m.sys.mask_norm_const)
 
 
 # --------------------------------------------------- frequency-side products --
@@ -198,13 +202,10 @@ def sigma_v0(phi_hat: StepFunction, sys: SystemConfig) -> StepFunction:
 # ------------------------------------------------------------- UEP matrix --
 
 def _mask_table(m: Mask, shift: FieldElement, resolution: int) -> np.ndarray:
-    """m(xi + shift) over the cells xi of D at the given resolution."""
-    cfg = m.sys.field
-    out = np.zeros(cfg.q ** resolution, dtype=complex)
-    for _, lam, a in m._terms:
-        phase = chi(lam * shift).conjugate()
-        out += (a * phase) * np.conj(character_table(cfg, lam, resolution))
-    return out * m.sys.mask_norm_const
+    """m(xi + shift) over the cells xi of D at the given resolution, which
+    is at least m's constancy resolution. Every shift of the shift set lies
+    in D, so this is mask_cells' table with its digits translated, exactly."""
+    return translate(refine(mask_cells(m), resolution), -shift).window(0).values
 
 
 def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:

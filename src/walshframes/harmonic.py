@@ -11,19 +11,18 @@ contractions of size q x q.
 For functions on the unit ball D the relevant object is the coefficient
 sequence against the characters chi(u(n) .); a table at resolution k has
 exactly q^k nonzero coefficients and fourier_table returns them all at once,
-through the same contraction. character_table gives chi(xi .) itself as a
-table over any window, in the layout of stepfn.
+through the same contraction. Mask values are transforms too: framekit
+evaluates every mask through fast_transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import FieldConfig, FieldElement, cell_digits
+from .algebra import FieldConfig
 from .stepfn import StepFunction
 
 __all__ = [
-    "character_table",
     "fast_inverse_transform",
     "fast_transform",
     "fourier_table",
@@ -67,18 +66,6 @@ def fast_inverse_transform(f: StepFunction) -> StepFunction:
 
 # perfbench/tracer.py looks this name up in harmonic; same function object
 inverse_transform = fast_inverse_transform
-
-
-def character_table(cfg: FieldConfig, xi: FieldElement, resolution: int,
-                    lo: int = 0) -> np.ndarray:
-    """chi(xi h) over the cells h of B^lo / B^resolution (default: D), in
-    the StepFunction table layout; chi(xi .) must be constant on them."""
-    q, k = cfg.q, resolution
-    # a sum of products, whose residue mod p is the coordinate chi reads
-    B = np.zeros(q ** (k - lo), dtype=np.int64)
-    for e, d in cell_digits(q, np.arange(B.size), k, lo):
-        B += cfg.mul_table[xi.coefficient(-1 - e), d]
-    return cfg.root_table[B % cfg.p]
 
 
 def fourier_table(f: StepFunction) -> np.ndarray:

@@ -333,7 +333,7 @@ def field_info_report(rc: RunConfig) -> dict:
             "c": cfg.c,
             "q": cfg.q,
             "modulus": list(cfg.modulus) if cfg.modulus is not None else None,
-            "prime_element": cfg.prime_element().text(),
+            "prime_element": cfg.monomial(1, 1).text(),
             "unit_ball_measure": 1.0,
             "prime_ideal_measure": 1.0 / cfg.q,
         },

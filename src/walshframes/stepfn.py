@@ -52,7 +52,6 @@ __all__ = [
     "indicator",
     "inner",
     "load_csv",
-    "modulate",
     "periodize",
     "prune",
     "refine",
@@ -186,12 +185,6 @@ class StepFunction:
         a, b = _common(self, other)
         return bool(np.array_equal(a.values, b.values))
 
-    def allclose(self, other: "StepFunction", tol: float) -> bool:
-        if self.cfg != other.cfg:
-            return False
-        a, b = _common(self, other)
-        return bool(np.all(np.abs(a.values - b.values) <= tol))
-
     def to_step(self) -> "StepFunction":
         return self  # perfbench/child.py's sweep calls this on suite functions
 
@@ -288,16 +281,6 @@ def rescale(f: StepFunction, c: int, shift: int) -> StepFunction:
         sources = dict.fromkeys(range(f.lo, f.resolution), cfg.mul_table[cfg.gf_inv(c)])
     return StepFunction(cfg, f.resolution + shift, _read_digits(f, sources),
                         f.lo + shift)
-
-
-def modulate(f: StepFunction, b: FieldElement) -> StepFunction:
-    """(E_b f)(x) = chi(b x) f(x); refines until chi(b .) is cellwise constant."""
-    from .harmonic import character_table  # harmonic builds on this module
-    if b.is_zero:
-        return f
-    g = refine(f, max(f.resolution, -b.valuation()))
-    chars = character_table(g.cfg, b, g.resolution, g.lo)
-    return StepFunction(g.cfg, g.resolution, g.values * chars, g.lo)
 
 
 def dilate(f: StepFunction, sys: SystemConfig, direction: str = "fine") -> StepFunction:
@@ -397,11 +380,12 @@ def _digits(column):
     ends = np.append(sep, raw.size)   # one past each piece
     lengths = np.diff(ends, prepend=-1) - 1
     # a row has one piece more than '.'s; an empty row's one piece is no token
-    first = np.insert(np.flatnonzero(raw[sep] == ord(",")) + 1, 0, 0)
+    comma = raw[sep] == ord(",")
+    first = np.insert(np.flatnonzero(comma) + 1, 0, 0)
     pieces = np.diff(first, append=ends.size)
     empty = (pieces == 1) & (lengths[first] == 0)
     ends, lengths = np.delete(ends, first[empty]), np.delete(lengths, first[empty])
-    if not (np.isin(raw[sep], list(b".,")).all() and 1 <= lengths.min(initial=1)
+    if not ((comma | (raw[sep] == ord("."))).all() and 1 <= lengths.min(initial=1)
             and lengths.max(initial=1) <= 18):
         return None
     values = np.zeros(ends.size, dtype=np.int64)

@@ -2,8 +2,9 @@
 
 The transform references are the dense, unfactorized forms of what the
 library computes by digit contraction: the full character matrix of a
-window, built from FieldElement products and chi alone, and the per-index
-character sum for a single Fourier coefficient.
+window, built from FieldElement products and chi alone, the character table
+chi(xi .) of one frequency, the per-index character sum for a single
+Fourier coefficient, and the per-term character sum of a mask's values.
 
 The step-function references are the cell-dictionary forms of the
 operators that the library computes on dense digit tables: each reads
@@ -18,6 +19,9 @@ Python, where stepfn parses and formats blocks of rows as arrays. The reader
 holds to the format's line grammar by itself: it refuses a line with a CR
 and splits every other line at ','.
 
+The small helpers compare two step functions and compute field and label
+quantities that only the tests ask for.
+
 The suite references draw the random test family and run the verify and
 periodic checks one function at a time, where runner draws and checks
 blocks of functions as arrays.
@@ -30,10 +34,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from walshframes.algebra import FieldConfig, FieldElement, chi, uindex
+from walshframes.algebra import (
+    FieldConfig,
+    FieldElement,
+    cell_digits,
+    cell_index,
+    chi,
+    uindex,
+)
 from walshframes.errors import InputDataError
 from walshframes.framekit import FrameAnalyzer, derive_generators
-from walshframes.harmonic import character_table
 from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
@@ -49,6 +59,38 @@ from walshframes.stepfn import (
     from_cells,
     within_cap,
 )
+
+
+# ------------------------------------------------------ small helpers --
+
+def allclose(f, g, tol):
+    """Whether two step functions over one field agree cellwise to tol."""
+    if f.cfg != g.cfg:
+        return False
+    k = max(f.resolution, g.resolution)
+    f, g = f.refine(k), g.refine(k)
+    lo = min(f.lo, g.lo)
+    return bool(np.all(np.abs(f.window(lo).values - g.window(lo).values) <= tol))
+
+
+def prime_element(cfg):
+    """The prime element t of K."""
+    return cfg.monomial(1, 1)
+
+
+def gf_from_digits(cfg, ds):
+    """The GF(q) scalar with power-basis coordinates ds, low to high."""
+    ds = [d % cfg.p for d in ds]
+    if len(ds) != cfg.c:
+        raise ValueError(f"need exactly {cfg.c} digits")
+    return cell_index(cfg.p, zip(range(-cfg.c, 0), reversed(ds)), 0)
+
+
+def coset_label_decompose(sys, k, j):
+    """Split k = r * (qN)^j + s with 0 <= s < (qN)^j."""
+    if k < 0 or j < 0:
+        raise ValueError("k and j must be nonnegative")
+    return divmod(k, sys.qN ** j)
 
 
 def enumerate_reps(cfg, lo, hi):
@@ -79,6 +121,30 @@ def dense_transform(f, forward=True):
     v = np.array([cells.get(x, 0) for x in xs], dtype=complex)
     out = ((matrix.conj() if forward else matrix) @ v) * float(cfg.q) ** (-k)
     return from_cells(cfg, -l, dict(zip(xis, out)))
+
+
+def character_table(cfg, xi, resolution, lo=0):
+    """chi(xi h) over the cells h of B^lo / B^resolution (default: D), in
+    the StepFunction table layout, as a sum of digit products; chi(xi .)
+    must be constant on the cells."""
+    q, k = cfg.q, resolution
+    # a sum of products, whose residue mod p is the coordinate chi reads
+    B = np.zeros(q ** (k - lo), dtype=np.int64)
+    for e, d in cell_digits(q, np.arange(B.size), k, lo):
+        B += cfg.mul_table[xi.coefficient(-1 - e), d]
+    return cfg.root_table[B % cfg.p]
+
+
+def mask_table(m, shift, resolution):
+    """m(xi + shift) over the cells xi of D at the given resolution, one
+    character table per term of m."""
+    cfg = m.sys.field
+    out = np.zeros(cfg.q ** resolution, dtype=complex)
+    for idx, a in m.items_sorted():
+        lam = m.sys.lambda_element(idx)
+        phase = chi(lam * shift).conjugate()
+        out += (a * phase) * np.conj(character_table(cfg, lam, resolution))
+    return out * m.sys.mask_norm_const
 
 
 def fourier_coefficient(f, n):
@@ -128,6 +194,15 @@ def modulate(f, b):
     k = max(f.resolution, -b.valuation())
     return from_cells(f.cfg, k, {rep: v * chi(b * rep)
                                  for rep, v in _refined(f, k).items()})
+
+
+def modulate_table(f, b):
+    """(E_b f)(x) = chi(b x) f(x) as one product with a character table."""
+    if b.is_zero:
+        return f
+    g = f.refine(max(f.resolution, -b.valuation()))
+    chars = character_table(g.cfg, b, g.resolution, g.lo)
+    return StepFunction(g.cfg, g.resolution, g.values * chars, g.lo)
 
 
 def dilate(f, sys, direction="fine"):
@@ -233,10 +308,17 @@ def load_csv(src):
         resolution = int(fields["resolution"])
         modulus = (None if fields["modulus"] == "-" else
                    tuple(int(d) for d in fields["modulus"].split(".")))
+        cfg = FieldConfig(p, c, modulus)
     except (KeyError, ValueError) as exc:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
-    cfg = FieldConfig(p, c, modulus)
     q = cfg.q
+    try:
+        exponent = -resolution * math.log2(q)   # of one cell's measure, base 2
+    except OverflowError:
+        exponent = math.inf
+    if not -1022 <= exponent < 1024:   # the normal doubles are 2^-1022 to below 2^1024
+        raise InputDataError(f"line 1: resolution {resolution} gives cells of "
+                             f"measure {q}^{-resolution}, outside the normal floats")
     if _line(2, src.readline()).split(",") != ["lo", "digits", "re", "im"]:
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cells = {}

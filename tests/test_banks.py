@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import allclose
 
 from walshframes.algebra import FieldConfig, LambdaIndex, SystemConfig
 from walshframes.framekit import (
@@ -328,7 +329,7 @@ def test_folded_members_match_periodized_members(name):
                     l, j, sys.branch_index(label), sys, spec.generators))
                 got = spec.member(l, j, label)
                 assert got.resolution == want.resolution
-                assert got.allclose(want, 1e-12)
+                assert allclose(got, want, 1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import allclose
 
 import walshframes
 from walshframes import runner
@@ -230,7 +231,7 @@ def test_transform_roundtrip(tmp_path):
     dump_csv(f, src)
     assert run(["transform", src, "--direction", "forward", "--out", fwd]) == 0
     assert run(["transform", fwd, "--direction", "inverse", "--out", back]) == 0
-    assert load_csv(back).allclose(f, 1e-12)
+    assert allclose(load_csv(back), f, 1e-12)
 
 
 def _transform_input(tmp_path, resolution):

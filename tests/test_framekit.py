@@ -1,11 +1,19 @@
 import math
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import brute_partition, enumerate_reps, mask_value
+from hypothesis import given, settings, strategies as st
+from oracles import allclose, brute_partition, enumerate_reps, mask_table, mask_value
 
-from walshframes.algebra import FieldConfig, LambdaIndex, SystemConfig, uindex
+from walshframes.algebra import (
+    FieldConfig,
+    LambdaIndex,
+    SystemConfig,
+    uindex,
+    uindex_inverse,
+)
 from walshframes.errors import (
     ConfigError,
     DegenerateInput,
@@ -15,6 +23,7 @@ from walshframes.errors import (
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
+    _mask_table,
     bessel_mask_check,
     cascade,
     check_partition,
@@ -41,6 +50,9 @@ from walshframes.stepfn import (
 F2 = FieldConfig(2)
 F3 = FieldConfig(3)
 F4 = FieldConfig(2, 2, (1, 1, 1))
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "configs")
+SHIPPED = ("fourier_q3", "haar_q2", "haar_q2_perturbed",
+           "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5")
 RT2 = 1 / math.sqrt(2)
 RT3 = 1 / math.sqrt(3)
 W3 = complex(np.exp(2j * np.pi / 3))
@@ -102,9 +114,9 @@ def test_eval_mask_local_constancy():
 
 def test_mask_cells_haar():
     sys = haar_system()
-    assert mask_cells(sys.masks[0]).allclose(
+    assert allclose(mask_cells(sys.masks[0]),
         from_cells(F2, 1, {F2.zero(): 1.0}), 1e-12)
-    assert mask_cells(sys.masks[1]).allclose(
+    assert allclose(mask_cells(sys.masks[1]),
         from_cells(F2, 1, {F2.one(): 1.0}), 1e-12)
 
 
@@ -118,6 +130,78 @@ def test_mask_cells_match_pointwise_values():
         assert cells.resolution == K
         for rep in enumerate_reps(m.sys.field, 0, K):
             assert cells.cells.get(rep, 0j) == pytest.approx(mask_value(m, rep), abs=1e-15)
+
+
+# q = 2, 3, 5, 7, 4, 8
+MASK_FIELDS = (F2, F3, FieldConfig(5), FieldConfig(7), F4, FieldConfig(2, 3))
+
+
+@st.composite
+def random_masks(draw):
+    """A mask of 1 to 6 terms with n < q^3 over a system with N <= 4 (a unit
+    mod p) and r in {1, 3, 5}; with N > 1, the offset branch is drawn too,
+    and the first offset term may be joined by the lattice term on its cell."""
+    cfg = draw(st.sampled_from(MASK_FIELDS))
+    N = draw(st.sampled_from([N for N in range(1, 5) if N % cfg.p]))
+    r = draw(st.sampled_from([r for r in (1, 3, 5)
+                              if r < cfg.q * N and math.gcd(r, N) == 1]))
+    sys = SystemConfig(cfg, N=N, r=r)
+    index = st.tuples(st.integers(0, cfg.q ** 3 - 1), st.integers(0, sys.branches - 1))
+    value = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+    coeffs = draw(st.dictionaries(index, value, min_size=1, max_size=6))
+    offset = [idx for idx in coeffs if idx[1]]
+    if offset and draw(st.booleans()):
+        shared = (uindex_inverse(sys.lambda_element(LambdaIndex(*offset[0]))), 0)
+        coeffs[shared] = draw(value)
+    return Mask(sys, coeffs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_masks(), st.integers(0, 2 ** 32 - 1))
+def test_mask_tables_match_term_by_term_sums(m, seed):
+    cfg, K = m.sys.field, m.constancy_resolution
+    assert mask_cells(m).resolution == K
+    assert np.abs(mask_cells(m).values - mask_table(m, cfg.zero(), K)).max() <= 1e-12
+    rng = np.random.default_rng(seed)
+    for R in (K, K + 1):
+        reps = enumerate_reps(cfg, 0, R)
+        for tau in m.sys.shift_set:
+            got = _mask_table(m, tau, R)
+            assert np.abs(got - mask_table(m, tau, R)).max() <= 1e-12
+            for i in rng.choice(len(reps), min(len(reps), 8), replace=False):
+                assert abs(got[i] - mask_value(m, reps[i] + tau)) <= 1e-12
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(1, 0): 0.5, (0, 1): 0.25j},               # one cell, two indices
+    {(0, 0): 1.0, (1, 0): 0.5, (0, 1): -0.5},   # their amplitudes cancel
+])
+def test_mask_cells_sum_indices_that_share_a_cell(coeffs):
+    # over GF(2) with N = 3, r = 1: theta = u(1), so lambda(0, 1) = lambda(1, 0)
+    sys = SystemConfig(F2, N=3, r=1)
+    assert sys.lambda_element(LambdaIndex(0, 1)) == sys.lambda_element(LambdaIndex(1, 0))
+    m = Mask(sys, coeffs)
+    assert mask_cells(m).resolution == m.constancy_resolution == 1
+    for R in (1, 2):
+        for tau in sys.shift_set:
+            got = _mask_table(m, tau, R)
+            want = [mask_value(m, rep + tau) for rep in enumerate_reps(F2, 0, R)]
+            assert np.abs(got - want).max() <= 1e-15
+            assert np.abs(got - mask_table(m, tau, R)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_uep_gram_and_bessel_match_term_by_term_tables(name):
+    sys = load_masks(os.path.join(CONFIGS, name + ".masks"))
+    K = max(m.constancy_resolution for m in sys.masks)
+    T = np.array([[mask_table(m, tau, K) for tau in sys.shift_set] for m in sys.masks])
+    gram = np.einsum("lsc,ltc->cst", T, np.conj(T))
+    want = np.abs(gram - np.eye(len(sys.shift_set))).max()
+    assert abs(uep_gram(sys)["max_deviation"] - want) <= 1e-12
+    m0 = sys.masks[0]
+    rows = [mask_table(m0, tau, m0.constancy_resolution) for tau in sys.shift_set]
+    want = np.sum(np.abs(rows) ** 2, axis=0).max()
+    assert abs(bessel_mask_check(m0, sys)["max_sum"] - want) <= 1e-12
 
 
 def test_mask_rejects_bad_index():
@@ -134,9 +218,9 @@ def test_refine_hat_haar_fixed_point():
     sys = haar_system()
     phi_hat = unit_ball(F2)
     stepped = mask_refine(phi_hat, sys.masks[0], sys)
-    assert stepped.allclose(phi_hat, 1e-12)
+    assert allclose(stepped, phi_hat, 1e-12)
     iterated = iterate_refinement(sys.masks[0], sys, 4)
-    assert refine(iterated, 4).allclose(refine(unit_ball(F2), 4), 1e-12)
+    assert allclose(refine(iterated, 4), refine(unit_ball(F2), 4), 1e-12)
 
 
 def test_refine_hat_zero_and_value_at_zero():
@@ -151,7 +235,7 @@ def test_refine_hat_zero_and_value_at_zero():
 def test_wavelet_time_haar_frozen():
     sys = haar_system()
     psi = fast_inverse_transform(mask_refine(unit_ball(F2), sys.masks[1], sys))
-    assert psi.allclose(from_cells(F2, 1, {F2.zero(): 1.0, F2.one(): -1.0}), 1e-12)
+    assert allclose(psi, from_cells(F2, 1, {F2.zero(): 1.0, F2.one(): -1.0}), 1e-12)
     assert psi.norm2() == pytest.approx(1.0)
 
 
@@ -164,7 +248,7 @@ def test_wavelet_hat_value_at_zero():
 def test_derive_generators_orthonormal_bank():
     for sys in (haar_system(), fourier3_system()):
         gens = derive_generators(sys, iterations=4)
-        assert gens[0].allclose(unit_ball(sys.field), 1e-12)
+        assert allclose(gens[0], unit_ball(sys.field), 1e-12)
         for a in range(len(gens)):
             for b in range(len(gens)):
                 want = 1.0 if a == b else 0.0
@@ -174,7 +258,7 @@ def test_derive_generators_orthonormal_bank():
 def test_cascade_haar_and_gate():
     sys = haar_system()
     for it in (0, 1, 3):
-        assert cascade(sys.masks[0], sys, it).allclose(unit_ball(F2), 1e-12)
+        assert allclose(cascade(sys.masks[0], sys, it), unit_ball(F2), 1e-12)
     base = SystemConfig(F2, N=1, r=1)
     big = Mask(base, {(0, 0): RT2 * 1.1, (1, 0): RT2 * 1.1})
     with pytest.raises(NotNormalized):
@@ -208,7 +292,7 @@ def test_check_partition_matches_brute_force():
     for sys in (haar_system(), nonuniform_system(5)):
         got = check_partition(phi_hat, sys)
         explicit = [LambdaIndex(n, d) for d in range(sys.branches) for n in range(16)]
-        assert got.allclose(brute_partition(phi_hat, sys, explicit), 1e-12)
+        assert allclose(got, brute_partition(phi_hat, sys, explicit), 1e-12)
 
 
 def test_check_partition_zero():
@@ -306,7 +390,7 @@ def test_system_member_haar_scale_one_support():
     sys = haar_system()
     gens = derive_generators(sys, 2)
     member = system_member(0, 1, LambdaIndex(1, 0), sys, gens)
-    assert member.allclose(from_cells(F2, 1, {F2.one(): math.sqrt(2)}), 1e-12)
+    assert allclose(member, from_cells(F2, 1, {F2.one(): math.sqrt(2)}), 1e-12)
 
 
 def test_analysis_haar_orthonormal_expansion():

@@ -8,7 +8,7 @@ import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import enumerate_reps
+from oracles import allclose, enumerate_reps, modulate_table
 
 from walshframes import stepfn
 from walshframes.algebra import FieldConfig, FieldElement, SystemConfig, chi, uindex
@@ -24,7 +24,6 @@ from walshframes.stepfn import (
     indicator,
     inner,
     load_csv,
-    modulate,
     periodize,
     prune,
     refine,
@@ -81,7 +80,7 @@ def test_translate_preserves_norm_exactly():
 
 
 def test_modulate_haar_character():
-    g = modulate(unit_ball(F2), uindex(F2, 1))
+    g = modulate_table(unit_ball(F2), uindex(F2, 1))
     assert g.resolution == 1
     assert g.cells[F2.zero()] == pytest.approx(1.0)
     assert g.cells[F2.one()] == pytest.approx(-1.0)
@@ -89,14 +88,14 @@ def test_modulate_haar_character():
 
 def test_modulate_by_integral_element_is_identity():
     f = unit_ball(F2)
-    assert modulate(f, F2.zero()) == f
-    assert modulate(f, F2.one()) == f  # chi trivial on D
+    assert modulate_table(f, F2.zero()) == f
+    assert modulate_table(f, F2.one()) == f  # chi trivial on D
 
 
 def test_modulate_preserves_norm():
     rng = np.random.Generator(np.random.PCG64(8))
     f = random_step(F3, 2, rng)
-    g = modulate(f, uindex(F3, 5))
+    g = modulate_table(f, uindex(F3, 5))
     assert g.norm2() == pytest.approx(f.norm2(), abs=1e-12)
 
 
@@ -124,7 +123,7 @@ def test_dilate_round_trip_and_isometry():
         f = random_step(cfg, 2, rng)
         g = dilate(f, sys, "fine")
         assert g.norm2() == pytest.approx(f.norm2(), rel=1e-12)  # unitary mode
-        assert dilate(g, sys, "coarse").allclose(f, 1e-12)
+        assert allclose(dilate(g, sys, "coarse"), f, 1e-12)
 
 
 def test_dilate_qn_mode_amplitude():
@@ -180,9 +179,9 @@ def test_commutation_translate_modulate():
         for a, b in [(uindex(cfg, 1), uindex(cfg, 2)),
                      (cfg.one(), uindex(cfg, 3)),
                      (uindex(cfg, 2), uindex(cfg, 1) + cfg.one())]:
-            lhs = translate(modulate(f, b), a)
-            rhs = modulate(translate(f, a), b).scale(chi(b * a).conjugate())
-            assert lhs.allclose(rhs, 1e-12)
+            lhs = translate(modulate_table(f, b), a)
+            rhs = modulate_table(translate(f, a), b).scale(chi(b * a).conjugate())
+            assert allclose(lhs, rhs, 1e-12)
 
 
 def test_support_ball():
@@ -264,10 +263,12 @@ def one_cell_file(resolution, q):
     (-1024, 2),       # 2^1024 overflows
     (645, 3),         # 3^-645 is subnormal
     (-647, 3),        # 3^647 overflows
+    (1100, 2),        # 2^-1100 underflows to 0.0
 ])
 def test_load_csv_refuses_resolution_without_normal_measure(resolution, q):
-    with pytest.raises(InputDataError, match=r"^line 1: resolution "):
-        load_csv(one_cell_file(resolution, q))
+    new, old = _load_both(one_cell_file(resolution, q).getvalue(), stepfn.CSV_BLOCK)
+    assert new == old
+    assert new.startswith("line 1: resolution ")
 
 
 @pytest.mark.parametrize("resolution, q", [(1022, 2), (-1023, 2), (644, 3),
@@ -275,6 +276,8 @@ def test_load_csv_refuses_resolution_without_normal_measure(resolution, q):
 def test_load_csv_accepts_resolution_with_normal_measure(resolution, q):
     f = load_csv(one_cell_file(resolution, q))
     assert (f.resolution, f.lo, f.values.tolist()) == (resolution, resolution, [1])
+    assert _load_both(one_cell_file(resolution, q).getvalue(), stepfn.CSV_BLOCK)[1] == (
+        resolution, resolution, f.values.tobytes())
 
 
 # -------------------------------------------- CSV against the row oracles --
@@ -693,7 +696,7 @@ def test_periodic_step_conversion():
     f = StepFunction(F2, 3, vals)
     g = from_cells(F2, 3, f.cells)
     assert g.norm2() == pytest.approx(f.norm2(), rel=1e-14)
-    assert g.window(0).allclose(f, 0)
+    assert allclose(g.window(0), f, 0)
     with pytest.raises(ValueError):
         from_cells(F2, 0, {uindex(F2, 1): 1.0}).window(0)  # support leaves D
 
@@ -787,18 +790,18 @@ def operands(draw):
 @given(operands(), st.integers(0, 2))
 def test_table_operators_match_cell_oracles(ops, extra):
     f, g, a, b, sys = ops
-    assert refine(f, f.resolution + extra).allclose(
+    assert allclose(refine(f, f.resolution + extra),
         oracles.refine(f, f.resolution + extra), 1e-12)
-    assert translate(f, a).allclose(oracles.translate(f, a), 1e-12)
-    assert modulate(f, b).allclose(oracles.modulate(f, b), 1e-12)
+    assert allclose(translate(f, a), oracles.translate(f, a), 1e-12)
+    assert allclose(modulate_table(f, b), oracles.modulate(f, b), 1e-12)
     for direction in ("fine", "coarse"):
-        assert dilate(f, sys, direction).allclose(
+        assert allclose(dilate(f, sys, direction),
             oracles.dilate(f, sys, direction), 1e-12)
     assert abs(inner(f, g) - oracles.inner(f, g)) <= 1e-12
-    assert periodize(f).allclose(oracles.periodize(f), 1e-12)
+    assert allclose(periodize(f), oracles.periodize(f), 1e-12)
     # resolution and support ball as the cell dictionaries give them
     for got, want in ((translate(f, a), oracles.translate(f, a)),
-                      (modulate(f, b), oracles.modulate(f, b))):
+                      (modulate_table(f, b), oracles.modulate(f, b))):
         assert (got.resolution, got.support_ball()) == \
             (want.resolution, want.support_ball())
 
@@ -808,12 +811,12 @@ def test_table_operators_match_cell_oracles(ops, extra):
 def test_commutation_identities(ops):
     f, _, a, b, sys = ops
     # T_a E_b = chi(-ab) E_b T_a
-    lhs = translate(modulate(f, b), a)
-    rhs = modulate(translate(f, a), b).scale(chi(-(a * b)))
-    assert lhs.allclose(rhs, 1e-12)
+    lhs = translate(modulate_table(f, b), a)
+    rhs = modulate_table(translate(f, a), b).scale(chi(-(a * b)))
+    assert allclose(lhs, rhs, 1e-12)
     # D T_a = T_(t nu^-1 a) D
     moved = a.scale(f.cfg.gf_inv(sys.nu)).shift(1)
-    assert dilate(translate(f, a), sys).allclose(
+    assert allclose(dilate(translate(f, a), sys),
         translate(dilate(f, sys), moved), 1e-12)
 
 
