@@ -347,6 +347,7 @@ def cell_index(q: int, digits, resolution: int, out=None):
         index *= q ** max(e - last, 0)   # 1 before the first digit
         index += d
         last = e
+        del d   # not alive while the next digit is formed
     index *= q ** (resolution - 1 - last)
     return index
 

@@ -22,7 +22,7 @@ test functions is pushed through the same system by vectorized reductions.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .algebra import (
 from .errors import ConfigError, DegenerateInput, InputDataError, NotNormalized
 from .harmonic import fast_inverse_transform, fast_transform
 from .stepfn import (
+    CELL_CAP,
     StepFunction,
     cell_integrals,
     dilate,
@@ -58,6 +59,7 @@ __all__ = [
     "PRUNE_TOL",
     "STRUCTURAL_TOL",
     "TRANSFORM_TOL",
+    "bank_entries",
     "bessel_mask_check",
     "cascade",
     "check_partition",
@@ -291,6 +293,18 @@ def translation_digits(sys: SystemConfig, j: int, n: np.ndarray,
     return out
 
 
+def bank_entries(l: int, j: int, rows: int, arrays: int, index: int) -> int:
+    """Integer entries a build of bank (l, j) holds at once: `arrays` arrays of
+    `rows` entries and the index table of `index`, with the digit plane added
+    into it (MemberBank). ConfigError above CELL_CAP, before any exists; the
+    member's own table is capped as a table, at load or by stepfn.window."""
+    count = arrays * rows + 2 * index
+    if count > CELL_CAP:
+        raise ConfigError(f"the member bank of generator {l} at scale {j} needs "
+                          f"{count} table entries, above the cap of {CELL_CAP}")
+    return count
+
+
 class MemberBank:
     """Every reachable translate of one dilated generator h = member (l, j, 0).
 
@@ -370,9 +384,11 @@ class FrameAnalyzer:
         if got is None or got.cells.shape[1] < bound:
             h = self.member(l, j, LambdaIndex(0, 0))
             B = self.sys.branches
-            n = np.tile(np.arange(bound), B)
-            delta = np.repeat(np.arange(B), bound)
-            mu = translation_digits(self.sys, j, n, delta, -math.inf, h.resolution)
+            # the labels n and delta, the digits of n < bound, three in flight
+            bank_entries(l, j, B * bound, exp + margin + 5,
+                         B * bound * np.count_nonzero(h.values))
+            mu = translation_digits(self.sys, j, np.tile(np.arange(bound), B),
+                                    np.repeat(np.arange(B), bound), -math.inf, h.resolution)
             got = self._members[(l, j)] = MemberBank(h, mu, (B, bound))
         return got, bound
 
@@ -443,10 +459,10 @@ class FrameAnalyzer:
         tables: dict = {}
         return {(l, j): self._energies(f, l, j, tables) for l, j in self._pairs(j0, j1)}
 
-    def _pairs(self, j0: int, j1: int) -> list[tuple[int, int]]:
-        """The (l, j) of every bank the checks over [j0, j1) read."""
-        return [(0, j) for j in range(j0, j1 + 1)] + [
-            (l, j) for l in range(1, len(self.generators)) for j in range(j0, j1)]
+    def _pairs(self, j0: int, j1: int) -> Iterator[tuple[int, int]]:
+        """The (l, j) of every bank the checks over [j0, j1) read, one at a time."""
+        yield from ((0, j) for j in range(j0, j1 + 1))
+        yield from ((l, j) for l in range(1, len(self.generators)) for j in range(j0, j1))
 
     def table_width(self, k: int, j0: int, j1: int) -> int:
         """Entries one function on D at resolution k adds to the largest table

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import LambdaIndex, cell_index
+from .algebra import LambdaIndex, cell_digits, cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import MemberBank, system_member, translation_digits
+from .framekit import MemberBank, bank_entries, system_member, translation_digits
 from .stepfn import StepFunction, cell_integrals, periodize
 
 __all__ = [
@@ -51,33 +51,32 @@ class PeriodicSystemSpec:
         self.j_max = j_max
         self._members: dict[tuple[int, int], tuple] = {}
 
-    def bank(self, l: int, j: int) -> tuple[MemberBank, np.ndarray, np.ndarray]:
-        """(bank, label count of each row, folded key of each row) at (l, j)."""
+    def bank(self, l: int, j: int) -> tuple[MemberBank, np.ndarray]:
+        """(bank, label count of each row) at (l, j). On D, the translations of
+        scale j have digits below the exponent m = min(j, K) only, taking all
+        q^m values there; row r is the one whose digits are r's at resolution m."""
         got = self._members.get((l, j))
         if got is None:
             sys = self.sys
             h = periodize(system_member(l, j, LambdaIndex(0, 0), sys,
                                         self.generators))
-            q, K = sys.q, h.resolution
+            q, B, m = sys.q, sys.branches, min(j, h.resolution)
+            # residues, label counts, the labels n and delta, m digits, three in flight
+            bank_entries(l, j, B * q ** j, m + 7, q ** m * np.count_nonzero(h.values))
             # only n mod q^j reaches D after j dilations, so count the labels
             # of each residue instead of enumerating all (qN)^j of them
             residues = np.arange(q ** j)
             L = sys.qN ** j
-            per_branch = (L,) if sys.branches == 1 else ((L + 1) // 2, L // 2)
-            counts = np.concatenate([m // residues.size + (residues < m % residues.size)
-                                     for m in per_branch])
-            n = np.tile(residues, sys.branches)
-            delta = np.repeat(np.arange(sys.branches), residues.size)
-            mu = translation_digits(sys, j, n, delta, 0, K)
-            # a translation's digits on D, as the index of its cell there
-            keys, first, rows = np.unique(
-                cell_index(q, mu.items(), K, out=np.zeros(n.size, dtype=np.int64)),
-                return_index=True, return_inverse=True)
-            weights = np.zeros(keys.size, dtype=np.int64)
-            np.add.at(weights, rows, counts)
-            bank = MemberBank(h, {e: d[first] for e, d in mu.items()},
-                              (keys.size,))
-            got = self._members[(l, j)] = (bank, weights, keys)
+            per_branch = (L,) if B == 1 else ((L + 1) // 2, L // 2)
+            counts = np.concatenate([c // q ** j + (residues < c % q ** j) for c in per_branch])
+            mu = translation_digits(sys, j, np.tile(residues, B),
+                                    np.repeat(np.arange(B), residues.size), 0, h.resolution)
+            weights = np.zeros(q ** m, dtype=np.int64)
+            np.add.at(weights, cell_index(q, mu.items(), m,
+                                          out=np.zeros(counts.size, dtype=np.int64)), counts)
+            del mu, residues, counts   # not alive while the bank is built
+            bank = MemberBank(h, dict(cell_digits(q, np.arange(q ** m), m, 0)), (q ** m,))
+            got = self._members[(l, j)] = (bank, weights)
         return got
 
     def member(self, l: int, j: int, label: int) -> StepFunction:
@@ -87,14 +86,13 @@ class PeriodicSystemSpec:
         if not 0 <= label < self.sys.qN ** j:
             raise IndexError(
                 f"label {label} outside [0, {self.sys.qN ** j}) at scale {j}")
-        bank, _, keys = self.bank(l, j)
+        bank, _ = self.bank(l, j)
         n, delta = self.sys.branch_index(label)
         K = bank.resolution
         mu = translation_digits(self.sys, j, np.array([n]), np.array([delta]), 0, K)
-        key = cell_index(self.sys.q, mu.items(), K, out=np.zeros(1, dtype=np.int64))
-        row = np.searchsorted(keys, key[0])
+        row = cell_index(self.sys.q, mu.items(), min(j, K), out=np.zeros(1, dtype=np.int64))
         values = np.zeros(self.sys.q ** K, dtype=complex)
-        values[bank.cells[row]] = np.conj(bank.conj_values)
+        values[bank.cells[row[0]]] = np.conj(bank.conj_values)
         return StepFunction(self.sys.field, K, values)
 
     def table_width(self) -> int:
@@ -109,7 +107,7 @@ def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
             tables: dict) -> np.ndarray:
     """sum over the labels of scale j of |<f, member(l, j, label)>|^2, per
     function of a block; tables keeps f's cell integrals per resolution."""
-    bank, weights, _ = spec.bank(l, j)
+    bank, weights = spec.bank(l, j)
     K = bank.resolution
     if K not in tables:
         tables[K] = cell_integrals(f.window(0).values, f.resolution, K, f.cfg.q)

@@ -210,7 +210,12 @@ class RunConfig:
         if not 0 < epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
         if sys_cfg is not None:
-            for option, digits in _table_digits(sys_cfg, iterations, j1, j_max).items():
+            # generators hold at most q^(K + iterations) cells and reach resolution
+            # iterations + 1 at most, so verify integrates a suite function at j0
+            # over resolution - (iterations + 1) - j0 digits or more
+            K = max((m.constancy_resolution for m in sys_cfg.masks), default=0)
+            for option, digits in (("cascade_iterations", K + iterations),
+                                   ("j0", resolution - (iterations + 1) - j0)):
                 if not within_cap(cfg.q, digits):
                     raise ConfigError(
                         f"{option} needs tables of q^{digits} cells, above the "
@@ -258,31 +263,6 @@ class RunConfig:
         return block
 
 
-def _table_digits(sys: SystemConfig, iterations: int, j1: int,
-                  j_max: int) -> dict[str, int]:
-    """Base-q digits of the largest table or member bank each option drives,
-    an upper bound worked out before anything is allocated.
-
-    With K the largest mask constancy resolution, each refinement step
-    widens phi_hat's window by one digit, to at most q^(K - 1 + iterations)
-    cells, and a wavelet product by one more; the time-side generators keep
-    those cell counts and reach resolution iterations + 1 at most. A verify
-    bank at a scale up to j1 holds, per branch, up to q^max(j1, K - 1,
-    -v(theta)) translates of at most q^(K + iterations) cells; a folded
-    bank at a scale j up to j_max holds up to q^j members of
-    q^(iterations + 1 + j) cells.
-    """
-    K = max((m.constancy_resolution for m in sys.masks), default=0)
-    generators = K + iterations
-    offset = -sys.theta.valuation() if sys.branches == 2 else 0
-    # q >= 2, so one more digit covers a second branch
-    return {
-        "cascade_iterations": generators,
-        "j1": max(j1, K - 1, offset) + generators + sys.branches - 1,
-        "j_max": 2 * j_max + iterations + 1,
-    }
-
-
 def render_report(report: dict) -> str:
     """Strict JSON: a non-finite number is refused rather than written."""
     try:
@@ -298,7 +278,11 @@ def suite_blocks(cfg: FieldConfig, resolution: int, count: int, seed: int,
     imaginary part per function, in blocks of max(1, SUITE_BLOCK //
     max(q^resolution, width)) functions, width being the entries one
     function adds to the largest table of its checks. Peak memory thus
-    does not grow with count, and the stream does not depend on the block."""
+    does not grow with count, and the stream does not depend on the block.
+    A width above CELL_CAP is refused before anything is drawn."""
+    if width > CELL_CAP:
+        raise ConfigError(f"a suite function needs a table of {width} entries, "
+                          f"above the cap of {CELL_CAP}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     n = cfg.q ** resolution
     size = max(1, SUITE_BLOCK // max(n, width))

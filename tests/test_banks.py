@@ -5,22 +5,29 @@ member as a step function and takes one dict inner product per overlapping
 translation, projections summed member by member, and the folded energy
 summed over every label of a scale. The banks must agree with them to
 1e-12 relative on every system, including the degenerate nonuniform
-family, a nontrivial dilation unit and an extension field.
+family, a nontrivial dilation unit and an extension field. A bank build
+must stay within the entries bank_entries counts for it, or allocate
+nothing row-sized when the count passes the cap.
 """
 
 import math
 import os
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import allclose
 
+from walshframes import framekit, periodic
 from walshframes.algebra import FieldConfig, LambdaIndex, SystemConfig
+from walshframes.errors import ConfigError
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
+    bank_entries,
     derive_generators,
     load_masks,
     system_member,
@@ -340,7 +347,7 @@ def test_folded_weights_count_every_label(name):
     spec = PeriodicSystemSpec(sys, GENERATORS[name], 4 if sys.qN < 10 else 3)
     for l in range(len(spec.generators)):
         for j in range(spec.j_max + 1):
-            bank, weights, _ = spec.bank(l, j)
+            bank, weights = spec.bank(l, j)
             assert int(weights.sum()) == sys.qN ** j
             # the label count of each folded translation, by brute force
             digits = Counter(
@@ -350,3 +357,68 @@ def test_folded_weights_count_every_label(name):
             assert sorted(weights.tolist()) == sorted(digits.values())
             assert bank.cells.shape[0] == len(digits)
 
+
+# ------------------------------------------------------------- bank sizes --
+
+@st.composite
+def bank_systems(draw):
+    """(system, generators, cascade iterations): a system above, or two
+    random masks over GF(2), GF(3) or GF(4) with N <= 3."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(SYSTEMS)))
+        return SYSTEMS[name], GENERATORS[name], 4
+    cfg = draw(st.sampled_from([FieldConfig(2), FieldConfig(3), FieldConfig(2, 2, (1, 1, 1))]))
+    base = SystemConfig(cfg, N=draw(st.sampled_from([N for N in (1, 2, 3) if N % cfg.p])))
+    index = st.tuples(st.integers(0, cfg.q ** 2 - 1), st.integers(0, base.branches - 1))
+    value = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+    sys = base.with_masks(tuple(
+        Mask(base, draw(st.dictionaries(index, value, min_size=1, max_size=4)))
+        for _ in range(2)))
+    iterations = draw(st.integers(0, 3))
+    return sys, derive_generators(sys, iterations), iterations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bank_systems(), st.integers(0, 2), st.integers(-3, 16), st.booleans())
+def test_bank_entries_bound_each_build(system, l, j, folded):
+    sys, gens, iterations = system
+    K = max(m.constancy_resolution for m in sys.masks)
+    assert max(g.values.size for g in gens) <= sys.q ** (K + iterations)
+    l %= len(gens)
+    # up to about 2^16 rows, and a folded member of at most 2^16 cells
+    top = int(16 // math.log2(sys.q)) - sys.branches + 1
+    j = max(0, min(j, top - max(gens[l].resolution, 0))) if folded else min(j, top)
+    # the member is formed outside the trace: its table is capped on its own
+    h = system_member(l, j, LambdaIndex(0, 0), sys, gens)
+    h = periodize(h) if folded else h
+    seen = {}
+
+    def spy(*args):
+        seen["index"] = args[-1]
+        seen["count"] = bank_entries(*args)
+        return seen["count"]
+
+    cap = 2 ** 20
+    with mock.patch.object(framekit, "CELL_CAP", cap), \
+            mock.patch.object(framekit, "bank_entries", spy), \
+            mock.patch.object(periodic, "bank_entries", spy), \
+            mock.patch.object(framekit, "system_member", lambda *args: h), \
+            mock.patch.object(periodic, "system_member", lambda *args: h), \
+            mock.patch.object(periodic, "periodize", lambda member: member):
+        tracemalloc.start()
+        try:
+            if folded:
+                bank = PeriodicSystemSpec(sys, gens, j).bank(l, j)[0]
+            else:
+                bank = FrameAnalyzer(sys, gens)._bank(l, j, 0)[0]
+        except ConfigError as exc:
+            assert f"scale {j}" in str(exc) and str(cap) in str(exc)
+            bank = None
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    if bank is None:
+        # refused before a row-sized array: the rows alone would need 8 MiB
+        assert "count" not in seen and peak < 2 ** 20
+    else:
+        assert seen["index"] == bank.cells.size
+        assert peak <= 8 * seen["count"] + 2 ** 20

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -10,13 +11,11 @@ import pytest
 from oracles import allclose
 
 import walshframes
-from walshframes import runner
+from walshframes import framekit, runner
 from walshframes.algebra import Q_CAP, FieldConfig
 from walshframes.cli import main
 from walshframes.errors import ConfigError
-from walshframes.framekit import FrameAnalyzer, derive_generators
-from walshframes.periodic import PeriodicSystemSpec, periodic_tightness_check
-from walshframes.runner import UINDEX_CAP, RunConfig, _table_digits, suite_functions
+from walshframes.runner import UINDEX_CAP, RunConfig
 from walshframes.stepfn import CELL_CAP, StepFunction, dump_csv, from_cells, load_csv
 
 CONFIGS = os.path.abspath(
@@ -689,14 +688,10 @@ def _scales_cfg(tmp_path, masks, **scales):
 @pytest.mark.parametrize("option, at_cap, scales", [
     # haar, K = 1: generator tables of q^(K + iterations) cells
     ("cascade_iterations", 23, {"j0": 0, "j1": 0, "j_max": 0}),
-    # verify banks of q^(max(j1, K - 1) + K + iterations) cells
-    ("j1", 23, {"j0": 0, "j_max": 0, "cascade_iterations": 0}),
-    # folded banks of q^(2 j_max + iterations + 1) cells: 2^23, then 2^25
-    ("j_max", 11, {"j0": 0, "j1": 0, "cascade_iterations": 0}),
 ])
 def test_scale_options_are_capped_before_allocation(tmp_path, capsys, option,
                                                     at_cap, scales):
-    # only RunConfig.load runs: the estimate refuses without building a table
+    # only RunConfig.load runs: the load-time bound refuses without building a table
     rc = RunConfig.load(_scales_cfg(tmp_path, "haar_q2.masks",
                                     **{option: at_cap}, **scales))
     assert getattr(rc, option) == at_cap
@@ -705,6 +700,53 @@ def test_scale_options_are_capped_before_allocation(tmp_path, capsys, option,
         RunConfig.load(cfg)
     assert run(["verify", "--config", cfg]) == 2
     assert str(CELL_CAP) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [("verify", "j1"), ("periodic", "j_max")])
+def test_bank_scales_are_capped_before_allocation(tmp_path, capsys, monkeypatch,
+                                                  command, option):
+    # a bank scale has no load-time bound: each bank is checked before it is built
+    cfg = _scales_cfg(tmp_path, "haar_q2.masks", **{option: 10 ** 9},
+                      cascade_iterations=0)
+    assert getattr(RunConfig.load(cfg), option) == 10 ** 9
+    # at a small cap, the run never holds the rows of a refused bank
+    cap = 2 ** 12
+    monkeypatch.setattr(framekit, "CELL_CAP", cap)
+    tracemalloc.start()
+    try:
+        assert run([command, "--config", cfg]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "at scale" in err and f"the cap of {cap}" in err
+    assert peak < 8 * cap + 2 ** 20
+
+
+def test_a_coarse_j0_is_refused_at_load(tmp_path, capsys):
+    # resolution 0, 4 iterations: a member at scale j0 is no finer than
+    # 5 + j0, so verify integrates over windows of at least -5 - j0 digits
+    assert RunConfig.load(_scales_cfg(tmp_path, "haar_q2.masks", j0=-29)).j0 == -29
+    with pytest.raises(ConfigError, match="j0"):
+        RunConfig.load(_scales_cfg(tmp_path, "haar_q2.masks", j0=-30))
+    cfg = _scales_cfg(tmp_path, "haar_q2.masks", j0=-10 ** 9)
+    start = time.perf_counter()
+    assert run(["verify", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1
+    assert str(CELL_CAP) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "periodic"])
+def test_fourier_q3_runs_at_resolution_6(tmp_path, command):
+    body = (f"[masks]\nfile = {os.path.join(CONFIGS, 'fourier_q3.masks')}\n\n"
+            "[scales]\nj1 = 6\nj_max = 6\n\n[suite]\ncount = 5\nresolution = 6\n")
+    cfg = write_cfg(tmp_path, "", 3, body=body)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_dump_wavelets_builds_no_bank(tmp_path):
+    cfg = _scales_cfg(tmp_path, "haar_q2.masks", j1=10 ** 9, j_max=10 ** 9)
+    assert run(["dump-wavelets", "--config", cfg, "--out", str(tmp_path / "wl")]) == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -730,25 +772,6 @@ def test_non_finite_or_negative_settings_are_config_errors(tmp_path, capsys, mon
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert option in err and value.lstrip("-") in err
-
-
-@pytest.mark.parametrize("name", ["haar_q2", "fourier_q3", "nonuniform_q2_N3_r5"])
-def test_cap_estimate_bounds_the_tables_built(name):
-    rc = RunConfig.load(os.path.join(CONFIGS, f"{name}.cfg"))
-    digits = _table_digits(rc.sys, rc.cascade_iterations, rc.j1, rc.j_max)
-    q = rc.cfg.q
-    gens = derive_generators(rc.sys, rc.cascade_iterations)
-    assert max(g.values.size for g in gens) <= q ** digits["cascade_iterations"]
-    f = next(suite_functions(rc.cfg, rc.resolution, 1, rc.seed))
-    analyzer = FrameAnalyzer(rc.sys, gens)
-    for j in range(rc.j0, rc.j1):
-        analyzer.two_scale_check(f, j)
-    analyzer.frame_ratio(f, rc.j0, rc.j1)
-    assert max(b.cells.size for b in analyzer._members.values()) <= q ** digits["j1"]
-    spec = PeriodicSystemSpec(rc.sys, gens, rc.j_max)
-    periodic_tightness_check(f, spec)
-    assert max(b.cells.size for b, _, _ in spec._members.values()) \
-        <= q ** digits["j_max"]
 
 
 def test_reports_refuse_non_finite_numbers():

@@ -18,6 +18,7 @@ import pytest
 
 from oracles import periodic_numbers, suite_functions, verify_numbers
 from walshframes import runner
+from walshframes.errors import ConfigError
 from walshframes.framekit import FrameAnalyzer, derive_generators
 from walshframes.periodic import PeriodicSystemSpec
 from walshframes.runner import (
@@ -26,7 +27,7 @@ from walshframes.runner import (
     suite_blocks,
     verify_report,
 )
-from walshframes.stepfn import StepFunction
+from walshframes.stepfn import CELL_CAP, StepFunction
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -103,8 +104,15 @@ def test_default_blocks_are_the_one_at_a_time_stream():
 def test_a_block_holds_at_least_one_function(monkeypatch):
     rc = _config("haar_q2")
     monkeypatch.setattr(runner, "SUITE_BLOCK", 1)
-    blocks = list(suite_blocks(rc.cfg, rc.resolution, 3, rc.seed, 10 ** 9))
+    blocks = list(suite_blocks(rc.cfg, rc.resolution, 3, rc.seed, CELL_CAP))
     assert [b.values.shape for b in blocks] == [(1, rc.cfg.q ** rc.resolution)] * 3
+
+
+def test_a_width_past_the_cell_cap_is_refused_before_any_draw(monkeypatch):
+    rc = _config("haar_q2")
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ConfigError, match=str(CELL_CAP)):
+        next(suite_blocks(rc.cfg, rc.resolution, 3, rc.seed, CELL_CAP + 1))
 
 
 # ----------------------------------------------------------------- oracle --
