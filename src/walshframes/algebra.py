@@ -465,8 +465,9 @@ class SystemConfig:
 
     @property
     def lambda_degenerate(self) -> bool:
-        """True when the offset branch folds into the lattice (multiset)."""
-        return self.branches == 2 and all(e < 0 for e, _ in self.theta.terms)
+        """True when the offset branch exists: theta = u(r) * nu^(-1), r >= 1,
+        has negative exponents only, so it folds into the lattice (multiset)."""
+        return self.branches == 2
 
     # -- translation family ---------------------------------------------------
 

@@ -58,6 +58,10 @@ class PeriodicSystemSpec:
         got = self._members.get((l, j))
         if got is None:
             sys = self.sys
+            L = sys.qN ** j
+            if L > np.iinfo(np.int64).max:   # the label counts below are int64
+                raise ConfigError(f"scale {j} of the folded system has (qN)^{j} = "
+                                  f"{sys.qN}^{j} labels, too many to count in 64 bits")
             h = periodize(system_member(l, j, LambdaIndex(0, 0), sys,
                                         self.generators))
             q, B, m = sys.q, sys.branches, min(j, h.resolution)
@@ -66,7 +70,6 @@ class PeriodicSystemSpec:
             # only n mod q^j reaches D after j dilations, so count the labels
             # of each residue instead of enumerating all (qN)^j of them
             residues = np.arange(q ** j)
-            L = sys.qN ** j
             per_branch = (L,) if B == 1 else ((L + 1) // 2, L // 2)
             counts = np.concatenate([c // q ** j + (residues < c % q ** j) for c in per_branch])
             mu = translation_digits(sys, j, np.tile(residues, B),
@@ -116,15 +119,15 @@ def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
 
 
 def folded_energies(f: StepFunction, spec: PeriodicSystemSpec
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(S, W) of shape (j_max + 1,) + block shape: S[j] the scaling energy of
-    f at scale j, W[j] its wavelet energy (summed over the wavelet
-    generators), each bank reduced once. The checks below take them as
-    `energies`, so that a block computes them once for all three."""
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, W, ||f||^2), S and W of shape (j_max + 1,) + block shape: S[j] the
+    scaling energy of f at scale j, W[j] its wavelet energy (summed over the
+    wavelet generators), each bank reduced once. The checks below take them
+    as `energies`, so that a block computes them once for all three."""
     tables: dict = {}
     E = np.array([[_energy(f, l, j, spec, tables) for j in range(spec.j_max + 1)]
                   for l in range(len(spec.generators))])
-    return E[0], E[1:].sum(axis=0)
+    return E[0], E[1:].sum(axis=0), f.norm2()
 
 
 def projection_energy_scan(f: StepFunction, eps: float,
@@ -134,10 +137,9 @@ def projection_energy_scan(f: StepFunction, eps: float,
     (J, {j: S_j}), or for a block (one J per function, S as an array)."""
     if eps <= 0:
         raise ConfigError(f"scan slack must be positive, got {eps!r}")
-    n2 = f.norm2()
+    S, _, n2 = folded_energies(f, spec) if energies is None else energies
     if np.any(n2 == 0.0):
         raise DegenerateInput("projection scan of the zero function")
-    S, _ = folded_energies(f, spec) if energies is None else energies
     inside = ((1 - eps) * n2 <= S) & (S <= (1 + eps) * n2)
     # J opens the run of in-band scales that reaches j_max
     run = np.logical_and.accumulate(inside[::-1], axis=0).sum(axis=0)
@@ -153,7 +155,7 @@ def periodic_two_scale_check(f: StepFunction, j: int,
     for 0 <= j < j_max."""
     if not 0 <= j < spec.j_max:
         raise IndexError(f"scale {j} outside [0, {spec.j_max})")
-    S, W = folded_energies(f, spec) if energies is None else energies
+    S, W, _ = folded_energies(f, spec) if energies is None else energies
     return np.abs(S[j + 1] - (S[j] + W[j]))
 
 
@@ -171,11 +173,10 @@ def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
         raise TruncationError(
             f"scale cap {spec.j_max} cannot resolve a resolution-"
             f"{f.resolution} input")
-    S, W = folded_energies(f, spec) if energies is None else energies
+    S, W, n2 = folded_energies(f, spec) if energies is None else energies
     total = S[0]
     for j in range(spec.j_max):
         total = total + W[j]
-    n2 = f.norm2()
     return {
         "total": total,
         "norm2": n2,

@@ -25,7 +25,6 @@ from . import __version__
 from .algebra import NORMALIZATIONS, FieldConfig, SystemConfig, uindex
 from .errors import ConfigError, DegenerateInput, WalshFramesError
 from .framekit import (
-    GRAM_TOL,
     FrameAnalyzer,
     Mask,
     bessel_mask_check,
@@ -46,6 +45,7 @@ from .periodic import (
 from .stepfn import CELL_CAP, StepFunction, dump_csv, within_cap
 
 __all__ = [
+    "GRAM_TOL",
     "RESIDUAL_TOL",
     "TAIL_TOL",
     "RunConfig",
@@ -59,6 +59,7 @@ __all__ = [
     "periodic_report",
 ]
 
+GRAM_TOL = 1e-10   # [tolerances] gram: Gram deviation, and Bessel sum minus 1
 RESIDUAL_TOL = 1e-9
 TAIL_TOL = 1e-12
 # Table entries of one block of suite functions (see suite_blocks): 256 KiB
@@ -366,8 +367,10 @@ def verify_report(rc: RunConfig) -> dict:
     phi_at_zero = abs(phi_hat.values[0])
 
     gram = uep_gram(sys_cfg)
-    gram_ok = gram["max_deviation"] <= rc.gram_tol
+    gram.update(tolerance=rc.gram_tol, verdict=gram["max_deviation"] <= rc.gram_tol)
     bessel = bessel_mask_check(sys_cfg.masks[0], sys_cfg)
+    bessel.update(tolerance=rc.gram_tol,
+                  verdict=bessel["max_sum"] <= 1.0 + rc.gram_tol)
 
     generators = derive_generators(sys_cfg, rc.cascade_iterations)
     analyzer = FrameAnalyzer(sys_cfg, generators)
@@ -388,8 +391,8 @@ def verify_report(rc: RunConfig) -> dict:
 
     verdicts = {
         "partition": partition_ok,
-        "gram": gram_ok,
-        "bessel": bool(bessel["verdict"]),
+        "gram": gram["verdict"],
+        "bessel": bessel["verdict"],
         "two_scale": two_scale_ok,
         "frame_ratio": ratio_ok,
     }
@@ -433,7 +436,7 @@ def periodic_report(rc: RunConfig) -> dict:
     cfg = sys_cfg.field
 
     gram = uep_gram(sys_cfg)
-    gram_ok = gram["max_deviation"] <= rc.gram_tol
+    gram.update(tolerance=rc.gram_tol, verdict=gram["max_deviation"] <= rc.gram_tol)
     generators = derive_generators(sys_cfg, rc.cascade_iterations)
     spec = PeriodicSystemSpec(sys_cfg, generators, rc.j_max)
 
@@ -463,7 +466,7 @@ def periodic_report(rc: RunConfig) -> dict:
     tightness_ok = worst_tightness <= rc.residual_tol and \
         worst_tail <= rc.tail_tol
     verdicts = {
-        "gram": gram_ok,
+        "gram": gram["verdict"],
         "scan_finite": all_finite,
         "two_scale": two_scale_ok,
         "tightness": tightness_ok,

@@ -550,3 +550,18 @@ def test_uindex_places_base_q_digit_i_at_exponent_minus_1_minus_i(cfg, k, r, s):
     assert [u.coefficient(-1 - i) for i in range(40)] == digits
     assert all(-40 <= e < 0 for e, _ in u.terms)
     assert uindex_inverse(u) == n and type(uindex_inverse(u)) is int
+
+
+@RANDOM_FIELDS
+@given(random_fields(), st.integers(1, 12), st.data())
+def test_offset_branch_is_degenerate_exactly_when_it_exists(cfg, N, data):
+    # theta = u(r) nu^(-1) with r >= 1 has negative exponents only, so the
+    # offset branch folds into the lattice whenever N > 1 creates it
+    qN = cfg.q * N
+    r = data.draw(st.sampled_from([r for r in range(1, qN, 2) if math.gcd(r, N) == 1]))
+    # N embeds as the default unit unless p divides it
+    units = st.integers(1, cfg.q - 1)
+    nu = data.draw(units if N % cfg.p == 0 else st.one_of(st.none(), units))
+    sys = SystemConfig(cfg, N=N, r=r, dilation_unit=nu)
+    assert sys.theta.terms and all(e < 0 for e, _ in sys.theta.terms)
+    assert sys.lambda_degenerate == (N > 1)

@@ -779,3 +779,46 @@ def test_reports_refuse_non_finite_numbers():
     from walshframes.runner import render_report
     with pytest.raises(DegenerateInput):
         render_report({"value": float("nan")})
+
+
+def _perturbed_cfg(tmp_path, gram):
+    body = (f"[masks]\nfile = {os.path.join(CONFIGS, 'haar_q2_perturbed.masks')}\n\n"
+            "[scales]\nj1 = 2\nj_max = 2\n\n[suite]\ncount = 5\nresolution = 2\n\n"
+            f"[tolerances]\ngram = {gram}\n")
+    return write_cfg(tmp_path, "", 2, body=body)
+
+
+@pytest.mark.parametrize("gram, verdict", [(0.1, True), (0.001, False)])
+@pytest.mark.parametrize("command", ["verify", "periodic"])
+def test_uep_blocks_state_the_tolerance_the_run_applies(tmp_path, command, gram,
+                                                        verdict):
+    # haar_q2_perturbed's shift-Gram matrix is off by 0.014; the block and
+    # verdicts.gram must judge it against [tolerances] gram alike
+    out = str(tmp_path / "report.json")
+    assert run([command, "--config", _perturbed_cfg(tmp_path, gram), "--out", out]) == 1
+    report = load_report(out)
+    assert report["gram"]["tolerance"] == gram
+    assert report["gram"]["verdict"] is verdict is report["verdicts"]["gram"]
+    if command == "verify":
+        bessel = report["bessel"]
+        assert bessel["tolerance"] == gram
+        assert bessel["verdict"] is (bessel["max_sum"] <= 1 + gram)
+        assert bessel["verdict"] is report["verdicts"]["bessel"]
+
+
+def test_periodic_refuses_a_label_count_past_int64(tmp_path, capsys):
+    # qN = 2000002: the labels of scale 3 fit in int64, those of scale 4 do not
+    text = open(os.path.join(CONFIGS, "nonuniform_q2_N3_r1.masks")).read()
+    masks = tmp_path / "wide.masks"
+    masks.write_text(text.replace("N = 3\n", "N = 1000001\n"))
+    body = (f"[masks]\nfile = {masks}\n\n[scales]\nj_max = {{}}\n\n"
+            "[suite]\ncount = 2\nresolution = 3\n")
+    cfg = write_cfg(tmp_path, "", 2, body=body.format(4))
+    start = time.perf_counter()
+    assert run(["periodic", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 10
+    err = capsys.readouterr().err
+    assert "scale 4" in err and "Traceback" not in err
+    cfg = write_cfg(tmp_path, "", 2, body=body.format(3), name="three.cfg")
+    # runs to its verdicts (the masks were made for N = 3, so they fail)
+    assert run(["periodic", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1

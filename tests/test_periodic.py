@@ -246,6 +246,7 @@ def test_checks_share_one_set_of_folded_energies():
     spec = fourier3_spec(j_max=2)
     f = random_table(F3, 2, np.random.default_rng(8))
     energies = folded_energies(f, spec)
+    assert energies[2] == f.norm2()
     assert projection_energy_scan(f, 0.5, spec) == \
         projection_energy_scan(f, 0.5, spec, energies)
     for j in range(spec.j_max):
@@ -255,7 +256,7 @@ def test_checks_share_one_set_of_folded_energies():
         periodic_tightness_check(f, spec, energies)
 
 
-def test_periodic_report_reduces_each_bank_once_per_block(monkeypatch):
+def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
     config = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "haar_q2.cfg")
     rc = RunConfig.load(config)
@@ -271,10 +272,20 @@ def test_periodic_report_reduces_each_bank_once_per_block(monkeypatch):
         sizes[f.values.shape[0]] += 1
         return energy(f, l, j, spec, tables)
 
+    norms = collections.Counter()
+    norm2 = StepFunction.norm2
+
+    def counted_norm2(f):
+        norms[f.values.shape[0] if f.values.ndim > 1 else None] += 1
+        return norm2(f)
+
     monkeypatch.setattr(periodic, "_energy", counted)
+    monkeypatch.setattr(StepFunction, "norm2", counted_norm2)
     periodic_report(rc)
     assert calls == {(l, j): 15 for l in range(2) for j in range(rc.j_max + 1)}
     assert sizes == {7: 14 * len(calls), 2: len(calls)}
+    # folded_energies forms ||f||^2 and both checks that need it read it there
+    assert norms == {7: 14, 2: 1}
 
 
 def test_two_scale_detects_mask_perturbation():
