@@ -62,6 +62,7 @@ __all__ = [
     "cascade",
     "check_partition",
     "derive_generators",
+    "energy_balance",
     "iterate_refinement",
     "load_masks",
     "mask_cells",
@@ -209,8 +210,6 @@ def _mask_table(m: Mask, shift: FieldElement, resolution: int) -> np.ndarray:
 def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
     """Max deviation of G(xi) = sum_l m_l(xi+tau_s) conj(m_l(xi+tau_s'))
     from the identity over the cells of sigma (default: all of D)."""
-    if not sys.shift_set:
-        raise ConfigError("shift set is empty")
     if not sys.masks:
         raise ConfigError("system has no masks configured")
     K = max(m.constancy_resolution for m in sys.masks)
@@ -233,8 +232,6 @@ def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
 
 def bessel_mask_check(m0: Mask, sys: SystemConfig) -> dict:
     """The largest per-cell sum_s |m0(xi + tau_s)|^2; the Bessel bound is 1."""
-    if not sys.shift_set:
-        raise ConfigError("shift set is empty")
     K = m0.constancy_resolution
     rows = np.array([_mask_table(m0, tau, K) for tau in sys.shift_set])
     return {"max_sum": float(np.sum(np.abs(rows) ** 2, axis=0).max())}
@@ -335,9 +332,16 @@ class MemberBank:
         return gathered.sum(axis=-1)
 
 
-def _coefficient_energy(coeffs: np.ndarray) -> np.ndarray:
-    """sum |<f, member>|^2 over a bank's rows, per function of a block."""
-    return np.sum(np.abs(coeffs) ** 2, axis=(-2, -1))
+def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residuals, total) of n + 1 consecutive scales, scale along the first
+    axis: S the scaling energies, W the wavelet energies (the first n read).
+    residuals[i] = |S[i+1] - (S[i] + W[i])|, the two-scale balance of step i;
+    total = S[0] + W[0] + ... + W[n-1], added in that order: the frame sum."""
+    n = len(S) - 1
+    total = S[0]
+    for w in W[:n]:
+        total = total + w
+    return np.abs(S[1:] - (S[:-1] + W[:n])), total
 
 
 class FrameAnalyzer:
@@ -427,15 +431,22 @@ class FrameAnalyzer:
              + [0, 1]).ravel(),
             weights=(coeffs[..., None] * np.conj(bank.conj_values)).view(float).ravel(),
             minlength=2 * b * size).view(complex).reshape(*lead, size)
-        return (_coefficient_energy(coeffs),
+        return (np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)),
                 np.sum(proj[..., :-1] * np.conj(integrals[..., :-1]), axis=-1))
 
-    def energies(self, f: StepFunction, j0: int, j1: int) -> dict:
-        """(l, j) -> _energies of f for every bank the checks over [j0, j1)
-        read, each reduced once; two_scale_check and frame_ratio take them
-        as `energies`, so that a block computes them once for both."""
+    def energies(self, f: StepFunction, j0: int, j1: int) -> tuple[np.ndarray, ...]:
+        """(S, W, P, Q) over the scales j0..j1 in folded_energies' layout: per
+        scale, then per function of a block, the summed |<f, member>|^2 of the
+        scaling bank (S) and of the wavelet banks (W, to j1 - 1), and <P_j f, f>
+        and <Q_j f, f> of their projections (P, Q). Each bank is reduced once."""
         tables: dict = {}
-        return {(l, j): self._energies(f, l, j, tables) for l, j in self._pairs(j0, j1)}
+        shape = (j1 - j0 + 1,) + f.values.shape[:-1]
+        S, P = np.zeros(shape), np.zeros(shape, dtype=complex)
+        W, Q = np.zeros_like(S[1:]), np.zeros_like(P[1:])
+        for l, j in self._pairs(j0, j1):   # W and Q add generator l = 1, 2, ... in turn
+            for E, e in zip((W, Q) if l else (S, P), self._energies(f, l, j, tables)):
+                E[j - j0] += e
+        return S, W, P, Q
 
     def _pairs(self, j0: int, j1: int) -> Iterator[tuple[int, int]]:
         """The (l, j) of every bank the checks over [j0, j1) read, one at a time."""
@@ -450,35 +461,22 @@ class FrameAnalyzer:
         return max(max(bank.cells[:, :bound].size, q ** max(bank.resolution, 0) + 1,
                        q ** (k - min(bank.resolution, 0))) for bank, bound in banks)
 
-    def two_scale_check(self, f: StepFunction, j: int, energies=None):
-        """Energy balance across one scale step, by two routes.
+    def two_scale_check(self, f: StepFunction, j: int):
+        """(residual, projector_residual): energy_balance across one scale
+        step of the summed squared coefficients, and of <P_j f, f> + <Q_j f, f>
+        against <P_{j+1} f, f> with the projections materialized. P f lands on
+        the bank cells its coefficients came from, so the two agree up to
+        summation order whatever those cells are: a check of summation order;
+        tests/test_banks.py::oracle_energies checks the cells."""
+        S, W, P, Q = self.energies(f, j, j + 1)
+        return energy_balance(S, W)[0][0], energy_balance(P, Q)[0][0]
 
-        Returns (residual, projector_residual): the first compares summed
-        squared coefficients, the second materializes the projections P_j f
-        and Q_j f and compares <P_j f, f> + <Q_j f, f> with <P_{j+1} f, f>.
-        P f lands on the bank cells its coefficients came from, so the two
-        agree up to summation order whatever those cells are: a check of
-        summation order; tests/test_banks.py::oracle_energies checks the cells.
-        """
-        E = self.energies(f, j, j + 1) if energies is None else energies
-        e_fine, p_fine = E[(0, j + 1)]
-        e_coarse, p_coarse = E[(0, j)]
-        waves = [E[(l, j)] for l in range(1, len(self.generators))]
-        residual = np.abs(e_fine - (e_coarse + sum(e for e, _ in waves)))
-        projector_residual = np.abs(p_coarse + sum(p for _, p in waves) - p_fine)
-        return residual, projector_residual
-
-    def frame_ratio(self, f: StepFunction, j0: int, j1: int, energies=None):
+    def frame_ratio(self, f: StepFunction, j0: int, j1: int):
         """(coarse-scale energy + wavelet energies over [j0, j1)) / ||f||^2."""
         n2 = f.norm2()
         if np.any(n2 == 0.0):
             raise DegenerateInput("frame ratio of the zero function")
-        pairs = [(l, j) for l, j in self._pairs(j0, j1) if l or j == j0]
-        if energies is None:   # the coefficient energies alone
-            tables: dict = {}
-            energies = {pair: (_coefficient_energy(self._row(f, *pair, tables=tables)[3]),)
-                        for pair in pairs}
-        return sum(energies[pair][0] for pair in pairs) / n2
+        return energy_balance(*self.energies(f, j0, j1)[:2])[1] / n2
 
 
 # ---------------------------------------------------------------- mask files --

@@ -16,7 +16,8 @@ import numpy as np
 
 from .algebra import LambdaIndex, cell_digits, cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import MemberBank, bank_entries, system_member, translation_digits
+from .framekit import (MemberBank, bank_entries, energy_balance, system_member,
+                       translation_digits)
 from .stepfn import StepFunction, cell_integrals, periodize
 
 __all__ = [
@@ -122,8 +123,8 @@ def folded_energies(f: StepFunction, spec: PeriodicSystemSpec
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S, W, ||f||^2), S and W of shape (j_max + 1,) + block shape: S[j] the
     scaling energy of f at scale j, W[j] its wavelet energy (summed over the
-    wavelet generators), each bank reduced once. The checks below take them
-    as `energies`, so that a block computes them once for all three."""
+    wavelet generators), each bank reduced once. The scan and the tightness
+    check take them as `energies`, so that a block computes them once."""
     tables: dict = {}
     E = np.array([[_energy(f, l, j, spec, tables) for j in range(spec.j_max + 1)]
                   for l in range(len(spec.generators))])
@@ -149,14 +150,13 @@ def projection_energy_scan(f: StepFunction, eps: float,
     return Js, S
 
 
-def periodic_two_scale_check(f: StepFunction, j: int,
-                             spec: PeriodicSystemSpec, energies=None):
+def periodic_two_scale_check(f: StepFunction, j: int, spec: PeriodicSystemSpec):
     """|scaling energy at j+1  -  scaling energy at j - wavelet energy at j|,
-    for 0 <= j < j_max."""
+    for 0 <= j < j_max: energy_balance's residual of step j."""
     if not 0 <= j < spec.j_max:
         raise IndexError(f"scale {j} outside [0, {spec.j_max})")
-    S, W, _ = folded_energies(f, spec) if energies is None else energies
-    return np.abs(S[j + 1] - (S[j] + W[j]))
+    S, W, _ = folded_energies(f, spec)
+    return energy_balance(S, W)[0][j]
 
 
 def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
@@ -174,9 +174,7 @@ def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
             f"scale cap {spec.j_max} cannot resolve a resolution-"
             f"{f.resolution} input")
     S, W, n2 = folded_energies(f, spec) if energies is None else energies
-    total = S[0]
-    for j in range(spec.j_max):
-        total = total + W[j]
+    _, total = energy_balance(S, W)
     return {
         "total": total,
         "norm2": n2,

@@ -30,6 +30,7 @@ from .framekit import (
     bessel_mask_check,
     check_partition,
     derive_generators,
+    energy_balance,
     iterate_refinement,
     load_masks,
     sigma_v0,
@@ -39,7 +40,6 @@ from .periodic import (
     PeriodicSystemSpec,
     folded_energies,
     periodic_tightness_check,
-    periodic_two_scale_check,
     projection_energy_scan,
 )
 from .stepfn import CELL_CAP, StepFunction, dump_csv, within_cap
@@ -374,27 +374,22 @@ def verify_report(rc: RunConfig) -> dict:
 
     generators = derive_generators(sys_cfg, rc.cascade_iterations)
     analyzer = FrameAnalyzer(sys_cfg, generators)
-    worst = 0.0
-    worst_proj = 0.0
-    worst_ratio = 0.0
+    worst = worst_proj = worst_ratio = 0.0
     width = analyzer.table_width(rc.resolution, rc.j0, rc.j1)
     for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, width):
-        energies = analyzer.energies(f, rc.j0, rc.j1)
-        checks = [analyzer.two_scale_check(f, j, energies) for j in range(rc.j0, rc.j1)]
-        worst = max([worst] + [float(residual.max()) for residual, _ in checks])
-        worst_proj = max([worst_proj] + [float(proj.max()) for _, proj in checks])
-        ratio = analyzer.frame_ratio(f, rc.j0, rc.j1, energies)
-        worst_ratio = max(worst_ratio, float(np.abs(ratio - 1.0).max()))
-        del f, energies, checks, ratio   # not alive during the next block
-    two_scale_ok = worst <= rc.residual_tol and worst_proj <= rc.residual_tol
-    ratio_ok = worst_ratio <= rc.residual_tol
+        S, W, P, Q = analyzer.energies(f, rc.j0, rc.j1)
+        residuals, total = energy_balance(S, W)
+        worst = max(worst, float(residuals.max(initial=0.0)))
+        worst_proj = max(worst_proj, float(energy_balance(P, Q)[0].max(initial=0.0)))
+        worst_ratio = max(worst_ratio, float(np.abs(total / f.norm2() - 1.0).max()))
+        del f, S, W, P, Q, residuals, total   # not alive during the next block
 
     verdicts = {
         "partition": partition_ok,
         "gram": gram["verdict"],
         "bessel": bessel["verdict"],
-        "two_scale": two_scale_ok,
-        "frame_ratio": ratio_ok,
+        "two_scale": worst <= rc.residual_tol and worst_proj <= rc.residual_tol,
+        "frame_ratio": worst_ratio <= rc.residual_tol,
     }
     verdicts["overall"] = all(verdicts.values())
     return {
@@ -443,9 +438,7 @@ def periodic_report(rc: RunConfig) -> dict:
     all_finite = True
     finite_js = set()
     first_scan = None
-    worst_residual = 0.0
-    worst_tightness = 0.0
-    worst_tail = 0.0
+    worst_residual = worst_tightness = worst_tail = 0.0
     for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, spec.table_width()):
         energies = folded_energies(f, spec)
         Js, S = projection_energy_scan(f, rc.epsilon, spec, energies)
@@ -453,23 +446,19 @@ def periodic_report(rc: RunConfig) -> dict:
             first_scan = {"J": Js[0], "sums": S[:, 0].tolist()}
         all_finite = all_finite and None not in Js
         finite_js.update(J for J in Js if J is not None)
-        for j in range(rc.j_max):
-            worst_residual = max(worst_residual, float(
-                periodic_two_scale_check(f, j, spec, energies).max()))
+        residuals, _ = energy_balance(*energies[:2])
+        worst_residual = max(worst_residual, float(residuals.max(initial=0.0)))
         out = periodic_tightness_check(f, spec, energies)
         worst_tightness = max(worst_tightness, float(out["residual"].max()))
         worst_tail = max(worst_tail, float(out["tail"].max()))
-        del f, energies, Js, S, out   # not alive during the next block
+        del f, energies, Js, S, residuals, out   # not alive during the next block
     max_j = max(finite_js, default=None)
 
-    two_scale_ok = worst_residual <= rc.residual_tol
-    tightness_ok = worst_tightness <= rc.residual_tol and \
-        worst_tail <= rc.tail_tol
     verdicts = {
         "gram": gram["verdict"],
         "scan_finite": all_finite,
-        "two_scale": two_scale_ok,
-        "tightness": tightness_ok,
+        "two_scale": worst_residual <= rc.residual_tol,
+        "tightness": worst_tightness <= rc.residual_tol and worst_tail <= rc.tail_tol,
     }
     verdicts["overall"] = all(verdicts.values())
     return {

@@ -1,12 +1,20 @@
+import dataclasses
 import math
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import allclose, brute_partition, enumerate_reps, mask_table, mask_value
+from oracles import (
+    allclose,
+    brute_partition,
+    energy_balance as oracle_balance,
+    enumerate_reps,
+    mask_table,
+    mask_value,
+)
 
+from walshframes import runner
 from walshframes.algebra import (
     FieldConfig,
     LambdaIndex,
@@ -28,6 +36,7 @@ from walshframes.framekit import (
     cascade,
     check_partition,
     derive_generators,
+    energy_balance,
     iterate_refinement,
     load_masks,
     mask_cells,
@@ -38,7 +47,13 @@ from walshframes.framekit import (
     uep_gram,
 )
 from walshframes.harmonic import fast_inverse_transform
-from walshframes.runner import GRAM_TOL
+from walshframes.runner import (
+    GRAM_TOL,
+    RunConfig,
+    suite_blocks,
+    suite_functions,
+    verify_report,
+)
 from walshframes.stepfn import (
     StepFunction,
     from_cells,
@@ -355,13 +370,6 @@ def test_uep_gram_restricted_to_sigma():
     assert empty["cells_checked"] == 0
 
 
-def test_uep_gram_requires_shifts():
-    sys = haar_system()
-    sys.shift_set = ()
-    with pytest.raises(ConfigError):
-        uep_gram(sys)
-
-
 def test_bessel_mask_check():
     sys = haar_system()
     report = bessel_mask_check(sys.masks[0], sys)
@@ -436,6 +444,28 @@ def test_coefficient_rows_zero_function():
 
 
 # ------------------------------------------------------- two-scale identity --
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 4), block=st.sampled_from([(), (1,), (3,)]),
+       waves=st.integers(0, 3), complex_=st.booleans(), data=st.data())
+def test_energy_balance_matches_the_scale_loop_bit_for_bit(n, block, waves,
+                                                           complex_, data):
+    # S and per-generator wavelet energies W_l over n + 1 scales (W_l's last
+    # scale unread, as in folded_energies), one function or a block; the
+    # generators are summed in order, zero of them giving W = 0
+    size = (1 + waves) * (n + 1) * math.prod(block) * (1 + complex_)
+    x = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=size, max_size=size)))
+    E = (x[::2] + 1j * x[1::2] if complex_ else x).reshape(1 + waves, n + 1, *block)
+    S, W = E[0], np.zeros_like(E[0])
+    for w in E[1:]:
+        W += w
+    residuals, total = energy_balance(S, W)
+    want_residuals, want_total = oracle_balance(S, W)
+    assert residuals.shape == (n,) + block
+    assert residuals.tobytes() == np.array(want_residuals).reshape(residuals.shape).tobytes()
+    assert np.shape(total) == block
+    assert np.asarray(total).tobytes() == np.asarray(want_total).tobytes()
+
 
 def test_two_scale_haar_suite():
     rng = np.random.Generator(np.random.PCG64(503))
@@ -529,26 +559,24 @@ def test_frame_ratio_nonuniform_doubles():
         assert an.frame_ratio(f, 0, 3) == pytest.approx(2.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("system, res, j0", [
-    (haar_system, 3, 0), (fourier3_system, 2, 0), (fourier3_system, 2, -1),
-    (lambda: nonuniform_system(5), 3, 0)])
-def test_frame_ratio_without_energies_reads_coefficients_only(system, res, j0):
-    # no projection is materialized (np.bincount may not run), and the ratio
-    # equals the one read from shared energies bit for bit, for a block and
-    # for one function
-    sys = system()
-    gens = derive_generators(sys, 3)
-    rng = np.random.Generator(np.random.PCG64(511))
-    n = sys.field.q ** res
-    block = StepFunction(sys.field, res, rng.standard_normal((3, n))
-                         + 1j * rng.standard_normal((3, n)))
-    for f in (block, StepFunction(sys.field, res, block.values[1])):
-        an = FrameAnalyzer(sys, gens)
-        want = an.frame_ratio(f, j0, res, energies=an.energies(f, j0, res))
-        with mock.patch.object(np, "bincount", side_effect=AssertionError("bincount")):
-            got = FrameAnalyzer(sys, gens).frame_ratio(f, j0, res)
-        assert np.shape(got) == np.shape(want)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+@pytest.mark.parametrize("functions", [None, 1])
+@pytest.mark.parametrize("name, j0", [("haar_q2", 0), ("fourier_q3", 0),
+                                      ("fourier_q3", -1), ("nonuniform_q2_N3_r5", 0)])
+def test_frame_ratio_equals_the_report_ratio(monkeypatch, name, j0, functions):
+    # the report reads the ratio of a block from energies it shares with the
+    # two-scale check; frame_ratio forms its own and agrees bit for bit, on
+    # one block of the suite and, in blocks of one, on each function
+    rc = dataclasses.replace(RunConfig.load(os.path.join(CONFIGS, f"{name}.cfg")),
+                             j0=j0, j1=3, resolution=3, count=5)
+    an = FrameAnalyzer(rc.sys, derive_generators(rc.sys, rc.cascade_iterations))
+    if functions is None:
+        fs = list(suite_blocks(rc.cfg, rc.resolution, rc.count, rc.seed))
+        assert len(fs) == 1 and fs[0].values.shape[0] == rc.count
+    else:
+        monkeypatch.setattr(runner, "SUITE_BLOCK", 1)
+        fs = list(suite_functions(rc.cfg, rc.resolution, rc.count, rc.seed))
+    want = max(float(np.abs(an.frame_ratio(f, rc.j0, rc.j1) - 1.0).max()) for f in fs)
+    assert verify_report(rc)["frame_ratio"]["max_abs_deviation"] == want
 
 
 def test_frame_ratio_rejects_zero():

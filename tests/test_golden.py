@@ -2,12 +2,16 @@
 
 tests/golden/ holds the `verify` and `periodic` reports of the five shipped
 configs as recorded before the step functions became dense digit tables.
+It also holds the reports of four edge cases of the energy checks, recorded
+while each check still summed the energies in its own loop: an empty verify
+scale range, a periodic scale cap of 0, and a system without wavelets.
 A refactor must reproduce each exit code and verdict block exactly and
 every report number to 1e-12 relative; a number recorded below 1e-12 (a
 residual at roundoff level) only has to stay below 1e-12. Strings, such
 as the version, are not compared.
 """
 
+import configparser
 import json
 import math
 import os
@@ -23,6 +27,14 @@ NAMES = ("fourier_q3", "haar_q2", "haar_q2_perturbed",
          "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5")
 REL = 1e-12
 FLOOR = 1e-12
+# golden name -> (command, shipped config, changed options, masks kept)
+EDGES = {
+    "fourier_q3_j1_0.verify": ("verify", "fourier_q3", {"j1": "0"}, None),
+    "fourier_q3_resolution_0.periodic": ("periodic", "fourier_q3",
+                                         {"resolution": "0", "j_max": "0"}, None),
+    "haar_q2_mask_0.verify": ("verify", "haar_q2", {}, 1),
+    "haar_q2_mask_0.periodic": ("periodic", "haar_q2", {}, 1),
+}
 
 
 def differences(got, want, where="report"):
@@ -51,19 +63,51 @@ def differences(got, want, where="report"):
     return []
 
 
-@pytest.mark.parametrize("command", ["verify", "periodic"])
-@pytest.mark.parametrize("name", NAMES)
-def test_shipped_config_reproduces_golden_report(tmp_path, name, command):
-    with open(os.path.join(GOLDEN, f"{name}.{command}.json")) as fh:
+def _check_golden(tmp_path, golden, command, config):
+    with open(os.path.join(GOLDEN, f"{golden}.json")) as fh:
         want = json.load(fh)
     out = str(tmp_path / "report.json")
-    code = main([command, "--config", os.path.join(CONFIGS, f"{name}.cfg"),
-                 "--out", out])
+    code = main([command, "--config", config, "--out", out])
     with open(out) as fh:
         got = json.load(fh)
     assert code == (0 if want["verdicts"]["overall"] else 1)
     assert got["verdicts"] == want["verdicts"]
     assert differences(got, want) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "periodic"])
+@pytest.mark.parametrize("name", NAMES)
+def test_shipped_config_reproduces_golden_report(tmp_path, name, command):
+    _check_golden(tmp_path, f"{name}.{command}", command,
+                  os.path.join(CONFIGS, f"{name}.cfg"))
+
+
+def _edge_config(directory, name, options, masks):
+    """A shipped config with some options changed and, if masks is not None,
+    only its first `masks` masks kept, written to directory; its path."""
+    parser = configparser.ConfigParser()
+    parser.read(os.path.join(CONFIGS, f"{name}.cfg"))
+    with open(os.path.join(CONFIGS, parser["masks"]["file"])) as fh:
+        text = fh.read()
+    if masks is not None:
+        text = text[:text.index(f"mask {masks}\n")]
+    parser["masks"]["file"] = os.path.join(directory, "edge.masks")
+    with open(parser["masks"]["file"], "w") as fh:
+        fh.write(text)
+    for key, value in options.items():
+        section, = (s for s in parser.sections() if parser.has_option(s, key))
+        parser[section][key] = value
+    path = os.path.join(directory, "edge.cfg")
+    with open(path, "w") as fh:
+        parser.write(fh)
+    return path
+
+
+@pytest.mark.parametrize("golden", sorted(EDGES))
+def test_energy_check_edge_case_reproduces_golden_report(tmp_path, golden):
+    command, name, options, masks = EDGES[golden]
+    _check_golden(tmp_path, golden, command,
+                  _edge_config(str(tmp_path), name, options, masks))
 
 
 def test_golden_comparison_catches_a_moved_number():

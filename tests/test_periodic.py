@@ -9,7 +9,7 @@ from oracles import allclose, character_table
 from walshframes import periodic, runner
 from walshframes.algebra import FieldConfig, SystemConfig, uindex
 from walshframes.errors import ConfigError, DegenerateInput, TruncationError
-from walshframes.framekit import FrameAnalyzer, Mask, derive_generators
+from walshframes.framekit import FrameAnalyzer, Mask, derive_generators, energy_balance
 from walshframes.harmonic import fourier_table
 from walshframes.periodic import (
     PeriodicSystemSpec,
@@ -249,11 +249,14 @@ def test_checks_share_one_set_of_folded_energies():
     assert energies[2] == f.norm2()
     assert projection_energy_scan(f, 0.5, spec) == \
         projection_energy_scan(f, 0.5, spec, energies)
+    # the report reads the two-scale residuals of the shared energies from
+    # energy_balance, whose total the tightness check reads
+    residuals, total = energy_balance(*energies[:2])
     for j in range(spec.j_max):
-        assert periodic_two_scale_check(f, j, spec) == \
-            periodic_two_scale_check(f, j, spec, energies)
+        assert periodic_two_scale_check(f, j, spec) == residuals[j]
     assert periodic_tightness_check(f, spec) == \
         periodic_tightness_check(f, spec, energies)
+    assert periodic_tightness_check(f, spec)["total"] == total
 
 
 def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
