@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import islice
 from types import MappingProxyType
 from typing import Mapping, TextIO
 
@@ -312,11 +311,12 @@ def periodize(f: StepFunction) -> StepFunction:
 
 # ------------------------------------------------------------- CSV format --
 
-# Rows parsed or formatted per array pass. Per-block Python overhead is small
-# next to the array work at this size, while the rows of one block, held as
-# strings, stay small: reading, transforming and writing a 65,536-row file
-# peaks at 39 MB with blocks of 4096 rows and at 89 MB in one block.
+# Rows formatted, and characters read, per array pass. Per-pass Python
+# overhead is small next to the array work at these sizes, while the text of
+# one pass stays small: `transform` on a 65,536-row GF(4) file peaks at 37 MB
+# (ru_maxrss) with these sizes and at 99 MB reading the file in one pass.
 CSV_BLOCK = 4096
+CSV_CHUNK = 1 << 17
 
 
 def _modulus_token(cfg: FieldConfig) -> str:
@@ -325,16 +325,19 @@ def _modulus_token(cfg: FieldConfig) -> str:
     return ".".join(str(d) for d in cfg.modulus)
 
 
-def _digit_strings(q: int, h: int) -> tuple[list[str], list[str]]:
-    """Digits of a cell index high * q^h + low, '.'-joined, most significant first:
-    high_part[high] is high's digits and a '.' ("" for 0), low_part[low + q^h *
-    (high > 0)] low's, padded to h digits after a high part, else unpadded."""
+def _row_heads(q: int, h: int, k: int) -> tuple[list[str], list[str]]:
+    """The 'lo,digits' of a cell index high * q^h + low at resolution k, digits
+    '.'-joined, most significant first: high_part[high] is lo, high's digits
+    and a '.' ("" for 0), low_part[low + q^h * (high > 0)] low's digits,
+    padded to h digits after a high part, else unpadded and after their lo."""
     plain, padded = [""], [""]
     for _ in range(h):
         plain = [f"{a}.{d}" if a else (str(d) if d else "")
                  for a in plain for d in range(q)]
         padded = [f"{a}.{d}" if a else str(d) for a in padded for d in range(q)]
-    return [a + "." if a else "" for a in plain], plain + padded
+    count = digit_count(q, np.arange(q ** h)).tolist()
+    return ([f"{k - h - n},{a}." if a else "" for a, n in zip(plain, count)],
+            [f"{k - n},{a}" for a, n in zip(plain, count)] + padded)
 
 
 def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
@@ -353,104 +356,90 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
     # a cell index splits into a high and a low half of h digits each at
     # most; both halves are read from tables of q^h digit strings
     h = (k - f.lo + 1) // 2
-    high_part, low_part = _digit_strings(q, h)
+    high_part, low_part = _row_heads(q, h, k)
     nonzero = np.flatnonzero(f.values)
     for start in range(0, nonzero.size, CSV_BLOCK):
         index = nonzero[start:start + CSV_BLOCK]
         value = f.values[index]
         high, low = np.divmod(index, q ** h)
-        fields = [None] * (5 * index.size)   # the rows' fields, interleaved
-        fields[0::5] = (k - digit_count(q, index)).tolist()
-        fields[1::5] = map(high_part.__getitem__, high.tolist())
-        fields[2::5] = map(low_part.__getitem__, (low + (high > 0) * q ** h).tolist())
-        fields[3::5] = value.real.tolist()
-        fields[4::5] = value.imag.tolist()
-        dest.write("%d,%s%s,%r,%r\n" * index.size % tuple(fields))
+        fields = [None] * (4 * index.size)   # the rows' fields, interleaved
+        fields[0::4] = map(high_part.__getitem__, high.tolist())
+        fields[1::4] = map(low_part.__getitem__, (low + (high > 0) * q ** h).tolist())
+        fields[2::4] = value.real.tolist()
+        fields[3::4] = value.imag.tolist()
+        dest.write("%s%s,%r,%r\n" * index.size % tuple(fields))
 
 
-def _digits(column):
-    """(digits, counts): the '.'-separated digit tokens of every row as one
-    array, row r owning counts[r] of them, decoded from the rows' ','-joined
-    bytes; None unless every token is 1 to 18 ASCII decimal digits, which
-    covers all that dump_csv writes."""
-    # a non-ASCII character becomes bytes above 127, neither digit nor separator
-    raw = np.frombuffer(",".join(column).encode(errors="surrogatepass"), np.uint8)
-    code = raw - ord("0")   # below 10 for a decimal digit only
-    sep = np.flatnonzero(code > 9)
-    ends = np.append(sep, raw.size)   # one past each piece
-    lengths = np.diff(ends, prepend=-1) - 1
-    # a row has one piece more than '.'s; an empty row's one piece is no token
-    comma = raw[sep] == ord(",")
-    first = np.insert(np.flatnonzero(comma) + 1, 0, 0)
-    pieces = np.diff(first, append=ends.size)
-    empty = (pieces == 1) & (lengths[first] == 0)
-    ends, lengths = np.delete(ends, first[empty]), np.delete(lengths, first[empty])
-    if not ((comma | (raw[sep] == ord("."))).all() and 1 <= lengths.min(initial=1)
-            and lengths.max(initial=1) <= 18):
-        return None
-    values = np.zeros(ends.size, dtype=np.int64)
-    for e in reversed(range(lengths.max(initial=0))):   # e places from the end
-        values = values * 10 + np.where(lengths > e, code[ends - 1 - e], 0)
-    return values, pieces - empty
+def _chunks(src: TextIO):
+    """(first line number, text) of the lines after the column header, read
+    CSV_CHUNK characters at a time and cut after the last LF of each read: a
+    line longer than a read waits for its LF, and the file's last line gets
+    one if it lacks it, so that every text ends in LF."""
+    first, rest = 3, []
+    while data := src.read(CSV_CHUNK):
+        cut = data.rfind("\n") + 1
+        if cut:
+            text = "".join(rest) + data[:cut]
+            yield first, text
+            first += text.count("\n")
+            rest = []
+        rest.append(data[cut:])
+    if text := "".join(rest):
+        yield first, text + "\n"
 
 
-def _split(lines: list[str]):
-    """The four columns of a block of lines that holds to the grammar, or
-    None: exactly three ','s and no CR on every line (so no blank line), an
-    LF at the end of each but maybe the file's last."""
-    text = "".join(lines).removesuffix("\n") + "\n"
-    # a ',', CR or LF byte is that character; a lone surrogate becomes none
+def _accept(text: str, q: int, resolution: int, cap: int):
+    """(index, amplitude) of a chunk's rows if every row passes _check, else
+    None. One scan of the chunk's bytes holds its lines to the grammar
+    (exactly three ','s and no CR on every line, so no blank line) and finds
+    the field bounds. Array passes over the fields then give up at the first
+    sign that a row may fail: a token that float refuses, a digit token
+    other than 1 to 18 ASCII decimal digits or a lo other than
+    str(resolution - digit count) (dump_csv writes no other), a digit out of
+    range, a non-finite amplitude or a cell past the cap."""
+    # a ',', CR or LF byte is that character; a non-ASCII character or a lone
+    # surrogate becomes bytes above 127, neither digit nor separator
     raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
     at = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")) | (raw == ord("\n")))
-    if raw[at].tobytes() != b",,,\n" * len(lines):
+    m = at.size // 4
+    if raw[at].tobytes() != b",,,\n" * m:
         return None
+    # the digits fields, each with its ',' after it, one after another: a '.'
+    # or that ',' ends each piece, and an empty field's one piece reads as 0
+    size = at[1::4] - at[0::4]
+    ends = np.cumsum(size)
+    col = raw[np.arange(ends[-1]) + np.repeat(at[0::4] + 1 - ends + size, size)]
+    code = col - ord("0")   # below 10 for a decimal digit only
+    sep = np.flatnonzero(code > 9)
+    lengths = np.diff(sep, prepend=-1) - 1
+    if np.count_nonzero(col[sep] == ord(".")) + m < sep.size or lengths.max() > 18 \
+            or np.count_nonzero(lengths == 0) > np.count_nonzero(size == 1):
+        return None
+    digit = np.zeros(sep.size, dtype=np.int64)
+    for e in reversed(range(lengths.max())):   # e places from a piece's end
+        digit = digit * 10 + np.where(lengths > e, code[sep - 1 - e], 0)
+    comma = np.flatnonzero(col[sep] == ord(","))   # each field's last piece
+    field = np.repeat(np.arange(m), np.diff(comma, prepend=-1))
+    dist = comma[field] - np.arange(sep.size) + 1   # 1 for a field's last digit
+    counts = np.diff(comma, prepend=-1) - (size == 1)
     fields = text.replace("\n", ",").split(",")
-    return [fields[0:-1:4], fields[1::4], fields[2::4], fields[3::4]]
-
-
-def _blocks(src: TextIO):
-    """(line numbers, lines, _split's columns of them) of the lines after
-    the column header, CSV_BLOCK lines at a time."""
-    first = 3
-    while lines := list(islice(src, CSV_BLOCK)):
-        yield first + np.arange(len(lines)), lines, _split(lines)
-        first += len(lines)
-
-
-def _accept(columns, q: int, resolution: int, cap: int):
-    """(index, amplitude) of a block's rows if every row passes _check, else
-    None. Array passes over the four columns give up at the first sign that
-    a row may fail: a token that int or float refuses or an int past int64,
-    digits the byte decoder does not take, a wrong lo, a digit out of range,
-    a non-finite amplitude or a cell past the cap."""
-    lo_tok, digit_tok, re_tok, im_tok = columns
-    m = len(lo_tok)
+    lo = fields[0:-1:4]
+    spelled = [str(resolution - n) for n in range(counts.max() + 1)]
+    if lo != list(map(spelled.__getitem__, counts.tolist())):
+        return None
     try:
-        lo = np.fromiter(map(int, lo_tok), np.int64, m)
-        re, im = (np.fromiter(map(float, tok), float, m) for tok in (re_tok, im_tok))
-    except (ValueError, OverflowError):
+        re, im = (np.fromiter(map(float, fields[i::4]), float, m) for i in (2, 3))
+    except ValueError:
         return None
-    if (decoded := _digits(digit_tok)) is None:
+    if (digit >= q).any() or (dist[digit != 0] > cap).any() \
+            or not (np.isfinite(re).all() and np.isfinite(im).all()):
         return None
-    # all digits of the block in one flat array; row r owns the counts[r]
-    # digits that end at ends[r]
-    digits, counts = decoded
-    ends = np.cumsum(counts)
-    row = np.repeat(np.arange(m), counts)
-    dist = ends[row] - np.arange(row.size)   # 1 for a row's last digit
-    # |resolution| stays below 1100 (normal cell measure), so this cannot wrap
-    if (lo != resolution - counts).any() or (digits >= q).any() \
-            or not (np.isfinite(re).all() and np.isfinite(im).all()) \
-            or (dist[digits != 0] > cap).any():
-        return None
-    # the digits by exponent, one row per exponent from resolution - cap up,
-    # under a row 0 for the zeros further up: an index is below q^cap <= CELL_CAP
-    column = np.zeros((cap + 1, m), dtype=np.int64)
-    column[np.maximum(cap + 1 - dist, 0), row] = digits
     amplitude = np.empty(m, dtype=complex)
     amplitude.real, amplitude.imag = re, im
-    return cell_index(q, zip(range(resolution - cap, resolution), column[1:]),
-                      resolution, np.zeros(m, dtype=np.int64)), amplitude
+    # each digit at cell_index's place value q^(dist - 1); past the cap every
+    # digit is 0, so the clipped power changes nothing
+    weight = digit * q ** np.minimum(dist - 1, cap)
+    return np.bincount(field, weights=weight, minlength=m).astype(np.int64), amplitude
 
 
 def _line(text: str, n: int) -> str:
@@ -460,15 +449,15 @@ def _line(text: str, n: int) -> str:
     return text.removesuffix("\n")
 
 
-def _check(line: np.ndarray, lines, q: int, resolution: int, cap: int):
-    """(line, index, amplitude) of a block's rows before the first failing
-    one, and that row's InputDataError, else None. A row's checks run in
+def _check(first: int, lines, q: int, resolution: int, cap: int):
+    """(index, amplitude) of a chunk's rows, lines numbered from first, before
+    the first failing one, and that row's InputDataError, else None. A row's checks run in
     this order, the first failing one naming the error: no CR, field count,
     malformed token, lo against the digit count, digit range, finite
-    amplitude, cell cap. Duplicates span blocks and are left to the caller."""
+    amplitude, cell cap. Duplicates span chunks and are left to the caller."""
     kept, error = [], None
     try:
-        for n, text in zip(line.tolist(), lines):
+        for n, text in enumerate(lines, first):
             row = _line(text, n).split(",")
             if len(row) != 4:
                 raise InputDataError(
@@ -489,19 +478,11 @@ def _check(line: np.ndarray, lines, q: int, resolution: int, cap: int):
             if any(digits[:max(len(digits) - cap, 0)]):   # a nonzero digit past q^cap
                 raise InputDataError(
                     f"line {n}: cell widens the table beyond {CELL_CAP} cells")
-            kept.append((n, cell_index(q, enumerate(digits, lo), resolution), value))
+            kept.append((cell_index(q, enumerate(digits, lo), resolution), value))
     except InputDataError as exc:
         error = exc
-    line, index, amplitude = zip(*kept) if kept else ((),) * 3
-    return (np.array(line, dtype=np.int64), np.array(index, dtype=np.int64),
-            np.array(amplitude, dtype=complex), error)
-
-
-def _first_duplicate(index: np.ndarray, line: np.ndarray):
-    """Line of the first row whose index an earlier row already has."""
-    order = np.argsort(index, kind="stable")
-    again = order[1:][index[order[1:]] == index[order[:-1]]]
-    return int(line[again].min()) if again.size else None
+    index, amplitude = zip(*kept) if kept else ((), ())
+    return np.array(index, dtype=np.int64), np.array(amplitude, dtype=complex), error
 
 
 def load_csv(src: str | TextIO) -> StepFunction:
@@ -510,13 +491,14 @@ def load_csv(src: str | TextIO) -> StepFunction:
 
     Every line ends in LF (the file's last may not) and holds no CR; after
     the two header lines each is a row of four ','-separated fields, rows in
-    any order. A block of lines is accepted by _accept's array passes, or
+    any order. A chunk of lines is accepted by _accept's array passes, or
     read row by row by _check if it may fail; the first failing line names
     the error, a duplicate cell its second row. The cell cap is checked
     before any index is formed or any table allocated.
     """
     if isinstance(src, str):
-        with open(src, newline="") as fh:
+        # a byte that is not UTF-8 reads as a lone surrogate: a malformed row
+        with open(src, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             return load_csv(fh)
     header = _line(src.readline(), 1)
     if not header.startswith(CSV_MAGIC):
@@ -550,22 +532,26 @@ def load_csv(src: str | TextIO) -> StepFunction:
     if _line(src.readline(), 2) != "lo,digits,re,im":
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
-    parsed, error = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0, dtype=complex),)], None
-    for line, lines, columns in _blocks(src):
-        if cells := columns and _accept(columns, q, resolution, cap):
-            parsed.append((line, *cells))
+    parsed, error = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))], None
+    for first, text in _chunks(src):
+        if cells := _accept(text, q, resolution, cap):
+            parsed.append(cells)
             continue
-        *cells, error = _check(line, lines, q, resolution, cap)
+        *cells, error = _check(first, text[:-1].split("\n"), q, resolution, cap)
         parsed.append(cells)
         if error is not None:
             break
-    line, index, amplitude = (np.concatenate(part) for part in zip(*parsed))
-    duplicate = _first_duplicate(index, line)
-    if duplicate is not None:
-        raise InputDataError(f"line {duplicate}: duplicate representative")
+    # every line after the column header is a row: row i is on line 3 + i
+    index, amplitude = (np.concatenate(part) for part in zip(*parsed))
+    width = digit_count(q, int(index.max(initial=0)))
+    seen = np.zeros(q ** width, dtype=bool)
+    seen[index] = True
+    if np.count_nonzero(seen) < index.size:   # name the second row of a cell
+        order = np.argsort(index, kind="stable")
+        again = order[1:][index[order[1:]] == index[order[:-1]]]
+        raise InputDataError(f"line {3 + again.min()}: duplicate representative")
     if error is not None:
         raise error
-    width = digit_count(q, int(index.max(initial=0)))
     values = np.zeros(q ** width, dtype=complex)
     values[index] = amplitude
     return StepFunction(cfg, resolution, values, resolution - width)

@@ -266,7 +266,7 @@ def one_cell_file(resolution, q):
     (1100, 2),        # 2^-1100 underflows to 0.0
 ])
 def test_load_csv_refuses_resolution_without_normal_measure(resolution, q):
-    new, old = _load_both(one_cell_file(resolution, q).getvalue(), stepfn.CSV_BLOCK)
+    new, old = _load_both(one_cell_file(resolution, q).getvalue(), stepfn.CSV_CHUNK)
     assert new == old
     assert new.startswith("line 1: resolution ")
 
@@ -276,7 +276,7 @@ def test_load_csv_refuses_resolution_without_normal_measure(resolution, q):
 def test_load_csv_accepts_resolution_with_normal_measure(resolution, q):
     f = load_csv(one_cell_file(resolution, q))
     assert (f.resolution, f.lo, f.values.tolist()) == (resolution, resolution, [1])
-    assert _load_both(one_cell_file(resolution, q).getvalue(), stepfn.CSV_BLOCK)[1] == (
+    assert _load_both(one_cell_file(resolution, q).getvalue(), stepfn.CSV_CHUNK)[1] == (
         resolution, resolution, f.values.tobytes())
 
 
@@ -289,6 +289,9 @@ CSV_FIELDS = (F2, F3, F4, FieldConfig(3, 2, (1, 0, 1)),
 SPECIAL = (0.0, -0.0, 1.0, -1.5, 1 / 3, 5e-324, 1e300, -2.5e-17, 1e16, 123456.0)
 CSV_EXAMPLES = settings(max_examples=80, deadline=None, derandomize=True,
                         database=None)
+# characters load_csv reads at a time: from less than a row (rows here run
+# to about 60 characters) to a few rows, and the default
+CHUNKS = (1, 3, 20, 150, stepfn.CSV_CHUNK)
 
 
 @st.composite
@@ -313,14 +316,16 @@ def _oracle_text(f):
     return buf.getvalue()
 
 
-def _load_both(text, block):
-    """(stepfn.load_csv, oracles.load_csv) of text: each the loaded
-    (resolution, lo, table bytes) or the InputDataError message."""
+def _load_both(text, chunk, open_src=None):
+    """(stepfn.load_csv, oracles.load_csv) of text, or of the file that
+    open_src() opens, reading CSV_CHUNK = chunk characters at a time: each
+    the loaded (resolution, lo, table bytes) or the InputDataError message."""
     out = []
     for load in (load_csv, oracles.load_csv):
         try:
-            with mock.patch.object(stepfn, "CSV_BLOCK", block):
-                g = load(io.StringIO(text))
+            with mock.patch.object(stepfn, "CSV_CHUNK", chunk), \
+                    (open_src() if open_src else io.StringIO(text)) as src:
+                g = load(src)
         except InputDataError as exc:
             out.append(str(exc))
         else:
@@ -380,7 +385,7 @@ def _corrupt(row, kind, q):
     if kind == "wide":
         return ",".join((str(int(lo) - 70), ".".join(["1"] + ["0"] * 69)
                          + ("." + digits if digits else ""), re, im))
-    # the kinds below make a block that _split refuses, read row by row
+    # the kinds below make a chunk that the byte scan refuses, read row by row
     if kind == "quoted digits":
         return ",".join((lo, f'"{digits}"', re, im))
     if kind == "quoted newline":   # a '"' opens im, and a line of '"' follows
@@ -420,19 +425,19 @@ def test_dump_csv_matches_row_writer(case, block):
 
 
 @CSV_EXAMPLES
-@given(csv_functions(), st.sampled_from((1, 2, 3, 7, 4096)))
-def test_load_csv_matches_row_reader(case, block):
+@given(csv_functions(), st.sampled_from(CHUNKS))
+def test_load_csv_matches_row_reader(case, chunk):
     f, seed = case
     text = _shuffled(_oracle_text(f), np.random.default_rng(seed))
-    new, old = _load_both(text, block)
+    new, old = _load_both(text, chunk)
     assert not isinstance(old, str)
     assert new == old
 
 
 @CSV_EXAMPLES
-@given(csv_functions(), st.sampled_from((1, 2, 3, 7, 4096)),
+@given(csv_functions(), st.sampled_from(CHUNKS),
        st.lists(st.sampled_from(CORRUPTIONS), min_size=1, max_size=3))
-def test_load_csv_errors_match_row_reader(case, block, kinds):
+def test_load_csv_errors_match_row_reader(case, chunk, kinds):
     f, seed = case
     rng = np.random.default_rng(seed)
     lines = _shuffled(_oracle_text(f), rng).splitlines()
@@ -452,7 +457,7 @@ def test_load_csv_errors_match_row_reader(case, block, kinds):
             lines[i] = _corrupt(lines[i], kind, f.cfg.q)
     for at, line in sorted(copies, reverse=True):
         lines.insert(at, line)
-    new, old = _load_both("\n".join(lines) + "\n", block)
+    new, old = _load_both("\n".join(lines) + "\n", chunk)
     assert new == old
 
 
@@ -468,18 +473,24 @@ def test_load_csv_errors_match_row_reader(case, block, kinds):
 def test_load_csv_names_the_first_failing_check_of_a_row(row):
     text = ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
             f"lo,digits,re,im\n0,1,1.0,0.0\n{row}\n0,1,2.0,0.0\n")
-    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    new, old = _load_both(text, stepfn.CSV_CHUNK)
     assert new == old
     assert new.startswith("line 4: ")
 
 
 def _big_file():
-    """A 6,000-row GF(2) file: past the first block of CSV_BLOCK rows."""
+    """A 6,000-row GF(2) file of about 295,000 characters: past the first
+    chunk of CSV_CHUNK characters."""
     rng = np.random.default_rng(77)
     f = StepFunction(F2, 3, rng.standard_normal(2 ** 13), -10)
     lines = _oracle_text(f).splitlines()[:6002]
-    assert stepfn.CSV_BLOCK < len(lines) - 2
+    assert stepfn.CSV_CHUNK < _offset(lines, 4500) < 2 * stepfn.CSV_CHUNK
     return lines
+
+
+def _offset(lines, i):
+    """Characters of the lines after the column header before lines[i]."""
+    return sum(len(line) + 1 for line in lines[2:i])
 
 
 @pytest.mark.parametrize("kind", ["bad re", "lo", "wide", "nan", "extra field"])
@@ -488,20 +499,23 @@ def test_load_csv_reports_row_past_first_block(kind):
     lines[5000] = _corrupt(lines[5000], kind, 2)
     lines[5500] = _corrupt(lines[5500], "bad lo", 2)
     text = "\n".join(lines) + "\n"
-    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    new, old = _load_both(text, stepfn.CSV_CHUNK)
     assert new == old
     assert new.startswith("line 5001: ")
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7, 4096])
+@pytest.mark.parametrize("chunk", CHUNKS)
 @pytest.mark.parametrize("kind", GRAMMAR_CORRUPTIONS)
-def test_load_csv_reads_blocks_that_are_not_plain_row_by_row(kind, block):
-    # the corrupted row is the last line of the first block; a later plain
-    # row must still name its error at its line number
-    lines = _big_file()[:block + 50]
-    lines[block + 1] = _corrupt(lines[block + 1], kind, 2)
-    lines[block + 40] = _corrupt(lines[block + 40], "lo", 2)
-    new, old = _load_both("\n".join(lines) + "\n", block)
+def test_load_csv_reads_blocks_that_are_not_plain_row_by_row(kind, chunk):
+    # the corrupted row holds the last character of the first read; a later
+    # plain row must still name its error at its line number
+    lines = _big_file()
+    ends = np.cumsum([len(line) + 1 for line in lines[2:]])   # one past each row
+    at = 2 + int(np.searchsorted(ends, chunk))
+    lines = lines[:at + 50]
+    lines[at] = _corrupt(lines[at], kind, 2)
+    lines[at + 40] = _corrupt(lines[at + 40], "lo", 2)
+    new, old = _load_both("\n".join(lines) + "\n", chunk)
     assert new == old
     assert isinstance(new, str)
 
@@ -510,13 +524,13 @@ def test_load_csv_reads_blocks_that_are_not_plain_row_by_row(kind, block):
     "", "0", "1.0.1", "0.0.0.1", "01.1", "0" * 17 + "1", "0" * 18 + "1", "1" * 18,
     "1..1", ".", "1.", ".1", "+1", "-0", " 1", "1_0", "\u0661", "1,0"])
 def test_load_csv_reads_digit_strings_like_int(digits):
-    # among plain rows, so that the digits are decoded from the block's bytes
+    # among plain rows, so that the digits are decoded from the chunk's bytes
     # unless the string itself needs int(); a quoted ',' is a fifth field
     lo = 2 - (digits.count(".") + 1 if digits else 0)
     field = f'"{digits}"' if "," in digits else digits
     text = ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=2\n"
             f"lo,digits,re,im\n1,1,1.0,0.0\n{lo},{field},2.0,0.5\n0,1.1,3.0,0.0\n")
-    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    new, old = _load_both(text, stepfn.CSV_CHUNK)
     assert new == old
 
 
@@ -533,8 +547,16 @@ def test_load_csv_reads_a_lone_surrogate_as_a_malformed_row(field):
     assert new.startswith("line 21: malformed row")
 
 
+def test_load_csv_reads_a_byte_that_is_not_utf8_as_a_malformed_row(tmp_path):
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+                     b"lo,digits,re,im\n0,1,1.0,0.0\n0,\xff,1.0,0.0\n")
+    with pytest.raises(InputDataError, match="^line 4: malformed row"):
+        load_csv(str(path))
+
+
 def test_load_csv_reads_a_long_line_like_any_other():
-    # 200,000 more digits of the im field, past what the csv module reads
+    # 200,000 more digits of the im field, a row far longer than a read
     lines = _big_file()[:60]
     text = "\n".join(lines) + "\n"
     lines[20] += "0" * 200_000
@@ -543,9 +565,76 @@ def test_load_csv_reads_a_long_line_like_any_other():
     assert not isinstance(new, str)
 
 
+def _boundary_case(kind):
+    """(file text, chunk): the first read of chunk characters after the
+    column header ends at the place that kind names."""
+    if kind == "digit token":   # between the two characters of GF(16)'s 10
+        f = StepFunction(CSV_FIELDS[-1], 2, np.arange(1, 257) * (1 + 0.5j), 0)
+        lines = _oracle_text(f).splitlines()
+        assert lines[12].startswith("1,10,")
+        return "\n".join(lines) + "\n", _offset(lines, 12) + len("1,1")
+    lines = _big_file()[:40]
+    if kind == "row":
+        return "\n".join(lines) + "\n", _offset(lines, 10) + 5
+    if kind == "cr lf":
+        lines[10] += "\r"
+        return "\n".join(lines) + "\n", _offset(lines, 11) - 1
+    if kind == "after the last row":   # which lacks its LF
+        return "\n".join(lines), _offset(lines, 40) - 1
+    if kind == "inside the last row":
+        return "\n".join(lines), _offset(lines, 39) + 5
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", ["digit token", "row", "cr lf", "after the last row",
+                                  "inside the last row"])
+def test_load_csv_reads_across_a_chunk_boundary(kind):
+    text, chunk = _boundary_case(kind)
+    new, old = _load_both(text, chunk)
+    assert new == old
+    with mock.patch.object(stepfn, "CSV_CHUNK", chunk):
+        assert _load_counting_checks(text) == (
+            ("line 11: CR in line (lines end in LF alone)", 1) if kind == "cr lf"
+            else (load_csv(io.StringIO(text)), 0))
+
+
+@pytest.mark.parametrize("after", [False, True])
+@pytest.mark.parametrize("char, message", [
+    ("\u0661", None),                    # two bytes in UTF-8, a digit to int()
+    ("\udcff", "line 13: malformed row"),   # the byte 0xff, surrogate-escaped
+])
+def test_load_csv_reads_a_character_at_a_chunk_boundary(tmp_path, char, message, after):
+    # the leading digit '1' of line 13 is replaced, just before or after a
+    # read's end, in a file read from disk
+    lines = _big_file()[:40]
+    lo, digits, re, im = lines[12].split(",")
+    lines[12] = ",".join((lo, char + digits[1:], re, im))
+    path = tmp_path / "f.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    new, old = _load_both(None, _offset(lines, 12) + len(lo) + 1 + after, lambda: open(
+        path, newline="", encoding="utf-8", errors="surrogateescape"))
+    assert new == old
+    if message is None:
+        assert new == _load_both("\n".join(_big_file()[:40]) + "\n", stepfn.CSV_CHUNK)[0]
+    else:
+        assert new.startswith(message)
+
+
+def test_load_csv_names_an_error_on_the_first_line_of_a_chunk():
+    lines = _big_file()[:200]
+    chunk = _offset(lines, 100)   # the second read starts at lines[100]
+    lines[100] = _corrupt(lines[100], "bad re", 2)
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(stepfn, "CSV_CHUNK", chunk):
+        new, checks = _load_counting_checks(text)
+    assert checks == 1
+    assert new == _load_both(text, chunk)[1]
+    assert new.startswith("line 101: malformed row")
+
+
 def test_load_csv_refuses_a_crlf_file_on_line_1():
     text = "\r\n".join(_big_file()[:3000]) + "\r\n"
-    new, old = _load_both(text, stepfn.CSV_BLOCK)
+    new, old = _load_both(text, stepfn.CSV_CHUNK)
     assert new == old == "line 1: CR in line (lines end in LF alone)"
 
 
@@ -563,7 +652,7 @@ def test_load_csv_holds_to_the_line_grammar(text, message):
     # a CR on any line is refused, also on the header lines; the final LF
     # is optional
     new, old = _load_both("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
-                          + text, stepfn.CSV_BLOCK)
+                          + text, stepfn.CSV_CHUNK)
     assert new == old
     if message is None:
         assert not isinstance(new, str)
@@ -591,11 +680,11 @@ def test_full_size_csv_round_trip_is_byte_identical():
 
 
 def test_load_csv_reports_duplicate_across_blocks():
-    lines = _big_file()
+    lines = _big_file()   # lines[4500] is in the second chunk
     lo, digits, _, _ = lines[10].split(",")
     lines[4500] = f"{lo},{digits},1.0,1.0"
     lines[5000] = _corrupt(lines[5000], "bad re", 2)
-    new, old = _load_both("\n".join(lines) + "\n", stepfn.CSV_BLOCK)
+    new, old = _load_both("\n".join(lines) + "\n", stepfn.CSV_CHUNK)
     assert new == old == "line 4501: duplicate representative"
 
 
@@ -610,12 +699,12 @@ def _load_counting_checks(text):
 
 
 @CSV_EXAMPLES
-@given(csv_functions(), st.sampled_from((1, 2, 3, 7, 4096)))
-def test_load_csv_accepts_every_block_dump_csv_writes(case, block):
+@given(csv_functions(), st.sampled_from(CHUNKS))
+def test_load_csv_accepts_every_block_dump_csv_writes(case, chunk):
     f, _ = case
     buf = io.StringIO()
     dump_csv(f, buf)
-    with mock.patch.object(stepfn, "CSV_BLOCK", block):
+    with mock.patch.object(stepfn, "CSV_CHUNK", chunk):
         g, checks = _load_counting_checks(buf.getvalue())
     assert checks == 0
     assert g == f.window(g.lo)
@@ -634,25 +723,25 @@ def test_load_csv_accepts_the_full_size_file_without_row_checks():
 
 
 def test_load_csv_names_the_first_blank_line():
-    # the block that holds it is the only one read row by row
+    # the chunk that holds it is the only one read row by row
     lines = _big_file()
     for at in range(len(lines) - 1, 2, -1000):
         lines.insert(at, "")
     text = "\n".join(lines) + "\n"
     new, checks = _load_counting_checks(text)
     assert checks == 1
-    assert new == _load_both(text, stepfn.CSV_BLOCK)[1]
+    assert new == _load_both(text, stepfn.CSV_CHUNK)[1]
     assert new == f"line {lines.index('', 2) + 1}: expected 4 fields lo,digits,re,im, got 1"
 
 
 @pytest.mark.parametrize("kind", ["bad re", "lo", "huge digit", "nan", "wide",
                                   "extra field", "inner cr"])
 def test_load_csv_checks_row_by_row_only_the_block_that_fails(kind):
-    lines = _big_file()   # two blocks of CSV_BLOCK rows, the second not full
+    lines = _big_file()   # three chunks, the last not full
     lines[-3] = _corrupt(lines[-3], kind, 2)
     new, checks = _load_counting_checks("\n".join(lines) + "\n")
     assert checks == 1
-    assert new == _load_both("\n".join(lines) + "\n", stepfn.CSV_BLOCK)[1]
+    assert new == _load_both("\n".join(lines) + "\n", stepfn.CSV_CHUNK)[1]
     assert new.startswith(f"line {len(lines) - 2}: ")
 
 
