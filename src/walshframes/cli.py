@@ -145,9 +145,6 @@ def main(argv=None) -> int:
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except WalshFramesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

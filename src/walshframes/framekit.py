@@ -28,7 +28,6 @@ import numpy as np
 
 from .algebra import (
     FieldConfig,
-    FieldElement,
     LambdaIndex,
     SystemConfig,
     cell_digits,
@@ -187,24 +186,24 @@ def check_partition(phi_hat: StepFunction, sys: SystemConfig) -> StepFunction:
                                   np.abs(g.values) ** 2 * sys.branches, g.lo))
 
 
-def sigma_v0(phi_hat: StepFunction, sys: SystemConfig) -> StepFunction:
-    """Indicator of the cells of D where the partition sum exceeds
-    STRUCTURAL_TOL.
+def sigma_v0(part: StepFunction) -> StepFunction:
+    """Indicator of the cells of D where the partition sum (check_partition's
+    table) exceeds STRUCTURAL_TOL.
 
     The norm2 of the result is the Haar measure of that cell set.
     """
-    part = check_partition(phi_hat, sys)
-    return StepFunction(sys.field, part.resolution,
+    return StepFunction(part.cfg, part.resolution,
                         np.abs(part.values) > STRUCTURAL_TOL)
 
 
 # ------------------------------------------------------------- UEP matrix --
 
-def _mask_table(m: Mask, shift: FieldElement, resolution: int) -> np.ndarray:
-    """m(xi + shift) over the cells xi of D at the given resolution, which
-    is at least m's constancy resolution. Every shift of the shift set lies
-    in D, so this is mask_cells' table with its digits translated, exactly."""
-    return translate(refine(mask_cells(m), resolution), -shift).window(0).values
+def _shifted_tables(m: Mask, shifts, resolution: int) -> np.ndarray:
+    """m(xi + shift) over the cells xi of D at the given resolution (at least
+    m's constancy resolution), one row per shift: every shift lies in D, so a
+    row is mask_cells' one table with its digits translated, exactly."""
+    table = refine(mask_cells(m), resolution)
+    return np.array([translate(table, -shift).window(0).values for shift in shifts])
 
 
 def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
@@ -215,8 +214,7 @@ def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
     K = max(m.constancy_resolution for m in sys.masks)
     if sigma is not None:
         K = max(K, sigma.resolution)
-    T = np.array([[_mask_table(m, tau, K) for tau in sys.shift_set]
-                  for m in sys.masks])
+    T = np.array([_shifted_tables(m, sys.shift_set, K) for m in sys.masks])
     G = np.einsum("lsc,ltc->cst", T, np.conj(T))
     dev = np.abs(G - np.eye(len(sys.shift_set)))
     if sigma is not None:
@@ -232,8 +230,7 @@ def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
 
 def bessel_mask_check(m0: Mask, sys: SystemConfig) -> dict:
     """The largest per-cell sum_s |m0(xi + tau_s)|^2; the Bessel bound is 1."""
-    K = m0.constancy_resolution
-    rows = np.array([_mask_table(m0, tau, K) for tau in sys.shift_set])
+    rows = _shifted_tables(m0, sys.shift_set, m0.constancy_resolution)
     return {"max_sum": float(np.sum(np.abs(rows) ** 2, axis=0).max())}
 
 
@@ -505,6 +502,14 @@ def save_masks(sys: SystemConfig, dest: str | TextIO) -> None:
             w(f"{idx.n} {idx.delta} {a.real!r} {a.imag!r}\n")
 
 
+def _lines(src: TextIO) -> Iterator[tuple[int, str]]:
+    """src's lines numbered from 1, refusing one with a surrogate-escaped byte."""
+    for n, line in enumerate(src, start=1):
+        if any("\udc80" <= c <= "\udcff" for c in line):
+            raise InputDataError(f"line {n}: a byte that is not UTF-8")
+        yield n, line
+
+
 def load_masks(src: str | TextIO) -> SystemConfig:
     """Inverse of save_masks; returns the system with masks attached.
 
@@ -512,15 +517,15 @@ def load_masks(src: str | TextIO) -> SystemConfig:
     number; inconsistent field/system parameters raise ConfigError.
     """
     if isinstance(src, str):
-        with open(src) as fh:
+        with open(src, encoding="utf-8", errors="surrogateescape") as fh:
             return load_masks(fh)
-    first = src.readline()
-    if not first.startswith(MASK_MAGIC):
+    lines = _lines(src)
+    if not next(lines, (1, ""))[1].startswith(MASK_MAGIC):
         raise InputDataError("line 1: missing mask file header")
     header: dict[str, str] = {}
     rows: list[dict[tuple[int, int], complex]] = []
     offset_lines: list[int] = []
-    for lineno, raw in enumerate(src, start=2):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

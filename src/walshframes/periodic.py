@@ -119,26 +119,27 @@ def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
     return np.sum(weights * np.abs(coeffs) ** 2, axis=-1)
 
 
-def folded_energies(f: StepFunction, spec: PeriodicSystemSpec
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S, W, ||f||^2), S and W of shape (j_max + 1,) + block shape: S[j] the
-    scaling energy of f at scale j, W[j] its wavelet energy (summed over the
-    wavelet generators), each bank reduced once. The scan and the tightness
-    check take them as `energies`, so that a block computes them once."""
+def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
+    """(S, W, ||f||^2, residuals, total), S and W of shape (j_max + 1,) + block
+    shape: S[j] the scaling energy of f at scale j, W[j] its wavelet energy
+    (summed over the wavelet generators), each bank reduced once, and
+    energy_balance(S, W) of them. The checks below take them as `energies`,
+    so that a block forms each of them once."""
     tables: dict = {}
     E = np.array([[_energy(f, l, j, spec, tables) for j in range(spec.j_max + 1)]
                   for l in range(len(spec.generators))])
-    return E[0], E[1:].sum(axis=0), f.norm2()
+    S, W = E[0], E[1:].sum(axis=0)
+    return (S, W, f.norm2()) + energy_balance(S, W)
 
 
 def projection_energy_scan(f: StepFunction, eps: float,
-                           spec: PeriodicSystemSpec, energies=None):
+                           spec: PeriodicSystemSpec, energies: tuple):
     """Per-scale scaling energies S_j and the smallest J from which every
     S_j stays within (1 +- eps) of the squared norm, None if none does:
     (J, {j: S_j}), or for a block (one J per function, S as an array)."""
     if eps <= 0:
         raise ConfigError(f"scan slack must be positive, got {eps!r}")
-    S, _, n2 = folded_energies(f, spec) if energies is None else energies
+    S, _, n2, _, _ = energies
     if np.any(n2 == 0.0):
         raise DegenerateInput("projection scan of the zero function")
     inside = ((1 - eps) * n2 <= S) & (S <= (1 + eps) * n2)
@@ -155,12 +156,11 @@ def periodic_two_scale_check(f: StepFunction, j: int, spec: PeriodicSystemSpec):
     for 0 <= j < j_max: energy_balance's residual of step j."""
     if not 0 <= j < spec.j_max:
         raise IndexError(f"scale {j} outside [0, {spec.j_max})")
-    S, W, _ = folded_energies(f, spec)
-    return energy_balance(S, W)[0][j]
+    return folded_energies(f, spec)[3][j]
 
 
 def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
-                             energies=None) -> dict:
+                             energies: tuple) -> dict:
     """Full folded frame sum against the squared norm.
 
     Scales 0 <= j < j_max are summed explicitly; the returned tail is the
@@ -173,8 +173,7 @@ def periodic_tightness_check(f: StepFunction, spec: PeriodicSystemSpec,
         raise TruncationError(
             f"scale cap {spec.j_max} cannot resolve a resolution-"
             f"{f.resolution} input")
-    S, W, n2 = folded_energies(f, spec) if energies is None else energies
-    _, total = energy_balance(S, W)
+    _, W, n2, _, total = energies
     return {
         "total": total,
         "norm2": n2,

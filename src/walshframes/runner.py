@@ -112,11 +112,10 @@ class RunConfig:
              need_masks: bool = True) -> "RunConfig":
         parser = configparser.ConfigParser()
         try:
-            found = parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config file: {exc}") from exc
-        if not found:
-            raise ConfigError(f"cannot read config file {path!r}")
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"cannot read config file {path!r} ({exc})") from exc
         if parser.defaults():
             raise ConfigError("unknown section [DEFAULT]")
         for section in parser.sections():
@@ -404,7 +403,7 @@ def verify_report(rc: RunConfig) -> dict:
             "degenerate_family": sys_cfg.lambda_degenerate,
             "tolerance": rc.residual_tol,
         },
-        "sigma_v0_fraction": sigma_v0(phi_hat, sys_cfg).norm2(),
+        "sigma_v0_fraction": sigma_v0(part).norm2(),
         "gram": gram,
         "bessel": bessel,
         "two_scale": {
@@ -440,18 +439,17 @@ def periodic_report(rc: RunConfig) -> dict:
     first_scan = None
     worst_residual = worst_tightness = worst_tail = 0.0
     for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, spec.table_width()):
-        energies = folded_energies(f, spec)
+        energies = folded_energies(f, spec)   # (S, W, ||f||^2, residuals, total)
         Js, S = projection_energy_scan(f, rc.epsilon, spec, energies)
         if first_scan is None:
             first_scan = {"J": Js[0], "sums": S[:, 0].tolist()}
         all_finite = all_finite and None not in Js
         finite_js.update(J for J in Js if J is not None)
-        residuals, _ = energy_balance(*energies[:2])
-        worst_residual = max(worst_residual, float(residuals.max(initial=0.0)))
+        worst_residual = max(worst_residual, float(energies[3].max(initial=0.0)))
         out = periodic_tightness_check(f, spec, energies)
         worst_tightness = max(worst_tightness, float(out["residual"].max()))
         worst_tail = max(worst_tail, float(out["tail"].max()))
-        del f, energies, Js, S, residuals, out   # not alive during the next block
+        del f, energies, Js, S, out   # not alive during the next block
     max_j = max(finite_js, default=None)
 
     verdicts = {

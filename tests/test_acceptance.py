@@ -23,6 +23,7 @@ from walshframes.framekit import (
 from walshframes.harmonic import fast_inverse_transform, fast_transform, fourier_table
 from walshframes.periodic import (
     PeriodicSystemSpec,
+    folded_energies,
     periodic_tightness_check,
     projection_energy_scan,
 )
@@ -170,7 +171,8 @@ def test_criterion_6_periodic_tight_frame():
         rng = np.random.default_rng(271828)
         for _ in range(5):
             f = _random_table(sys_cfg.field, 4, rng)
-            J, sums = projection_energy_scan(f, rc.epsilon, spec)
+            J, sums = projection_energy_scan(f, rc.epsilon, spec,
+                                             folded_energies(f, spec))
             scans_ok = scans_ok and J is not None and all(
                 abs(sums[j] - f.norm2()) <= 1e-9 * f.norm2()
                 for j in range(J, rc.j_max + 1))
@@ -217,7 +219,8 @@ def test_criterion_7_negative_controls():
                         analyzer.two_scale_check(f, 0)[0])
                     worst_tight = max(
                         worst_tight,
-                        periodic_tightness_check(f, spec)["residual"])
+                        periodic_tightness_check(
+                            f, spec, folded_energies(f, spec))["residual"])
                 this = gram_dev >= 1e-3 and worst_scale >= 1e-3 \
                     and worst_tight >= 1e-3
                 flipped = flipped and this

@@ -34,6 +34,7 @@ from walshframes.framekit import (
 )
 from walshframes.periodic import (
     PeriodicSystemSpec,
+    folded_energies,
     periodic_tightness_check,
     periodic_two_scale_check,
     projection_energy_scan,
@@ -317,13 +318,14 @@ def test_folded_energies_match_label_loop(name, resolution, seed):
     wavelet = [sum(oracle_folded_energy(name, f, l, j)
                    for l in range(1, len(spec.generators)))
                for j in range(J_MAX + 1)]
-    _, sums = projection_energy_scan(f, 0.5, spec)
+    energies = folded_energies(f, spec)
+    _, sums = projection_energy_scan(f, 0.5, spec, energies)
     for j in range(J_MAX + 1):
         assert _close(sums[j], scaling[j], scale)
         if j < J_MAX:
             assert _close(periodic_two_scale_check(f, j, spec),
                           abs(scaling[j + 1] - scaling[j] - wavelet[j]), scale)
-    out = periodic_tightness_check(f, spec)
+    out = periodic_tightness_check(f, spec, energies)
     assert _close(out["total"], scaling[0] + sum(wavelet[:J_MAX]), scale)
     assert _close(out["tail"], wavelet[J_MAX], scale)
 

@@ -105,6 +105,30 @@ def test_verify_nonuniform_flags_degeneracy(tmp_path):
             1.0, abs=1e-9)
 
 
+def test_verify_report_forms_the_partition_once(tmp_path):
+    rc = RunConfig.load(write_cfg(tmp_path, "nonuniform_q2_N3_r1.masks", 2))
+    with mock.patch.object(framekit, "check_partition",
+                           wraps=framekit.check_partition) as partition, \
+            mock.patch.object(runner, "check_partition", partition):
+        report = runner.verify_report(rc)
+    assert partition.call_count == 1
+    # sigma(V0) reads the same table: the degenerate family sums to 2 on D
+    assert report["partition_check"]["min"] == pytest.approx(2.0, abs=1e-12)
+    assert report["sigma_v0_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("masks", ["haar_q2.masks", "fourier_q3.masks",
+                                   "nonuniform_q2_N3_r5.masks"])
+def test_mask_checks_transform_each_mask_once(masks):
+    sys = framekit.load_masks(os.path.join(CONFIGS, masks))
+    assert len(sys.shift_set) > 1
+    with mock.patch.object(framekit, "mask_cells", wraps=framekit.mask_cells) as cells:
+        framekit.uep_gram(sys)
+        assert cells.call_count == len(sys.masks)
+        framekit.bessel_mask_check(sys.masks[0], sys)
+        assert cells.call_count == len(sys.masks) + 1
+
+
 def test_verify_reports_are_byte_reproducible(tmp_path):
     cfg = write_cfg(tmp_path, "haar_q2.masks", 2)
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -622,6 +646,35 @@ def test_corrupt_masks_file_is_input_data_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "", 2, body=f"[masks]\nfile = {masks}\n")
     assert run(["verify", "--config", cfg]) == 3
     assert "line 9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["field-info", "verify", "periodic"])
+def test_config_byte_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"[field]\np = \xff\n")
+    assert run([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {str(cfg)!r} (")
+    assert "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("lineno, row", [
+    (1, b"# walshframes-masks v1 \xff"),   # the header line
+    (2, b"p = \xff"),                       # a header value, read as an int
+    (8, b"# \xff"),                         # a comment line, else skipped
+    (10, b"0 0 0.5\xff 0.0"),               # a coefficient row
+])
+def test_mask_file_byte_that_is_not_utf8_is_refused_by_line(tmp_path, capsys,
+                                                            lineno, row):
+    with open(os.path.join(CONFIGS, "haar_q2.masks"), "rb") as fh:
+        lines = fh.read().splitlines()
+    lines.insert(lineno - 1, row)
+    masks = tmp_path / "bad.masks"
+    masks.write_bytes(b"\n".join(lines) + b"\n")
+    cfg = write_cfg(tmp_path, "", 2, body=f"[masks]\nfile = {masks}\n")
+    assert run(["verify", "--config", cfg]) == 3
+    assert capsys.readouterr().err == \
+        f"error: line {lineno}: a byte that is not UTF-8\n"
 
 
 def _masks_with_row(tmp_path, source, lineno, row):

@@ -31,7 +31,7 @@ from walshframes.errors import (
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
-    _mask_table,
+    _shifted_tables,
     bessel_mask_check,
     cascade,
     check_partition,
@@ -181,8 +181,7 @@ def test_mask_tables_match_term_by_term_sums(m, seed):
     rng = np.random.default_rng(seed)
     for R in (K, K + 1):
         reps = enumerate_reps(cfg, 0, R)
-        for tau in m.sys.shift_set:
-            got = _mask_table(m, tau, R)
+        for tau, got in zip(m.sys.shift_set, _shifted_tables(m, m.sys.shift_set, R)):
             assert np.abs(got - mask_table(m, tau, R)).max() <= 1e-12
             for i in rng.choice(len(reps), min(len(reps), 8), replace=False):
                 assert abs(got[i] - mask_value(m, reps[i] + tau)) <= 1e-12
@@ -199,8 +198,7 @@ def test_mask_cells_sum_indices_that_share_a_cell(coeffs):
     m = Mask(sys, coeffs)
     assert mask_cells(m).resolution == m.constancy_resolution == 1
     for R in (1, 2):
-        for tau in sys.shift_set:
-            got = _mask_table(m, tau, R)
+        for tau, got in zip(sys.shift_set, _shifted_tables(m, sys.shift_set, R)):
             want = [mask_value(m, rep + tau) for rep in enumerate_reps(F2, 0, R)]
             assert np.abs(got - want).max() <= 1e-15
             assert np.abs(got - mask_table(m, tau, R)).max() <= 1e-15
@@ -317,13 +315,13 @@ def test_check_partition_zero():
 
 def test_sigma_v0():
     sys = haar_system()
-    full = sigma_v0(unit_ball(F2), sys)
+    full = sigma_v0(check_partition(unit_ball(F2), sys))
     assert full == unit_ball(F2)
     assert full.norm2() == pytest.approx(1.0)
-    small = sigma_v0(indicator(F2, 1, F2.zero()), sys)
+    small = sigma_v0(check_partition(indicator(F2, 1, F2.zero()), sys))
     assert small == from_cells(F2, 1, {F2.zero(): 1.0})
     assert small.norm2() == pytest.approx(0.5)
-    assert sigma_v0(from_cells(F2, 0, {}), sys).is_zero
+    assert sigma_v0(check_partition(from_cells(F2, 0, {}), sys)).is_zero
 
 
 # ------------------------------------------------------------- UEP matrix --
@@ -362,7 +360,7 @@ def test_uep_gram_phase_invariance():
 
 def test_uep_gram_restricted_to_sigma():
     sys = haar_system()
-    sigma = sigma_v0(unit_ball(F2), sys)
+    sigma = sigma_v0(check_partition(unit_ball(F2), sys))
     report = uep_gram(sys, sigma)
     assert report["max_deviation"] <= GRAM_TOL
     assert report["cells_checked"] >= 1

@@ -166,7 +166,7 @@ def test_member_fourier_energy_matches_norm():
 def test_scan_character_restriction_converges_at_one():
     spec = haar_spec()
     f = StepFunction(F2, 3, character_table(F2, uindex(F2, 1), 3))
-    J, sums = projection_energy_scan(f, 0.5, spec)
+    J, sums = projection_energy_scan(f, 0.5, spec, folded_energies(f, spec))
     assert J == 1
     assert sums[0] <= 1e-12
     for j in range(1, spec.j_max + 1):
@@ -176,7 +176,7 @@ def test_scan_character_restriction_converges_at_one():
 def test_scan_constant_function_converges_at_zero():
     spec = haar_spec()
     f = StepFunction(F2, 0, np.array([1.0 + 0j]))
-    J, sums = projection_energy_scan(f, 0.5, spec)
+    J, sums = projection_energy_scan(f, 0.5, spec, folded_energies(f, spec))
     assert J == 0
     for j in range(spec.j_max + 1):
         assert sums[j] == pytest.approx(1.0, abs=1e-12)
@@ -185,7 +185,7 @@ def test_scan_constant_function_converges_at_zero():
 def test_scan_large_slack_is_trivial():
     spec = haar_spec()
     f = StepFunction(F2, 3, character_table(F2, uindex(F2, 1), 3))
-    J, _ = projection_energy_scan(f, 2.0, spec)
+    J, _ = projection_energy_scan(f, 2.0, spec, folded_energies(f, spec))
     assert J == 0
 
 
@@ -193,19 +193,19 @@ def test_scan_returns_none_when_bounds_never_hold():
     # this input oscillates below every scale the capped spec can reach
     spec = haar_spec(j_max=2)
     f = StepFunction(F2, 3, character_table(F2, uindex(F2, 4), 3))
-    J, sums = projection_energy_scan(f, 0.5, spec)
+    J, sums = projection_energy_scan(f, 0.5, spec, folded_energies(f, spec))
     assert J is None
     assert all(s <= 1e-12 for s in sums.values())
 
 
 def test_scan_rejects_zero_function_and_bad_slack():
     spec = haar_spec(j_max=1)
+    zero = StepFunction(F2, 1, np.zeros(2, dtype=complex))
     with pytest.raises(DegenerateInput):
-        projection_energy_scan(
-            StepFunction(F2, 1, np.zeros(2, dtype=complex)), 0.5, spec)
+        projection_energy_scan(zero, 0.5, spec, folded_energies(zero, spec))
+    one = StepFunction(F2, 0, np.array([1.0 + 0j]))
     with pytest.raises(ConfigError):
-        projection_energy_scan(
-            StepFunction(F2, 0, np.array([1.0 + 0j])), 0.0, spec)
+        projection_energy_scan(one, 0.0, spec, folded_energies(one, spec))
 
 
 # ---------------------------------------------------- two-scale identity --
@@ -242,21 +242,58 @@ def test_two_scale_check_needs_a_scale_below_the_cap():
             periodic_two_scale_check(f, j, spec)
 
 
-def test_checks_share_one_set_of_folded_energies():
+def test_folded_energies_hold_the_norm_and_the_energy_balance():
     spec = fourier3_spec(j_max=2)
     f = random_table(F3, 2, np.random.default_rng(8))
-    energies = folded_energies(f, spec)
-    assert energies[2] == f.norm2()
-    assert projection_energy_scan(f, 0.5, spec) == \
-        projection_energy_scan(f, 0.5, spec, energies)
-    # the report reads the two-scale residuals of the shared energies from
-    # energy_balance, whose total the tightness check reads
-    residuals, total = energy_balance(*energies[:2])
+    S, W, n2, residuals, total = folded_energies(f, spec)
+    assert n2 == f.norm2()
+    want_residuals, want_total = energy_balance(S, W)
+    assert np.array_equal(residuals, want_residuals) and total == want_total
     for j in range(spec.j_max):
         assert periodic_two_scale_check(f, j, spec) == residuals[j]
-    assert periodic_tightness_check(f, spec) == \
-        periodic_tightness_check(f, spec, energies)
-    assert periodic_tightness_check(f, spec)["total"] == total
+    assert periodic_tightness_check(f, spec, (S, W, n2, residuals, total)) == {
+        "total": total, "norm2": n2, "residual": abs(total - n2),
+        "tail": W[spec.j_max]}
+
+
+@pytest.mark.parametrize("spec, field", [(haar_spec(), F2), (fourier3_spec(), F3)])
+def test_a_blocks_scan_and_tightness_equal_each_functions_own(spec, field):
+    rng = np.random.default_rng(1729)
+    block = StepFunction(field, spec.j_max, np.array(
+        [random_table(field, spec.j_max, rng).values for _ in range(5)]))
+    energies = folded_energies(block, spec)
+    Js, S = projection_energy_scan(block, 0.5, spec, energies)
+    tight = periodic_tightness_check(block, spec, energies)
+    # each function's own numbers to 1e-12 of its squared norm: a block sums
+    # the same terms, in an order that may differ at roundoff
+    for i, values in enumerate(block.values):
+        f = StepFunction(field, spec.j_max, values)
+        own = folded_energies(f, spec)
+        J, sums = projection_energy_scan(f, 0.5, spec, own)
+        n2 = f.norm2()
+        assert Js[i] == J and tight["norm2"][i] == n2
+        assert np.abs(S[:, i] - list(sums.values())).max() <= 1e-12 * n2
+        for key, value in periodic_tightness_check(f, spec, own).items():
+            assert abs(tight[key][i] - value) <= 1e-12 * n2
+
+
+def test_periodic_report_forms_one_energy_balance_per_block(monkeypatch):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "haar_q2.cfg")
+    rc = RunConfig.load(config)
+    spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, 4), rc.j_max)
+    # blocks of 7 functions: 100 = 14 * 7 + 2
+    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width())
+    sizes = []
+
+    def counted(S, W):
+        sizes.append(S.shape[1])
+        return energy_balance(S, W)
+
+    for module in (runner, periodic):
+        monkeypatch.setattr(module, "energy_balance", counted)
+    periodic_report(rc)
+    assert sizes == [7] * 14 + [2]
 
 
 def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
@@ -325,7 +362,7 @@ def test_tightness_haar_random_resolution_four():
     rng = np.random.default_rng(31337)
     for _ in range(10):
         f = random_table(F2, 4, rng)
-        out = periodic_tightness_check(f, spec)
+        out = periodic_tightness_check(f, spec, folded_energies(f, spec))
         assert out["residual"] <= 1e-9
         assert out["tail"] <= 1e-12
         assert out["total"] == pytest.approx(out["norm2"], rel=1e-9)
@@ -334,7 +371,7 @@ def test_tightness_haar_random_resolution_four():
 def test_tightness_scaling_member_alone():
     spec = haar_spec()
     f = periodize(spec.generators[0])
-    out = periodic_tightness_check(f, spec)
+    out = periodic_tightness_check(f, spec, folded_energies(f, spec))
     assert out["residual"] <= 1e-12
     assert out["total"] == pytest.approx(
         abs(f.inner(spec.member(0, 0, 0))) ** 2, abs=1e-12)
@@ -346,7 +383,7 @@ def test_tightness_fourier3_random():
     rng = np.random.default_rng(777)
     for _ in range(5):
         f = random_table(F3, 3, rng)
-        out = periodic_tightness_check(f, spec)
+        out = periodic_tightness_check(f, spec, folded_energies(f, spec))
         assert out["residual"] <= 1e-9
         assert out["tail"] <= 1e-12
 
@@ -355,7 +392,7 @@ def test_tightness_rejects_underresolved_scale_cap():
     spec = haar_spec(j_max=2)
     f = random_table(F2, 3, np.random.default_rng(8))
     with pytest.raises(TruncationError):
-        periodic_tightness_check(f, spec)
+        periodic_tightness_check(f, spec, folded_energies(f, spec))
 
 
 def test_tightness_telescopes_through_scale_identities():
@@ -363,8 +400,8 @@ def test_tightness_telescopes_through_scale_identities():
     # then compare against the scaling-only energy at the top scale
     spec = fourier3_spec()
     f = random_table(F3, 3, np.random.default_rng(424242))
-    out = periodic_tightness_check(f, spec)
-    _, sums = projection_energy_scan(f, 1.0, spec)
+    out = periodic_tightness_check(f, spec, folded_energies(f, spec))
+    _, sums = projection_energy_scan(f, 1.0, spec, folded_energies(f, spec))
     slack = sum(periodic_two_scale_check(f, j, spec) for j in range(spec.j_max))
     assert abs(out["total"] - sums[spec.j_max]) <= slack + 1e-12
 
@@ -372,7 +409,9 @@ def test_tightness_telescopes_through_scale_identities():
 def test_tightness_detects_mask_perturbation():
     spec = haar_spec(perturb=(0, 0))
     rng = np.random.default_rng(99)
-    worst = max(
-        periodic_tightness_check(random_table(F2, 3, rng), spec)["residual"]
-        for _ in range(10))
+    worst = 0.0
+    for _ in range(10):
+        f = random_table(F2, 3, rng)
+        worst = max(worst, periodic_tightness_check(
+            f, spec, folded_energies(f, spec))["residual"])
     assert worst > 1e-3
