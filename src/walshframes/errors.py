@@ -25,9 +25,5 @@ class DegenerateInput(WalshFramesError, ValueError):
     """An input (usually the zero function) for which the quantity is undefined."""
 
 
-class NotNormalized(WalshFramesError, ValueError):
-    """A low-pass mask whose value at zero is too far from one."""
-
-
 class TruncationError(ConfigError):
     """A scale cutoff too small for the requested exactness claim."""

@@ -34,7 +34,7 @@ from .algebra import (
     cell_index,
     digit_count,
 )
-from .errors import ConfigError, DegenerateInput, InputDataError, NotNormalized
+from .errors import ConfigError, DegenerateInput, InputDataError
 from .harmonic import fast_inverse_transform, fast_transform
 from .stepfn import (
     CELL_CAP,
@@ -53,28 +53,25 @@ __all__ = [
     "FrameAnalyzer",
     "Mask",
     "MemberBank",
-    "NORMALIZATION_GATE",
     "PRUNE_TOL",
     "STRUCTURAL_TOL",
     "bank_entries",
     "bessel_mask_check",
-    "cascade",
     "check_partition",
     "derive_generators",
     "energy_balance",
     "iterate_refinement",
     "load_masks",
-    "mask_cells",
     "mask_refine",
     "save_masks",
     "sigma_v0",
     "system_member",
     "translation_digits",
     "uep_gram",
+    "wavelet_generators",
 ]
 
 STRUCTURAL_TOL = 1e-12   # identities that involve no transform roundoff
-NORMALIZATION_GATE = 1e-6
 PRUNE_TOL = 1e-14        # noise floor for iterated frequency products
 
 MASK_MAGIC = "# walshframes-masks v1"
@@ -84,7 +81,7 @@ MASK_HEADER_KEYS = ("p", "c", "modulus", "N", "r", "nu", "normalization")
 class Mask:
     """Finitely supported coefficients over the translation family."""
 
-    __slots__ = ("sys", "coeffs", "_cells", "constancy_resolution")
+    __slots__ = ("sys", "coeffs", "_cells", "constancy_resolution", "_table")
 
     def __init__(self, sys: SystemConfig,
                  coeffs: Mapping | Iterable[tuple]):
@@ -105,23 +102,28 @@ class Mask:
                        for idx, a in sorted(table.items())]
         self.constancy_resolution = digit_count(
             sys.q, max((cell for cell, _ in self._cells), default=0))
+        self._table = None
+
+    @property
+    def table(self) -> StepFunction:
+        """The finitely many values m takes on D, one cell per coset of B^K:
+        the transform of F_m times mask_norm_const, formed on first use and
+        kept (read-only). m is lattice periodic, so this determines it."""
+        if self._table is None:
+            cfg, K = self.sys.field, self.constancy_resolution
+            F_m = np.zeros(cfg.q ** K, dtype=complex)
+            for cell, a in self._cells:
+                F_m[cell] += a   # two indices of the degenerate family share a cell
+            m_hat = fast_transform(StepFunction(cfg, 0, F_m, -K))
+            self._table = refine(m_hat, K).scale(self.sys.mask_norm_const)
+            self._table.values.flags.writeable = False
+        return self._table
 
     def items_sorted(self) -> list[tuple[LambdaIndex, complex]]:
         return sorted(self.coeffs.items())
 
     def __repr__(self):
         return f"<Mask terms={len(self.coeffs)} K={self.constancy_resolution}>"
-
-
-def mask_cells(m: Mask) -> StepFunction:
-    """The finitely many values m takes on D, one cell per coset of B^K;
-    m is lattice periodic, so this table determines it everywhere."""
-    cfg, K = m.sys.field, m.constancy_resolution
-    F_m = np.zeros(cfg.q ** K, dtype=complex)
-    for cell, a in m._cells:
-        F_m[cell] += a   # two indices of the degenerate family share a cell
-    m_hat = fast_transform(StepFunction(cfg, 0, F_m, -K))
-    return refine(m_hat, K).scale(m.sys.mask_norm_const)
 
 
 # --------------------------------------------------- frequency-side products --
@@ -132,7 +134,7 @@ def mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig) -> StepFun
     a high-pass one."""
     g = refine(phi_hat, max(phi_hat.resolution, mask.constancy_resolution))
     # the mask repeats its table on D across every lattice translate of D
-    m = np.resize(refine(mask_cells(mask), g.resolution).values, g.values.size)
+    m = np.resize(refine(mask.table, g.resolution).values, g.values.size)
     return rescale(StepFunction(sys.field, g.resolution, g.values * m, g.lo),
                    sys.nu, -1)
 
@@ -149,26 +151,19 @@ def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunc
     return phi_hat
 
 
-def cascade(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunction:
-    """Time-side refinable approximant; requires m0 normalized at 0."""
-    dev = abs(mask_cells(m0).values[0] - 1)
-    if dev > NORMALIZATION_GATE:
-        raise NotNormalized(
-            f"mask value at 0 is off by {dev:.3e} (gate {NORMALIZATION_GATE})")
-    return fast_inverse_transform(iterate_refinement(m0, sys, iterations))
-
-
 def derive_generators(sys: SystemConfig, iterations: int = 4) -> tuple[StepFunction, ...]:
-    """(phi, psi_1, ..., psi_L) from the configured masks; no normalization
-    gate, so detectably broken masks still produce inspectable generators."""
+    """(phi, psi_1, ..., psi_L): wavelet_generators of m_0's refinement iterate."""
     if not sys.masks:
         raise ConfigError("system has no masks configured")
-    phi_hat = iterate_refinement(sys.masks[0], sys, iterations)
-    gens = [fast_inverse_transform(phi_hat)]
-    for ml in sys.masks[1:]:
-        gens.append(fast_inverse_transform(
-            prune(mask_refine(phi_hat, ml, sys), PRUNE_TOL)))
-    return tuple(gens)
+    return wavelet_generators(iterate_refinement(sys.masks[0], sys, iterations), sys)
+
+
+def wavelet_generators(phi_hat: StepFunction, sys: SystemConfig) -> tuple[StepFunction, ...]:
+    """(phi, psi_1, ..., psi_L) from phi_hat and the high-pass masks; no gate,
+    so detectably broken masks still produce inspectable generators."""
+    return (fast_inverse_transform(phi_hat),) + tuple(
+        fast_inverse_transform(prune(mask_refine(phi_hat, ml, sys), PRUNE_TOL))
+        for ml in sys.masks[1:])
 
 
 # ------------------------------------------------------ partition of unity --
@@ -201,8 +196,8 @@ def sigma_v0(part: StepFunction) -> StepFunction:
 def _shifted_tables(m: Mask, shifts, resolution: int) -> np.ndarray:
     """m(xi + shift) over the cells xi of D at the given resolution (at least
     m's constancy resolution), one row per shift: every shift lies in D, so a
-    row is mask_cells' one table with its digits translated, exactly."""
-    table = refine(mask_cells(m), resolution)
+    row is m's one table with its digits translated, exactly."""
+    table = refine(m.table, resolution)
     return np.array([translate(table, -shift).window(0).values for shift in shifts])
 
 
@@ -358,22 +353,30 @@ class FrameAnalyzer:
         """The member D^j T_lambda(idx) g_l as a step function."""
         return system_member(l, j, idx, self.sys, self.generators)
 
-    def _bank(self, l: int, j: int, lf: int) -> tuple[MemberBank, int]:
-        """(bank of (l, j), bound): every branch's translations n < bound,
-        rows shaped (delta, n), the bank grown by rebuilding. Translations
-        outside B^A, A = min(lf - j, ball(g_l)), cannot meet a function
-        supported in B^lf, so this scan is provably exhaustive."""
+    def _scan(self, l: int, j: int, lf: int) -> tuple[int, int]:
+        """(bound, cells) of bank (l, j): every branch's translations n < bound,
+        and the index entries of their rows. Those outside B^A, A = min(lf - j,
+        ball(g_l)), cannot meet a function in B^lf, so the scan is provably
+        exhaustive. The entries are counted, and checked (bank_entries), from
+        g_l's nonzero cells before any build: member (l, j, 0) has no more,
+        as the zero translation and each dilation only move cells."""
         exp = max(0, j - lf, -self.generators[l].support_ball())
         if self.sys.branches == 2:
             exp = max(exp, -self.sys.theta.valuation())
-        bound = self.sys.q ** exp
+        B, bound = self.sys.branches, self.sys.q ** exp
+        cells = B * bound * np.count_nonzero(self.generators[l].values)
+        # the labels n and delta, the digits of n < bound, three in flight
+        bank_entries(l, j, B * bound, exp + 5, cells)
+        return bound, cells
+
+    def _bank(self, l: int, j: int, lf: int) -> tuple[MemberBank, int]:
+        """(bank of (l, j), bound) over _scan's translations, rows shaped
+        (delta, n), the bank grown by rebuilding."""
+        bound = self._scan(l, j, lf)[0]
         got = self._members.get((l, j))
         if got is None or got.cells.shape[1] < bound:
             h = self.member(l, j, LambdaIndex(0, 0))
             B = self.sys.branches
-            # the labels n and delta, the digits of n < bound, three in flight
-            bank_entries(l, j, B * bound, exp + 5,
-                         B * bound * np.count_nonzero(h.values))
             mu = translation_digits(self.sys, j, np.tile(np.arange(bound), B),
                                     np.repeat(np.arange(B), bound), -math.inf, h.resolution)
             got = self._members[(l, j)] = MemberBank(h, mu, (B, bound))
@@ -453,10 +456,12 @@ class FrameAnalyzer:
     def table_width(self, k: int, j0: int, j1: int) -> int:
         """Entries one function on D at resolution k adds to the largest table
         the checks over [j0, j1) form: a bank's gather, the cell integrals at
-        its resolution K, or the function over B^K when K < 0."""
-        q, banks = self.sys.q, (self._bank(l, j, 0) for l, j in self._pairs(j0, j1))
-        return max(max(bank.cells[:, :bound].size, q ** max(bank.resolution, 0) + 1,
-                       q ** (k - min(bank.resolution, 0))) for bank, bound in banks)
+        its resolution K, or the function over B^K when K < 0. Every bank is
+        counted and checked by _scan, in _pairs order, and none is built: its
+        resolution is g_l's moved by j dilations."""
+        q, g = self.sys.q, self.generators
+        return max(max(self._scan(l, j, 0)[1], q ** max(g[l].resolution + j, 0) + 1,
+                       q ** (k - min(g[l].resolution + j, 0))) for l, j in self._pairs(j0, j1))
 
     def two_scale_check(self, f: StepFunction, j: int):
         """(residual, projector_residual): energy_balance across one scale

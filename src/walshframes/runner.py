@@ -35,6 +35,7 @@ from .framekit import (
     load_masks,
     sigma_v0,
     uep_gram,
+    wavelet_generators,
 )
 from .periodic import (
     PeriodicSystemSpec,
@@ -354,10 +355,8 @@ def uindex_report(rc: RunConfig, count: int) -> dict:
 
 def verify_report(rc: RunConfig) -> dict:
     sys_cfg = _require_system(rc)
-    cfg = sys_cfg.field
 
-    phi_hat = iterate_refinement(sys_cfg.masks[0], sys_cfg,
-                                 rc.cascade_iterations)
+    phi_hat = iterate_refinement(sys_cfg.masks[0], sys_cfg, rc.cascade_iterations)
     part = check_partition(phi_hat, sys_cfg)
     part_min = float(part.values.real.min())
     part_max = float(part.values.real.max())
@@ -371,11 +370,10 @@ def verify_report(rc: RunConfig) -> dict:
     bessel.update(tolerance=rc.gram_tol,
                   verdict=bessel["max_sum"] <= 1.0 + rc.gram_tol)
 
-    generators = derive_generators(sys_cfg, rc.cascade_iterations)
-    analyzer = FrameAnalyzer(sys_cfg, generators)
+    analyzer = FrameAnalyzer(sys_cfg, wavelet_generators(phi_hat, sys_cfg))
     worst = worst_proj = worst_ratio = 0.0
     width = analyzer.table_width(rc.resolution, rc.j0, rc.j1)
-    for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, width):
+    for f in suite_blocks(sys_cfg.field, rc.resolution, rc.count, rc.seed, width):
         S, W, P, Q = analyzer.energies(f, rc.j0, rc.j1)
         residuals, total = energy_balance(S, W)
         worst = max(worst, float(residuals.max(initial=0.0)))

@@ -39,6 +39,7 @@ from walshframes.periodic import (
     periodic_two_scale_check,
     projection_energy_scan,
 )
+from walshframes.runner import RunConfig
 from walshframes.stepfn import StepFunction, from_cells, inner, periodize
 
 CONFIGS = os.path.abspath(
@@ -381,6 +382,29 @@ def bank_systems(draw):
         for _ in range(2)))
     iterations = draw(st.integers(0, 3))
     return sys, derive_generators(sys, iterations), iterations
+
+
+@pytest.mark.parametrize("name", ["fourier_q3", "haar_q2", "haar_q2_perturbed",
+                                  "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5"])
+def test_bank_count_from_the_generator_matches_the_member(name):
+    # the count is formed from g_l before member (l, j, 0) is built; it is
+    # the count of the built member's cells on every pair a shipped run reads
+    rc = RunConfig.load(os.path.join(CONFIGS, name + ".cfg"))
+    an = FrameAnalyzer(rc.sys, derive_generators(rc.sys, rc.cascade_iterations))
+    B, q = rc.sys.branches, rc.sys.q
+    with mock.patch.object(framekit, "bank_entries", wraps=bank_entries) as counted:
+        width = an.table_width(rc.resolution, rc.j0, rc.j1)
+        assert not an._members   # every bank counted, none built
+        for l, j in an._pairs(rc.j0, rc.j1 + 3):
+            bound, cells = an._scan(l, j, 0)
+            assert counted.call_args.args[4] == cells
+            h = an.member(l, j, LambdaIndex(0, 0))
+            assert cells == B * bound * np.count_nonzero(h.values)
+    # the width the built banks give
+    banks = [an._bank(l, j, 0) for l, j in an._pairs(rc.j0, rc.j1)]
+    assert width == max(max(bank.cells[:, :bound].size, q ** max(bank.resolution, 0) + 1,
+                            q ** (rc.resolution - min(bank.resolution, 0)))
+                        for bank, bound in banks)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -117,16 +118,57 @@ def test_verify_report_forms_the_partition_once(tmp_path):
     assert report["sigma_v0_fraction"] == 1.0
 
 
+@contextlib.contextmanager
+def _counting(*names):
+    """{name: mock} counting the calls of each framekit function named,
+    made through framekit's binding or runner's."""
+    with contextlib.ExitStack() as stack:
+        calls = {}
+        for name in names:
+            calls[name] = stack.enter_context(
+                mock.patch.object(framekit, name, wraps=getattr(framekit, name)))
+            if hasattr(runner, name):
+                stack.enter_context(mock.patch.object(runner, name, calls[name]))
+        yield calls
+
+
 @pytest.mark.parametrize("masks", ["haar_q2.masks", "fourier_q3.masks",
                                    "nonuniform_q2_N3_r5.masks"])
 def test_mask_checks_transform_each_mask_once(masks):
     sys = framekit.load_masks(os.path.join(CONFIGS, masks))
     assert len(sys.shift_set) > 1
-    with mock.patch.object(framekit, "mask_cells", wraps=framekit.mask_cells) as cells:
+    with _counting("fast_transform") as calls:
         framekit.uep_gram(sys)
-        assert cells.call_count == len(sys.masks)
+        assert calls["fast_transform"].call_count == len(sys.masks)
+        # the low-pass mask keeps the table uep_gram formed
         framekit.bessel_mask_check(sys.masks[0], sys)
-        assert cells.call_count == len(sys.masks) + 1
+        assert calls["fast_transform"].call_count == len(sys.masks)
+
+
+@pytest.mark.parametrize("config, tables", [("fourier_q3.cfg", 3), ("haar_q2.cfg", 2)])
+def test_verify_forms_each_mask_table_and_phi_hat_once(config, tables):
+    rc = RunConfig.load(os.path.join(CONFIGS, config))
+    with _counting("fast_transform", "iterate_refinement") as calls:
+        runner.verify_report(rc)
+    assert calls["fast_transform"].call_count == tables == len(rc.sys.masks)
+    assert calls["iterate_refinement"].call_count == 1
+
+
+def test_periodic_forms_each_mask_table_once():
+    rc = RunConfig.load(os.path.join(CONFIGS, "nonuniform_q2_N3_r5.cfg"))
+    with _counting("fast_transform") as calls:
+        runner.periodic_report(rc)
+    assert calls["fast_transform"].call_count == len(rc.sys.masks) == 2
+
+
+@pytest.mark.parametrize("config", sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
+@pytest.mark.parametrize("mode", [None, "qn"])
+def test_run_config_load_forms_no_mask_table(config, mode):
+    # the tables are formed inside the reports, outside the load that setup_s times
+    with _counting("fast_transform") as calls:
+        rc = RunConfig.load(os.path.join(CONFIGS, config), mode=mode)
+    assert calls["fast_transform"].call_count == 0
+    assert all(m._table is None for m in rc.sys.masks)
 
 
 def test_verify_reports_are_byte_reproducible(tmp_path):
@@ -640,7 +682,8 @@ r = 5
 
 def test_corrupt_masks_file_is_input_data_error(tmp_path, capsys):
     masks = tmp_path / "bad.masks"
-    lines = open(os.path.join(CONFIGS, "haar_q2.masks")).read().splitlines()
+    with open(os.path.join(CONFIGS, "haar_q2.masks")) as fh:
+        lines = fh.read().splitlines()
     lines[8] = "0 0 nope 0.0"
     masks.write_text("\n".join(lines) + "\n")
     cfg = write_cfg(tmp_path, "", 2, body=f"[masks]\nfile = {masks}\n")
@@ -678,7 +721,8 @@ def test_mask_file_byte_that_is_not_utf8_is_refused_by_line(tmp_path, capsys,
 
 
 def _masks_with_row(tmp_path, source, lineno, row):
-    lines = open(os.path.join(CONFIGS, source)).read().splitlines()
+    with open(os.path.join(CONFIGS, source)) as fh:
+        lines = fh.read().splitlines()
     lines[lineno - 1] = row
     masks = tmp_path / "edited.masks"
     masks.write_text("\n".join(lines) + "\n")
@@ -749,8 +793,9 @@ def test_scale_options_are_capped_before_allocation(tmp_path, capsys, option,
                                     **{option: at_cap}, **scales))
     assert getattr(rc, option) == at_cap
     cfg = _scales_cfg(tmp_path, "haar_q2.masks", **{option: at_cap + 1}, **scales)
-    with pytest.raises(ConfigError, match=option):
+    with pytest.raises(ConfigError, match=option), _counting("fast_transform") as calls:
         RunConfig.load(cfg)
+    assert calls["fast_transform"].call_count == 0
     assert run(["verify", "--config", cfg]) == 2
     assert str(CELL_CAP) in capsys.readouterr().err
 
@@ -774,6 +819,21 @@ def test_bank_scales_are_capped_before_allocation(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "at scale" in err and f"the cap of {cap}" in err
     assert peak < 8 * cap + 2 ** 20
+
+
+def test_verify_refuses_a_huge_j1_before_any_bank_is_built(tmp_path, capsys):
+    # every bank's count is checked before the first bank is built, so the
+    # bank of scale 20 is refused while no smaller one exists
+    with open(os.path.join(CONFIGS, "haar_q2.cfg")) as fh:
+        body = fh.read().replace("j1 = 4\n", "j1 = 1000000000\n").replace(
+            "file = ", "file = " + CONFIGS + os.sep)
+    cfg = write_cfg(tmp_path, "", 2, body=body)
+    with mock.patch.object(framekit, "MemberBank", wraps=framekit.MemberBank) as banks:
+        assert run(["verify", "--config", cfg]) == 2
+    assert banks.call_count == 0
+    assert capsys.readouterr().err == (
+        "error: the member bank of generator 0 at scale 20 needs 28311552 table "
+        f"entries, above the cap of {CELL_CAP}\n")
 
 
 def test_a_coarse_j0_is_refused_at_load(tmp_path, capsys):
@@ -822,6 +882,7 @@ def test_non_finite_or_negative_settings_are_config_errors(tmp_path, capsys, mon
         RunConfig.load(cfg)
     # refused before any work
     monkeypatch.setattr("walshframes.runner.derive_generators", None)
+    monkeypatch.setattr("walshframes.runner.iterate_refinement", None)
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert option in err and value.lstrip("-") in err
@@ -861,7 +922,8 @@ def test_uep_blocks_state_the_tolerance_the_run_applies(tmp_path, command, gram,
 
 def test_periodic_refuses_a_label_count_past_int64(tmp_path, capsys):
     # qN = 2000002: the labels of scale 3 fit in int64, those of scale 4 do not
-    text = open(os.path.join(CONFIGS, "nonuniform_q2_N3_r1.masks")).read()
+    with open(os.path.join(CONFIGS, "nonuniform_q2_N3_r1.masks")) as fh:
+        text = fh.read()
     masks = tmp_path / "wide.masks"
     masks.write_text(text.replace("N = 3\n", "N = 1000001\n"))
     body = (f"[masks]\nfile = {masks}\n\n[scales]\nj_max = {{}}\n\n"

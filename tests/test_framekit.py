@@ -22,24 +22,17 @@ from walshframes.algebra import (
     uindex,
     uindex_inverse,
 )
-from walshframes.errors import (
-    ConfigError,
-    DegenerateInput,
-    InputDataError,
-    NotNormalized,
-)
+from walshframes.errors import ConfigError, DegenerateInput, InputDataError
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
     _shifted_tables,
     bessel_mask_check,
-    cascade,
     check_partition,
     derive_generators,
     energy_balance,
     iterate_refinement,
     load_masks,
-    mask_cells,
     mask_refine,
     save_masks,
     sigma_v0,
@@ -130,9 +123,9 @@ def test_eval_mask_local_constancy():
 
 def test_mask_cells_haar():
     sys = haar_system()
-    assert allclose(mask_cells(sys.masks[0]),
+    assert allclose(sys.masks[0].table,
         from_cells(F2, 1, {F2.zero(): 1.0}), 1e-12)
-    assert allclose(mask_cells(sys.masks[1]),
+    assert allclose(sys.masks[1].table,
         from_cells(F2, 1, {F2.one(): 1.0}), 1e-12)
 
 
@@ -142,7 +135,7 @@ def test_mask_cells_match_pointwise_values():
         Mask(wide, {(0, 0): 0.5, (6, 0): 0.5j, (13, 0): -0.25}),)
     for m in masks:
         K = m.constancy_resolution
-        cells = mask_cells(m)
+        cells = m.table
         assert cells.resolution == K
         for rep in enumerate_reps(m.sys.field, 0, K):
             assert cells.cells.get(rep, 0j) == pytest.approx(mask_value(m, rep), abs=1e-15)
@@ -176,8 +169,8 @@ def random_masks(draw):
 @given(random_masks(), st.integers(0, 2 ** 32 - 1))
 def test_mask_tables_match_term_by_term_sums(m, seed):
     cfg, K = m.sys.field, m.constancy_resolution
-    assert mask_cells(m).resolution == K
-    assert np.abs(mask_cells(m).values - mask_table(m, cfg.zero(), K)).max() <= 1e-12
+    assert m.table.resolution == K
+    assert np.abs(m.table.values - mask_table(m, cfg.zero(), K)).max() <= 1e-12
     rng = np.random.default_rng(seed)
     for R in (K, K + 1):
         reps = enumerate_reps(cfg, 0, R)
@@ -196,7 +189,7 @@ def test_mask_cells_sum_indices_that_share_a_cell(coeffs):
     sys = SystemConfig(F2, N=3, r=1)
     assert sys.lambda_element(LambdaIndex(0, 1)) == sys.lambda_element(LambdaIndex(1, 0))
     m = Mask(sys, coeffs)
-    assert mask_cells(m).resolution == m.constancy_resolution == 1
+    assert m.table.resolution == m.constancy_resolution == 1
     for R in (1, 2):
         for tau, got in zip(sys.shift_set, _shifted_tables(m, sys.shift_set, R)):
             want = [mask_value(m, rep + tau) for rep in enumerate_reps(F2, 0, R)]
@@ -267,19 +260,6 @@ def test_derive_generators_orthonormal_bank():
             for b in range(len(gens)):
                 want = 1.0 if a == b else 0.0
                 assert inner(gens[a], gens[b]) == pytest.approx(want, abs=1e-12)
-
-
-def test_cascade_haar_and_gate():
-    sys = haar_system()
-    for it in (0, 1, 3):
-        assert allclose(cascade(sys.masks[0], sys, it), unit_ball(F2), 1e-12)
-    base = SystemConfig(F2, N=1, r=1)
-    big = Mask(base, {(0, 0): RT2 * 1.1, (1, 0): RT2 * 1.1})
-    with pytest.raises(NotNormalized):
-        cascade(big, sys, 2)
-    bumped = haar_system(perturb=(0, 0))
-    with pytest.raises(NotNormalized):
-        cascade(bumped.masks[0], bumped, 2)
 
 
 # ------------------------------------------------------ partition of unity --
@@ -604,8 +584,7 @@ def test_mask_file_extension_field_round_trip(tmp_path):
     sys = base.with_masks((Mask(base, {(0, 0): 0.5, (3, 0): 0.5j}),))
     path = str(tmp_path / "masks.txt")
     save_masks(sys, path)
-    text = open(path).read()
-    assert "modulus = 1.1.1" in text
+    assert "modulus = 1.1.1" in (tmp_path / "masks.txt").read_text()
     loaded = load_masks(path)
     assert loaded.field == F4
     assert loaded.masks[0].coeffs == sys.masks[0].coeffs
@@ -614,17 +593,17 @@ def test_mask_file_extension_field_round_trip(tmp_path):
 def test_mask_file_errors(tmp_path):
     good = str(tmp_path / "good.txt")
     save_masks(haar_system(), good)
-    lines = open(good).read().splitlines()
+    lines = (tmp_path / "good.txt").read_text().splitlines()
 
     bad_row = str(tmp_path / "bad_row.txt")
     broken = list(lines)
     broken[8] = "0 0 not-a-number 0.0"
-    open(bad_row, "w").write("\n".join(broken) + "\n")
+    (tmp_path / "bad_row.txt").write_text("\n".join(broken) + "\n")
     with pytest.raises(InputDataError, match="line 9"):
         load_masks(bad_row)
 
     headless = str(tmp_path / "headless.txt")
-    open(headless, "w").write("p = 2\n")
+    (tmp_path / "headless.txt").write_text("p = 2\n")
     with pytest.raises(InputDataError, match="line 1"):
         load_masks(headless)
 
@@ -633,6 +612,6 @@ def test_mask_file_errors(tmp_path):
     patched.insert(1, "p = 2")
     patched.insert(2, "c = 2")
     patched = [ln for ln in patched if not ln.startswith("c = 1")]
-    open(missing_modulus, "w").write("\n".join(patched) + "\n")
+    (tmp_path / "nomod.txt").write_text("\n".join(patched) + "\n")
     with pytest.raises(ConfigError):
         load_masks(missing_modulus)

@@ -24,3 +24,11 @@ def test_libcst_deprecation_warnings_are_ignored(module):
     _warn(DeprecationWarning, module)
     with pytest.raises(RuntimeWarning):
         _warn(RuntimeWarning, module)
+
+
+@pytest.mark.parametrize("category", [ResourceWarning,
+                                      pytest.PytestUnraisableExceptionWarning])
+def test_a_leaked_resource_is_an_error(category):
+    # a file a test leaves open warns when it is collected
+    with pytest.raises(category):
+        _warn(category, "tests.test_cli")
