@@ -12,7 +12,7 @@ check below reduces to finitely many exact evaluations:
   * the shift-Gram (perfect reconstruction) matrix and a Bessel bound,
   * frame-coefficient analysis of the dilate/translate system with
     support-exact truncation of the translation sums, and
-  * the per-scale energy identity with materialized projection operators.
+  * the per-scale energy identity, with <P_j f, f> paired on the same gather.
 
 The FrameAnalyzer keeps one MemberBank per (generator, scale) pair: every
 translation member the scan can reach, as numpy arrays, so a whole suite of
@@ -314,14 +314,14 @@ class MemberBank:
         self.conj_values = np.conj(h.values[x])
         self.cells = idx.reshape(*shape, x.size)
 
-    def coefficients(self, integrals: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """<f, member> per row, from the cell integrals of f (a table, or a
-        block of them) over the rows' cells (self.cells, or a slice of it
-        clipped to a sentinel). A sum, not a BLAS matrix product, which would
-        make an entry depend on how many rows are reduced with it."""
+    def gather(self, integrals: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """f's cell integrals (a table, or a block of them) over the rows' cells
+        (self.cells, or a slice of it clipped to a sentinel) times conj(h): summed
+        over the last axis, <f, member> per row. A sum, not a BLAS matrix product,
+        which would make an entry depend on how many rows are reduced with it."""
         gathered = integrals[..., cells]   # the largest table of a check
         gathered *= self.conj_values
-        return gathered.sum(axis=-1)
+        return gathered
 
 
 def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,10 +383,9 @@ class FrameAnalyzer:
         return got, bound
 
     def _row(self, f: StepFunction, l: int, j: int, tables: dict | None = None):
-        """(bank, window cells, f's cell integrals, coefficients), rows
-        (delta, n) over the translation scan of the union of f's supports;
-        tables keeps the integrals per bank resolution, so that a block forms
-        them once."""
+        """(bank, window cells, gather), rows (delta, n) over the translation
+        scan of the union of f's supports; tables keeps f's cell integrals per
+        bank resolution, so that a block forms them once."""
         lf = f.support_ball()
         bank, bound = self._bank(l, j, lf)
         K = bank.resolution
@@ -395,7 +394,7 @@ class FrameAnalyzer:
             tables[K] = self._integrals(f, lf, K)
         integrals = tables[K]
         cells = np.minimum(bank.cells[:, :bound], integrals.shape[-1] - 1)
-        return bank, cells, integrals, bank.coefficients(integrals, cells)
+        return bank, cells, bank.gather(integrals, cells)
 
     def _integrals(self, f: StepFunction, lf: int, K: int) -> np.ndarray:
         """f's cell integrals at resolution K over the window down to
@@ -408,37 +407,31 @@ class FrameAnalyzer:
     def coefficient_row(self, f: StepFunction, l: int, j: int) -> dict[LambdaIndex, complex]:
         """All <f, member(l, j, idx)> whose supports overlap, for one f; the
         scan is exhaustive (see _bank)."""
-        bank, cells, _, coeffs = self._row(f, l, j)
+        bank, cells, products = self._row(f, l, j)
         # a member meets f's support where the indicator of f's nonzero cells
         # has a positive integral over one of its cells
         ind = StepFunction(f.cfg, f.resolution, f.values != 0, f.lo)
         support = self._integrals(ind, f.support_ball(), bank.resolution).real > 0
         hit = support[cells].any(axis=-1)
-        return {LambdaIndex(int(n), int(delta)): complex(coeffs[delta, n])
+        return {LambdaIndex(int(n), int(delta)): complex(products[delta, n].sum())
                 for delta, n in zip(*np.nonzero(hit))}
 
     def _energies(self, f: StepFunction, l: int, j: int, tables: dict | None = None):
-        """(sum |<f, member>|^2, <P f, f>) with P f = sum <f, member> member
-        materialized on f's cells: one bincount over a block, the flat
-        indices offset by function."""
-        bank, cells, integrals, coeffs = self._row(f, l, j, tables=tables)
-        lead, size = integrals.shape[:-1], integrals.shape[-1]
-        b = math.prod(lead)
-        # real and imaginary parts as adjacent floats, summed by one bincount
-        # (its index and weight tables die before the projection is read)
-        proj = np.bincount(
-            (2 * (cells + size * np.arange(b).reshape(-1, 1, 1, 1))[..., None]
-             + [0, 1]).ravel(),
-            weights=(coeffs[..., None] * np.conj(bank.conj_values)).view(float).ravel(),
-            minlength=2 * b * size).view(complex).reshape(*lead, size)
+        """(sum |<f, member>|^2, <P f, f>) from one gather p, whose row sums are
+        the coefficients c: <P f, f> = sum_r c_r sum_x h(x) conj(integral of f
+        over cell x of row r) = sum conj(p) c, paired in place."""
+        products = self._row(f, l, j, tables=tables)[2]
+        coeffs = products.sum(axis=-1)
+        np.conj(products, out=products)
+        products *= coeffs[..., None]
         return (np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)),
-                np.sum(proj[..., :-1] * np.conj(integrals[..., :-1]), axis=-1))
+                np.sum(products, axis=(-3, -2, -1)))
 
     def energies(self, f: StepFunction, j0: int, j1: int) -> tuple[np.ndarray, ...]:
         """(S, W, P, Q) over the scales j0..j1 in folded_energies' layout: per
         scale, then per function of a block, the summed |<f, member>|^2 of the
         scaling bank (S) and of the wavelet banks (W, to j1 - 1), and <P_j f, f>
-        and <Q_j f, f> of their projections (P, Q). Each bank is reduced once."""
+        and <Q_j f, f> paired on the same gathers (P, Q). Each bank is gathered once."""
         tables: dict = {}
         shape = (j1 - j0 + 1,) + f.values.shape[:-1]
         S, P = np.zeros(shape), np.zeros(shape, dtype=complex)
@@ -466,9 +459,9 @@ class FrameAnalyzer:
     def two_scale_check(self, f: StepFunction, j: int):
         """(residual, projector_residual): energy_balance across one scale
         step of the summed squared coefficients, and of <P_j f, f> + <Q_j f, f>
-        against <P_{j+1} f, f> with the projections materialized. P f lands on
-        the bank cells its coefficients came from, so the two agree up to
-        summation order whatever those cells are: a check of summation order;
+        against <P_{j+1} f, f>. Each projection energy pairs the coefficients
+        with the gather they were summed from, so it is the summed squared
+        coefficients up to roundoff whatever the bank cells are;
         tests/test_banks.py::oracle_energies checks the cells."""
         S, W, P, Q = self.energies(f, j, j + 1)
         return energy_balance(S, W)[0][0], energy_balance(P, Q)[0][0]

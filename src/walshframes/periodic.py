@@ -101,10 +101,15 @@ class PeriodicSystemSpec:
 
     def table_width(self) -> int:
         """Entries one function adds to the largest table the folded checks
-        form: a bank's gather or f's cell integrals at the bank's resolution."""
-        banks = (self.bank(l, j)[0] for l in range(len(self.generators))
-                 for j in range(self.j_max + 1))
-        return max(max(b.cells.size, self.sys.q ** b.resolution) for b in banks)
+        form: a bank's gather or f's cell integrals at the bank's resolution.
+        Each bank's label arrays are counted first, from the resolution of its
+        member, max(res_l + j, 0): a refusal comes before any member is formed."""
+        q, B, scales = self.sys.q, self.sys.branches, range(self.j_max + 1)
+        for l, g in enumerate(self.generators):
+            for j in scales:
+                bank_entries(l, j, B * q ** j, min(j, max(g.resolution + j, 0)) + 7, 0)
+        banks = (self.bank(l, j)[0] for l in range(len(self.generators)) for j in scales)
+        return max(max(b.cells.size, q ** b.resolution) for b in banks)
 
 
 def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
@@ -115,7 +120,7 @@ def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
     K = bank.resolution
     if K not in tables:
         tables[K] = cell_integrals(f.window(0).values, f.resolution, K, f.cfg.q)
-    coeffs = bank.coefficients(tables[K], bank.cells)
+    coeffs = bank.gather(tables[K], bank.cells).sum(axis=-1)
     return np.sum(weights * np.abs(coeffs) ** 2, axis=-1)
 
 

@@ -407,6 +407,22 @@ def test_bank_count_from_the_generator_matches_the_member(name):
                         for bank, bound in banks)
 
 
+@pytest.mark.parametrize("name", ["fourier_q3", "haar_q2", "haar_q2_perturbed",
+                                  "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5"])
+def test_folded_count_before_any_member_matches_the_build(name):
+    # table_width counts every folded bank's label arrays from g_l's
+    # resolution before any member exists: the rows and arrays of the build
+    rc = RunConfig.load(os.path.join(CONFIGS, name + ".cfg"))
+    spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, rc.cascade_iterations),
+                              rc.j_max + 3)
+    with mock.patch.object(periodic, "bank_entries", wraps=bank_entries) as counted:
+        spec.table_width()
+    calls = [c.args for c in counted.call_args_list]
+    first, built = calls[:len(calls) // 2], calls[len(calls) // 2:]
+    assert [c[:4] for c in first] == [c[:4] for c in built]
+    assert all(c[4] == 0 for c in first) and all(c[4] > 0 for c in built)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(bank_systems(), st.integers(0, 2), st.integers(-3, 16), st.booleans())
 def test_bank_entries_bound_each_build(system, l, j, folded):

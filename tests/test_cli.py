@@ -12,7 +12,7 @@ import pytest
 from oracles import allclose
 
 import walshframes
-from walshframes import framekit, runner
+from walshframes import framekit, periodic, runner
 from walshframes.algebra import Q_CAP, FieldConfig
 from walshframes.cli import main
 from walshframes.errors import ConfigError
@@ -821,16 +821,25 @@ def test_bank_scales_are_capped_before_allocation(tmp_path, capsys, monkeypatch,
     assert peak < 8 * cap + 2 ** 20
 
 
-def test_verify_refuses_a_huge_j1_before_any_bank_is_built(tmp_path, capsys):
-    # every bank's count is checked before the first bank is built, so the
-    # bank of scale 20 is refused while no smaller one exists
+@pytest.mark.parametrize("command, option, built", [
+    ("verify", "j1", [(framekit, "MemberBank")]),
+    ("periodic", "j_max", [(periodic, "system_member"), (periodic, "periodize")]),
+], ids=["verify", "periodic"])
+def test_a_huge_scale_is_refused_before_any_bank_is_built(tmp_path, capsys, command,
+                                                          option, built):
+    # every bank's count is checked before the first bank is built, a folded
+    # one before its member is formed, so the bank of scale 20 is refused
+    # while no smaller one exists
     with open(os.path.join(CONFIGS, "haar_q2.cfg")) as fh:
-        body = fh.read().replace("j1 = 4\n", "j1 = 1000000000\n").replace(
+        body = fh.read().replace(f"{option} = 4\n", f"{option} = 1000000000\n").replace(
             "file = ", "file = " + CONFIGS + os.sep)
     cfg = write_cfg(tmp_path, "", 2, body=body)
-    with mock.patch.object(framekit, "MemberBank", wraps=framekit.MemberBank) as banks:
-        assert run(["verify", "--config", cfg]) == 2
-    assert banks.call_count == 0
+    with contextlib.ExitStack() as stack:
+        calls = [stack.enter_context(mock.patch.object(module, name,
+                                                       wraps=getattr(module, name)))
+                 for module, name in built]
+        assert run([command, "--config", cfg]) == 2
+    assert [c.call_count for c in calls] == [0] * len(built)
     assert capsys.readouterr().err == (
         "error: the member bank of generator 0 at scale 20 needs 28311552 table "
         f"entries, above the cap of {CELL_CAP}\n")

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from walshframes.algebra import (
     uindex,
     uindex_inverse,
 )
+from walshframes.cli import main
 from walshframes.errors import ConfigError, DegenerateInput, InputDataError
 from walshframes.framekit import (
     FrameAnalyzer,
@@ -555,6 +558,43 @@ def test_frame_ratio_equals_the_report_ratio(monkeypatch, name, j0, functions):
         fs = list(suite_functions(rc.cfg, rc.resolution, rc.count, rc.seed))
     want = max(float(np.abs(an.frame_ratio(f, rc.j0, rc.j1) - 1.0).max()) for f in fs)
     assert verify_report(rc)["frame_ratio"]["max_abs_deviation"] == want
+
+
+def _unitary_with_flat_first_row(q, rng):
+    """A random q x q unitary matrix whose first row is 1/sqrt(q) throughout."""
+    m = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+    m[:, 0] = 1 / math.sqrt(q)
+    u, r = np.linalg.qr(m)
+    u[:, 0] *= r[0, 0]   # m[:, 0] = u[:, 0] r[0, 0], and |r[0, 0]| = 1
+    return u.T
+
+
+@pytest.mark.parametrize("p, c", [(2, 1), (3, 1), (2, 2), (5, 1)])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_passes_on_random_unitary_masks(p, c, seed):
+    # masks of constancy resolution 1 whose q x q coefficient matrix is a
+    # random unitary with first row 1/sqrt(q), as fourier_q3's: UEP holds,
+    # so verify exits 0 and its residuals stay at roundoff of the energies
+    cfg = FieldConfig(p, c)
+    U = _unitary_with_flat_first_row(cfg.q, np.random.default_rng(seed))
+    base = SystemConfig(cfg, N=1, r=1)
+    sys = base.with_masks(tuple(Mask(base, {(n, 0): a for n, a in enumerate(row)})
+                                for row in U))
+    assert all(m.constancy_resolution == 1 for m in sys.masks)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_masks(sys, os.path.join(tmp, "run.masks"))
+        config, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "report.json")
+        with open(config, "w") as fh:
+            fh.write("[masks]\nfile = run.masks\n\n[scales]\nj1 = 2\nj_max = 2\n\n"
+                     f"[suite]\nseed = {seed}\ncount = 8\nresolution = 2\n")
+        assert main(["verify", "--config", config, "--out", out]) == 0
+        with open(out) as fh:
+            report = json.load(fh)
+    norm2 = max(float(f.norm2().max()) for f in suite_blocks(cfg, 2, 8, seed))
+    assert max(report["two_scale"]["max_residual"],
+               report["two_scale"]["max_projector_residual"],
+               report["frame_ratio"]["max_abs_deviation"]) <= 1e-12 * norm2
 
 
 def test_frame_ratio_rejects_zero():

@@ -227,6 +227,19 @@ def test_oracle_comparison_catches_a_moved_number():
         _check_verify(report, want)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_projector_residual_is_the_coefficient_residual(name):
+    # <P f, f> pairs each coefficient with the gather it was summed from, so
+    # in exact arithmetic it is the sum of the squared coefficients: the
+    # projector key of a shipped report carries nothing the other one does not
+    rc = _config(name)
+    two_scale = verify_report(rc)["two_scale"]
+    norm2 = max(float(f.norm2().max())
+                for f in suite_blocks(rc.cfg, rc.resolution, rc.count, rc.seed))
+    assert abs(two_scale["max_projector_residual"] - two_scale["max_residual"]) \
+        <= REL * norm2
+
+
 # ----------------------------------------------------------------- memory --
 
 def _peak(report, rc):
