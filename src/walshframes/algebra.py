@@ -84,6 +84,10 @@ def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
 class FieldConfig:
     """Parameters and lookup tables for GF(q) and the field K = GF(q)((t)).
 
+    Inputs name the field through from_text and outputs spell the modulus as
+    modulus_text: base-p digits low power first joined by '.', stated exactly
+    when c > 1. Only the constructor takes a shipped modulus (DEFAULT_MODULI).
+
     Immutable; hashable on (p, c, modulus). All scalar arithmetic reads
     precomputed read-only arrays: add_table and mul_table (q x q),
     neg_table and inv_table (q; inv_table[0] is 0) and root_table (the p-th
@@ -93,7 +97,8 @@ class FieldConfig:
     __slots__ = ("p", "c", "q", "modulus", "add_table", "mul_table",
                  "neg_table", "inv_table", "root_table", "_key")
 
-    def __init__(self, p: int, c: int = 1, modulus: Iterable[int] | None = None):
+    def __init__(self, p: int, c: int = 1, modulus: Iterable[int] | None = None,
+                 *, shipped: bool = True):
         # bounded before p is tested for primality and before p^c is formed
         if not isinstance(p, int) or not 2 <= p <= Q_CAP or not _is_prime(p):
             raise ConfigError(f"p must be prime and <= Q_CAP = {Q_CAP}, got {p!r}")
@@ -107,13 +112,12 @@ class FieldConfig:
                 raise ConfigError("modulus is only meaningful for c > 1")
         else:
             if modulus is None:
-                try:
-                    modulus = DEFAULT_MODULI[(p, c)]
-                except KeyError:
-                    raise ConfigError(
-                        f"no shipped modulus for (p, c) = ({p}, {c}); pass one "
-                        f"explicitly (shipped defaults: {sorted(DEFAULT_MODULI)})"
-                    ) from None
+                if not shipped:
+                    raise ConfigError(f"a field with c = {c} > 1 must state its modulus")
+                if (p, c) not in DEFAULT_MODULI:
+                    raise ConfigError(f"no shipped modulus for (p, c) = ({p}, {c}); pass one "
+                                      f"explicitly (shipped defaults: {sorted(DEFAULT_MODULI)})")
+                modulus = DEFAULT_MODULI[(p, c)]
             modulus = tuple(int(x) % p for x in modulus)
             if len(modulus) != c + 1:
                 raise ConfigError(f"modulus must have degree {c}")
@@ -134,6 +138,22 @@ class FieldConfig:
             table.flags.writeable = False
         self.add_table, self.mul_table, self.neg_table, self.inv_table, self.root_table = tables
         self._key = (self.p, self.c, self.modulus)
+
+    @classmethod
+    def from_text(cls, p: str, c: str, modulus: str | None) -> "FieldConfig":
+        """The field that header strings name; modulus None when not stated.
+        ConfigError (a ValueError) for anything but the one format."""
+        try:
+            p, c = int(p), int(c)
+            digits = None if modulus is None else tuple(int(d) for d in modulus.split("."))
+        except ValueError as exc:
+            raise ConfigError(f"field needs integer p, c and modulus digits ({exc})") from exc
+        return cls(p, c, digits, shipped=False)
+
+    @property
+    def modulus_text(self) -> str | None:
+        """The modulus as from_text reads it; None when c = 1."""
+        return self.modulus and ".".join(map(str, self.modulus))
 
     def _scalar_tables(self) -> tuple:
         """GF(q)'s add, mul, neg and inv tables in O(c q^2) array reads:

@@ -488,8 +488,8 @@ def save_masks(sys: SystemConfig, dest: str | TextIO) -> None:
     w(MASK_MAGIC + "\n")
     w(f"p = {cfg.p}\n")
     w(f"c = {cfg.c}\n")
-    if cfg.modulus is not None:
-        w("modulus = " + ".".join(str(d) for d in cfg.modulus) + "\n")
+    if cfg.modulus_text:
+        w(f"modulus = {cfg.modulus_text}\n")
     w(f"N = {sys.N}\n")
     w(f"r = {sys.r}\n")
     w(f"nu = {sys.nu}\n")
@@ -563,15 +563,10 @@ def load_masks(src: str | TextIO) -> SystemConfig:
             offset_lines.append(lineno)
         rows[-1][key] = value
     try:
-        p = int(header["p"])
-        c = int(header["c"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"mask file header needs integer p and c ({exc})") from exc
-    if c > 1 and "modulus" not in header:
-        raise ConfigError("mask file with c > 1 must state the modulus")
+        cfg = FieldConfig.from_text(header["p"], header["c"], header.get("modulus"))
+    except KeyError as exc:
+        raise ConfigError(f"mask file header needs p and c ({exc})") from exc
     try:
-        modulus = (tuple(int(d) for d in header["modulus"].split("."))
-                   if "modulus" in header else None)
         N = int(header.get("N", "1"))
         r = int(header.get("r", "1"))
         nu = int(header["nu"]) if "nu" in header else None
@@ -580,7 +575,6 @@ def load_masks(src: str | TextIO) -> SystemConfig:
     if N == 1 and offset_lines:
         raise InputDataError(
             f"line {offset_lines[0]}: delta = 1 needs an offset branch, but N = 1")
-    cfg = FieldConfig(p, c, modulus)
     base = SystemConfig(cfg, N, r, dilation_unit=nu,
                         normalization=header.get("normalization", "unitary"))
     return base.with_masks(tuple(Mask(base, block) for block in rows))

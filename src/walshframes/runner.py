@@ -83,13 +83,6 @@ CONFIG_OPTIONS = {
 }
 
 
-def _parse_modulus(token: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(d) for d in token.split("."))
-    except ValueError as exc:
-        raise ConfigError(f"malformed modulus {token!r}") from exc
-
-
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     """Parsed run configuration: system, scale ranges, suite, tolerances."""
@@ -127,7 +120,7 @@ class RunConfig:
                 raise ConfigError(f"unknown option {unknown[0]!r} in [{section}]")
         try:
             return cls._build(parser, path, seed, mode, need_masks)
-        except ValueError as exc:
+        except (ValueError, configparser.Error) as exc:
             if isinstance(exc, WalshFramesError):
                 raise
             raise ConfigError(f"malformed config value ({exc})") from exc
@@ -147,14 +140,11 @@ class RunConfig:
             cfg = sys_cfg.field
 
         if parser.has_section("field"):
-            p = parser.getint("field", "p")
-            c = parser.getint("field", "c", fallback=1)
-            token = parser.get("field", "modulus", fallback=None)
-            if c > 1 and token is None:
-                raise ConfigError("field with c > 1 must state the modulus")
-            want = FieldConfig(p, c, _parse_modulus(token) if token else None)
-            if cfg is not None and (want.p, want.c, want.modulus) != \
-                    (cfg.p, cfg.c, cfg.modulus):
+            # an empty 'modulus =' states none
+            want = FieldConfig.from_text(parser.get("field", "p"),
+                                         parser.get("field", "c", fallback="1"),
+                                         parser.get("field", "modulus", fallback="") or None)
+            if cfg is not None and want != cfg:
                 raise ConfigError("field section disagrees with the masks file")
             if cfg is None:
                 cfg = want

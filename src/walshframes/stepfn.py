@@ -147,7 +147,7 @@ class StepFunction:
     def norm2(self):
         # exactly rounded, so moving cells (a translation) keeps it bit for bit
         sq = np.abs(self.values) ** 2
-        sums = math.fsum(sq) if sq.ndim == 1 else np.array([math.fsum(r) for r in sq])
+        sums = math.fsum(sq) if sq.ndim == 1 else np.array([math.fsum(r.tolist()) for r in sq])
         return sums * float(self.cfg.q) ** (-self.resolution)
 
     def scale(self, z: complex) -> "StepFunction":
@@ -319,12 +319,6 @@ CSV_BLOCK = 4096
 CSV_CHUNK = 1 << 17
 
 
-def _modulus_token(cfg: FieldConfig) -> str:
-    if cfg.modulus is None:
-        return "-"
-    return ".".join(str(d) for d in cfg.modulus)
-
-
 def _row_heads(q: int, h: int, k: int) -> tuple[list[str], list[str]]:
     """The 'lo,digits' of a cell index high * q^h + low at resolution k, digits
     '.'-joined, most significant first: high_part[high] is lo, high's digits
@@ -351,7 +345,7 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
         return
     q, k = f.cfg.q, f.resolution
     dest.write(f"{CSV_MAGIC} p={f.cfg.p} c={f.cfg.c} "
-               f"modulus={_modulus_token(f.cfg)} resolution={k}\n")
+               f"modulus={f.cfg.modulus_text or '-'} resolution={k}\n")
     dest.write("lo,digits,re,im\n")
     # a cell index splits into a high and a low half of h digits each at
     # most; both halves are read from tables of q^h digit strings
@@ -513,12 +507,10 @@ def load_csv(src: str | TextIO) -> StepFunction:
         if key in fields:
             raise InputDataError(f"line 1: repeated header key {key!r}")
         fields[key] = value
-    try:
-        p, c = int(fields["p"]), int(fields["c"])
+    try:   # FieldConfig's ConfigError is a ValueError
+        modulus = None if fields["modulus"] == "-" else fields["modulus"]
+        cfg = FieldConfig.from_text(fields["p"], fields["c"], modulus)
         resolution = int(fields["resolution"])
-        modulus = (None if fields["modulus"] == "-" else
-                   tuple(int(d) for d in fields["modulus"].split(".")))
-        cfg = FieldConfig(p, c, modulus)   # its ConfigError is a ValueError
     except (KeyError, ValueError) as exc:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
     q = cfg.q

@@ -538,11 +538,14 @@ def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line)
 @pytest.mark.parametrize("fields, message", [
     ("p=4 c=1 modulus=-", "p must be prime"),
     ("p=2 c=2 modulus=1.0.1", "reducible"),           # z^2 + 1 = (z + 1)^2
-    ("p=3 c=2 modulus=-", "no shipped modulus"),
+    ("p=3 c=2 modulus=-", "c = 2 > 1 must state its modulus"),
+    # GF(4) has a shipped modulus, which a CSV header does not stand for
+    ("p=2 c=2 modulus=-", "c = 2 > 1 must state its modulus"),
     (f"p={Q_CAP + 1} c=1 modulus=-", f"<= Q_CAP = {Q_CAP}"),
     ("p=2 c=11 modulus=-", f"<= Q_CAP = {Q_CAP}"),
     ("p=11 c=3 modulus=-", f"<= Q_CAP = {Q_CAP}"),     # q = 1331
-], ids=["nonprime-p", "reducible", "no-modulus", "p-cap", "c-cap", "q-cap"])
+], ids=["nonprime-p", "reducible", "no-modulus", "shipped-modulus", "p-cap", "c-cap",
+        "q-cap"])
 def test_transform_refuses_a_bad_field_on_line_1(tmp_path, capsys, fields, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"# walshframes-stepfn v1 {fields} resolution=1\n"
@@ -572,6 +575,33 @@ def test_field_info_rejects_nonprime_p(tmp_path, capsys):
 def test_field_info_requires_modulus_for_extensions(tmp_path):
     cfg = write_cfg(tmp_path, "", 2, body="[field]\np = 2\nc = 2\n")
     assert run(["field-info", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("c, modulus, code", [
+    ("2", "", 2),          # an empty modulus states none
+    ("1", "", 0),
+    ("2", "1.1.1", 0),
+], ids=["c2-empty", "c1-empty", "c2-stated"])
+def test_field_info_modulus_is_stated_when_c_exceeds_1(tmp_path, capsys, c, modulus, code):
+    cfg = write_cfg(tmp_path, "", 2, body=f"[field]\np = 2\nc = {c}\nmodulus = {modulus}\n")
+    assert run(["field-info", "--config", cfg]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "must state its modulus" in err
+    else:
+        assert json.loads(out)["field"]["modulus"] == ([1, 1, 1] if modulus else None)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[field]\nc = 1\n", "No option 'p'"),
+    ("[field]\np = 2%\n", "'%'"),
+    ("[field]\np = 2\n\n[suite]\nseed = 1%\n", "'%'"),
+], ids=["no-p", "percent-p", "percent-seed"])
+def test_config_without_p_or_with_a_percent_exits_2(tmp_path, capsys, body, message):
+    cfg = write_cfg(tmp_path, "", 2, body=body)
+    assert run(["field-info", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed config value (") and message in err
 
 
 def test_uindex_command(tmp_path, capsys):
@@ -609,6 +639,16 @@ def test_mask_file_field_is_capped_before_it_is_built(tmp_path, capsys):
     cfg = _masks_with_row(tmp_path, "haar_q2.masks", 2, f"p = {Q_CAP + 1}")
     assert run(["verify", "--config", cfg]) == 2
     assert f"<= Q_CAP = {Q_CAP}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("c = 2\nmodulus =", "field needs integer p, c and modulus digits"),
+    ("c = 2", "must state its modulus"),
+], ids=["empty", "missing"])
+def test_mask_file_with_c_above_1_states_its_modulus(tmp_path, capsys, row, message):
+    cfg = _masks_with_row(tmp_path, "haar_q2.masks", 3, row)
+    assert run(["verify", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ------------------------------------------------------ dump-wavelets --

@@ -13,6 +13,7 @@ from oracles import allclose, enumerate_reps, modulate_table
 from walshframes import stepfn
 from walshframes.algebra import FieldConfig, FieldElement, SystemConfig, chi, uindex
 from walshframes.errors import InputDataError, ResolutionError
+from walshframes.framekit import MASK_MAGIC, Mask, load_masks, save_masks
 from walshframes.stepfn import (
     StepFunction,
     cell_digits,
@@ -314,6 +315,37 @@ def _oracle_text(f):
     buf = io.StringIO()
     oracles.dump_csv(f, buf)
     return buf.getvalue()
+
+
+@pytest.mark.parametrize("cfg", CSV_FIELDS + (FieldConfig(2, 3),), ids=repr)
+def test_field_header_round_trips(cfg, tmp_path):
+    """Each field's modulus spelling parses back to its tuple, and the CSV and
+    mask file headers, written as ever, read back as the same field."""
+    text = cfg.modulus_text
+    assert (text is None) == (cfg.c == 1)
+    assert text is None or tuple(int(d) for d in text.split(".")) == cfg.modulus
+    assert FieldConfig.from_text(str(cfg.p), str(cfg.c), text) == cfg
+    f = StepFunction(cfg, 1, np.arange(1, cfg.q + 1, dtype=complex))
+    assert load_csv(io.StringIO(_oracle_text(f))).cfg == cfg
+    buf = io.StringIO()
+    dump_csv(f, buf)
+    assert buf.getvalue() == _oracle_text(f)
+    base = SystemConfig(cfg)
+    path = tmp_path / "field.masks"
+    save_masks(base.with_masks((Mask(base, {(0, 0): 1.0}),)), str(path))
+    stated = [] if cfg.c == 1 else ["modulus = " + ".".join(map(str, cfg.modulus))]
+    assert path.read_text().splitlines()[:3 + len(stated)] == [
+        MASK_MAGIC, f"p = {cfg.p}", f"c = {cfg.c}", *stated]
+    assert load_masks(str(path)).field == cfg
+
+
+def test_block_norm2_matches_each_row_bit_for_bit():
+    rng = np.random.default_rng(7)
+    # the amplitudes of SPECIAL whose squares are finite
+    pool = np.concatenate([[v for v in SPECIAL if abs(v) < 1e154], rng.standard_normal(8)])
+    values = rng.choice(pool, (100, 81)) + 1j * rng.choice(pool, (100, 81))
+    rows = np.array([StepFunction(F3, 4, v).norm2() for v in values])
+    assert StepFunction(F3, 4, values).norm2().tobytes() == rows.tobytes()
 
 
 def _load_both(text, chunk, open_src=None):
