@@ -36,7 +36,6 @@ import numpy as np
 from .errors import ConfigError, NonUnitScalar
 
 __all__ = [
-    "DEFAULT_MODULI",
     "FieldConfig",
     "FieldElement",
     "LambdaIndex",
@@ -50,12 +49,6 @@ __all__ = [
     "uindex",
     "uindex_inverse",
 ]
-
-# Shipped irreducible moduli (coefficients low to high degree, monic).
-DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),      # z^2 + z + 1
-    (2, 3): (1, 1, 0, 1),   # z^3 + z + 1
-}
 
 NORMALIZATIONS = ("unitary", "qn")
 
@@ -86,7 +79,8 @@ class FieldConfig:
 
     Inputs name the field through from_text and outputs spell the modulus as
     modulus_text: base-p digits low power first joined by '.', stated exactly
-    when c > 1. Only the constructor takes a shipped modulus (DEFAULT_MODULI).
+    when c > 1. Every field with c > 1 states its modulus, including one
+    built directly: no default stands in. Its digits are reduced mod p.
 
     Immutable; hashable on (p, c, modulus). All scalar arithmetic reads
     precomputed read-only arrays: add_table and mul_table (q x q),
@@ -97,8 +91,7 @@ class FieldConfig:
     __slots__ = ("p", "c", "q", "modulus", "add_table", "mul_table",
                  "neg_table", "inv_table", "root_table", "_key")
 
-    def __init__(self, p: int, c: int = 1, modulus: Iterable[int] | None = None,
-                 *, shipped: bool = True):
+    def __init__(self, p: int, c: int = 1, modulus: Iterable[int] | None = None):
         # bounded before p is tested for primality and before p^c is formed
         if not isinstance(p, int) or not 2 <= p <= Q_CAP or not _is_prime(p):
             raise ConfigError(f"p must be prime and <= Q_CAP = {Q_CAP}, got {p!r}")
@@ -112,12 +105,7 @@ class FieldConfig:
                 raise ConfigError("modulus is only meaningful for c > 1")
         else:
             if modulus is None:
-                if not shipped:
-                    raise ConfigError(f"a field with c = {c} > 1 must state its modulus")
-                if (p, c) not in DEFAULT_MODULI:
-                    raise ConfigError(f"no shipped modulus for (p, c) = ({p}, {c}); pass one "
-                                      f"explicitly (shipped defaults: {sorted(DEFAULT_MODULI)})")
-                modulus = DEFAULT_MODULI[(p, c)]
+                raise ConfigError(f"a field with c = {c} > 1 must state its modulus")
             modulus = tuple(int(x) % p for x in modulus)
             if len(modulus) != c + 1:
                 raise ConfigError(f"modulus must have degree {c}")
@@ -142,13 +130,14 @@ class FieldConfig:
     @classmethod
     def from_text(cls, p: str, c: str, modulus: str | None) -> "FieldConfig":
         """The field that header strings name; modulus None when not stated.
-        ConfigError (a ValueError) for anything but the one format."""
+        ConfigError (a ValueError) for anything but the one format; modulus
+        digits outside [0, p) are reduced mod p, as the constructor does."""
         try:
             p, c = int(p), int(c)
             digits = None if modulus is None else tuple(int(d) for d in modulus.split("."))
         except ValueError as exc:
             raise ConfigError(f"field needs integer p, c and modulus digits ({exc})") from exc
-        return cls(p, c, digits, shipped=False)
+        return cls(p, c, digits)
 
     @property
     def modulus_text(self) -> str | None:

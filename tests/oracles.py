@@ -310,7 +310,7 @@ def load_csv(src):
         resolution = int(fields["resolution"])
         modulus = (None if fields["modulus"] == "-" else
                    tuple(int(d) for d in fields["modulus"].split(".")))
-        cfg = FieldConfig(p, c, modulus, shipped=False)   # c > 1 states its modulus
+        cfg = FieldConfig(p, c, modulus)   # c > 1 states its modulus
     except (KeyError, ValueError) as exc:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
     q = cfg.q

@@ -17,7 +17,6 @@ from oracles import coset_label_decompose, gf_from_digits, prime_element
 
 from walshframes import algebra
 from walshframes.algebra import (
-    DEFAULT_MODULI,
     Q_CAP,
     FieldConfig,
     FieldElement,
@@ -82,8 +81,8 @@ def oracle_fe_mul(x, y):
 
 F2 = FieldConfig(2)
 F3 = FieldConfig(3)
-F4 = FieldConfig(2, 2)
-F8 = FieldConfig(2, 3)
+F4 = FieldConfig(2, 2, (1, 1, 1))      # z^2 + z + 1
+F8 = FieldConfig(2, 3, (1, 1, 0, 1))   # z^3 + z + 1
 
 
 def test_gf_add_char2():
@@ -102,7 +101,7 @@ def test_gf_mul_prime_field():
 def test_gf_mul_extension_square_of_generator():
     # z * z = z + 1 under z^2 + z + 1; digit vectors (0,1)*(0,1) -> (1,1)
     assert F4.gf_mul(2, 2) == 3
-    assert F4.gf_mul(2, 2) == oracle_gf_mul(2, 2, 2, 2, DEFAULT_MODULI[(2, 2)])
+    assert F4.gf_mul(2, 2) == oracle_gf_mul(2, 2, 2, 2, (1, 1, 1))
 
 
 @pytest.mark.parametrize("cfg", [F2, F3, F4, F8, FieldConfig(5), FieldConfig(3, 2, (1, 0, 1))])
@@ -137,12 +136,11 @@ def test_field_config_validation():
     with pytest.raises(ConfigError):
         FieldConfig(2, 2, (1, 0, 1))  # z^2+1 = (z+1)^2 over GF(2)
     with pytest.raises(ConfigError):
-        FieldConfig(3, 2)  # no shipped default modulus for (3,2)
-    with pytest.raises(ConfigError):
         FieldConfig(2, 2, (1, 1, 0))  # not monic
-    # shipped defaults fill in for (2,2) and (2,3)
-    assert FieldConfig(2, 2).modulus == DEFAULT_MODULI[(2, 2)]
-    assert FieldConfig(2, 3).modulus == DEFAULT_MODULI[(2, 3)]
+    # no default modulus stands in for c > 1, whatever (p, c)
+    for p, c in ((3, 2), (2, 2), (2, 3)):
+        with pytest.raises(ConfigError, match=f"c = {c} > 1 must state its modulus"):
+            FieldConfig(p, c)
 
 
 def test_field_config_is_bounded_before_it_is_built():
@@ -156,7 +154,7 @@ def test_field_config_is_bounded_before_it_is_built():
         with pytest.raises(ConfigError, match=rf"q = p\^c <= Q_CAP = {Q_CAP}"):
             FieldConfig(p, c)
     # q = 2^10 is within the cap: refused only for want of a modulus
-    with pytest.raises(ConfigError, match="no shipped modulus"):
+    with pytest.raises(ConfigError, match="must state its modulus"):
         FieldConfig(2, Q_CAP.bit_length() - 1)
 
 

@@ -300,7 +300,7 @@ def test_transform_roundtrip(tmp_path):
 
 
 def _transform_input(tmp_path, resolution):
-    cfg = FieldConfig(2, 2)
+    cfg = FieldConfig(2, 2, (1, 1, 1))
     rng = np.random.default_rng(1)
     values = np.array([1, 1j]) @ rng.standard_normal((2, 4 ** resolution))
     src = str(tmp_path / "f.csv")
@@ -539,7 +539,7 @@ def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line)
     ("p=4 c=1 modulus=-", "p must be prime"),
     ("p=2 c=2 modulus=1.0.1", "reducible"),           # z^2 + 1 = (z + 1)^2
     ("p=3 c=2 modulus=-", "c = 2 > 1 must state its modulus"),
-    # GF(4) has a shipped modulus, which a CSV header does not stand for
+    # no default modulus stands in for GF(4) either
     ("p=2 c=2 modulus=-", "c = 2 > 1 must state its modulus"),
     (f"p={Q_CAP + 1} c=1 modulus=-", f"<= Q_CAP = {Q_CAP}"),
     ("p=2 c=11 modulus=-", f"<= Q_CAP = {Q_CAP}"),

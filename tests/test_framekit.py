@@ -145,7 +145,7 @@ def test_mask_cells_match_pointwise_values():
 
 
 # q = 2, 3, 5, 7, 4, 8
-MASK_FIELDS = (F2, F3, FieldConfig(5), FieldConfig(7), F4, FieldConfig(2, 3))
+MASK_FIELDS = (F2, F3, FieldConfig(5), FieldConfig(7), F4, FieldConfig(2, 3, (1, 1, 0, 1)))
 
 
 @st.composite
@@ -576,7 +576,7 @@ def test_verify_passes_on_random_unitary_masks(p, c, seed):
     # masks of constancy resolution 1 whose q x q coefficient matrix is a
     # random unitary with first row 1/sqrt(q), as fourier_q3's: UEP holds,
     # so verify exits 0 and its residuals stay at roundoff of the energies
-    cfg = FieldConfig(p, c)
+    cfg = FieldConfig(p, c, (1, 1, 1) if c > 1 else None)
     U = _unitary_with_flat_first_row(cfg.q, np.random.default_rng(seed))
     base = SystemConfig(cfg, N=1, r=1)
     sys = base.with_masks(tuple(Mask(base, {(n, 0): a for n, a in enumerate(row)})

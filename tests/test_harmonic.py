@@ -177,7 +177,7 @@ def test_fourier_table_zero_resolution():
 # tests/oracles.py, over prime and extension fields (GF(9) with the modulus
 # z^2 + 1 passed explicitly), support balls -2..1 and several resolutions.
 
-FIELDS = (F2, F3, F4, FieldConfig(2, 3), FieldConfig(3, 2, (1, 0, 1)))
+FIELDS = (F2, F3, F4, FieldConfig(2, 3, (1, 1, 0, 1)), FieldConfig(3, 2, (1, 0, 1)))
 # widest window m = k - l per field: keeps the oracle matrix <= 81 x 81
 MAX_DIGITS = {2: 5, 3: 3, 4: 3, 8: 2, 9: 2}
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True,

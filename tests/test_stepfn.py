@@ -34,7 +34,7 @@ from walshframes.stepfn import (
 
 F2 = FieldConfig(2)
 F3 = FieldConfig(3)
-F4 = FieldConfig(2, 2)
+F4 = FieldConfig(2, 2, (1, 1, 1))
 
 
 def random_step(cfg, resolution, rng, ball=0):
@@ -317,7 +317,7 @@ def _oracle_text(f):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("cfg", CSV_FIELDS + (FieldConfig(2, 3),), ids=repr)
+@pytest.mark.parametrize("cfg", CSV_FIELDS + (FieldConfig(2, 3, (1, 1, 0, 1)),), ids=repr)
 def test_field_header_round_trips(cfg, tmp_path):
     """Each field's modulus spelling parses back to its tuple, and the CSV and
     mask file headers, written as ever, read back as the same field."""
@@ -835,7 +835,7 @@ def test_prune_drops_small_amplitudes():
 
 # ------------------------------------------------------------ dense tables --
 
-TABLE_FIELDS = (F2, F3, F4, FieldConfig(2, 3), FieldConfig(3, 2, (1, 0, 1)))
+TABLE_FIELDS = (F2, F3, F4, FieldConfig(2, 3, (1, 1, 0, 1)), FieldConfig(3, 2, (1, 0, 1)))
 # widest window per field: keeps the cell-dictionary oracles small
 MAX_DIGITS = {2: 5, 3: 3, 4: 3, 8: 2, 9: 2}
 EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True,
