@@ -80,7 +80,7 @@ class FieldConfig:
     Inputs name the field through from_text and outputs spell the modulus as
     modulus_text: base-p digits low power first joined by '.', stated exactly
     when c > 1. Every field with c > 1 states its modulus, including one
-    built directly: no default stands in. Its digits are reduced mod p.
+    built directly: no default stands in. A digit outside [0, p) is refused.
 
     Immutable; hashable on (p, c, modulus). All scalar arithmetic reads
     precomputed read-only arrays: add_table and mul_table (q x q),
@@ -106,7 +106,10 @@ class FieldConfig:
         else:
             if modulus is None:
                 raise ConfigError(f"a field with c = {c} > 1 must state its modulus")
-            modulus = tuple(int(x) % p for x in modulus)
+            modulus = tuple(int(x) for x in modulus)
+            bad = [d for d in modulus if not 0 <= d < p]
+            if bad:
+                raise ConfigError(f"modulus digit {bad[0]} is outside [0, {p})")
             if len(modulus) != c + 1:
                 raise ConfigError(f"modulus must have degree {c}")
             if modulus[-1] != 1:
@@ -130,8 +133,8 @@ class FieldConfig:
     @classmethod
     def from_text(cls, p: str, c: str, modulus: str | None) -> "FieldConfig":
         """The field that header strings name; modulus None when not stated.
-        ConfigError (a ValueError) for anything but the one format; modulus
-        digits outside [0, p) are reduced mod p, as the constructor does."""
+        ConfigError (a ValueError) for anything but the one format, a modulus
+        digit outside [0, p) included, as the constructor refuses it."""
         try:
             p, c = int(p), int(c)
             digits = None if modulus is None else tuple(int(d) for d in modulus.split("."))

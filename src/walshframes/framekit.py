@@ -12,7 +12,7 @@ check below reduces to finitely many exact evaluations:
   * the shift-Gram (perfect reconstruction) matrix and a Bessel bound,
   * frame-coefficient analysis of the dilate/translate system with
     support-exact truncation of the translation sums, and
-  * the per-scale energy identity, with <P_j f, f> paired on the same gather.
+  * the per-scale energy identity and the frame sum of the squared coefficients.
 
 The FrameAnalyzer keeps one MemberBank per (generator, scale) pair: every
 translation member the scan can reach, as numpy arrays, so a whole suite of
@@ -57,6 +57,7 @@ __all__ = [
     "STRUCTURAL_TOL",
     "bank_entries",
     "bessel_mask_check",
+    "cell_table",
     "check_partition",
     "derive_generators",
     "energy_balance",
@@ -323,6 +324,22 @@ class MemberBank:
         gathered *= self.conj_values
         return gathered
 
+    def energy(self, products: np.ndarray, weights=1) -> np.ndarray:
+        """sum over the rows of a gather of weights * |<f, member>|^2, each
+        coefficient the sum of its row's products; per function of a block."""
+        rows = tuple(range(1 - self.cells.ndim, 0))
+        return np.sum(weights * np.abs(products.sum(axis=-1)) ** 2, axis=rows)
+
+
+def cell_table(f: StepFunction, lo: int, K: int, tables: dict) -> np.ndarray:
+    """f's cell integrals at resolution K over the window down to B^min(lo, K),
+    ending in a zero sentinel for every member cell outside that window;
+    tables keeps one per K, so that the banks of a check form it once."""
+    if K not in tables:
+        table = cell_integrals(f.window(min(lo, K)).values, f.resolution, K, f.cfg.q)
+        tables[K] = np.concatenate((table, np.zeros(table.shape[:-1] + (1,))), axis=-1)
+    return tables[K]
+
 
 def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(residuals, total) of n + 1 consecutive scales, scale along the first
@@ -382,64 +399,38 @@ class FrameAnalyzer:
             got = self._members[(l, j)] = MemberBank(h, mu, (B, bound))
         return got, bound
 
-    def _row(self, f: StepFunction, l: int, j: int, tables: dict | None = None):
+    def _row(self, f: StepFunction, l: int, j: int, tables: dict):
         """(bank, window cells, gather), rows (delta, n) over the translation
-        scan of the union of f's supports; tables keeps f's cell integrals per
-        bank resolution, so that a block forms them once."""
+        scan of the union of f's supports; tables as in cell_table."""
         lf = f.support_ball()
         bank, bound = self._bank(l, j, lf)
-        K = bank.resolution
-        tables = {} if tables is None else tables
-        if K not in tables:
-            tables[K] = self._integrals(f, lf, K)
-        integrals = tables[K]
+        integrals = cell_table(f, lf, bank.resolution, tables)
         cells = np.minimum(bank.cells[:, :bound], integrals.shape[-1] - 1)
         return bank, cells, bank.gather(integrals, cells)
-
-    def _integrals(self, f: StepFunction, lf: int, K: int) -> np.ndarray:
-        """f's cell integrals at resolution K over the window down to
-        B^min(lf, K), each table ending in a zero sentinel for every member
-        cell outside that window."""
-        values = f.window(min(lf, K)).values
-        pad = [(0, 0)] * (values.ndim - 1) + [(0, 1)]
-        return np.pad(cell_integrals(values, f.resolution, K, self.sys.q), pad)
 
     def coefficient_row(self, f: StepFunction, l: int, j: int) -> dict[LambdaIndex, complex]:
         """All <f, member(l, j, idx)> whose supports overlap, for one f; the
         scan is exhaustive (see _bank)."""
-        bank, cells, products = self._row(f, l, j)
+        bank, cells, products = self._row(f, l, j, {})
         # a member meets f's support where the indicator of f's nonzero cells
         # has a positive integral over one of its cells
         ind = StepFunction(f.cfg, f.resolution, f.values != 0, f.lo)
-        support = self._integrals(ind, f.support_ball(), bank.resolution).real > 0
+        support = cell_table(ind, f.support_ball(), bank.resolution, {}).real > 0
         hit = support[cells].any(axis=-1)
         return {LambdaIndex(int(n), int(delta)): complex(products[delta, n].sum())
                 for delta, n in zip(*np.nonzero(hit))}
 
-    def _energies(self, f: StepFunction, l: int, j: int, tables: dict | None = None):
-        """(sum |<f, member>|^2, <P f, f>) from one gather p, whose row sums are
-        the coefficients c: <P f, f> = sum_r c_r sum_x h(x) conj(integral of f
-        over cell x of row r) = sum conj(p) c, paired in place."""
-        products = self._row(f, l, j, tables=tables)[2]
-        coeffs = products.sum(axis=-1)
-        np.conj(products, out=products)
-        products *= coeffs[..., None]
-        return (np.sum(np.abs(coeffs) ** 2, axis=(-2, -1)),
-                np.sum(products, axis=(-3, -2, -1)))
-
-    def energies(self, f: StepFunction, j0: int, j1: int) -> tuple[np.ndarray, ...]:
-        """(S, W, P, Q) over the scales j0..j1 in folded_energies' layout: per
-        scale, then per function of a block, the summed |<f, member>|^2 of the
-        scaling bank (S) and of the wavelet banks (W, to j1 - 1), and <P_j f, f>
-        and <Q_j f, f> paired on the same gathers (P, Q). Each bank is gathered once."""
+    def energies(self, f: StepFunction, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
+        """(S, W) over the scales j0..j1 in folded_energies' layout: per scale,
+        then per function of a block, the summed |<f, member>|^2 of the scaling
+        bank (S) and of the wavelet banks (W, to j1 - 1). Each bank is gathered once."""
         tables: dict = {}
-        shape = (j1 - j0 + 1,) + f.values.shape[:-1]
-        S, P = np.zeros(shape), np.zeros(shape, dtype=complex)
-        W, Q = np.zeros_like(S[1:]), np.zeros_like(P[1:])
-        for l, j in self._pairs(j0, j1):   # W and Q add generator l = 1, 2, ... in turn
-            for E, e in zip((W, Q) if l else (S, P), self._energies(f, l, j, tables)):
-                E[j - j0] += e
-        return S, W, P, Q
+        S = np.zeros((j1 - j0 + 1,) + f.values.shape[:-1])
+        W = np.zeros_like(S[1:])
+        for l, j in self._pairs(j0, j1):   # W adds generator l = 1, 2, ... in turn
+            bank, _, products = self._row(f, l, j, tables)
+            (W if l else S)[j - j0] += bank.energy(products)
+        return S, W
 
     def _pairs(self, j0: int, j1: int) -> Iterator[tuple[int, int]]:
         """The (l, j) of every bank the checks over [j0, j1) read, one at a time."""
@@ -457,21 +448,16 @@ class FrameAnalyzer:
                        q ** (k - min(g[l].resolution + j, 0))) for l, j in self._pairs(j0, j1))
 
     def two_scale_check(self, f: StepFunction, j: int):
-        """(residual, projector_residual): energy_balance across one scale
-        step of the summed squared coefficients, and of <P_j f, f> + <Q_j f, f>
-        against <P_{j+1} f, f>. Each projection energy pairs the coefficients
-        with the gather they were summed from, so it is the summed squared
-        coefficients up to roundoff whatever the bank cells are;
-        tests/test_banks.py::oracle_energies checks the cells."""
-        S, W, P, Q = self.energies(f, j, j + 1)
-        return energy_balance(S, W)[0][0], energy_balance(P, Q)[0][0]
+        """energy_balance's residual across one scale step of the summed
+        squared coefficients."""
+        return energy_balance(*self.energies(f, j, j + 1))[0][0]
 
     def frame_ratio(self, f: StepFunction, j0: int, j1: int):
         """(coarse-scale energy + wavelet energies over [j0, j1)) / ||f||^2."""
         n2 = f.norm2()
         if np.any(n2 == 0.0):
             raise DegenerateInput("frame ratio of the zero function")
-        return energy_balance(*self.energies(f, j0, j1)[:2])[1] / n2
+        return energy_balance(*self.energies(f, j0, j1))[1] / n2
 
 
 # ---------------------------------------------------------------- mask files --

@@ -16,9 +16,9 @@ import numpy as np
 
 from .algebra import LambdaIndex, cell_digits, cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import (MemberBank, bank_entries, energy_balance, system_member,
-                       translation_digits)
-from .stepfn import StepFunction, cell_integrals, periodize
+from .framekit import (MemberBank, bank_entries, cell_table, energy_balance,
+                       system_member, translation_digits)
+from .stepfn import StepFunction, periodize
 
 __all__ = [
     "PeriodicSystemSpec",
@@ -101,7 +101,7 @@ class PeriodicSystemSpec:
 
     def table_width(self) -> int:
         """Entries one function adds to the largest table the folded checks
-        form: a bank's gather or f's cell integrals at the bank's resolution.
+        form: a bank's gather or f's cell table (cell_table) at the bank's resolution.
         Each bank's label arrays are counted first, from the resolution of its
         member, max(res_l + j, 0): a refusal comes before any member is formed."""
         q, B, scales = self.sys.q, self.sys.branches, range(self.j_max + 1)
@@ -109,19 +109,16 @@ class PeriodicSystemSpec:
             for j in scales:
                 bank_entries(l, j, B * q ** j, min(j, max(g.resolution + j, 0)) + 7, 0)
         banks = (self.bank(l, j)[0] for l in range(len(self.generators)) for j in scales)
-        return max(max(b.cells.size, q ** b.resolution) for b in banks)
+        return max(max(b.cells.size, q ** b.resolution + 1) for b in banks)
 
 
 def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
             tables: dict) -> np.ndarray:
     """sum over the labels of scale j of |<f, member(l, j, label)>|^2, per
-    function of a block; tables keeps f's cell integrals per resolution."""
+    function of a block; tables as in cell_table, over the window D."""
     bank, weights = spec.bank(l, j)
-    K = bank.resolution
-    if K not in tables:
-        tables[K] = cell_integrals(f.window(0).values, f.resolution, K, f.cfg.q)
-    coeffs = bank.gather(tables[K], bank.cells).sum(axis=-1)
-    return np.sum(weights * np.abs(coeffs) ** 2, axis=-1)
+    return bank.energy(bank.gather(cell_table(f, 0, bank.resolution, tables), bank.cells),
+                       weights)
 
 
 def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:

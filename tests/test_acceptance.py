@@ -216,7 +216,7 @@ def test_criterion_7_negative_controls():
                     f = _random_table(cfg, 3, rng)
                     worst_scale = max(
                         worst_scale,
-                        analyzer.two_scale_check(f, 0)[0])
+                        analyzer.two_scale_check(f, 0))
                     worst_tight = max(
                         worst_tight,
                         periodic_tightness_check(

@@ -484,6 +484,24 @@ def random_fields(draw):
     return _field(p, c, None if c == 1 else draw(st.sampled_from(IRREDUCIBLE[(p, c)])))
 
 
+def test_from_text_reads_back_every_irreducible_modulus():
+    for (p, c), moduli in IRREDUCIBLE.items():
+        for modulus in moduli:
+            cfg = _field(p, c, modulus)
+            assert FieldConfig.from_text(str(p), str(c), cfg.modulus_text) == cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from((2, 3, 5, 7)), c=st.sampled_from((2, 3)), data=st.data())
+def test_from_text_refuses_a_modulus_digit_outside_p(p, c, data):
+    # one digit outside [0, p), negative or not, is refused, not reduced mod p
+    digits = list(data.draw(st.sampled_from(IRREDUCIBLE[(p, c)])))
+    bad = data.draw(st.integers(-3 * p, 3 * p).filter(lambda d: not 0 <= d < p))
+    digits[data.draw(st.integers(0, c))] = bad
+    with pytest.raises(ConfigError, match=f"modulus digit {bad} is outside"):
+        FieldConfig.from_text(str(p), str(c), ".".join(map(str, digits)))
+
+
 @pytest.mark.parametrize("p, c", itertools.product((2, 3, 5, 7), (1, 2, 3)))
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
 @given(st.data())

@@ -544,8 +544,11 @@ def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line)
     (f"p={Q_CAP + 1} c=1 modulus=-", f"<= Q_CAP = {Q_CAP}"),
     ("p=2 c=11 modulus=-", f"<= Q_CAP = {Q_CAP}"),
     ("p=11 c=3 modulus=-", f"<= Q_CAP = {Q_CAP}"),     # q = 1331
+    # no digit is reduced mod p: 3.3.1 and -1.1.1 are not z^2 + z + 1
+    ("p=2 c=2 modulus=3.3.1", "modulus digit 3 is outside [0, 2)"),
+    ("p=2 c=2 modulus=-1.1.1", "modulus digit -1 is outside [0, 2)"),
 ], ids=["nonprime-p", "reducible", "no-modulus", "shipped-modulus", "p-cap", "c-cap",
-        "q-cap"])
+        "q-cap", "digit-above-p", "negative-digit"])
 def test_transform_refuses_a_bad_field_on_line_1(tmp_path, capsys, fields, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"# walshframes-stepfn v1 {fields} resolution=1\n"
@@ -577,17 +580,20 @@ def test_field_info_requires_modulus_for_extensions(tmp_path):
     assert run(["field-info", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("c, modulus, code", [
-    ("2", "", 2),          # an empty modulus states none
-    ("1", "", 0),
-    ("2", "1.1.1", 0),
-], ids=["c2-empty", "c1-empty", "c2-stated"])
-def test_field_info_modulus_is_stated_when_c_exceeds_1(tmp_path, capsys, c, modulus, code):
+@pytest.mark.parametrize("c, modulus, error", [
+    ("2", "", "must state its modulus"),          # an empty modulus states none
+    ("1", "", None),
+    ("2", "1.1.1", None),
+    # no digit is reduced mod p: 3.3.1 and -1.1.1 are not z^2 + z + 1
+    ("2", "3.3.1", "modulus digit 3 is outside [0, 2)"),
+    ("2", "-1.1.1", "modulus digit -1 is outside [0, 2)"),
+], ids=["c2-empty", "c1-empty", "c2-stated", "digit-above-p", "negative-digit"])
+def test_field_info_modulus_is_stated_when_c_exceeds_1(tmp_path, capsys, c, modulus, error):
     cfg = write_cfg(tmp_path, "", 2, body=f"[field]\np = 2\nc = {c}\nmodulus = {modulus}\n")
-    assert run(["field-info", "--config", cfg]) == code
+    assert run(["field-info", "--config", cfg]) == (2 if error else 0)
     out, err = capsys.readouterr()
-    if code:
-        assert "must state its modulus" in err
+    if error:
+        assert error in err and "Traceback" not in err
     else:
         assert json.loads(out)["field"]["modulus"] == ([1, 1, 1] if modulus else None)
 
@@ -644,7 +650,8 @@ def test_mask_file_field_is_capped_before_it_is_built(tmp_path, capsys):
 @pytest.mark.parametrize("row, message", [
     ("c = 2\nmodulus =", "field needs integer p, c and modulus digits"),
     ("c = 2", "must state its modulus"),
-], ids=["empty", "missing"])
+    ("c = 2\nmodulus = -1.1.1", "modulus digit -1 is outside [0, 2)"),
+], ids=["empty", "missing", "negative-digit"])
 def test_mask_file_with_c_above_1_states_its_modulus(tmp_path, capsys, row, message):
     cfg = _masks_with_row(tmp_path, "haar_q2.masks", 3, row)
     assert run(["verify", "--config", cfg]) == 2

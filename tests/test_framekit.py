@@ -456,9 +456,7 @@ def test_two_scale_haar_suite():
     for _ in range(10):
         f = random_domain_step(F2, 4, rng)
         for j in range(4):
-            residual, proj_residual = an.two_scale_check(f, j)
-            assert residual <= 1e-9
-            assert proj_residual <= 1e-9
+            assert an.two_scale_check(f, j) <= 1e-9
 
 
 def test_two_scale_fourier3():
@@ -468,9 +466,7 @@ def test_two_scale_fourier3():
     for _ in range(5):
         f = random_domain_step(F3, 3, rng)
         for j in range(3):
-            residual, proj_residual = an.two_scale_check(f, j)
-            assert residual <= 1e-9
-            assert proj_residual <= 1e-9
+            assert an.two_scale_check(f, j) <= 1e-9
 
 
 def test_two_scale_nonuniform_doubles_consistently():
@@ -479,16 +475,14 @@ def test_two_scale_nonuniform_doubles_consistently():
     an = FrameAnalyzer(sys, derive_generators(sys, 3))
     f = random_domain_step(F2, 3, rng)
     for j in range(3):
-        residual, proj_residual = an.two_scale_check(f, j)
-        assert residual <= 1e-9
-        assert proj_residual <= 1e-9
+        assert an.two_scale_check(f, j) <= 1e-9
 
 
 def test_two_scale_zero_function():
     sys = haar_system()
     gens = derive_generators(sys, 2)
     assert FrameAnalyzer(sys, gens).two_scale_check(
-        from_cells(F2, 0, {}), 1) == (0.0, 0.0)
+        from_cells(F2, 0, {}), 1) == 0.0
 
 
 def test_two_scale_perturbed_fails():
@@ -499,7 +493,7 @@ def test_two_scale_perturbed_fails():
     for _ in range(10):
         f = random_domain_step(F2, 3, rng)
         for j in range(3):
-            worst = max(worst, an.two_scale_check(f, j)[0])
+            worst = max(worst, an.two_scale_check(f, j))
     assert worst > 1e-3
 
 

@@ -351,7 +351,7 @@ def test_two_scale_matches_line_analysis_on_unfolded_input():
             f = random_table(spec.sys.field, res, rng)
             for j in range(res):
                 folded = periodic_two_scale_check(f, j, spec)
-                line = analyzer.two_scale_check(f, j)[0]
+                line = analyzer.two_scale_check(f, j)
                 assert abs(folded - line) <= 1e-9
 
 
