@@ -7,7 +7,18 @@ refinement, UEP Gram and frame checks), periodic (folding onto the unit
 ball and the periodic tightness checks), runner/cli (reports, command line).
 """
 
-from .algebra import (
+import os
+import sys
+
+# numpy's BLAS starts its thread pool when numpy is first imported; the
+# products here are q x q, which a pool only slows on a busy host. An
+# explicit setting wins, and a numpy imported before walshframes is left as
+# it is.
+if "numpy" not in sys.modules:
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
+
+from .algebra import (  # noqa: E402
     FieldConfig,
     FieldElement,
     LambdaIndex,

@@ -110,8 +110,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             f = load_csv(args.input)
         except OSError as exc:
             raise InputDataError(f"cannot read {args.input!r}: {exc}") from exc
-        g = fast_transform(f) if args.direction == "forward" \
-            else fast_inverse_transform(f)
+        try:
+            g = fast_transform(f) if args.direction == "forward" \
+                else fast_inverse_transform(f)
+        except InputDataError as exc:
+            raise InputDataError(f"{args.input}: {exc}") from exc
         with _writing(args.out):
             dump_csv(g, sys.stdout if args.out is None else args.out)
         return 0

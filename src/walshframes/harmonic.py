@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import FieldConfig
+from .errors import InputDataError
 from .stepfn import StepFunction
 
 __all__ = [
@@ -49,8 +50,14 @@ def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
 
 
 def _apply(f: StepFunction, forward: bool) -> StepFunction:
+    """The transform; InputDataError if a character sum overflows the
+    doubles (the sums are formed before the measure factor scales them)."""
     cfg, k, l = f.cfg, f.resolution, f.support_ball()
-    out = _contract(cfg, f.window(l).values, k - l, forward) * float(cfg.q) ** (-k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _contract(cfg, f.window(l).values, k - l, forward) * float(cfg.q) ** (-k)
+    if not np.isfinite(out).all():
+        raise InputDataError(f"the {'forward' if forward else 'inverse'} transform "
+                             f"overflows: a character sum exceeds the largest double")
     return StepFunction(cfg, -l, out, -k)
 
 

@@ -27,6 +27,7 @@ u(n) has index n.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from types import MappingProxyType
 from typing import Mapping, TextIO
@@ -313,10 +314,169 @@ def periodize(f: StepFunction) -> StepFunction:
 
 # Rows formatted, and characters read, per array pass. Per-pass Python
 # overhead is small next to the array work at these sizes, while the text of
-# one pass stays small: `transform` on a 65,536-row GF(4) file peaks at 37 MB
-# (ru_maxrss) with these sizes and at 99 MB reading the file in one pass.
+# one pass stays small: `transform` on a 65,536-row GF(4) file peaks at 39 MB
+# (ru_maxrss) with these sizes, at 43 MB formatting 8192 rows a pass and at
+# 90 MB reading the file in one pass.
 CSV_BLOCK = 4096
 CSV_CHUNK = 1 << 17
+
+# ------------------------------------------------------- repr of doubles --
+#
+# dump_csv writes each amplitude part as the characters repr gives it: the
+# shortest decimal that reads back as the same double (the nearer of two,
+# on a tie the one with an even last digit), in fixed notation for decimal
+# point positions -3 to 16 and in exponent notation elsewhere. _shortest
+# selects the digits of a whole array at once with Schubfach (R. Giulietti,
+# "The Schubfach way to render doubles", 2020), _repr_fields lays them out.
+
+
+class _ReprTables:
+    """The kernel's constant tables, built on first use.
+
+    Digit selection, by e = 292 - k for the decimal exponents k in [-324, 292]:
+    - r: 10^-k = beta 2^r with 2^125 <= beta < 2^126;
+    - g: floor(beta) + 1 = g1 2^63 + g0, as the 32-bit limbs of g1 and g0.
+
+    Layout, by a 4-digit group g: quad its 4 characters (a uint32 view), and
+    ends[j][g] the count of digits up to its last nonzero one when it is
+    group j of 17 digits (0 if g = 0, but 1 for j = 0, so that 0.0 has a
+    digit). By point + 323, for |x| = 0.d1d2... 10^point:
+    - exponent: the sign and 3 digits of point - 1;
+    - shape: 17 code - 1 for the layout code, point + 3 in fixed notation,
+      else 20 or 21 for 2 or 3 exponent digits.
+    layout[17 code + digits - 1 + 374 negative] lists the bytes of a source
+    row that make up ',' and repr, padded with NUL.
+    """
+
+    # a source row: the 17 digits, the "0.e" after the last one, the
+    # exponent's 4 characters, then "-," and 2 NULs
+    ZERO, POINT, E, EXPONENT, MINUS, COMMA, NUL = 17, 18, 19, 20, 24, 25, 26
+    ROW, WIDTH = 28, 25   # WIDTH: ',' and the longest repr, -1.2345678901234567e-308
+
+    def __init__(self):
+        g, r = [], []
+        for e in range(-292, 325):
+            n = 10 ** abs(e)
+            if e >= 0:
+                r.append(n.bit_length() - 126)
+                g.append((n >> r[-1] if r[-1] >= 0 else n << -r[-1]) + 1)
+            else:
+                r.append(-(n - 1).bit_length() - 125)
+                g.append((1 << -r[-1]) // n + 1)
+        g1 = np.array([x >> 63 for x in g], dtype=np.uint64)
+        g0 = np.array([x & (1 << 63) - 1 for x in g], dtype=np.uint64)
+        self.g = [g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF]
+        self.r = np.array(r, dtype=np.int64)
+        self.pow10 = 10 ** np.arange(18, dtype=np.int64)
+        quads = np.arange(10000)[:, None] // self.pow10[3::-1] % 10
+        self.quad = (quads + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+        self.last = np.array([f"{d}0.e" for d in range(10)], "S4").view(np.uint32)
+        self.signs = np.array([b"-,"], "S4").view(np.uint32)
+        places = ((quads > 0) * np.arange(1, 5)).max(axis=1)
+        self.ends = [np.where(places > 0, places + 4 * j, j == 0) for j in range(4)]
+        points = range(-323, 310)
+        self.exponent = np.array([f"{p - 1:+04d}" for p in points], "S4").view(np.uint32)
+        self.shape = np.array([17 * (p + 3 if -3 <= p <= 16 else 20 + (abs(p - 1) >= 100)) - 1
+                               for p in points])
+        self.layout = np.array([self._layout(negative, code, n) for negative in (0, 1)
+                                for code in range(22) for n in range(1, 18)], dtype=np.intp)
+
+    @classmethod
+    def _layout(cls, negative: int, code: int, n: int) -> list[int]:
+        digits = list(range(n))
+        if code >= 20:
+            body = digits[:1] + ([cls.POINT] + digits[1:]) * (n > 1) + [cls.E] \
+                + [cls.EXPONENT + i for i in range(4) if i != 1 or code == 21]
+        elif (point := code - 3) <= 0:
+            body = [cls.ZERO, cls.POINT] + [cls.ZERO] * -point + digits
+        elif point < n:
+            body = digits[:point] + [cls.POINT] + digits[point:]
+        else:
+            body = digits + [cls.ZERO] * (point - n) + [cls.POINT, cls.ZERO]
+        row = [cls.COMMA] + [cls.MINUS] * negative + body
+        return row + [cls.NUL] * (cls.WIDTH - len(row))
+
+
+_repr_tables = functools.cache(_ReprTables)
+
+
+def _mul128(a1, a0, b1, b0) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64 bits of the products a b of uint64 arrays, from their
+    32-bit limbs a = a1 2^32 + a0 and b = b1 2^32 + b0."""
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    return (a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32),
+            (mid << 32) | (p00 & 0xFFFFFFFF))
+
+
+def _round_to_odd(g: tuple, cp: np.ndarray) -> np.ndarray:
+    """g cp / 2^127 rounded to odd, as int64 (Schubfach's rop), for g =
+    g1 2^63 + g0 given as the limbs g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32,
+    g0 & 0xFFFFFFFF."""
+    c1, c0 = cp >> 32, cp & 0xFFFFFFFF
+    y1, y0 = _mul128(g[0], g[1], c1, c0)
+    z = (y0 >> 1) + _mul128(g[2], g[3], c1, c0)[0]
+    return ((y1 + (z >> 63)) | ((z << 1) != 0)).view(np.int64)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, exponent) int64 with |x| = digits 10^exponent for finite
+    doubles x, digits the shortest that reads back as |x|, the nearer of
+    two, on a tie the even one; 0 for a zero."""
+    tables = _repr_tables()
+    bits = np.abs(x).view(np.uint64)
+    fraction, biased = bits & (1 << 52) - 1, (bits >> 52).astype(np.int64)
+    c = np.where(biased > 0, fraction | 1 << 52, fraction)
+    q = np.maximum(biased, 1) - 1075   # |x| = c 2^q
+    # the doubles around c 2^q are 2^q away, or 2^(q-1) below at a power of two
+    closer = (fraction == 0) & (biased > 1)
+    k = (q * 661971961083 - closer * 274743187321) >> 41   # floor(log10 of 2^q or 3/4 2^q)
+    e = 292 - k
+    g = [limb[e] for limb in tables.g]
+    h = (q + tables.r[e] + 127).astype(np.uint64)
+    # 4 c 2^q 10^-k = 4 |x| 10^-k, and the rounding interval's ends at 4c + 2
+    # and 4c - 2 (4c - 1 below a power of two) in place of 4c
+    cb, unit = c << h + 2, np.left_shift(1, h, dtype=np.uint64)
+    vb = _round_to_odd(g, cb)
+    odd = (c & 1).astype(np.int64)   # an odd c reads back only from inside
+    lower = _round_to_odd(g, cb - 2 * unit + closer * unit) + odd
+    upper = _round_to_odd(g, cb + 2 * unit) - odd
+    s = vb >> 2
+    # a multiple of 10^(k+1) in the interval has fewer digits; there is one at most
+    sp = s // 10
+    below, above = lower <= 40 * sp, 40 * sp + 40 <= upper
+    shorter = (s >= 10) & (below != above)
+    # else s or s + 1: the one in the interval, or the nearer, or the even one
+    u_in, w_in = lower <= 4 * s, 4 * s + 4 <= upper
+    mid = vb - 4 * s - 2
+    up = np.where(u_in != w_in, w_in, (mid > 0) | ((mid == 0) & ((s & 1) == 1)))
+    digits = np.where(shorter, sp + above, s + up)
+    return np.where(x == 0, 0, digits), k + shorter
+
+
+def _repr_fields(x: np.ndarray) -> np.ndarray:
+    """(x.size, 25) uint8: ',' and the characters of repr(v) for each
+    finite double v of x, padded with NULs."""
+    tables = _repr_tables()
+    digits, exponent = _shortest(x)
+    count = np.searchsorted(tables.pow10, digits, side="right")
+    point = np.where(digits == 0, 1, exponent + count) + 323   # |x| = 0.d1d2... 10^point
+    # the digits as 17, the first nonzero, in 4-digit groups and a last one
+    head, tail = np.divmod(digits * tables.pow10[17 - count], 10 ** 9)
+    g0, g1 = np.divmod(head, 10 ** 4)
+    g2, rest = np.divmod(tail, 10 ** 5)
+    g3, last = np.divmod(rest, 10)
+    groups = (g0, g1, g2, g3)
+    source = np.stack([tables.quad[g] for g in groups]
+                      + [tables.last[last], tables.exponent[point],
+                         np.broadcast_to(tables.signs, x.shape)], axis=1)
+    places = np.where(last > 0, 17, 0)   # significant digits
+    for ends, g in zip(tables.ends, groups):
+        np.maximum(places, ends[g], out=places)
+    shape = tables.shape[point] + places + 374 * np.signbit(x)
+    index = tables.layout[shape]
+    index += np.arange(0, tables.ROW * x.size, tables.ROW)[:, None]
+    return source.view(np.uint8).ravel()[index]
 
 
 def _row_heads(q: int, h: int, k: int) -> tuple[list[str], list[str]]:
@@ -338,7 +498,10 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
     """Write the nonzero cells in table order: header with field config and
     resolution, then rows lo,digits,re,im (lo the cell's valuation, digits
     from lo up to the resolution, '.'-separated, re and im as repr of the
-    doubles). The bytes depend only on f."""
+    doubles). The bytes depend only on f. InputDataError, before anything
+    is written, if an amplitude is not finite: load_csv would refuse it."""
+    if not np.isfinite(f.values).all():
+        raise InputDataError("cannot write a non-finite amplitude")
     if isinstance(dest, str):
         with open(dest, "w", newline="") as fh:
             dump_csv(f, fh)
@@ -348,20 +511,21 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
                f"modulus={f.cfg.modulus_text or '-'} resolution={k}\n")
     dest.write("lo,digits,re,im\n")
     # a cell index splits into a high and a low half of h digits each at
-    # most; both halves are read from tables of q^h digit strings
+    # most; both halves are read from tables of q^h digit strings, as bytes
+    # padded with NULs, and each block's rows are its bytes other than NUL
     h = (k - f.lo + 1) // 2
-    high_part, low_part = _row_heads(q, h, k)
+    high_part, low_part = (np.array(part, "S").view(np.uint8).reshape(len(part), -1)
+                           for part in _row_heads(q, h, k))
+    newline = np.full((CSV_BLOCK, 1), ord("\n"), dtype=np.uint8)
     nonzero = np.flatnonzero(f.values)
     for start in range(0, nonzero.size, CSV_BLOCK):
         index = nonzero[start:start + CSV_BLOCK]
-        value = f.values[index]
         high, low = np.divmod(index, q ** h)
-        fields = [None] * (4 * index.size)   # the rows' fields, interleaved
-        fields[0::4] = map(high_part.__getitem__, high.tolist())
-        fields[1::4] = map(low_part.__getitem__, (low + (high > 0) * q ** h).tolist())
-        fields[2::4] = value.real.tolist()
-        fields[3::4] = value.imag.tolist()
-        dest.write("%s%s,%r,%r\n" * index.size % tuple(fields))
+        rows = np.concatenate(
+            (high_part[high], low_part[low + (high > 0) * q ** h],
+             _repr_fields(f.values[index].view(float)).reshape(index.size, -1),
+             newline[:index.size]), axis=1)
+        dest.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 def _chunks(src: TextIO):
@@ -430,9 +594,9 @@ def _accept(text: str, q: int, resolution: int, cap: int):
         return None
     amplitude = np.empty(m, dtype=complex)
     amplitude.real, amplitude.imag = re, im
-    # each digit at cell_index's place value q^(dist - 1); past the cap every
-    # digit is 0, so the clipped power changes nothing
-    weight = digit * q ** np.minimum(dist - 1, cap)
+    # each digit at cell_index's place value q^(dist - 1), looked up; past the
+    # cap every digit is 0, so the clipped place changes nothing
+    weight = digit * (q ** np.arange(cap + 1))[np.minimum(dist - 1, cap)]
     return np.bincount(field, weights=weight, minlength=m).astype(np.int64), amplitude
 
 

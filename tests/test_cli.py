@@ -393,6 +393,38 @@ def test_transform_rejects_non_finite_amplitude(tmp_path, capsys, amplitude):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_transform_refuses_sums_past_the_largest_double(tmp_path, capsys, direction):
+    # four cells of 1.5e308: their character sums overflow before the
+    # measure factor 1/4 scales them; once a NaN file exited 0
+    path = tmp_path / "over.csv"
+    path.write_text("# walshframes-stepfn v1 p=2 c=2 modulus=1.1.1 resolution=1\n"
+                    "lo,digits,re,im\n" + "".join(f"0,{d},1.5e308,0.0\n" for d in range(4)))
+    out = tmp_path / "out.csv"
+    assert run(["transform", str(path), "--direction", direction, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: the {direction} transform overflows: a character sum "
+        f"exceeds the largest double\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("openblas, threads", [(None, 1), ("2", None)])
+def test_import_pins_blas_threads_unless_told(openblas, threads):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(walshframes.__file__))
+    if openblas is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas
+    probe = ("import os, walshframes; print(len(os.listdir('/proc/self/task')), "
+             "os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.split()
+    assert out[1] == (openblas or "1")
+    if threads is not None:
+        assert int(out[0]) == threads
+
+
 def test_transform_rejects_empty_digits_below_resolution(tmp_path, capsys):
     # an empty digit string names the zero cell, which sits at lo = resolution
     path = tmp_path / "lo.csv"

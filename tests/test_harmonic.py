@@ -13,6 +13,7 @@ from oracles import (
 )
 
 from walshframes.algebra import FieldConfig, chi, uindex
+from walshframes.errors import InputDataError
 from walshframes.harmonic import fast_inverse_transform, fast_transform, fourier_table
 from walshframes.stepfn import (
     StepFunction,
@@ -235,3 +236,11 @@ def test_fourier_table_matches_per_index_sums(cfg, k, seed):
         assert table[i] == pytest.approx(fourier_coefficient(pf, i), abs=1e-12)
     assert fourier_coefficient(pf, n) == 0j
     assert np.sum(np.abs(table) ** 2) == pytest.approx(pf.norm2(), rel=1e-12)
+
+
+@pytest.mark.parametrize("transform", [fast_transform, fast_inverse_transform])
+def test_transform_refuses_sums_past_the_largest_double(transform):
+    # the exact transform of four cells of 1.5e308 is finite, but the sums
+    # are formed before the measure factor: refused, not NaN
+    with pytest.raises(InputDataError, match="transform overflows"):
+        transform(StepFunction(F4, 1, [1.5e308] * 4))

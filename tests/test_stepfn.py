@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from walshframes import stepfn
 from walshframes.algebra import FieldConfig, FieldElement, SystemConfig, chi, uindex
 from walshframes.errors import InputDataError, ResolutionError
 from walshframes.framekit import MASK_MAGIC, Mask, load_masks, save_masks
+from walshframes.harmonic import fast_inverse_transform, fast_transform
 from walshframes.stepfn import (
     StepFunction,
     cell_digits,
@@ -752,6 +754,80 @@ def test_load_csv_accepts_the_full_size_file_without_row_checks():
     g, checks = _load_counting_checks(buf.getvalue())
     assert checks == 0
     assert g.values.tobytes() == f.values.tobytes()
+
+
+# ------------------------------------------------ repr of amplitude parts --
+
+def _kernel_lines(x):
+    """',' and the characters dump_csv's kernel writes for each double of x,
+    one line each, 8192 doubles per call as dump_csv passes them."""
+    x = np.asarray(x, dtype=float)
+    text = []
+    for start in range(0, x.size, 8192):
+        fields = stepfn._repr_fields(x[start:start + 8192])
+        rows = np.concatenate((fields, np.full((len(fields), 1), ord("\n"), np.uint8)),
+                              axis=1)
+        text.append(rows[rows != 0].tobytes().decode("ascii"))
+    return "".join(text)
+
+
+def _repr_lines(x):
+    return "".join(f",{v!r}\n" for v in np.asarray(x, dtype=float).tolist())
+
+
+def test_repr_kernel_matches_repr_on_random_bit_patterns():
+    # every sign and exponent, and subnormals in their own draw
+    rng = np.random.default_rng(20261020)
+    bits = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+    subnormal = rng.integers(1, 2 ** 52, 2 ** 16, dtype=np.uint64) \
+        | rng.integers(0, 2, 2 ** 16, dtype=np.uint64) << np.uint64(63)
+    x = np.concatenate((bits, subnormal)).view(float)
+    x = x[np.isfinite(x)]
+    assert x.size > 10 ** 6
+    assert _kernel_lines(x) == _repr_lines(x)
+
+
+def test_repr_kernel_matches_repr_at_powers_and_edges():
+    powers = np.array([2.0 ** e for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    x = np.concatenate((powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)))
+    big = 2.0 ** 53
+    edges = [0.0, 5e-324, sys.float_info.min, sys.float_info.max, big,
+             np.nextafter(big, 0), np.nextafter(big, np.inf), 1e-4, 1e-5,
+             1e16, 9999999999999998.0]
+    x = np.concatenate((x, edges))
+    x = np.concatenate((x, -x))
+    x = x[np.isfinite(x)]
+    assert _kernel_lines(x) == _repr_lines(x)
+    # repr's two layout switches
+    assert _kernel_lines([1e-4, 1e-5, 1e16, 9999999999999998.0, -0.0]) \
+        == ",0.0001\n,1e-05\n,1e+16\n,9999999999999998.0\n,-0.0\n"
+
+
+def test_full_size_transform_dumps_match_the_row_writer():
+    # the forward and the inverse transform of a 65,536-cell GF(4) table
+    rng = np.random.default_rng(8)
+    n = 4 ** 8
+    f = StepFunction(F4, 8, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    g = fast_transform(f)
+    for h in (g, fast_inverse_transform(g)):
+        buf = io.StringIO()
+        dump_csv(h, buf)
+        assert buf.getvalue() == _oracle_text(h)
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, 0.0), complex(1.0, math.inf),
+                                   complex(-math.inf, math.nan)])
+def test_dump_csv_refuses_a_non_finite_amplitude_before_writing(tmp_path, value):
+    f = StepFunction(F2, 1, [1.0, value])
+    buf = io.StringIO()
+    with pytest.raises(InputDataError, match="non-finite amplitude"):
+        dump_csv(f, buf)
+    assert buf.getvalue() == ""
+    path = tmp_path / "f.csv"
+    with pytest.raises(InputDataError, match="non-finite amplitude"):
+        dump_csv(f, str(path))
+    assert not path.exists()
 
 
 def test_load_csv_names_the_first_blank_line():
