@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, config=True, out=True, seed=False, mode=False):
+    def add(name, help_text, config=True, out=True, seed=False):
         cmd = sub.add_parser(name, help=help_text)
         if config:
             cmd.add_argument("--config", required=True,
@@ -47,9 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed:
             cmd.add_argument("--seed", type=int,
                              help="override the suite seed (64-bit)")
-        if mode:
-            cmd.add_argument("--mode", choices=("unitary", "qn"),
-                             help="override the mask normalization mode")
         return cmd
 
     add("field-info", "describe the field and the coset enumeration")
@@ -63,12 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--direction", choices=("forward", "inverse"),
                      default="forward")
 
-    add("verify", "run the full frame verification suite",
-        seed=True, mode=True)
-    add("periodic", "run the folded-system verification suite",
-        seed=True, mode=True)
-    cmd = add("dump-wavelets", "derive generators and dump them as CSV",
-              out=False, mode=True)
+    add("verify", "run the full frame verification suite", seed=True)
+    add("periodic", "run the folded-system verification suite", seed=True)
+    cmd = add("dump-wavelets", "derive generators and dump them as CSV", out=False)
     cmd.add_argument("--out", required=True,
                      help="directory for the generator CSV files")
     return parser
@@ -120,19 +114,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "verify":
-        rc = RunConfig.load(args.config, seed=args.seed, mode=args.mode)
+        rc = RunConfig.load(args.config, seed=args.seed)
         report = verify_report(rc)
         _emit(render_report(report), args.out)
         return 0 if report["verdicts"]["overall"] else 1
 
     if args.command == "periodic":
-        rc = RunConfig.load(args.config, seed=args.seed, mode=args.mode)
+        rc = RunConfig.load(args.config, seed=args.seed)
         report = periodic_report(rc)
         _emit(render_report(report), args.out)
         return 0 if report["verdicts"]["overall"] else 1
 
     if args.command == "dump-wavelets":
-        rc = RunConfig.load(args.config, mode=args.mode)
+        rc = RunConfig.load(args.config)
         with _writing(args.out):
             report = dump_wavelets_report(rc, args.out)
         sys.stdout.write(render_report(report))

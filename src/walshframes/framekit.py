@@ -14,9 +14,10 @@ check below reduces to finitely many exact evaluations:
     support-exact truncation of the translation sums, and
   * the per-scale energy identity and the frame sum of the squared coefficients.
 
-The FrameAnalyzer keeps one MemberBank per (generator, scale) pair: every
-translation member the scan can reach, as numpy arrays, so a whole suite of
-test functions is pushed through the same system by vectorized reductions.
+The FrameAnalyzer keeps one MemberBank per (generator, scale) pair and
+translation bound: every translation member the scan can reach, as numpy
+arrays, so a whole suite of test functions is pushed through the same
+system by vectorized reductions.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .stepfn import (
     rescale,
     translate,
     unit_ball,
+    within_cap,
 )
 
 __all__ = [
@@ -202,25 +204,19 @@ def _shifted_tables(m: Mask, shifts, resolution: int) -> np.ndarray:
     return np.array([translate(table, -shift).window(0).values for shift in shifts])
 
 
-def uep_gram(sys: SystemConfig, sigma: StepFunction | None = None) -> dict:
+def uep_gram(sys: SystemConfig) -> dict:
     """Max deviation of G(xi) = sum_l m_l(xi+tau_s) conj(m_l(xi+tau_s'))
-    from the identity over the cells of sigma (default: all of D)."""
+    from the identity over the cells of D."""
     if not sys.masks:
         raise ConfigError("system has no masks configured")
     K = max(m.constancy_resolution for m in sys.masks)
-    if sigma is not None:
-        K = max(K, sigma.resolution)
     T = np.array([_shifted_tables(m, sys.shift_set, K) for m in sys.masks])
     G = np.einsum("lsc,ltc->cst", T, np.conj(T))
     dev = np.abs(G - np.eye(len(sys.shift_set)))
-    if sigma is not None:
-        sel = refine(sigma, K).window(0).values != 0
-        dev = dev[sel]
-    cells = int(dev.shape[0])
     return {
-        "max_deviation": float(dev.max()) if cells else 0.0,
+        "max_deviation": float(dev.max()),
         "resolution": K,
-        "cells_checked": cells,
+        "cells_checked": int(dev.shape[0]),
     }
 
 
@@ -294,13 +290,14 @@ class MemberBank:
     so an entry does not depend on how many rows the bank holds.
 
     mu maps an exponent to the digit of each row's translation there; rows
-    are shaped by `shape`.
+    are shaped by `shape`, and `weights` (broadcast against them) counts
+    each row in the bank's energy.
     """
 
-    __slots__ = ("resolution", "conj_values", "cells")
+    __slots__ = ("resolution", "conj_values", "cells", "weights")
 
     def __init__(self, h: StepFunction, mu: Mapping[int, np.ndarray],
-                 shape: tuple[int, ...]):
+                 shape: tuple[int, ...], weights):
         q, k = h.cfg.q, h.resolution
         x = np.flatnonzero(h.values)
         lo = min([h.lo] + [e for e in mu if e < k])
@@ -314,21 +311,25 @@ class MemberBank:
         self.resolution = k
         self.conj_values = np.conj(h.values[x])
         self.cells = idx.reshape(*shape, x.size)
+        self.weights = weights
 
-    def gather(self, integrals: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """f's cell integrals (a table, or a block of them) over the rows' cells
-        (self.cells, or a slice of it clipped to a sentinel) times conj(h): summed
-        over the last axis, <f, member> per row. A sum, not a BLAS matrix product,
-        which would make an entry depend on how many rows are reduced with it."""
-        gathered = integrals[..., cells]   # the largest table of a check
+    def gather(self, f: StepFunction, lo: int, tables: dict) -> np.ndarray:
+        """f's cell integrals (cell_table over B^lo, a member cell outside it
+        reading the sentinel) over the rows' cells times conj(h): summed over
+        the last axis, <f, member> per row, per function of a block. A sum, not
+        a BLAS matrix product, which would make an entry depend on how many
+        rows are reduced with it."""
+        integrals = cell_table(f, lo, self.resolution, tables)
+        # the largest table of a check
+        gathered = integrals[..., np.minimum(self.cells, integrals.shape[-1] - 1)]
         gathered *= self.conj_values
         return gathered
 
-    def energy(self, products: np.ndarray, weights=1) -> np.ndarray:
+    def energy(self, products: np.ndarray) -> np.ndarray:
         """sum over the rows of a gather of weights * |<f, member>|^2, each
         coefficient the sum of its row's products; per function of a block."""
         rows = tuple(range(1 - self.cells.ndim, 0))
-        return np.sum(weights * np.abs(products.sum(axis=-1)) ** 2, axis=rows)
+        return np.sum(self.weights * np.abs(products.sum(axis=-1)) ** 2, axis=rows)
 
 
 def cell_table(f: StepFunction, lo: int, K: int, tables: dict) -> np.ndarray:
@@ -354,8 +355,9 @@ def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class FrameAnalyzer:
-    """Coefficient analysis against one system, one member bank per (l, j).
-    The checks take one function, or a block with one number per function."""
+    """Coefficient analysis against one system, one member bank per (l, j)
+    and translation bound (see _scan). The checks take one function, or a
+    block with one number per function."""
 
     __slots__ = ("sys", "generators", "_members")
 
@@ -364,7 +366,7 @@ class FrameAnalyzer:
             raise ConfigError("need at least the refinable generator")
         self.sys = sys
         self.generators = tuple(generators)
-        self._members: dict[tuple[int, int], MemberBank] = {}
+        self._members: dict[tuple[int, int, int], MemberBank] = {}
 
     def member(self, l: int, j: int, idx: LambdaIndex) -> StepFunction:
         """The member D^j T_lambda(idx) g_l as a step function."""
@@ -386,37 +388,29 @@ class FrameAnalyzer:
         bank_entries(l, j, B * bound, exp + 5, cells)
         return bound, cells
 
-    def _bank(self, l: int, j: int, lf: int) -> tuple[MemberBank, int]:
-        """(bank of (l, j), bound) over _scan's translations, rows shaped
-        (delta, n), the bank grown by rebuilding."""
+    def _bank(self, l: int, j: int, lf: int) -> MemberBank:
+        """The bank of (l, j) over _scan's translations, rows shaped (delta, n),
+        one per (l, j, bound)."""
         bound = self._scan(l, j, lf)[0]
-        got = self._members.get((l, j))
-        if got is None or got.cells.shape[1] < bound:
+        got = self._members.get((l, j, bound))
+        if got is None:
             h = self.member(l, j, LambdaIndex(0, 0))
             B = self.sys.branches
             mu = translation_digits(self.sys, j, np.tile(np.arange(bound), B),
                                     np.repeat(np.arange(B), bound), -math.inf, h.resolution)
-            got = self._members[(l, j)] = MemberBank(h, mu, (B, bound))
-        return got, bound
-
-    def _row(self, f: StepFunction, l: int, j: int, tables: dict):
-        """(bank, window cells, gather), rows (delta, n) over the translation
-        scan of the union of f's supports; tables as in cell_table."""
-        lf = f.support_ball()
-        bank, bound = self._bank(l, j, lf)
-        integrals = cell_table(f, lf, bank.resolution, tables)
-        cells = np.minimum(bank.cells[:, :bound], integrals.shape[-1] - 1)
-        return bank, cells, bank.gather(integrals, cells)
+            got = self._members[(l, j, bound)] = MemberBank(h, mu, (B, bound), 1)
+        return got
 
     def coefficient_row(self, f: StepFunction, l: int, j: int) -> dict[LambdaIndex, complex]:
         """All <f, member(l, j, idx)> whose supports overlap, for one f; the
-        scan is exhaustive (see _bank)."""
-        bank, cells, products = self._row(f, l, j, {})
+        scan is exhaustive (see _scan)."""
+        lf = f.support_ball()
+        bank = self._bank(l, j, lf)
+        products = bank.gather(f, lf, {})
         # a member meets f's support where the indicator of f's nonzero cells
-        # has a positive integral over one of its cells
+        # has a nonzero integral over one of its cells
         ind = StepFunction(f.cfg, f.resolution, f.values != 0, f.lo)
-        support = cell_table(ind, f.support_ball(), bank.resolution, {}).real > 0
-        hit = support[cells].any(axis=-1)
+        hit = (bank.gather(ind, lf, {}) != 0).any(axis=-1)
         return {LambdaIndex(int(n), int(delta)): complex(products[delta, n].sum())
                 for delta, n in zip(*np.nonzero(hit))}
 
@@ -427,9 +421,10 @@ class FrameAnalyzer:
         tables: dict = {}
         S = np.zeros((j1 - j0 + 1,) + f.values.shape[:-1])
         W = np.zeros_like(S[1:])
+        lf = f.support_ball()
         for l, j in self._pairs(j0, j1):   # W adds generator l = 1, 2, ... in turn
-            bank, _, products = self._row(f, l, j, tables)
-            (W if l else S)[j - j0] += bank.energy(products)
+            bank = self._bank(l, j, lf)
+            (W if l else S)[j - j0] += bank.energy(bank.gather(f, lf, tables))
         return S, W
 
     def _pairs(self, j0: int, j1: int) -> Iterator[tuple[int, int]]:
@@ -440,12 +435,20 @@ class FrameAnalyzer:
     def table_width(self, k: int, j0: int, j1: int) -> int:
         """Entries one function on D at resolution k adds to the largest table
         the checks over [j0, j1) form: a bank's gather, the cell integrals at
-        its resolution K, or the function over B^K when K < 0. Every bank is
-        counted and checked by _scan, in _pairs order, and none is built: its
-        resolution is g_l's moved by j dilations."""
-        q, g = self.sys.q, self.generators
-        return max(max(self._scan(l, j, 0)[1], q ** max(g[l].resolution + j, 0) + 1,
-                       q ** (k - min(g[l].resolution + j, 0))) for l, j in self._pairs(j0, j1))
+        its resolution K, or the function over B^K when K < 0. In _pairs order,
+        every bank is counted and checked by _scan, and its digit count against
+        the cap before any power of q is formed; none is built: its resolution
+        is g_l's moved by j dilations."""
+        q, width = self.sys.q, 0
+        for l, j in self._pairs(j0, j1):
+            cells = self._scan(l, j, 0)[1]
+            K = self.generators[l].resolution + j
+            digits = max(K, k - min(K, 0))
+            if not within_cap(q, digits):
+                raise ConfigError(f"the tables of generator {l} at scale {j} need "
+                                  f"q^{digits} cells, above the cap of {CELL_CAP}")
+            width = max(width, cells, q ** max(K, 0) + 1, q ** (k - min(K, 0)))
+        return width
 
     def two_scale_check(self, f: StepFunction, j: int):
         """energy_balance's residual across one scale step of the summed

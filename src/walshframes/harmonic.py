@@ -8,11 +8,8 @@ exactly (up to floating point roundoff in the p-th roots of unity) by one
 digitwise tensor contraction that factors the character matrix into k - l
 contractions of size q x q.
 
-For functions on the unit ball D the relevant object is the coefficient
-sequence against the characters chi(u(n) .); a table at resolution k has
-exactly q^k nonzero coefficients and fourier_table returns them all at once,
-through the same contraction. Mask values are transforms too: framekit
-evaluates every mask through fast_transform.
+Mask values are transforms too: framekit evaluates every mask through
+fast_transform.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ from .stepfn import StepFunction
 __all__ = [
     "fast_inverse_transform",
     "fast_transform",
-    "fourier_table",
     "inverse_transform",
 ]
 
@@ -74,10 +70,3 @@ def fast_inverse_transform(f: StepFunction) -> StepFunction:
 # perfbench/tracer.py looks this name up in harmonic; same function object
 inverse_transform = fast_inverse_transform
 
-
-def fourier_table(f: StepFunction) -> np.ndarray:
-    """All q^k coefficients <f, chi(u(n) .)> of a function on D at
-    resolution k at once, entry n; the series stops there, every
-    coefficient from n = q^k on is identically 0."""
-    k = f.resolution
-    return _contract(f.cfg, f.window(0).values, k, forward=True) * float(f.cfg.q) ** (-k)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import LambdaIndex, cell_digits, cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import (MemberBank, bank_entries, cell_table, energy_balance,
-                       system_member, translation_digits)
+from .framekit import (MemberBank, bank_entries, energy_balance, system_member,
+                       translation_digits)
 from .stepfn import StepFunction, periodize
 
 __all__ = [
@@ -50,12 +50,13 @@ class PeriodicSystemSpec:
         self.sys = sys
         self.generators = tuple(generators)
         self.j_max = j_max
-        self._members: dict[tuple[int, int], tuple] = {}
+        self._members: dict[tuple[int, int], MemberBank] = {}
 
-    def bank(self, l: int, j: int) -> tuple[MemberBank, np.ndarray]:
-        """(bank, label count of each row) at (l, j). On D, the translations of
-        scale j have digits below the exponent m = min(j, K) only, taking all
-        q^m values there; row r is the one whose digits are r's at resolution m."""
+    def bank(self, l: int, j: int) -> MemberBank:
+        """The bank of (l, j), each row weighted by its label count. On D, the
+        translations of scale j have digits below the exponent m = min(j, K)
+        only, taking all q^m values there; row r is the one whose digits are
+        r's at resolution m."""
         got = self._members.get((l, j))
         if got is None:
             sys = self.sys
@@ -79,8 +80,8 @@ class PeriodicSystemSpec:
             np.add.at(weights, cell_index(q, mu.items(), m,
                                           out=np.zeros(counts.size, dtype=np.int64)), counts)
             del mu, residues, counts   # not alive while the bank is built
-            bank = MemberBank(h, dict(cell_digits(q, np.arange(q ** m), m, 0)), (q ** m,))
-            got = self._members[(l, j)] = (bank, weights)
+            got = self._members[(l, j)] = MemberBank(
+                h, dict(cell_digits(q, np.arange(q ** m), m, 0)), (q ** m,), weights)
         return got
 
     def member(self, l: int, j: int, label: int) -> StepFunction:
@@ -90,14 +91,8 @@ class PeriodicSystemSpec:
         if not 0 <= label < self.sys.qN ** j:
             raise IndexError(
                 f"label {label} outside [0, {self.sys.qN ** j}) at scale {j}")
-        bank, _ = self.bank(l, j)
-        n, delta = self.sys.branch_index(label)
-        K = bank.resolution
-        mu = translation_digits(self.sys, j, np.array([n]), np.array([delta]), 0, K)
-        row = cell_index(self.sys.q, mu.items(), min(j, K), out=np.zeros(1, dtype=np.int64))
-        values = np.zeros(self.sys.q ** K, dtype=complex)
-        values[bank.cells[row[0]]] = np.conj(bank.conj_values)
-        return StepFunction(self.sys.field, K, values)
+        return periodize(system_member(l, j, self.sys.branch_index(label), self.sys,
+                                       self.generators))
 
     def table_width(self) -> int:
         """Entries one function adds to the largest table the folded checks
@@ -108,17 +103,8 @@ class PeriodicSystemSpec:
         for l, g in enumerate(self.generators):
             for j in scales:
                 bank_entries(l, j, B * q ** j, min(j, max(g.resolution + j, 0)) + 7, 0)
-        banks = (self.bank(l, j)[0] for l in range(len(self.generators)) for j in scales)
+        banks = (self.bank(l, j) for l in range(len(self.generators)) for j in scales)
         return max(max(b.cells.size, q ** b.resolution + 1) for b in banks)
-
-
-def _energy(f: StepFunction, l: int, j: int, spec: PeriodicSystemSpec,
-            tables: dict) -> np.ndarray:
-    """sum over the labels of scale j of |<f, member(l, j, label)>|^2, per
-    function of a block; tables as in cell_table, over the window D."""
-    bank, weights = spec.bank(l, j)
-    return bank.energy(bank.gather(cell_table(f, 0, bank.resolution, tables), bank.cells),
-                       weights)
 
 
 def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
@@ -128,8 +114,9 @@ def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
     energy_balance(S, W) of them. The checks below take them as `energies`,
     so that a block forms each of them once."""
     tables: dict = {}
-    E = np.array([[_energy(f, l, j, spec, tables) for j in range(spec.j_max + 1)]
-                  for l in range(len(spec.generators))])
+    banks = [[spec.bank(l, j) for j in range(spec.j_max + 1)]
+             for l in range(len(spec.generators))]
+    E = np.array([[b.energy(b.gather(f, 0, tables)) for b in row] for row in banks])
     S, W = E[0], E[1:].sum(axis=0)
     return (S, W, f.norm2()) + energy_balance(S, W)
 

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .algebra import NORMALIZATIONS, FieldConfig, SystemConfig, uindex
+from .algebra import FieldConfig, SystemConfig, uindex
 from .errors import ConfigError, DegenerateInput, WalshFramesError
 from .framekit import (
     FrameAnalyzer,
-    Mask,
     bessel_mask_check,
     check_partition,
     derive_generators,
@@ -102,7 +101,7 @@ class RunConfig:
     tail_tol: float
 
     @classmethod
-    def load(cls, path: str, seed: int | None = None, mode: str | None = None,
+    def load(cls, path: str, seed: int | None = None,
              need_masks: bool = True) -> "RunConfig":
         parser = configparser.ConfigParser()
         try:
@@ -119,14 +118,14 @@ class RunConfig:
             if unknown:
                 raise ConfigError(f"unknown option {unknown[0]!r} in [{section}]")
         try:
-            return cls._build(parser, path, seed, mode, need_masks)
+            return cls._build(parser, path, seed, need_masks)
         except (ValueError, configparser.Error) as exc:
             if isinstance(exc, WalshFramesError):
                 raise
             raise ConfigError(f"malformed config value ({exc})") from exc
 
     @classmethod
-    def _build(cls, parser, path, seed, mode, need_masks):
+    def _build(cls, parser, path, seed, need_masks):
         sys_cfg = None
         cfg = None
         mask_file = parser.get("masks", "file", fallback=None)
@@ -165,15 +164,6 @@ class RunConfig:
                 raise ConfigError(
                     "system normalization disagrees with the masks file")
 
-        if mode is not None and sys_cfg is not None:
-            if mode not in NORMALIZATIONS:
-                raise ConfigError(
-                    f"mode must be one of {NORMALIZATIONS}, got {mode!r}")
-            if mode != sys_cfg.normalization:
-                base = SystemConfig(cfg, sys_cfg.N, sys_cfg.r, sys_cfg.nu, mode)
-                sys_cfg = base.with_masks(
-                    tuple(Mask(base, m.coeffs) for m in sys_cfg.masks))
-
         resolution = parser.getint("suite", "resolution", fallback=4)
         count = parser.getint("suite", "count", fallback=100)
         cfg_seed = parser.getint("suite", "seed", fallback=0)
@@ -201,16 +191,11 @@ class RunConfig:
         if not 0 < epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
         if sys_cfg is not None:
-            # generators hold at most q^(K + iterations) cells and reach resolution
-            # iterations + 1 at most, so verify integrates a suite function at j0
-            # over resolution - (iterations + 1) - j0 digits or more
+            # generators hold at most q^(K + iterations) cells
             K = max((m.constancy_resolution for m in sys_cfg.masks), default=0)
-            for option, digits in (("cascade_iterations", K + iterations),
-                                   ("j0", resolution - (iterations + 1) - j0)):
-                if not within_cap(cfg.q, digits):
-                    raise ConfigError(
-                        f"{option} needs tables of q^{digits} cells, above the "
-                        f"cap of {CELL_CAP}")
+            if not within_cap(cfg.q, K + iterations):
+                raise ConfigError(f"cascade_iterations needs tables of q^{K + iterations} "
+                                  f"cells, above the cap of {CELL_CAP}")
 
         tolerances = []
         for option, default in (("gram", GRAM_TOL), ("residual", RESIDUAL_TOL),

@@ -20,7 +20,7 @@ from walshframes.framekit import (
     derive_generators,
     uep_gram,
 )
-from walshframes.harmonic import fast_inverse_transform, fast_transform, fourier_table
+from walshframes.harmonic import fast_inverse_transform, fast_transform
 from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
@@ -31,6 +31,7 @@ from walshframes.runner import RunConfig, periodic_report, verify_report
 from walshframes.stepfn import (
     StepFunction,
     inner,
+    refine,
     translate,
     unit_ball,
 )
@@ -96,7 +97,8 @@ def test_criterion_3_plancherel_and_parseval():
         rng = np.random.default_rng(314159 + cfg.q)
         for _ in range(100):
             f = _random_table(cfg, 3, rng)
-            coeffs = fourier_table(f)
+            # the q^3 coefficients <f, chi(u(n) .)>: the cell of u(n) at index n
+            coeffs = refine(fast_transform(f), 0).values
             n2 = f.norm2()
             worst_parseval = max(
                 worst_parseval,

@@ -162,11 +162,10 @@ def test_periodic_forms_each_mask_table_once():
 
 
 @pytest.mark.parametrize("config", sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
-@pytest.mark.parametrize("mode", [None, "qn"])
-def test_run_config_load_forms_no_mask_table(config, mode):
+def test_run_config_load_forms_no_mask_table(config):
     # the tables are formed inside the reports, outside the load that setup_s times
     with _counting("fast_transform") as calls:
-        rc = RunConfig.load(os.path.join(CONFIGS, config), mode=mode)
+        rc = RunConfig.load(os.path.join(CONFIGS, config))
     assert calls["fast_transform"].call_count == 0
     assert all(m._table is None for m in rc.sys.masks)
 
@@ -191,16 +190,32 @@ def test_verify_seed_flag_changes_suite_but_not_verdict(tmp_path):
     assert ra["two_scale"]["max_residual"] != rb["two_scale"]["max_residual"]
 
 
-def test_mode_override(tmp_path):
+def _qn_masks(tmp_path, name):
+    """A copy of a shipped mask file that states normalization = qn."""
+    with open(os.path.join(CONFIGS, name)) as fh:
+        text = fh.read()
+    assert "normalization = unitary\n" in text
+    path = tmp_path / name
+    path.write_text(text.replace("normalization = unitary\n", "normalization = qn\n"))
+    return str(path)
+
+
+def test_qn_normalization_mask_files(tmp_path):
     # for N = 1 both normalization modes coincide; for N = 3 the qN mode
     # denormalizes the shipped masks, which the checks must then reject
-    cfg = write_cfg(tmp_path, "haar_q2.masks", 2)
-    assert run(["verify", "--config", cfg, "--mode", "qn",
-                "--out", str(tmp_path / "a.json")]) == 0
-    cfg = write_cfg(tmp_path, "nonuniform_q2_N3_r1.masks", 2)
+    cfg = write_cfg(tmp_path, _qn_masks(tmp_path, "haar_q2.masks"), 2)
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path / "a.json")]) == 0
+    cfg = write_cfg(tmp_path, _qn_masks(tmp_path, "nonuniform_q2_N3_r1.masks"), 2)
     out = str(tmp_path / "b.json")
-    assert run(["verify", "--config", cfg, "--mode", "qn", "--out", out]) == 1
+    assert run(["verify", "--config", cfg, "--out", out]) == 1
     assert load_report(out)["config"]["normalization"] == "qn"
+
+
+def test_mode_flag_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", os.path.join(CONFIGS, "haar_q2.cfg"), "--mode", "qn"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode qn" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- periodic --
@@ -924,17 +939,18 @@ def test_a_huge_scale_is_refused_before_any_bank_is_built(tmp_path, capsys, comm
         f"entries, above the cap of {CELL_CAP}\n")
 
 
-def test_a_coarse_j0_is_refused_at_load(tmp_path, capsys):
-    # resolution 0, 4 iterations: a member at scale j0 is no finer than
-    # 5 + j0, so verify integrates over windows of at least -5 - j0 digits
-    assert RunConfig.load(_scales_cfg(tmp_path, "haar_q2.masks", j0=-29)).j0 == -29
-    with pytest.raises(ConfigError, match="j0"):
-        RunConfig.load(_scales_cfg(tmp_path, "haar_q2.masks", j0=-30))
+def test_a_coarse_j0_is_refused_by_verify(tmp_path, capsys):
+    # j0 is read by verify alone: its table width refuses the scale, by
+    # digit count before any power of q is formed; the load and periodic
+    # accept it
     cfg = _scales_cfg(tmp_path, "haar_q2.masks", j0=-10 ** 9)
+    assert RunConfig.load(cfg).j0 == -10 ** 9
     start = time.perf_counter()
     assert run(["verify", "--config", cfg]) == 2
     assert time.perf_counter() - start < 1
-    assert str(CELL_CAP) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(CELL_CAP) in err and f"at scale {-10 ** 9}" in err
+    assert run(["periodic", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "periodic"])
@@ -946,8 +962,9 @@ def test_fourier_q3_runs_at_resolution_6(tmp_path, command):
 
 
 def test_dump_wavelets_builds_no_bank(tmp_path):
-    cfg = _scales_cfg(tmp_path, "haar_q2.masks", j1=10 ** 9, j_max=10 ** 9)
-    assert run(["dump-wavelets", "--config", cfg, "--out", str(tmp_path / "wl")]) == 0
+    for scales in ({"j1": 10 ** 9, "j_max": 10 ** 9}, {"j0": -10 ** 9}):
+        cfg = _scales_cfg(tmp_path, "haar_q2.masks", **scales)
+        assert run(["dump-wavelets", "--config", cfg, "--out", str(tmp_path / "wl")]) == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -341,16 +341,6 @@ def test_uep_gram_phase_invariance():
     assert report["max_deviation"] <= GRAM_TOL
 
 
-def test_uep_gram_restricted_to_sigma():
-    sys = haar_system()
-    sigma = sigma_v0(check_partition(unit_ball(F2), sys))
-    report = uep_gram(sys, sigma)
-    assert report["max_deviation"] <= GRAM_TOL
-    assert report["cells_checked"] >= 1
-    empty = uep_gram(sys, from_cells(F2, 0, {}))
-    assert empty["cells_checked"] == 0
-
-
 def test_bessel_mask_check():
     sys = haar_system()
     report = bessel_mask_check(sys.masks[0], sys)
@@ -401,19 +391,25 @@ def test_coefficient_rows_haar_orthonormal_expansion():
                 assert abs(coeff) <= 1e-12
 
 
-def test_coefficient_rows_stable_across_bank_rebuilds():
-    # a function of wider support grows every bank; the rows of the first
-    # function must not change with it
+def test_coefficient_rows_stable_across_wider_banks():
+    # a function of wider support adds a wider bank beside every bank; the
+    # banks and the rows of the first function must not change with it
     rng = np.random.Generator(np.random.PCG64(502))
     sys = haar_system()
     gens = derive_generators(sys, 2)
     f = random_domain_step(F2, 3, rng)
     an = FrameAnalyzer(sys, gens)
     first = _wavelet_rows(an, f, range(0, 3))
-    rows = {key: bank.cells.size for key, bank in an._members.items()}
+    banks = dict(an._members)
+    cells = {key: bank.cells.copy() for key, bank in banks.items()}
     wide = from_cells(F2, 0, {F2.element({-2: 1}): 1.0})
     _wavelet_rows(an, wide, range(0, 3))
-    assert all(an._members[key].cells.size > size for key, size in rows.items())
+    assert len(an._members) == 2 * len(banks)
+    for (l, j, bound), bank in banks.items():
+        assert an._members[l, j, bound] is bank
+        assert np.array_equal(bank.cells, cells[l, j, bound])
+        wider = max(b for (l2, j2, b) in an._members if (l2, j2) == (l, j))
+        assert an._members[l, j, wider].cells.size > bank.cells.size
     assert _wavelet_rows(an, f, range(0, 3)) == first
 
 

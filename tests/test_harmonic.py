@@ -14,7 +14,7 @@ from oracles import (
 
 from walshframes.algebra import FieldConfig, chi, uindex
 from walshframes.errors import InputDataError
-from walshframes.harmonic import fast_inverse_transform, fast_transform, fourier_table
+from walshframes.harmonic import fast_inverse_transform, fast_transform
 from walshframes.stepfn import (
     StepFunction,
     from_cells,
@@ -146,9 +146,15 @@ def test_fourier_coefficient_against_inner_product():
         assert fourier_coefficient(pf, cfg.q ** k + 7) == 0j
 
 
+def coefficient_table(f):
+    """The q^k coefficients <f, chi(u(n) .)> of f on D at resolution k, entry
+    n: f's transform over B^-k at resolution 0, the cell of u(n) at index n."""
+    return refine(fast_transform(f), 0).values
+
+
 def test_fourier_coefficient_frozen():
     pf = StepFunction(F2, 1, [1.0, -1.0])
-    table = fourier_table(pf)
+    table = coefficient_table(pf)
     assert table[0] == 0j
     assert table[1] == 1 + 0j
 
@@ -158,7 +164,7 @@ def test_fourier_table_and_parseval():
     for cfg, k in [(F2, 3), (F3, 2), (F4, 2)]:
         vals = rng.standard_normal(cfg.q ** k) + 1j * rng.standard_normal(cfg.q ** k)
         pf = StepFunction(cfg, k, vals)
-        table = fourier_table(pf)
+        table = coefficient_table(pf)
         for n in range(cfg.q ** k):
             assert table[n] == pytest.approx(fourier_coefficient(pf, n), abs=1e-12)
         # the coefficient series truncates exactly at q^k terms
@@ -167,7 +173,7 @@ def test_fourier_table_and_parseval():
 
 def test_fourier_table_zero_resolution():
     pf = StepFunction(F3, 0, [2.5 + 1j])
-    table = fourier_table(pf)
+    table = coefficient_table(pf)
     assert table.shape == (1,)
     assert table[0] == pytest.approx(2.5 + 1j)
 
@@ -230,7 +236,7 @@ def test_fourier_table_matches_per_index_sums(cfg, k, seed):
     n = cfg.q ** k
     pf = StepFunction(cfg, k, rng.standard_normal(n)
                               + 1j * rng.standard_normal(n))
-    table = fourier_table(pf)
+    table = coefficient_table(pf)
     assert table.shape == (n,)
     for i in range(n):
         assert table[i] == pytest.approx(fourier_coefficient(pf, i), abs=1e-12)

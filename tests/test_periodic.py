@@ -9,8 +9,9 @@ from oracles import allclose, character_table
 from walshframes import periodic, runner
 from walshframes.algebra import FieldConfig, SystemConfig, uindex
 from walshframes.errors import ConfigError, DegenerateInput, TruncationError
-from walshframes.framekit import FrameAnalyzer, Mask, derive_generators, energy_balance
-from walshframes.harmonic import fourier_table
+from walshframes.framekit import (FrameAnalyzer, Mask, MemberBank, derive_generators,
+                                 energy_balance)
+from walshframes.harmonic import fast_transform
 from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
@@ -24,6 +25,7 @@ from walshframes.stepfn import (
     from_cells,
     indicator,
     periodize,
+    refine,
     unit_ball,
 )
 
@@ -157,7 +159,8 @@ def test_member_fourier_energy_matches_norm():
         for l in range(len(spec.generators)):
             for j, label in ((0, 0), (1, 1), (2, 3)):
                 m = spec.member(l, j, label)
-                coeffs = fourier_table(m)
+                # the coefficients <m, chi(u(n) .)>: the cell of u(n) at index n
+                coeffs = refine(fast_transform(m), 0).values
                 assert abs(np.sum(np.abs(coeffs) ** 2) - m.norm2()) <= 1e-9
 
 
@@ -305,12 +308,12 @@ def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
     monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width())
     calls = collections.Counter()
     sizes = collections.Counter()
-    energy = periodic._energy
+    gather = MemberBank.gather
 
-    def counted(f, l, j, spec, tables):
-        calls[l, j] += 1
+    def counted(bank, f, lo, tables):
+        calls[bank] += 1
         sizes[f.values.shape[0]] += 1
-        return energy(f, l, j, spec, tables)
+        return gather(bank, f, lo, tables)
 
     norms = collections.Counter()
     norm2 = StepFunction.norm2
@@ -319,10 +322,11 @@ def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
         norms[f.values.shape[0] if f.values.ndim > 1 else None] += 1
         return norm2(f)
 
-    monkeypatch.setattr(periodic, "_energy", counted)
+    monkeypatch.setattr(MemberBank, "gather", counted)
     monkeypatch.setattr(StepFunction, "norm2", counted_norm2)
     periodic_report(rc)
-    assert calls == {(l, j): 15 for l in range(2) for j in range(rc.j_max + 1)}
+    # one bank per (l, j), each gathered once per block
+    assert list(calls.values()) == [15] * 2 * (rc.j_max + 1)
     assert sizes == {7: 14 * len(calls), 2: len(calls)}
     # folded_energies forms ||f||^2 and both checks that need it read it there
     assert norms == {7: 14, 2: 1}
