@@ -277,7 +277,7 @@ def test_bank_row_of_a_shipped_suite_function():
         _check_rows(name, f, range(0, 4))
 
 
-def test_a_wider_scan_adds_a_bank_without_changing_entries():
+def test_bank_grows_without_changing_entries():
     name = "fourier_q3"
     an = FrameAnalyzer(SYSTEMS[name], GENERATORS[name])
     f = random_step(SYSTEMS[name].field, 0, 3, 11, False)
@@ -334,25 +334,32 @@ def test_folded_energies_match_label_loop(name, resolution, seed):
     assert _close(out["tail"], wavelet[J_MAX], scale)
 
 
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_folded_bank_rows_are_members_weighted_by_label_count(name):
-    # each row of a folded bank, its cells scattered into a table, is bit for
-    # bit the periodized member of one label of that row; the row's weight is
-    # the count of its labels, found from the translation digits
+def _folded_rows(sys, j, K):
+    """The bank row of each of the (qN)^j labels at scale j, from the
+    translation digits of a folded bank of resolution K."""
+    n, delta = np.array([sys.branch_index(s) for s in range(sys.qN ** j)]).T
+    mu = translation_digits(sys, j, n, delta, 0, K)
+    return cell_index(sys.q, mu.items(), min(j, K), out=np.zeros(n.size, dtype=np.int64))
+
+
+def _folded_spec(name):
     sys = SYSTEMS[name]
     if name.startswith("nonuniform"):
         assert sys.lambda_degenerate
-    spec = PeriodicSystemSpec(sys, GENERATORS[name], 4 if sys.qN < 10 else 3)
-    q = sys.q
+    return PeriodicSystemSpec(sys, GENERATORS[name], 4 if sys.qN < 10 else 3)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_folded_members_match_periodized_members(name):
+    # each row of a folded bank, its cells scattered into a table, is bit for
+    # bit the periodized member of one label of that row, and member is it
+    spec = _folded_spec(name)
+    sys, q = spec.sys, spec.sys.q
     for l in range(len(spec.generators)):
         for j in range(spec.j_max + 1):
             bank = spec.bank(l, j)
-            weights, K = bank.weights, bank.resolution
-            assert int(weights.sum()) == sys.qN ** j
-            n, delta = np.array([sys.branch_index(s) for s in range(sys.qN ** j)]).T
-            mu = translation_digits(sys, j, n, delta, 0, K)
-            rows = cell_index(q, mu.items(), min(j, K), out=np.zeros(n.size, dtype=np.int64))
-            assert np.array_equal(np.bincount(rows, minlength=weights.size), weights)
+            K = bank.resolution
+            rows = _folded_rows(sys, j, K)
             for r in range(bank.cells.shape[0]):
                 label = int(np.flatnonzero(rows == r)[0])
                 values = np.zeros(q ** K, dtype=complex)
@@ -361,6 +368,23 @@ def test_folded_bank_rows_are_members_weighted_by_label_count(name):
                                                spec.generators))
                 assert want.resolution == K and want.lo == 0
                 assert np.array_equal(values, want.values), (l, j, r, label)
+                got = spec.member(l, j, label)
+                assert got.resolution == K and np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_folded_weights_count_every_label(name):
+    # a row's weight is the count of its labels, found from the translation
+    # digits and by brute force; the weights add up to (qN)^j
+    spec = _folded_spec(name)
+    sys = spec.sys
+    for l in range(len(spec.generators)):
+        for j in range(spec.j_max + 1):
+            bank = spec.bank(l, j)
+            weights = bank.weights
+            assert int(weights.sum()) == sys.qN ** j
+            rows = _folded_rows(sys, j, bank.resolution)
+            assert np.array_equal(np.bincount(rows, minlength=weights.size), weights)
             # the label count of each folded translation, by brute force
             digits = Counter(
                 tuple(sys.lambda_element(sys.branch_index(s)).coefficient(-1 - i)

@@ -162,12 +162,24 @@ def test_periodic_forms_each_mask_table_once():
 
 
 @pytest.mark.parametrize("config", sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
-def test_run_config_load_forms_no_mask_table(config):
-    # the tables are formed inside the reports, outside the load that setup_s times
+@pytest.mark.parametrize("normalization", [None, "qn"])
+def test_run_config_load_forms_no_mask_table(tmp_path, config, normalization):
+    # the tables are formed inside the reports, outside the load that setup_s
+    # times; None loads the shipped config, "qn" a copy of it whose mask file
+    # states normalization = qn
+    path = os.path.join(CONFIGS, config)
+    if normalization is not None:
+        with open(path) as fh:
+            text = fh.read()
+        masks = text.split("file = ", 1)[1].split("\n", 1)[0]
+        _qn_masks(tmp_path, masks)
+        path = tmp_path / config
+        path.write_text(text)
     with _counting("fast_transform") as calls:
-        rc = RunConfig.load(os.path.join(CONFIGS, config))
+        rc = RunConfig.load(str(path))
     assert calls["fast_transform"].call_count == 0
     assert all(m._table is None for m in rc.sys.masks)
+    assert rc.sys.normalization == (normalization or "unitary")
 
 
 def test_verify_reports_are_byte_reproducible(tmp_path):
@@ -200,7 +212,7 @@ def _qn_masks(tmp_path, name):
     return str(path)
 
 
-def test_qn_normalization_mask_files(tmp_path):
+def test_mode_override(tmp_path):
     # for N = 1 both normalization modes coincide; for N = 3 the qN mode
     # denormalizes the shipped masks, which the checks must then reject
     cfg = write_cfg(tmp_path, _qn_masks(tmp_path, "haar_q2.masks"), 2)

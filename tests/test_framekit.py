@@ -391,7 +391,7 @@ def test_coefficient_rows_haar_orthonormal_expansion():
                 assert abs(coeff) <= 1e-12
 
 
-def test_coefficient_rows_stable_across_wider_banks():
+def test_coefficient_rows_stable_across_bank_rebuilds():
     # a function of wider support adds a wider bank beside every bank; the
     # banks and the rows of the first function must not change with it
     rng = np.random.Generator(np.random.PCG64(502))
