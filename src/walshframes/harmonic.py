@@ -46,14 +46,19 @@ def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
 
 
 def _apply(f: StepFunction, forward: bool) -> StepFunction:
-    """The transform; InputDataError if a character sum overflows the
-    doubles (the sums are formed before the measure factor scales them)."""
+    """The transform; InputDataError if it passes the largest double. The
+    character sums are formed before the measure factor scales them, which
+    fixes the bits of every transform they keep finite; only when one
+    overflows are they formed again, from the scaled table."""
     cfg, k, l = f.cfg, f.resolution, f.support_ball()
+    values, measure = f.window(l).values, float(cfg.q) ** (-k)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _contract(cfg, f.window(l).values, k - l, forward) * float(cfg.q) ** (-k)
-    if not np.isfinite(out).all():
-        raise InputDataError(f"the {'forward' if forward else 'inverse'} transform "
-                             f"overflows: a character sum exceeds the largest double")
+        out = _contract(cfg, values, k - l, forward) * measure
+        if not np.isfinite(out).all():
+            out = _contract(cfg, values * measure, k - l, forward)
+            if not np.isfinite(out).all():
+                raise InputDataError(f"the {'forward' if forward else 'inverse'} transform "
+                                     f"overflows: a character sum exceeds the largest double")
     return StepFunction(cfg, -l, out, -k)
 
 

@@ -314,9 +314,9 @@ def periodize(f: StepFunction) -> StepFunction:
 
 # Rows formatted, and characters read, per array pass. Per-pass Python
 # overhead is small next to the array work at these sizes, while the text of
-# one pass stays small: `transform` on a 65,536-row GF(4) file peaks at 39 MB
-# (ru_maxrss) with these sizes, at 43 MB formatting 8192 rows a pass and at
-# 90 MB reading the file in one pass.
+# one pass stays small: `transform` on a 65,536-row GF(4) file peaks at 38 MB
+# (ru_maxrss, Python 3.11, numpy 2.4) with these sizes, at 42 MB formatting
+# 8192 rows a pass and at 90 MB reading the file in one pass.
 CSV_BLOCK = 4096
 CSV_CHUNK = 1 << 17
 
@@ -528,6 +528,205 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
         dest.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
+# ------------------------------------------------- decimals to doubles --
+#
+# load_csv reads each amplitude part as float() reads it. _decimals reads the
+# tokens of a whole chunk at once when they are spelled -?D+(.D+)?(e[+-]D{1,3})?
+# in at most DECIMAL_BYTES bytes, with at most 19 significant digits: such a
+# token stands for w 10^q with w < 10^19, and Eisel-Lemire (D. Lemire, "Number
+# parsing at a gigabyte per second", 2021) rounds that to the nearest double
+# through a 128-bit approximation of 5^q. It flags every other token, and each
+# with a nonzero digit whose double is not normal (subnormal, zero or past the
+# largest double); _read_doubles reads those by float() alone.
+
+DECIMAL_BYTES = 31   # a window of 32 bytes holds a token and the byte before it
+
+
+class _DecimalTables:
+    """The kernel's constant tables, built on first use.
+
+    five: by q + 342 for q in [-342, 308], the 128-bit c with 2^127 <= c <
+    2^128 that approximates 5^q times a power of two (truncated for q >= 0,
+    rounded up for q < 0, as in fast_float), as the 32-bit limbs of its high
+    word and then of its low word.
+
+    A token ends at byte 31 of its window, so an 'e' at byte 27, 28 or 29 is
+    followed by a sign and 3, 2 or 1 exponent digits. By k = e >> 27 for the
+    bit e of that byte (0 without an 'e'; 3, 5, 6 and 7 are unused), with r
+    the bytes from the 'e' on (0 without one):
+    - end: 32 - r, the byte after the digits before the exponent;
+    - tail: 10^r, the weight of word 3's digits before the exponent;
+    - scale: 10^(16 - r) and 10^(8 - r), the weights of words 1 and 2;
+    - cap: 10^(3 + r), the bound on word 1 that keeps w below 10^19.
+    """
+
+    def __init__(self):
+        five = []
+        for q in range(-342, 309):
+            n = 5 ** abs(q)
+            if q >= 0:
+                five.append((n << 128) >> n.bit_length())
+            else:
+                c = (1 << (n.bit_length() + 127 if q >= -27 else 2 * n.bit_length() + 128)) // n + 1
+                five.append(c >> max(c.bit_length() - 128, 0))
+        words = np.array([(c >> 64, c & (1 << 64) - 1) for c in five], dtype=np.uint64).T
+        self.five = [limb for word in words for limb in (word >> 32, word & 0xFFFFFFFF)]
+        r = np.array([0, 5, 4, 0, 3, 0, 0, 0])
+        self.end = 32 - r
+        self.tail = (10 ** r).astype(np.uint64)
+        self.scale = [(10 ** (16 - r)).astype(np.uint64), (10 ** (8 - r)).astype(np.uint64)]
+        self.cap = (10 ** (3 + r)).astype(np.uint64)
+
+
+_decimal_tables = functools.cache(_DecimalTables)
+
+
+def _bits(mask: np.ndarray) -> np.ndarray:
+    """(T, 32) bool -> (T,) uint64 with bit j set for a True in column j."""
+    return np.packbits(mask, axis=None, bitorder="little").view("<u4").astype(np.uint64)
+
+
+def _unpack(bits: np.ndarray) -> np.ndarray:
+    """The inverse of _bits, as (T, 32) uint8 of 0 and 1."""
+    return np.unpackbits(bits.astype("<u4").view(np.uint8), bitorder="little") \
+        .reshape(bits.size, 32)
+
+
+def _eight_digits(x: np.ndarray) -> np.ndarray:
+    """In place: the 8-digit number each uint64 word spells, its first byte
+    the most significant digit (SWAR, as in Lemire's parse_eight_digits)."""
+    for mask, factor, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),
+                                (0x00FF00FF00FF00FF, 6553601, 16),
+                                (0x0000FFFF0000FFFF, 42949672960001, 32)):
+        x &= mask
+        x *= factor
+        x >>= shift
+    return x
+
+
+def _decimal_layout(window: np.ndarray, length: np.ndarray):
+    """(covered, digit, point, e, negative, negative exponent) of the tokens
+    that end their windows: covered where the token is in the kernel's
+    grammar; digit, point and e the bits of its digits, of its point and of
+    its 'e' (0 if it has none)."""
+    u = np.uint64
+    first = u(1) << (32 - np.minimum(length, 32)).astype(u)   # the token's first byte
+    token = u(1 << 32) - first
+    digit = _bits(window - ord("0") < 10) & token
+    point, e, minus, plus = (_bits(window == ord(c)) & token for c in ".e-+")
+    negative = minus & first
+    point &= ~point + u(1)   # the first of each
+    e &= ~e + u(1)
+    sign = e << u(1)
+    other = negative | point | e | sign
+    # every byte but those of other is a digit; the first after the '-' and
+    # the one after the point are digits, the point comes before the 'e', a
+    # sign follows the 'e' and 1 to 3 digits end the token
+    covered = ((token & ~digit) == other) & (length <= DECIMAL_BYTES) \
+        & (((first + negative) | point << u(1)) & (other | u(1 << 32)) == 0) \
+        & ((e == 0) | (point < e)) & ((e & ~u(0x38000000)) == 0) \
+        & ((minus | plus) & sign == sign)
+    return covered, digit, point, e, negative != 0, minus & sign != 0
+
+
+def _decimal_fields(raw: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """(covered, negative, w, q) for the tokens raw[start:end]: where covered,
+    the token is in the kernel's grammar and spells -w 10^q if negative,
+    else w 10^q."""
+    tables = _decimal_tables()
+    u = np.uint64
+    # the 32 bytes that end each token; bit j of a mask stands for byte j
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.zeros(32, np.uint8), raw)), 32)[end]
+    covered, digit, point, e, negative, down = _decimal_layout(window, end - start)
+    # the digits alone, those before the point moved up one byte onto it:
+    # the digits before the exponent end at byte 32 - r, the exponent's at 32
+    window *= _unpack(digit)
+    flat = window.ravel()
+    moved = flat[:-1] - flat[1:]
+    moved *= _unpack(((point << u(1)) - (point != 0)) & ~u(1)).ravel()[1:]   # bytes 1 to the point
+    flat[1:] += moved
+    words = window.view("<u8")
+    covered &= words[:, 0] & u(0x0F0F0F0F0F0F0F0F) == 0   # no digit but 0 before word 1
+    high, mid, low = _eight_digits(words[:, 1:].T.astype(u, order="C"))
+    k = (e >> u(27)) & u(7)
+    tail = tables.tail[k]
+    w = (low / tail).astype(u)   # exact: low < 10^8
+    low -= w * tail              # the exponent
+    w += high * tables.scale[0][k] + mid * tables.scale[1][k]
+    covered &= high < tables.cap[k]
+    q = low.view(np.int64)
+    q[down] *= -1
+    q -= (tables.end[k] - np.frexp(point.astype(float))[1]) * (point != 0)   # fraction digits
+    return covered, negative, w, q
+
+
+def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """(values, covered) for the tokens raw[start:end]: covered where the
+    token is in the kernel's grammar and values holds the double float()
+    reads from it, bit for bit; values is meaningless elsewhere."""
+    covered, negative, w, q = _decimal_fields(raw, start, end)
+    bits, normal = _nearest_double(w, q)
+    zero = w == 0
+    covered &= normal | zero
+    bits[zero] = 0
+    bits |= negative.astype(np.uint64) << np.uint64(63)
+    return bits.view(float), covered
+
+
+def _nearest_double(w: np.ndarray, q: np.ndarray):
+    """(bits, normal): the bits of the double nearest w 10^q (on a tie the
+    even one) for uint64 w and int64 q, by Eisel-Lemire; normal is False
+    where that double is subnormal or overflows or q is outside the table.
+    The bits are meaningless there and where w is 0."""
+    tables = _decimal_tables()
+    u = np.uint64
+    # w << lz has its top bit set; float(w) may round up to the next power of 2
+    lz = 64 - np.frexp(w.astype(float))[1].astype(np.int64)
+    w = w << lz.view(u)
+    short = (w >> u(63)).view(np.int64) ^ 1
+    w <<= short.view(u)
+    lz += short
+    index = q + 342
+    w1, w0 = w >> u(32), w & u(0xFFFFFFFF)
+    hi, lo = _mul128(w1, w0, *(limb.take(index, mode="clip") for limb in tables.five[:2]))
+    # where the 9 bits below the 55 that matter are all ones, a carry from the
+    # product with the low word of 5^q may reach them
+    i = np.flatnonzero(hi & u(0x1FF) == 0x1FF)
+    lo_i = lo[i] + _mul128(w1[i], w0[i], *(limb.take(index[i], mode="clip") for limb in tables.five[2:]))[0]
+    hi[i] += lo_i < lo[i]
+    lo[i] = lo_i
+    upper = (hi >> u(63)).view(np.int64)
+    shift = (upper + 9).view(u)
+    mantissa = hi >> shift   # 54 bits: the 53 of a double and a round bit
+    power2 = (217706 * q >> 16) + upper - lz + 1086
+    # a tie: the bits below the round bit are all zero, which only happens
+    # where 5^q is exact in 64 bits; it rounds to even, not up
+    i = np.flatnonzero(lo <= 1)
+    i = i[(q[i] >= -4) & (q[i] <= 23) & (mantissa[i] & u(3) == 1)
+          & (mantissa[i] << shift[i] == hi[i])]
+    mantissa[i] &= ~u(1)
+    mantissa += mantissa & u(1)
+    mantissa >>= u(1)
+    carry = mantissa >> u(53)
+    mantissa >>= carry
+    power2 += carry.view(np.int64)
+    normal = (index.view(u) < 651) & ((power2 - 1).view(u) < 2046)
+    mantissa &= u((1 << 52) - 1)
+    mantissa |= power2.view(u) << u(52)
+    return mantissa, normal
+
+
+def _read_doubles(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """float() of each token raw[start:end]: by _decimals, and by float()
+    alone for each token that it does not cover. ValueError as float()."""
+    values, covered = _decimals(raw, start, end)
+    for i in np.flatnonzero(~covered).tolist():
+        # the token's own bytes: positions count bytes of the encoded chunk
+        values[i] = float(raw[start[i]:end[i]].tobytes().decode(errors="surrogatepass"))
+    return values
+
+
 def _chunks(src: TextIO):
     """(first line number, text) of the lines after the column header, read
     CSV_CHUNK characters at a time and cut after the last LF of each read: a
@@ -550,11 +749,12 @@ def _accept(text: str, q: int, resolution: int, cap: int):
     """(index, amplitude) of a chunk's rows if every row passes _check, else
     None. One scan of the chunk's bytes holds its lines to the grammar
     (exactly three ','s and no CR on every line, so no blank line) and finds
-    the field bounds. Array passes over the fields then give up at the first
-    sign that a row may fail: a token that float refuses, a digit token
-    other than 1 to 18 ASCII decimal digits or a lo other than
-    str(resolution - digit count) (dump_csv writes no other), a digit out of
-    range, a non-finite amplitude or a cell past the cap."""
+    the field bounds. Array passes over the fields' bytes then give up at the
+    first sign that a row may fail: an amplitude that float() refuses (read
+    by _read_doubles), a digit token other than 1 to 18 ASCII decimal digits
+    or a lo other than str(resolution - digit count) (dump_csv writes no
+    other), a digit out of range, a non-finite amplitude or a cell past the
+    cap."""
     # a ',', CR or LF byte is that character; a non-ASCII character or a lone
     # surrogate becomes bytes above 127, neither digit nor separator
     raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
@@ -580,20 +780,26 @@ def _accept(text: str, q: int, resolution: int, cap: int):
     field = np.repeat(np.arange(m), np.diff(comma, prepend=-1))
     dist = comma[field] - np.arange(sep.size) + 1   # 1 for a field's last digit
     counts = np.diff(comma, prepend=-1) - (size == 1)
-    fields = text.replace("\n", ",").split(",")
-    lo = fields[0:-1:4]
-    spelled = [str(resolution - n) for n in range(counts.max() + 1)]
-    if lo != list(map(spelled.__getitem__, counts.tolist())):
+    # each row's first bytes, up to its first ',', against the lo it needs,
+    # as whole words of the bytes from the row's start
+    spelled = [b"%d," % (resolution - n) for n in range(counts.max() + 1)]
+    width = -(-max(map(len, spelled)) // 8) * 8
+    expect, keep = (np.array(table, f"S{width}").view("<u8").reshape(len(spelled), -1)
+                    for table in (spelled, [b"\xff" * len(s) for s in spelled]))
+    head = np.ndarray((raw.size, width // 8), "<u8",
+                      np.concatenate((raw, np.zeros(width, np.uint8))), strides=(1, 8))
+    if (head[np.concatenate(([0], at[3:-1:4] + 1))] & keep[counts] != expect[counts]).any():
         return None
+    # re and im of each row in turn: the layout of a complex array
+    bounds = at.reshape(m, 4)
     try:
-        re, im = (np.fromiter(map(float, fields[i::4]), float, m) for i in (2, 3))
+        amplitude = _read_doubles(raw, bounds[:, 1:3].ravel() + 1, bounds[:, 2:].ravel())
     except ValueError:
         return None
     if (digit >= q).any() or (dist[digit != 0] > cap).any() \
-            or not (np.isfinite(re).all() and np.isfinite(im).all()):
+            or not np.isfinite(amplitude).all():
         return None
-    amplitude = np.empty(m, dtype=complex)
-    amplitude.real, amplitude.imag = re, im
+    amplitude = amplitude.view(complex)
     # each digit at cell_index's place value q^(dist - 1), looked up; past the
     # cap every digit is 0, so the clipped place changes nothing
     weight = digit * (q ** np.arange(cap + 1))[np.minimum(dist - 1, cap)]

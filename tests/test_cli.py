@@ -421,18 +421,31 @@ def test_transform_rejects_non_finite_amplitude(tmp_path, capsys, amplitude):
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
-def test_transform_refuses_sums_past_the_largest_double(tmp_path, capsys, direction):
-    # four cells of 1.5e308: their character sums overflow before the
-    # measure factor 1/4 scales them; once a NaN file exited 0
+def test_transform_refuses_a_transform_past_the_largest_double(tmp_path, capsys, direction):
+    # four GF(3) cells of 1.7e308 in B^-1: the exact value at 0 is 4/3 of
+    # 1.7e308; once a NaN file exited 0
     path = tmp_path / "over.csv"
-    path.write_text("# walshframes-stepfn v1 p=2 c=2 modulus=1.1.1 resolution=1\n"
-                    "lo,digits,re,im\n" + "".join(f"0,{d},1.5e308,0.0\n" for d in range(4)))
+    path.write_text("# walshframes-stepfn v1 p=3 c=1 modulus=- resolution=1\n"
+                    "lo,digits,re,im\n1,,1.7e308,0.0\n0,1,1.7e308,0.0\n0,2,1.7e308,0.0\n"
+                    "-1,1.0,1.7e308,0.0\n")
     out = tmp_path / "out.csv"
     assert run(["transform", str(path), "--direction", direction, "--out", str(out)]) == 3
     assert capsys.readouterr().err == (
         f"error: {path}: the {direction} transform overflows: a character sum "
         f"exceeds the largest double\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_transform_past_overflowing_sums_when_the_transform_is_finite(tmp_path, direction):
+    # four GF(4) cells of 1.5e308: the character sums overflow before the
+    # measure factor 1/4 scales them, but the transform is 1.5e308 at 0
+    path = tmp_path / "big.csv"
+    path.write_text("# walshframes-stepfn v1 p=2 c=2 modulus=1.1.1 resolution=1\n"
+                    "lo,digits,re,im\n" + "".join(f"0,{d},1.5e308,0.0\n" for d in range(4)))
+    out = tmp_path / "out.csv"
+    assert run(["transform", str(path), "--direction", direction, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2:] == ["0,,1.5e+308,0.0"]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")

@@ -12,6 +12,7 @@ from oracles import (
     modulate_table,
 )
 
+from walshframes import harmonic
 from walshframes.algebra import FieldConfig, chi, uindex
 from walshframes.errors import InputDataError
 from walshframes.harmonic import fast_inverse_transform, fast_transform
@@ -245,8 +246,29 @@ def test_fourier_table_matches_per_index_sums(cfg, k, seed):
 
 
 @pytest.mark.parametrize("transform", [fast_transform, fast_inverse_transform])
-def test_transform_refuses_sums_past_the_largest_double(transform):
-    # the exact transform of four cells of 1.5e308 is finite, but the sums
-    # are formed before the measure factor: refused, not NaN
+def test_transform_refuses_a_transform_past_the_largest_double(transform):
+    # four GF(3) cells of 1.7e308 in B^-1 at resolution 1: the exact value at
+    # 0 is 4/3 1.7e308; refused, not NaN
+    f = StepFunction(F3, 1, [1.7e308] * 4 + [0.0] * 5, -1)
     with pytest.raises(InputDataError, match="transform overflows"):
-        transform(StepFunction(F4, 1, [1.5e308] * 4))
+        transform(f)
+
+
+@pytest.mark.parametrize("transform", [fast_transform, fast_inverse_transform])
+def test_transform_past_overflowing_sums_when_the_transform_is_finite(transform):
+    # four GF(4) cells of 1.5e308: the character sums overflow before the
+    # measure factor 1/4 scales them, the sums of the scaled table do not
+    g = transform(StepFunction(F4, 1, [1.5e308] * 4))
+    assert (g.resolution, g.lo) == (0, -1)
+    assert g.values.tolist() == [1.5e308, 0, 0, 0]
+
+
+def test_a_finite_transform_keeps_the_bits_of_its_sums_scaled_after():
+    # the sums of the table scaled first round otherwise on this input
+    rng = np.random.default_rng(31)
+    f = StepFunction(F3, 3, rng.standard_normal(27) + 1j * rng.standard_normal(27))
+    for transform, forward in ((fast_transform, True), (fast_inverse_transform, False)):
+        after = harmonic._contract(F3, f.values, 3, forward) * 3.0 ** -3
+        first = harmonic._contract(F3, f.values * 3.0 ** -3, 3, forward)
+        assert after.tobytes() != first.tobytes()
+        assert transform(f).values.tobytes() == after.tobytes()

@@ -2,6 +2,8 @@
 
 import io
 import math
+import os
+import subprocess
 import sys
 from unittest import mock
 
@@ -751,9 +753,20 @@ def test_load_csv_accepts_the_full_size_file_without_row_checks():
                      rng.standard_normal(n) + 1j * rng.standard_normal(n))
     buf = io.StringIO()
     dump_csv(f, buf)
-    g, checks = _load_counting_checks(buf.getvalue())
+    # and the decimal kernel reads every amplitude part: none goes to float()
+    uncovered = []
+    decimals = stepfn._decimals
+
+    def count(*args):
+        values, covered = decimals(*args)
+        uncovered.append(int(np.count_nonzero(~covered)))
+        return values, covered
+
+    with mock.patch.object(stepfn, "_decimals", count):
+        g, checks = _load_counting_checks(buf.getvalue())
     assert checks == 0
     assert g.values.tobytes() == f.values.tobytes()
+    assert len(uncovered) > 1 and not any(uncovered)
 
 
 # ------------------------------------------------ repr of amplitude parts --
@@ -851,6 +864,176 @@ def test_load_csv_checks_row_by_row_only_the_block_that_fails(kind):
     assert checks == 1
     assert new == _load_both("\n".join(lines) + "\n", stepfn.CSV_CHUNK)[1]
     assert new.startswith(f"line {len(lines) - 2}: ")
+
+
+# ------------------------------------------- decimals of amplitude parts --
+
+def _token_bytes(tokens):
+    """The byte array of the tokens, each between two ',', with the start
+    and end of each as _read_doubles takes them."""
+    raw = np.frombuffer(("," + ",".join(tokens) + ",").encode(errors="surrogatepass"),
+                        np.uint8)
+    at = np.flatnonzero(raw == ord(","))
+    return raw, at[:-1] + 1, at[1:]
+
+
+def _kernel_doubles(tokens):
+    """(values, covered) of load_csv's decimal kernel on the tokens, 8192 at
+    a time, about as many as a chunk holds."""
+    parts = [stepfn._decimals(*_token_bytes(tokens[start:start + 8192]))
+             for start in range(0, len(tokens), 8192)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _float_bits(tokens):
+    return np.array([float(token) for token in tokens]).view(np.uint64)
+
+
+def test_decimal_kernel_matches_float_on_random_bit_patterns():
+    # every sign and exponent; repr writes each in the kernel's grammar, and
+    # of them the kernel flags the subnormals alone
+    rng = np.random.default_rng(20261021)
+    x = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64).view(float)
+    x = x[np.isfinite(x)]
+    assert x.size > 10 ** 6
+    tokens = [repr(v) for v in x.tolist()]
+    values, covered = _kernel_doubles(tokens)
+    assert covered.tolist() == ((np.abs(x) >= sys.float_info.min) | (x == 0)).tolist()
+    assert values[covered].tobytes() == x[covered].tobytes()
+    flagged = [t for t, c in zip(tokens, covered.tolist()) if not c]
+    assert stepfn._read_doubles(*_token_bytes(flagged)).tobytes() == x[~covered].tobytes()
+
+
+def test_decimal_kernel_matches_float_at_powers_and_edges():
+    # every power of two and of ten with both neighbours, through repr, and
+    # spelled as integers and as 1e+n; both signs
+    powers = np.array([2.0 ** e for e in range(-1074, 1024)]
+                      + [float(f"1e{e}") for e in range(-323, 309)])
+    x = np.concatenate((powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)))
+    x = x[np.isfinite(x)]
+    tokens = [repr(v) for v in x.tolist()]
+    tokens += [str(2 ** e + d) for e in range(64) for d in (-1, 0, 1) if 2 ** e + d < 10 ** 19]
+    tokens += [str(10 ** e + d) for e in range(19) for d in (-1, 0, 1)]
+    tokens += [f"1e{e:+03d}" for e in range(-345, 312)]
+    # and 19-digit mantissas with exponents outside the kernel's table
+    rng = np.random.default_rng(20261022)
+    tokens += [f"{m}e{e:+04d}" for m, e in zip(
+        rng.integers(10 ** 18, 10 ** 19, 4000, dtype=np.uint64).tolist(),
+        rng.choice(np.r_[-999:-342, 309:1000], 4000).tolist())]
+    n = len(tokens)
+    tokens += ["-" + token for token in tokens]
+    values, covered = _kernel_doubles(tokens)
+    expect = _float_bits(tokens)
+    assert values.view(np.uint64)[covered].tolist() == expect[covered].tolist()
+    # flagged: subnormal, zero or infinite as float() reads it
+    left = np.abs(expect[~covered].view(float))
+    assert ((left < sys.float_info.min) | (left == math.inf)).all()
+    # of the repr tokens, those of zero and of the normal doubles are covered
+    normal = ((x >= sys.float_info.min) | (x == 0)).tolist()
+    assert covered[:x.size].tolist() == covered[n:n + x.size].tolist() == normal
+
+
+@pytest.mark.parametrize("token, covered", [
+    ("9007199254740993", True),             # 2^53 + 1: a tie, to the even 2^53
+    ("9007199254740995", True),             # a tie, to the even 2^53 + 4
+    ("9007199254740993.0", True),
+    ("1e+23", True),                        # just below a tie
+    ("0.2694843964516557", True),           # the product with the low word of
+    ("1.135141561875038e+300", True),       # 5^q carries into the bits kept
+    ("-1.332947074748845e-300", True),
+    ("1e23", False),                        # float() reads it; no sign after the e
+    ("2.2250738585072011e-308", False),     # the largest subnormal
+    ("2.2250738585072012e-308", False),     # rounds up to the smallest normal
+    ("2.2250738585072014e-308", True),      # the smallest normal
+    ("1234567890123456789", True),          # 19 significant digits
+    ("9999999999999999999", True),
+    ("12345678901234567890", False),        # 20
+    ("0.00012345678901234567", True),       # 17 after leading zeros
+    ("0000000000000000000000000001.5", True),
+    ("1.0000000000000000000", False),       # trailing zeros count
+    ("-0.0", True),
+    ("0e+999", True),
+    ("0.0", True),
+    ("5e-324", False),                      # subnormal
+    ("1.7976931348623157e+308", True),      # the largest double
+    ("1.7976931348623158e+308", True),      # rounds down to it
+    ("1.7976931348623159e+308", False),     # overflows
+    ("1e+309", False),
+    ("1e-343", False),                      # below the table
+])
+def test_decimal_kernel_at_its_edges(token, covered):
+    values, flags = _kernel_doubles([token])
+    assert flags.tolist() == [covered]
+    expect = _float_bits([token])
+    if covered:
+        assert values.view(np.uint64).tolist() == expect.tolist()
+    assert stepfn._read_doubles(*_token_bytes([token])).view(np.uint64).tolist() \
+        == expect.tolist()
+
+
+@pytest.mark.parametrize("token", [
+    "1.2.3", "1..2", "1.2e+3.4", "1e+5.0", "1.e+5", "-.5", "--1", "-+1", "1-", "1e+",
+    "e+5", "1e+-5", "1e+1234", "-", "", ".", "1E+5", "1e5", "+1.0", " 1.0", "1.0 ",
+    "1_0.5", ".5", "5.", "١.٥", "infinity", "nan", "-inf", "0x1p3",
+    "1.5\udcff", "1" * 40])
+def test_decimal_kernel_leaves_other_spellings_to_float(token):
+    # and float() reads each, or refuses it, by itself
+    assert _kernel_doubles([token])[1].tolist() == [False]
+    read = _token_bytes([token])
+    try:
+        expect = float(token)
+    except ValueError:
+        with pytest.raises(ValueError):
+            stepfn._read_doubles(*read)
+    else:
+        assert stepfn._read_doubles(*read).tobytes() == np.float64(expect).tobytes()
+
+
+def test_load_csv_refuses_a_decimal_past_the_largest_double():
+    text = ("# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n"
+            "lo,digits,re,im\n0,1,1.7976931348623157e+308,0.0\n"
+            "0,0,1.0,1.7976931348623159e+308\n")
+    new, old = _load_both(text, stepfn.CSV_CHUNK)
+    assert new == old == "line 4: non-finite amplitude"
+
+
+# spellings that float() reads and the decimal kernel leaves to it
+OTHER_SPELLINGS = ("1E5", "+1.0", " 1.0", "1_0.5", ".5", "5.", "١.٥", "infinity")
+
+
+@CSV_EXAMPLES
+@given(csv_functions(), st.sampled_from(CHUNKS),
+       st.lists(st.tuples(st.sampled_from(OTHER_SPELLINGS), st.sampled_from((2, 3))),
+                min_size=1, max_size=4))
+def test_load_csv_reads_other_spellings_like_the_row_reader(case, chunk, spellings):
+    f, seed = case
+    rng = np.random.default_rng(seed)
+    lines = _oracle_text(f).splitlines()
+    if len(lines) == 2:
+        lines.append(f"{f.resolution},,1.0,0.0")
+    for spelling, field in spellings:
+        i = int(rng.integers(2, len(lines)))
+        row = lines[i].split(",")
+        row[field] = spelling
+        lines[i] = ",".join(row)
+    new, old = _load_both("\n".join(lines) + "\n", chunk)
+    assert new == old
+
+
+def test_import_and_verify_leave_the_decimal_tables_unbuilt():
+    # they are built on a CSV's first load, inside the command's work
+    probe = ("import sys, walshframes\n"
+             "from walshframes import cli, stepfn\n"
+             "built = stepfn._decimal_tables.cache_info().currsize\n"
+             "code = cli.main(['verify', '--config', sys.argv[1]])\n"
+             "sys.stderr.write(f'{built} {stepfn._decimal_tables.cache_info().currsize}\\n')\n"
+             "sys.exit(code)\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stepfn.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe, os.path.join(root, "configs", "haar_q2.cfg")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split() == ["0", "0"]
 
 
 # ------------------------------------------------------------- periodic type --
