@@ -10,38 +10,27 @@ check below reduces to finitely many exact evaluations:
   * refinement and wavelet generation in the frequency domain,
   * the partition-of-unity sum over the translation family,
   * the shift-Gram (perfect reconstruction) matrix and a Bessel bound,
-  * frame-coefficient analysis of the dilate/translate system with
-    support-exact truncation of the translation sums, and
-  * the per-scale energy identity and the frame sum of the squared coefficients.
-
-The FrameAnalyzer keeps one MemberBank per (generator, scale) pair and
-translation bound: every translation member the scan can reach, as numpy
-arrays, so a whole suite of test functions is pushed through the same
-system by vectorized reductions.
+  * the per-scale energy identity and the frame sum of the squared
+    coefficients, each energy one product of transforms (see
+    FrameAnalyzer.energies), so no translated member is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .algebra import (
-    FieldConfig,
-    LambdaIndex,
-    SystemConfig,
-    cell_digits,
-    cell_index,
-    digit_count,
-)
+from .algebra import FieldConfig, LambdaIndex, SystemConfig, cell_index, digit_count
 from .errors import ConfigError, DegenerateInput, InputDataError
 from .harmonic import fast_inverse_transform, fast_transform
 from .stepfn import (
     CELL_CAP,
     StepFunction,
-    cell_integrals,
     dilate,
+    inner,
     periodize,
     prune,
     refine,
@@ -54,22 +43,19 @@ from .stepfn import (
 __all__ = [
     "FrameAnalyzer",
     "Mask",
-    "MemberBank",
     "PRUNE_TOL",
     "STRUCTURAL_TOL",
-    "bank_entries",
     "bessel_mask_check",
-    "cell_table",
     "check_partition",
     "derive_generators",
     "energy_balance",
     "iterate_refinement",
     "load_masks",
     "mask_refine",
+    "nu_power",
     "save_masks",
     "sigma_v0",
     "system_member",
-    "translation_digits",
     "uep_gram",
     "wavelet_generators",
 ]
@@ -131,15 +117,22 @@ class Mask:
 
 # --------------------------------------------------- frequency-side products --
 
-def mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig) -> StepFunction:
+def mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig,
+                step: int | None = None) -> StepFunction:
     """xi -> mask(w xi) * phi_hat(w xi) with w = t * nu^(-1), exact cellwise:
-    the refinement product for the low-pass mask, a wavelet's transform for
-    a high-pass one."""
+    the refinement product for the low-pass mask (of the given step), a
+    wavelet's transform for a high-pass one. ConfigError if it overflows,
+    rather than letting prune read its NaN cells as zero."""
     g = refine(phi_hat, max(phi_hat.resolution, mask.constancy_resolution))
     # the mask repeats its table on D across every lattice translate of D
     m = np.resize(refine(mask.table, g.resolution).values, g.values.size)
-    return rescale(StepFunction(sys.field, g.resolution, g.values * m, g.lo),
-                   sys.nu, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = g.values * m
+    if not np.isfinite(product).all():
+        name = f"mask {sys.masks.index(mask)}" if mask in sys.masks else "a mask"
+        at = "" if step is None else f" in refinement step {step}"
+        raise ConfigError(f"the product with {name}{at} exceeds the largest double")
+    return rescale(StepFunction(sys.field, g.resolution, product, g.lo), sys.nu, -1)
 
 
 def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunction:
@@ -149,8 +142,8 @@ def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunc
     if iterations < 0:
         raise ConfigError("iteration count must be nonnegative")
     phi_hat = unit_ball(sys.field)
-    for _ in range(iterations):
-        phi_hat = prune(mask_refine(phi_hat, m0, sys), PRUNE_TOL)
+    for step in range(1, iterations + 1):
+        phi_hat = prune(mask_refine(phi_hat, m0, sys, step), PRUNE_TOL)
     return phi_hat
 
 
@@ -237,109 +230,30 @@ def system_member(l: int, j: int, idx: LambdaIndex, sys: SystemConfig,
     return g
 
 
-def translation_digits(sys: SystemConfig, j: int, n: np.ndarray,
-                       delta: np.ndarray, lo: int, hi: int) -> dict[int, np.ndarray]:
-    """Digits of mu = (t nu^(-1))^j lambda(n, delta) at the exponents in
-    [lo, hi), one array entry per index; exponent -> digit array.
-
-    D^j T_lambda g = T_mu D^j g, so these are the translations that carry
-    member (l, j, 0) onto the others. Digits of mu at or above the member
-    resolution are cut, exactly as translate() truncates lambda.
-    """
-    cfg = sys.field
-    unit = cfg.gf_inv(sys.nu) if j >= 0 else sys.nu
-    c = 1
-    for _ in range(abs(j)):
-        c = cfg.gf_mul(c, unit)
-    theta = sys.theta if delta.any() else cfg.zero()
-    width = max(0 if theta.is_zero else -theta.valuation(),
-                digit_count(sys.q, int(n.max(initial=0))))
-    out = {}
-    # the cell of u(n) has index n at resolution 0
-    for e, d in cell_digits(sys.q, n, 0, -width):
-        if not lo <= e + j < hi:
-            continue
-        t = theta.coefficient(e)
-        if t:
-            d = np.where(delta == 1, cfg.add_table[d, t], d)
-        out[e + j] = cfg.mul_table[c, d]
-    return out
+def nu_power(sys: SystemConfig, j: int) -> int:
+    """nu^j in GF(q), for any integer j: nu^(q-1) = 1."""
+    return functools.reduce(sys.field.gf_mul, [sys.nu] * (j % (sys.q - 1)), 1)
 
 
-def bank_entries(l: int, j: int, rows: int, arrays: int, index: int) -> int:
-    """Integer entries a build of bank (l, j) holds at once: `arrays` arrays of
-    `rows` entries and the index table of `index`, with the digit plane added
-    into it (MemberBank). ConfigError above CELL_CAP, before any exists; the
-    member's own table is capped as a table, at load or by stepfn.window."""
-    count = arrays * rows + 2 * index
-    if count > CELL_CAP:
-        raise ConfigError(f"the member bank of generator {l} at scale {j} needs "
-                          f"{count} table entries, above the cap of {CELL_CAP}")
-    return count
+def _table(f: StepFunction, lo: int, k: int) -> np.ndarray:
+    """f's table over B^lo / B^k, for f.lo <= lo and f.resolution <= k: the
+    cells of f's window inside B^lo, refined to resolution k."""
+    q, r = f.cfg.q, f.resolution
+    values = f.values[..., :1] if lo >= r else f.values[..., :q ** (r - lo)]
+    return np.repeat(values, q ** (k - max(r, lo)), axis=-1)
 
 
-class MemberBank:
-    """Every reachable translate of one dilated generator h = member (l, j, 0).
-
-    All members of a (generator, scale) pair share h's nonzero cell values,
-    so the bank stores those once (conjugated) plus, per row, the table
-    indices of the cells x + mu_row, x running over h's nonzero cells and
-    mu_row over the rows' translations. An index is the cell's position in
-    every table at h's resolution whose window holds the cell (see stepfn).
-    Memory grows like rows x member cells. Each row is reduced on its own,
-    so an entry does not depend on how many rows the bank holds.
-
-    mu maps an exponent to the digit of each row's translation there; rows
-    are shaped by `shape`, and `weights` (broadcast against them) counts
-    each row in the bank's energy.
-    """
-
-    __slots__ = ("resolution", "conj_values", "cells", "weights")
-
-    def __init__(self, h: StepFunction, mu: Mapping[int, np.ndarray],
-                 shape: tuple[int, ...], weights):
-        q, k = h.cfg.q, h.resolution
-        x = np.flatnonzero(h.values)
-        lo = min([h.lo] + [e for e in mu if e < k])
-        if (k - lo) * math.log2(q) > 62:
-            raise ConfigError("member window too wide for 64-bit cell indices")
-        add = h.cfg.add_table
-        # one digit of x + mu at a time, added into idx in place
-        idx = cell_index(q, ((e, add[mu[e][:, None], d] if e in mu else d)
-                             for e, d in cell_digits(q, x, k, lo)),
-                         k, out=np.zeros((int(np.prod(shape)), x.size), dtype=np.int64))
-        self.resolution = k
-        self.conj_values = np.conj(h.values[x])
-        self.cells = idx.reshape(*shape, x.size)
-        self.weights = weights
-
-    def gather(self, f: StepFunction, lo: int, tables: dict) -> np.ndarray:
-        """f's cell integrals (cell_table over B^lo, a member cell outside it
-        reading the sentinel) over the rows' cells times conj(h): summed over
-        the last axis, <f, member> per row, per function of a block. A sum, not
-        a BLAS matrix product, which would make an entry depend on how many
-        rows are reduced with it."""
-        integrals = cell_table(f, lo, self.resolution, tables)
-        # the largest table of a check
-        gathered = integrals[..., np.minimum(self.cells, integrals.shape[-1] - 1)]
-        gathered *= self.conj_values
-        return gathered
-
-    def energy(self, products: np.ndarray) -> np.ndarray:
-        """sum over the rows of a gather of weights * |<f, member>|^2, each
-        coefficient the sum of its row's products; per function of a block."""
-        rows = tuple(range(1 - self.cells.ndim, 0))
-        return np.sum(self.weights * np.abs(products.sum(axis=-1)) ** 2, axis=rows)
-
-
-def cell_table(f: StepFunction, lo: int, K: int, tables: dict) -> np.ndarray:
-    """f's cell integrals at resolution K over the window down to B^min(lo, K),
-    ending in a zero sentinel for every member cell outside that window;
-    tables keeps one per K, so that the banks of a check form it once."""
-    if K not in tables:
-        table = cell_integrals(f.window(min(lo, K)).values, f.resolution, K, f.cfg.q)
-        tables[K] = np.concatenate((table, np.zeros(table.shape[:-1] + (1,))), axis=-1)
-    return tables[K]
+def _folded_norm2(a: StepFunction, b: StepFunction) -> tuple[np.ndarray, int]:
+    """(q^k ||periodize(a conj(b))||^2 over D per function of a block a, k):
+    the product is formed at resolution k over the smaller of the windows."""
+    q, lo = a.cfg.q, max(a.lo, b.lo)
+    k = max(a.resolution, b.resolution, lo)
+    F = _table(a, lo, k) * np.conj(_table(b, lo, k))
+    if k <= 0:   # constant on D: a cell holds q^-k lattice points
+        return np.abs(F.sum(axis=-1)) ** 2 * float(q) ** -k, k
+    if lo < 0:   # sum over the digits at negative exponents
+        F = F.reshape(F.shape[:-1] + (-1, q ** k)).sum(axis=-2)
+    return np.sum(np.abs(F) ** 2, axis=-1), k
 
 
 def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +269,9 @@ def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 class FrameAnalyzer:
-    """Coefficient analysis against one system, one member bank per (l, j)
-    and translation bound (see _scan). The checks take one function, or a
-    block with one number per function."""
+    """Coefficient analysis against one system. The checks take one
+    function, or a block with one number per function; _members keeps the
+    transform of each generator, formed on first use."""
 
     __slots__ = ("sys", "generators", "_members")
 
@@ -366,89 +280,76 @@ class FrameAnalyzer:
             raise ConfigError("need at least the refinable generator")
         self.sys = sys
         self.generators = tuple(generators)
-        self._members: dict[tuple[int, int, int], MemberBank] = {}
+        self._members: dict[int, StepFunction] = {}
 
     def member(self, l: int, j: int, idx: LambdaIndex) -> StepFunction:
         """The member D^j T_lambda(idx) g_l as a step function."""
         return system_member(l, j, idx, self.sys, self.generators)
 
-    def _scan(self, l: int, j: int, lf: int) -> tuple[int, int]:
-        """(bound, cells) of bank (l, j): every branch's translations n < bound,
-        and the index entries of their rows. Those outside B^A, A = min(lf - j,
-        ball(g_l)), cannot meet a function in B^lf, so the scan is provably
-        exhaustive. The entries are counted, and checked (bank_entries), from
-        g_l's nonzero cells before any build: member (l, j, 0) has no more,
-        as the zero translation and each dilation only move cells."""
-        exp = max(0, j - lf, -self.generators[l].support_ball())
-        if self.sys.branches == 2:
-            exp = max(exp, -self.sys.theta.valuation())
-        B, bound = self.sys.branches, self.sys.q ** exp
-        cells = B * bound * np.count_nonzero(self.generators[l].values)
-        # the labels n and delta, the digits of n < bound, three in flight
-        bank_entries(l, j, B * bound, exp + 5, cells)
-        return bound, cells
-
-    def _bank(self, l: int, j: int, lf: int) -> MemberBank:
-        """The bank of (l, j) over _scan's translations, rows shaped (delta, n),
-        one per (l, j, bound)."""
-        bound = self._scan(l, j, lf)[0]
-        got = self._members.get((l, j, bound))
-        if got is None:
-            h = self.member(l, j, LambdaIndex(0, 0))
-            B = self.sys.branches
-            mu = translation_digits(self.sys, j, np.tile(np.arange(bound), B),
-                                    np.repeat(np.arange(B), bound), -math.inf, h.resolution)
-            got = self._members[(l, j, bound)] = MemberBank(h, mu, (B, bound), 1)
-        return got
+    def _transform(self, l: int) -> StepFunction:
+        if l not in self._members:
+            self._members[l] = fast_transform(self.generators[l])
+        return self._members[l]
 
     def coefficient_row(self, f: StepFunction, l: int, j: int) -> dict[LambdaIndex, complex]:
-        """All <f, member(l, j, idx)> whose supports overlap, for one f; the
-        scan is exhaustive (see _scan)."""
-        lf = f.support_ball()
-        bank = self._bank(l, j, lf)
-        products = bank.gather(f, lf, {})
-        # a member meets f's support where the indicator of f's nonzero cells
-        # has a nonzero integral over one of its cells
+        """All <f, member(l, j, idx)> whose supports overlap, for one f, member
+        by member. The scan is exhaustive: a translation outside B^A,
+        A = min(ball(f) - j, ball(g_l)), cannot meet f's support."""
+        exp = max(0, j - f.support_ball(), -self.generators[l].support_ball())
+        if self.sys.branches == 2:
+            exp = max(exp, -self.sys.theta.valuation())
+        if not within_cap(self.sys.q, exp):
+            raise ConfigError(f"the coefficient row of generator {l} at scale {j} scans "
+                              f"q^{exp} translations, above the cap of {CELL_CAP}")
         ind = StepFunction(f.cfg, f.resolution, f.values != 0, f.lo)
-        hit = (bank.gather(ind, lf, {}) != 0).any(axis=-1)
-        return {LambdaIndex(int(n), int(delta)): complex(products[delta, n].sum())
-                for delta, n in zip(*np.nonzero(hit))}
+        row = {}
+        for delta in range(self.sys.branches):
+            for idx in (LambdaIndex(n, delta) for n in range(self.sys.q ** exp)):
+                h = self.member(l, j, idx)
+                # the supports overlap where |h| has a nonzero integral over f's cells
+                if inner(ind, StepFunction(h.cfg, h.resolution, np.abs(h.values), h.lo)):
+                    row[idx] = inner(f, h)
+        return row
 
     def energies(self, f: StepFunction, j0: int, j1: int) -> tuple[np.ndarray, np.ndarray]:
         """(S, W) over the scales j0..j1 in folded_energies' layout: per scale,
         then per function of a block, the summed |<f, member>|^2 of the scaling
-        bank (S) and of the wavelet banks (W, to j1 - 1). Each bank is gathered once."""
-        tables: dict = {}
+        generator (S) and of the wavelet generators (W, to j1 - 1).
+
+        By Plancherel and the fiberization identity of Ron and Shen (1997),
+        the members of (l, j) give B s^(2j) ||periodize(F)||^2 over D, with
+        F(xi) = f^(a^j xi) conj(g_l^(xi)), a = t^(-1) nu, s the dilation
+        amplitude and B the branch count: the offset branch is the lattice
+        relabelled. Multiplying xi by the unit nu^-j maps the lattice and D
+        onto themselves, so F may take f^(t^-j xi) conj(g_l^(nu^-j xi)): f^
+        is transformed once, and only its window moves with j."""
+        fhat = fast_transform(f)
         S = np.zeros((j1 - j0 + 1,) + f.values.shape[:-1])
         W = np.zeros_like(S[1:])
-        lf = f.support_ball()
+        B, s2, q = self.sys.branches, self.sys.dilation_amplitude ** 2, self.sys.q
         for l, j in self._pairs(j0, j1):   # W adds generator l = 1, 2, ... in turn
-            bank = self._bank(l, j, lf)
-            (W if l else S)[j - j0] += bank.energy(bank.gather(f, lf, tables))
+            fj = StepFunction(f.cfg, fhat.resolution + j, fhat.values, fhat.lo + j)
+            norm2, k = _folded_norm2(fj, rescale(self._transform(l), nu_power(self.sys, j), 0))
+            # s^(2j) q^-k as (s^2 / q)^j q^(j - k), exact in unitary mode
+            (W if l else S)[j - j0] += B * (s2 / q) ** j * float(q) ** (j - k) * norm2
         return S, W
 
     def _pairs(self, j0: int, j1: int) -> Iterator[tuple[int, int]]:
-        """The (l, j) of every bank the checks over [j0, j1) read, one at a time."""
+        """The (l, j) of every energy the checks over [j0, j1) read, one at a time."""
         yield from ((0, j) for j in range(j0, j1 + 1))
         yield from ((l, j) for l in range(1, len(self.generators)) for j in range(j0, j1))
 
     def table_width(self, k: int, j0: int, j1: int) -> int:
         """Entries one function on D at resolution k adds to the largest table
-        the checks over [j0, j1) form: a bank's gather, the cell integrals at
-        its resolution K, or the function over B^K when K < 0. In _pairs order,
-        every bank is counted and checked by _scan, and its digit count against
-        the cap before any power of q is formed; none is built: its resolution
-        is g_l's moved by j dilations."""
-        q, width = self.sys.q, 0
-        for l, j in self._pairs(j0, j1):
-            cells = self._scan(l, j, 0)[1]
-            K = self.generators[l].resolution + j
-            digits = max(K, k - min(K, 0))
-            if not within_cap(q, digits):
-                raise ConfigError(f"the tables of generator {l} at scale {j} need "
-                                  f"q^{digits} cells, above the cap of {CELL_CAP}")
-            width = max(width, cells, q ** max(K, 0) + 1, q ** (k - min(K, 0)))
-        return width
+        the checks over [j0, j1) form: its j1 - j0 + 1 energies, checked
+        first, its transform, or a product with a generator's transform,
+        which holds no more cells than the larger of the two."""
+        if j1 - j0 + 1 > CELL_CAP:
+            raise ConfigError(f"the energies of scales {j0} to {j1} need {j1 - j0 + 1} "
+                              f"entries per function, above the cap of {CELL_CAP}")
+        q = self.sys.q
+        return max(j1 - j0 + 1, q ** k,
+                   *(q ** (g.resolution - g.support_ball()) for g in self.generators))
 
     def two_scale_check(self, f: StepFunction, j: int):
         """energy_balance's residual across one scale step of the summed

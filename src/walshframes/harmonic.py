@@ -9,7 +9,8 @@ digitwise tensor contraction that factors the character matrix into k - l
 contractions of size q x q.
 
 Mask values are transforms too: framekit evaluates every mask through
-fast_transform.
+fast_transform. A block of tables (leading axes) contracts in one call,
+which the frame energies use for a block of test functions.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ __all__ = [
 
 def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
               forward: bool) -> np.ndarray:
-    """Character sum of a table of q^m cells, without the measure factor.
+    """Character sum of each table of q^m cells along the last axis, without
+    the measure factor; any leading axes are a block of tables.
 
     Input digit i (most significant first) pairs with output digit m-1-i
     through chi, so a table over B^l / B^k maps to a table over
@@ -37,12 +39,15 @@ def _contract(cfg: FieldConfig, values: np.ndarray, m: int,
     """
     # chi reads coordinate 0 of a product, its residue mod p
     W = cfg.root_table[(-cfg.mul_table if forward else cfg.mul_table) % cfg.p]
-    T = values.reshape((cfg.q,) * m)
+    lead = values.shape[:-1]
+    # one matrix product per digit: it contracts the leading input digit and
+    # appends its dual output digit, so with the block axis put last the
+    # block ends up first, and the final order only needs a reversal
+    T = values.reshape(-1, cfg.q ** m).T
     for _ in range(m):
-        # contract the leading input digit; its dual output digit lands
-        # at the end, so the final order only needs a reversal
-        T = np.tensordot(T, W, axes=([0], [1]))
-    return T.transpose(tuple(reversed(range(m)))).reshape(-1)
+        T = T.reshape(cfg.q, -1).T @ W.T
+    T = T.reshape((-1,) + (cfg.q,) * m).transpose((0,) + tuple(range(m, 0, -1)))
+    return T.reshape(lead + (-1,))
 
 
 def _apply(f: StepFunction, forward: bool) -> StepFunction:

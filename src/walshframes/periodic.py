@@ -6,6 +6,14 @@ system at scale j carries the integer labels 0 <= label < (qN)^j. The
 checks in this module are the folded counterparts of the frame checks:
 a projection-energy scan across scales, the per-scale energy balance,
 and the full tight-frame sum with an explicit truncation tail.
+
+The folded energies come from the Fourier side. For f on D, Poisson
+summation gives <f, periodize(h)> = sum_n f^(u(n)) conj(h^(u(n))), and
+for the member h of label lambda at scale j, h^(u(n)) = e_n
+conj(chi(u(n) mu)) with e_n = s^j q^-j g_l^(a^-j u(n)), a = t^(-1) nu and
+mu = a^-j lambda. So the coefficients of all labels at scale j are one
+inverse character sum R(z) of f^(u(n)) conj(e_n), read at the digits z of
+mu on D, and no folded member is built.
 """
 
 from __future__ import annotations
@@ -14,33 +22,54 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import LambdaIndex, cell_digits, cell_index
+from .algebra import cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import (MemberBank, bank_entries, energy_balance, system_member,
-                       translation_digits)
-from .stepfn import StepFunction, periodize
+from .framekit import energy_balance, nu_power, system_member
+from .harmonic import _contract, fast_transform
+from .stepfn import CELL_CAP, StepFunction, periodize, refine, rescale
 
 __all__ = [
     "PeriodicSystemSpec",
     "folded_energies",
+    "label_entries",
+    "lattice_samples",
     "periodic_tightness_check",
     "periodic_two_scale_check",
     "projection_energy_scan",
 ]
 
 
-class PeriodicSystemSpec:
-    """Generators plus a scale cap, with one folded member bank per (l, j).
+def label_entries(l: int, j: int, rows: int, arrays: int) -> int:
+    """Integer entries the label counts of (l, j) hold at once: `arrays`
+    arrays of `rows` entries. ConfigError above CELL_CAP, before any exists."""
+    count = arrays * rows
+    if count > CELL_CAP:
+        raise ConfigError(f"the label counts of generator {l} at scale {j} need "
+                          f"{count} table entries, above the cap of {CELL_CAP}")
+    return count
 
-    A folded member depends on its translation only through the digits that
-    land at exponents 0..j-1 after j dilations, so the (qN)^j labels of
-    scale j fold onto at most q^j distinct members. The bank of (l, j) keeps
-    each distinct member once, weighted by its integer label count; the
-    weights sum to exactly (qN)^j, so a degenerate family counts every
+
+def lattice_samples(g: StepFunction, m: int) -> np.ndarray:
+    """g at the lattice points u(n), n < q^m, per function of a block: the
+    value on the cell of u(n) at resolution max(res(g), 0). g's window may
+    not reach past B^-m."""
+    g = refine(g, max(g.resolution, 0))
+    return g.window(-m).values.reshape(g.values.shape[:-1] + (-1, g.cfg.q ** g.resolution))[..., 0]
+
+
+class PeriodicSystemSpec:
+    """Generators plus a scale cap; _members keeps, per (l, j), the label
+    counts of the translations on D and the lattice samples e of the member.
+
+    A folded member depends on its translation only through the digits z of
+    mu that land at exponents 0..m-1, m = min(j, K) with K the folded
+    member's resolution, so the (qN)^j labels of scale j fold onto at most
+    q^m distinct members. Each counts with its integer label count; the
+    counts sum to exactly (qN)^j, so a degenerate family counts every
     coinciding member as often as it is indexed and nothing is deduplicated.
     """
 
-    __slots__ = ("sys", "generators", "j_max", "_members")
+    __slots__ = ("sys", "generators", "j_max", "_members", "_transforms")
 
     def __init__(self, sys, generators: Sequence[StepFunction], j_max: int):
         if not generators:
@@ -50,13 +79,17 @@ class PeriodicSystemSpec:
         self.sys = sys
         self.generators = tuple(generators)
         self.j_max = j_max
-        self._members: dict[tuple[int, int], MemberBank] = {}
+        self._members: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._transforms: dict[int, StepFunction] = {}
 
-    def bank(self, l: int, j: int) -> MemberBank:
-        """The bank of (l, j), each row weighted by its label count. On D, the
-        translations of scale j have digits below the exponent m = min(j, K)
-        only, taking all q^m values there; row r is the one whose digits are
-        r's at resolution m."""
+    def _resolution(self, l: int, j: int) -> int:
+        """K, the resolution of the folded members of (l, j)."""
+        return max(self.generators[l].resolution + j, 0)
+
+    def samples(self, l: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, e) of (l, j): weights[z] the label count of the digits z
+        of mu at resolution m, and e_n = s^j q^-j g_l^(a^-j u(n)) for
+        n < q^K, the only n where it can be nonzero."""
         got = self._members.get((l, j))
         if got is None:
             sys = self.sys
@@ -64,24 +97,33 @@ class PeriodicSystemSpec:
             if L > np.iinfo(np.int64).max:   # the label counts below are int64
                 raise ConfigError(f"scale {j} of the folded system has (qN)^{j} = "
                                   f"{sys.qN}^{j} labels, too many to count in 64 bits")
-            h = periodize(system_member(l, j, LambdaIndex(0, 0), sys,
-                                        self.generators))
-            q, B, m = sys.q, sys.branches, min(j, h.resolution)
+            q, B, K = sys.q, sys.branches, self._resolution(l, j)
+            m = min(j, K)
             # residues, label counts, the labels n and delta, m digits, three in flight
-            bank_entries(l, j, B * q ** j, m + 7, q ** m * np.count_nonzero(h.values))
+            label_entries(l, j, B * q ** j, m + 7)
             # only n mod q^j reaches D after j dilations, so count the labels
             # of each residue instead of enumerating all (qN)^j of them
             residues = np.arange(q ** j)
             per_branch = (L,) if B == 1 else ((L + 1) // 2, L // 2)
-            counts = np.concatenate([c // q ** j + (residues < c % q ** j) for c in per_branch])
-            mu = translation_digits(sys, j, np.tile(residues, B),
-                                    np.repeat(np.arange(B), residues.size), 0, h.resolution)
+            counts = np.concatenate([size // q ** j + (residues < size % q ** j)
+                                     for size in per_branch])
+            n, delta = np.tile(residues, B), np.repeat(np.arange(B), residues.size)
+            # the digits of mu = a^-j lambda at the exponents e of D, as
+            # D^j T_lambda g = T_mu D^j g: nu^-j times lambda's digit at e - j,
+            # base-q digit j-1-e of n, plus theta's
+            cfg, c = sys.field, nu_power(sys, -j)
+            mu = {e: cfg.mul_table[c, cfg.add_table[n // q ** (j - 1 - e) % q,
+                                                    delta * sys.theta.coefficient(e - j)]]
+                  for e in range(m)}
             weights = np.zeros(q ** m, dtype=np.int64)
             np.add.at(weights, cell_index(q, mu.items(), m,
                                           out=np.zeros(counts.size, dtype=np.int64)), counts)
-            del mu, residues, counts   # not alive while the bank is built
-            got = self._members[(l, j)] = MemberBank(
-                h, dict(cell_digits(q, np.arange(q ** m), m, 0)), (q ** m,), weights)
+            del mu, residues, counts, n, delta
+            if l not in self._transforms:
+                self._transforms[l] = fast_transform(self.generators[l])
+            ghat = rescale(self._transforms[l], nu_power(sys, j), -j)
+            e = lattice_samples(ghat, K) * (sys.dilation_amplitude ** j * float(q) ** -j)
+            got = self._members[(l, j)] = (weights, e)
         return got
 
     def member(self, l: int, j: int, label: int) -> StepFunction:
@@ -94,29 +136,51 @@ class PeriodicSystemSpec:
         return periodize(system_member(l, j, self.sys.branch_index(label), self.sys,
                                        self.generators))
 
-    def table_width(self) -> int:
-        """Entries one function adds to the largest table the folded checks
-        form: a bank's gather or f's cell table (cell_table) at the bank's resolution.
-        Each bank's label arrays are counted first, from the resolution of its
-        member, max(res_l + j, 0): a refusal comes before any member is formed."""
-        q, B, scales = self.sys.q, self.sys.branches, range(self.j_max + 1)
-        for l, g in enumerate(self.generators):
-            for j in scales:
-                bank_entries(l, j, B * q ** j, min(j, max(g.resolution + j, 0)) + 7, 0)
-        banks = (self.bank(l, j) for l in range(len(self.generators)) for j in scales)
-        return max(max(b.cells.size, q ** b.resolution + 1) for b in banks)
+    def _groups(self, k: int) -> dict[int, list[tuple[int, int]]]:
+        """The (l, j) of every energy, by the digit count min(k, m) of their
+        character sums for a function at resolution k."""
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for l in range(len(self.generators)):
+            for j in range(self.j_max + 1):
+                groups.setdefault(min(k, j, self._resolution(l, j)), []).append((l, j))
+        return groups
+
+    def table_width(self, k: int) -> int:
+        """Entries one function at resolution k adds to the largest table the
+        folded checks form: its transform, or the stacked character sums of
+        the pairs of one digit count. Every pair's label arrays are counted
+        first, so a refusal comes before any of them is formed."""
+        q, B = self.sys.q, self.sys.branches
+        for l in range(len(self.generators)):
+            for j in range(self.j_max + 1):
+                label_entries(l, j, B * q ** j, min(j, self._resolution(l, j)) + 7)
+        return max([q ** k] + [len(pairs) * q ** d for d, pairs in self._groups(k).items()])
 
 
 def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
     """(S, W, ||f||^2, residuals, total), S and W of shape (j_max + 1,) + block
     shape: S[j] the scaling energy of f at scale j, W[j] its wavelet energy
-    (summed over the wavelet generators), each bank reduced once, and
-    energy_balance(S, W) of them. The checks below take them as `energies`,
-    so that a block forms each of them once."""
-    tables: dict = {}
-    banks = [[spec.bank(l, j) for j in range(spec.j_max + 1)]
-             for l in range(len(spec.generators))]
-    E = np.array([[b.energy(b.gather(f, 0, tables)) for b in row] for row in banks])
+    (summed over the wavelet generators), and energy_balance(S, W) of them.
+    The checks below take them as `energies`, so that a block forms each of
+    them once.
+
+    The energy of (l, j) is sum_z weights[z] |R(z)|^2 (see the module
+    docstring). f^ is zero past n = q^k and R reads the low min(k, m) digits
+    of n only, so f^ conj(e) is folded onto those digits first; the pairs
+    that share that digit count take one inverse character sum together."""
+    k = f.resolution
+    fhat = lattice_samples(fast_transform(f.window(0)), k)
+    E = np.zeros((len(spec.generators), spec.j_max + 1) + f.values.shape[:-1])
+    for d, pairs in spec._groups(k).items():
+        folded, weights = [], []
+        for l, j in pairs:
+            w, e = spec.samples(l, j)
+            F = fhat[..., :e.size] * np.conj(e[:fhat.shape[-1]])
+            folded.append(F.reshape(F.shape[:-1] + (-1, spec.sys.q ** d)).sum(axis=-2))
+            weights.append(w.reshape(spec.sys.q ** d, -1).sum(axis=1))
+        R = _contract(spec.sys.field, np.array(folded), d, forward=False)
+        for (l, j), w, r in zip(pairs, weights, R):
+            E[l, j] = np.sum(w * np.abs(r) ** 2, axis=-1)
     S, W = E[0], E[1:].sum(axis=0)
     return (S, W, f.norm2()) + energy_balance(S, W)
 

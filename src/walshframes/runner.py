@@ -410,7 +410,7 @@ def periodic_report(rc: RunConfig) -> dict:
     finite_js = set()
     first_scan = None
     worst_residual = worst_tightness = worst_tail = 0.0
-    for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, spec.table_width()):
+    for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, spec.table_width(rc.resolution)):
         energies = folded_energies(f, spec)   # (S, W, ||f||^2, residuals, total)
         Js, S = projection_energy_scan(f, rc.epsilon, spec, energies)
         if first_scan is None:

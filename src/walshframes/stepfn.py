@@ -44,7 +44,6 @@ __all__ = [
     "StepFunction",
     "cell_digits",
     "cell_index",
-    "cell_integrals",
     "digit_count",
     "dilate",
     "dump_csv",
@@ -73,15 +72,6 @@ CELL_CAP = 2 ** 24
 def within_cap(q: int, digits: int) -> bool:
     """Whether a window of q^digits cells stays within CELL_CAP."""
     return digits < 64 and q ** digits <= CELL_CAP
-
-
-def cell_integrals(values: np.ndarray, k: int, K: int, q: int) -> np.ndarray:
-    """Integral of a table over B^lo / B^k over each cell of resolution K,
-    lo <= K: the table of the same window at resolution K (row by row)."""
-    if k >= K:
-        return values.reshape(*values.shape[:-1], -1, q ** (k - K)).sum(axis=-1) \
-            * float(q) ** (-k)
-    return np.repeat(values, q ** (K - k), axis=-1) * float(q) ** (-K)
 
 
 class StepFunction:
@@ -163,7 +153,7 @@ class StepFunction:
         if resolution == k:
             return self
         return StepFunction(self.cfg, resolution,
-                            np.repeat(self.values, self.cfg.q ** (resolution - k)),
+                            np.repeat(self.values, self.cfg.q ** (resolution - k), axis=-1),
                             self.lo)
 
     def inner(self, other: "StepFunction") -> complex:
@@ -728,21 +718,19 @@ def _read_doubles(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
 
 
 def _chunks(src: TextIO):
-    """(first line number, text) of the lines after the column header, read
-    CSV_CHUNK characters at a time and cut after the last LF of each read: a
-    line longer than a read waits for its LF, and the file's last line gets
-    one if it lacks it, so that every text ends in LF."""
-    first, rest = 3, []
+    """The text of the lines after the column header, read CSV_CHUNK
+    characters at a time and cut after the last LF of each read: a line
+    longer than a read waits for its LF, and the file's last line gets one
+    if it lacks it, so that every text ends in LF."""
+    rest = []
     while data := src.read(CSV_CHUNK):
         cut = data.rfind("\n") + 1
         if cut:
-            text = "".join(rest) + data[:cut]
-            yield first, text
-            first += text.count("\n")
+            yield "".join(rest) + data[:cut]
             rest = []
         rest.append(data[cut:])
     if text := "".join(rest):
-        yield first, text + "\n"
+        yield text + "\n"
 
 
 def _accept(text: str, q: int, resolution: int, cap: int):
@@ -895,15 +883,15 @@ def load_csv(src: str | TextIO) -> StepFunction:
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
     parsed, error = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))], None
-    for first, text in _chunks(src):
-        if cells := _accept(text, q, resolution, cap):
-            parsed.append(cells)
-            continue
-        *cells, error = _check(first, text[:-1].split("\n"), q, resolution, cap)
+    # every line after the column header is a row: row i is on line 3 + i
+    first = 3
+    for text in _chunks(src):
+        if not (cells := _accept(text, q, resolution, cap)):
+            *cells, error = _check(first, text[:-1].split("\n"), q, resolution, cap)
         parsed.append(cells)
         if error is not None:
             break
-    # every line after the column header is a row: row i is on line 3 + i
+        first += cells[0].size
     index, amplitude = (np.concatenate(part) for part in zip(*parsed))
     width = digit_count(q, int(index.max(initial=0)))
     seen = np.zeros(q ** width, dtype=bool)

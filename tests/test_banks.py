@@ -1,13 +1,15 @@
-"""Member banks against the per-translation loops they replace.
+"""Frame energies from the Fourier side against per-translation loops.
 
 The oracles below are the loop routes: a support scan that builds every
 member as a step function and takes one dict inner product per overlapping
 translation, projections summed member by member, and the folded energy
-summed over every label of a scale. The banks must agree with them to
-1e-12 relative on every system, including the degenerate nonuniform
-family, a nontrivial dilation unit and an extension field. A bank build
-must stay within the entries bank_entries counts for it, or allocate
-nothing row-sized when the count passes the cap.
+summed over every label of a scale. The energies the library forms from
+transforms (FrameAnalyzer.energies, folded_energies) must agree with them
+to 1e-12 of the Cauchy-Schwarz scale on every system, including the
+degenerate nonuniform family, a nontrivial dilation unit, an extension
+field and functions off D. The label counts of a folded pair must stay
+within the entries label_entries counts for them, or allocate nothing
+row-sized when the count passes the cap.
 """
 
 import math
@@ -19,28 +21,30 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import character_table
 
 from walshframes import framekit, periodic, runner
-from walshframes.algebra import FieldConfig, LambdaIndex, SystemConfig, cell_index
+from walshframes.algebra import FieldConfig, LambdaIndex, SystemConfig, cell_index, digit_count
 from walshframes.errors import ConfigError
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
-    bank_entries,
     derive_generators,
     load_masks,
+    nu_power,
     system_member,
-    translation_digits,
 )
+from walshframes.harmonic import fast_transform
 from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
+    label_entries,
     periodic_tightness_check,
     periodic_two_scale_check,
     projection_energy_scan,
 )
 from walshframes.runner import RunConfig, periodic_report, verify_report
-from walshframes.stepfn import StepFunction, from_cells, inner, periodize
+from walshframes.stepfn import StepFunction, from_cells, inner, periodize, refine
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -164,8 +168,8 @@ def _expand(name, row, l, j):
 
 
 def oracle_energies(name, f, l, j):
-    """(sum |c|^2, <P f, f>) with P f summed member by member: the check of
-    the bank cell indices, against the library's one energy of the bank."""
+    """(sum |c|^2, <P f, f>) with P f summed member by member, against the
+    library's energy of (l, j)."""
     row = oracle_coefficient_row(name, f, l, j)
     return _energy(row), inner(_expand(name, row, l, j), f)
 
@@ -206,11 +210,16 @@ def _check_rows(name, f, j_range, wide=()):
             scale = _scale(f, gens[l])
             for idx, c in want.items():
                 assert _close(got[idx], c, scale), (name, l, j, idx)
-            bank = an._bank(l, j, f.support_ball())
-            energy = bank.energy(bank.gather(f, f.support_ball(), {}))
+            energy = _energy_of(name, f, l, j)
             o_energy, o_proj = oracle_energies(name, f, l, j)
             assert _close(energy, o_energy, scale ** 2)
             assert _close(energy, o_proj, scale ** 2)
+
+
+def _energy_of(name, f, l, j):
+    """The library's energy of generator l at scale j alone: the scaling
+    energy of an analyzer that holds g_l only."""
+    return FrameAnalyzer(SYSTEMS[name], (GENERATORS[name][l],)).energies(f, j, j)[0][0]
 
 
 def _check_sums(name, f, j0, j1):
@@ -278,18 +287,24 @@ def test_bank_row_of_a_shipped_suite_function():
 
 
 def test_bank_grows_without_changing_entries():
+    # the analyzer keeps one transform per generator, formed on first use: a
+    # function on B^-1, which reaches q times more translations at scale 2,
+    # adds nothing to it and changes no energy of the first function
     name = "fourier_q3"
     an = FrameAnalyzer(SYSTEMS[name], GENERATORS[name])
     f = random_step(SYSTEMS[name].field, 0, 3, 11, False)
-    first = an.coefficient_row(f, 1, 2)
-    (key, bank), = an._members.items()
-    cells = bank.cells.copy()
-    # a function on B^-1 reaches q times more translations at scale 2
+    first = an.coefficient_row(f, 1, 2), an.energies(f, 0, 3)
+    kept = dict(an._members)
+    assert sorted(kept) == [0, 1, 2]
+    for l, ghat in kept.items():
+        assert ghat == fast_transform(GENERATORS[name][l])
     g = random_step(SYSTEMS[name].field, -1, 2, 12, False)
     an.coefficient_row(g, 1, 2)
-    assert sorted(an._members) == [key, (1, 2, key[2] * 3)]
-    assert an._members[key] is bank and np.array_equal(bank.cells, cells)
-    assert an.coefficient_row(f, 1, 2) == first
+    an.energies(g, 0, 3)
+    assert all(an._members[l] is ghat for l, ghat in kept.items())
+    row, (S, W) = an.coefficient_row(f, 1, 2), an.energies(f, 0, 3)
+    assert row == first[0]
+    assert np.array_equal(S, first[1][0]) and np.array_equal(W, first[1][1])
 
 
 def test_zero_inputs_give_empty_rows():
@@ -335,11 +350,15 @@ def test_folded_energies_match_label_loop(name, resolution, seed):
 
 
 def _folded_rows(sys, j, K):
-    """The bank row of each of the (qN)^j labels at scale j, from the
-    translation digits of a folded bank of resolution K."""
-    n, delta = np.array([sys.branch_index(s) for s in range(sys.qN ** j)]).T
-    mu = translation_digits(sys, j, n, delta, 0, K)
-    return cell_index(sys.q, mu.items(), min(j, K), out=np.zeros(n.size, dtype=np.int64))
+    """The row of each of the (qN)^j labels at scale j: the digits on D of
+    its translation mu = a^-j lambda, by FieldElement arithmetic, as an index
+    at resolution min(j, K)."""
+    m, c = min(j, K), nu_power(sys, -j)
+    rows = []
+    for label in range(sys.qN ** j):
+        mu = sys.lambda_element(sys.branch_index(label)).scale(c).shift(j)
+        rows.append(cell_index(sys.q, [(e, d) for e, d in mu.terms if 0 <= e < m], m))
+    return np.array(rows, dtype=np.int64)
 
 
 def _folded_spec(name):
@@ -351,25 +370,28 @@ def _folded_spec(name):
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_folded_members_match_periodized_members(name):
-    # each row of a folded bank, its cells scattered into a table, is bit for
-    # bit the periodized member of one label of that row, and member is it
+    # member is bit for bit the periodized member of its label, and the
+    # lattice samples e of its pair, times the character of the label's
+    # translation mu, are that member's Fourier coefficients
     spec = _folded_spec(name)
-    sys, q = spec.sys, spec.sys.q
+    sys, cfg = spec.sys, spec.sys.field
     for l in range(len(spec.generators)):
         for j in range(spec.j_max + 1):
-            bank = spec.bank(l, j)
-            K = bank.resolution
-            rows = _folded_rows(sys, j, K)
-            for r in range(bank.cells.shape[0]):
-                label = int(np.flatnonzero(rows == r)[0])
-                values = np.zeros(q ** K, dtype=complex)
-                values[bank.cells[r]] = np.conj(bank.conj_values)
-                want = periodize(system_member(l, j, sys.branch_index(label), sys,
-                                               spec.generators))
-                assert want.resolution == K and want.lo == 0
-                assert np.array_equal(values, want.values), (l, j, r, label)
+            _, e = spec.samples(l, j)
+            L = sys.qN ** j
+            for label in sorted({0, L - 1} | set(range(0, L, max(1, L // 7)))):
+                idx = sys.branch_index(label)
+                want = periodize(system_member(l, j, idx, sys, spec.generators))
+                K = want.resolution
+                assert want.lo == 0 and e.size == cfg.q ** K
                 got = spec.member(l, j, label)
                 assert got.resolution == K and np.array_equal(got.values, want.values)
+                coeffs = refine(fast_transform(want), 0).window(-K).values
+                mu = sys.lambda_element(idx).scale(nu_power(sys, -j)).shift(j)
+                chars = character_table(cfg, mu, 0, -K)
+                scale = math.sqrt(want.norm2()) or 1.0
+                assert np.abs(coeffs - e * np.conj(chars)).max() <= REL * scale, \
+                    (l, j, label)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -380,10 +402,9 @@ def test_folded_weights_count_every_label(name):
     sys = spec.sys
     for l in range(len(spec.generators)):
         for j in range(spec.j_max + 1):
-            bank = spec.bank(l, j)
-            weights = bank.weights
+            weights, e = spec.samples(l, j)
             assert int(weights.sum()) == sys.qN ** j
-            rows = _folded_rows(sys, j, bank.resolution)
+            rows = _folded_rows(sys, j, digit_count(sys.q, e.size - 1))
             assert np.array_equal(np.bincount(rows, minlength=weights.size), weights)
             # the label count of each folded translation, by brute force
             digits = Counter(
@@ -391,7 +412,7 @@ def test_folded_weights_count_every_label(name):
                       for i in range(j))
                 for s in range(sys.qN ** j))
             assert sorted(weights.tolist()) == sorted(digits.values())
-            assert bank.cells.shape[0] == len(digits)
+            assert weights.size == len(digits)
 
 
 # ------------------------------------------------------------- bank sizes --
@@ -414,51 +435,56 @@ def bank_systems(draw):
     return sys, derive_generators(sys, iterations), iterations
 
 
-@pytest.mark.parametrize("name", ["fourier_q3", "haar_q2", "haar_q2_perturbed",
-                                  "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5"])
-def test_bank_count_from_the_generator_matches_the_member(name):
-    # the count is formed from g_l before member (l, j, 0) is built; it is
-    # the count of the built member's cells on every pair a shipped run reads
+SHIPPED = ["fourier_q3", "haar_q2", "haar_q2_perturbed", "nonuniform_q2_N3_r1",
+           "nonuniform_q2_N3_r5"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_table_width_bounds_every_product(monkeypatch, name):
+    # every table the energies form for a function, over scales well below
+    # and above the report's, holds at most the width table_width counts
     rc = RunConfig.load(os.path.join(CONFIGS, name + ".cfg"))
     an = FrameAnalyzer(rc.sys, derive_generators(rc.sys, rc.cascade_iterations))
-    B, q = rc.sys.branches, rc.sys.q
-    with mock.patch.object(framekit, "bank_entries", wraps=bank_entries) as counted:
-        width = an.table_width(rc.resolution, rc.j0, rc.j1)
-        assert not an._members   # every bank counted, none built
-        for l, j in an._pairs(rc.j0, rc.j1 + 3):
-            bound, cells = an._scan(l, j, 0)
-            assert counted.call_args.args[4] == cells
-            h = an.member(l, j, LambdaIndex(0, 0))
-            assert cells == B * bound * np.count_nonzero(h.values)
-    # the width the built banks give
-    banks = [an._bank(l, j, 0) for l, j in an._pairs(rc.j0, rc.j1)]
-    assert width == max(max(bank.cells.size, q ** max(bank.resolution, 0) + 1,
-                            q ** (rc.resolution - min(bank.resolution, 0)))
-                        for bank in banks)
+    j0, j1 = rc.j0 - 3, rc.j1 + 6
+    width = an.table_width(rc.resolution, j0, j1)
+    sizes = []
+    table = framekit._table
+
+    def spy(*args):
+        out = table(*args)
+        sizes.append(out.shape[-1])
+        return out
+
+    monkeypatch.setattr(framekit, "_table", spy)
+    f = next(runner.suite_blocks(rc.cfg, rc.resolution, 3, rc.seed))
+    an.energies(f, j0, j1)
+    assert sizes and max(sizes) <= width
 
 
-@pytest.mark.parametrize("name", ["fourier_q3", "haar_q2", "haar_q2_perturbed",
-                                  "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_folded_count_before_any_member_matches_the_build(name):
-    # table_width counts every folded bank's label arrays from g_l's
-    # resolution before any member exists: the rows and arrays of the build
+    # table_width counts every folded pair's label arrays from g_l's
+    # resolution before any pair is formed: the rows and arrays of the build
     rc = RunConfig.load(os.path.join(CONFIGS, name + ".cfg"))
     spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, rc.cascade_iterations),
                               rc.j_max + 3)
-    with mock.patch.object(periodic, "bank_entries", wraps=bank_entries) as counted:
-        spec.table_width()
-    calls = [c.args for c in counted.call_args_list]
-    first, built = calls[:len(calls) // 2], calls[len(calls) // 2:]
-    assert [c[:4] for c in first] == [c[:4] for c in built]
-    assert all(c[4] == 0 for c in first) and all(c[4] > 0 for c in built)
+    with mock.patch.object(periodic, "label_entries", wraps=label_entries) as counted:
+        spec.table_width(rc.resolution)
+        assert not spec._members
+        first = [c.args for c in counted.call_args_list]
+        for l in range(len(spec.generators)):
+            for j in range(spec.j_max + 1):
+                spec.samples(l, j)
+    built = [c.args for c in counted.call_args_list][len(first):]
+    assert first == built
+    assert [c[:2] for c in first] == sorted(spec._members)
 
 
-@pytest.mark.parametrize("name", ["fourier_q3", "haar_q2", "haar_q2_perturbed",
-                                  "nonuniform_q2_N3_r1", "nonuniform_q2_N3_r5"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
-    # every bank cache a report creates, kept as the benchmark's cache probe
-    # keeps them: one bank per (l, j) the checks read, over a suite drawn
-    # one function per block
+    # every cache a report creates, kept as the benchmark's cache probe keeps
+    # them, over a suite drawn one function per block: verify keeps one
+    # transform per generator, periodic one entry per (l, j)
     monkeypatch.setattr(runner, "SUITE_BLOCK", 1)
     caches = {FrameAnalyzer: [], PeriodicSystemSpec: []}
     for cls in caches:
@@ -470,54 +496,43 @@ def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
     rc = RunConfig.load(os.path.join(CONFIGS, name + ".cfg"))
     verify_report(rc)
     periodic_report(rc)
-    L, scales = len(rc.sys.masks), rc.j1 - rc.j0
-    (banks,), (folded,) = caches[FrameAnalyzer], caches[PeriodicSystemSpec]
-    assert len(banks) == (scales + 1) + (L - 1) * scales
-    assert len({key[:2] for key in banks}) == len(banks)
+    L = len(rc.sys.masks)
+    (transforms,), (folded,) = caches[FrameAnalyzer], caches[PeriodicSystemSpec]
+    assert sorted(transforms) == list(range(L))
     assert sorted(folded) == [(l, j) for l in range(L) for j in range(rc.j_max + 1)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(bank_systems(), st.integers(0, 2), st.integers(-3, 16), st.booleans())
-def test_bank_entries_bound_each_build(system, l, j, folded):
+@given(bank_systems(), st.integers(0, 2), st.integers(0, 16))
+def test_label_entries_bound_each_build(system, l, j):
     sys, gens, iterations = system
     K = max(m.constancy_resolution for m in sys.masks)
     assert max(g.values.size for g in gens) <= sys.q ** (K + iterations)
     l %= len(gens)
-    # up to about 2^16 rows, and a folded member of at most 2^16 cells
+    # up to about 2^16 label rows, and samples of at most 2^16 cells
     top = int(16 // math.log2(sys.q)) - sys.branches + 1
-    j = max(0, min(j, top - max(gens[l].resolution, 0))) if folded else min(j, top)
-    # the member is formed outside the trace: its table is capped on its own
-    h = system_member(l, j, LambdaIndex(0, 0), sys, gens)
-    h = periodize(h) if folded else h
+    j = max(0, min(j, top - max(gens[l].resolution, 0)))
     seen = {}
 
     def spy(*args):
-        seen["index"] = args[-1]
-        seen["count"] = bank_entries(*args)
+        seen["count"] = label_entries(*args)
         return seen["count"]
 
     cap = 2 ** 20
-    with mock.patch.object(framekit, "CELL_CAP", cap), \
-            mock.patch.object(framekit, "bank_entries", spy), \
-            mock.patch.object(periodic, "bank_entries", spy), \
-            mock.patch.object(framekit, "system_member", lambda *args: h), \
-            mock.patch.object(periodic, "system_member", lambda *args: h), \
-            mock.patch.object(periodic, "periodize", lambda member: member):
+    spec = PeriodicSystemSpec(sys, gens, j)
+    with mock.patch.object(periodic, "CELL_CAP", cap), \
+            mock.patch.object(periodic, "label_entries", spy):
         tracemalloc.start()
         try:
-            if folded:
-                bank = PeriodicSystemSpec(sys, gens, j).bank(l, j)
-            else:
-                bank = FrameAnalyzer(sys, gens)._bank(l, j, 0)
+            weights, e = spec.samples(l, j)
         except ConfigError as exc:
             assert f"scale {j}" in str(exc) and str(cap) in str(exc)
-            bank = None
+            weights = None
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    if bank is None:
+    if weights is None:
         # refused before a row-sized array: the rows alone would need 8 MiB
         assert "count" not in seen and peak < 2 ** 20
     else:
-        assert seen["index"] == bank.cells.size
-        assert peak <= 8 * seen["count"] + 2 ** 20
+        # the label arrays, and the generator's transform and samples
+        assert peak <= 8 * seen["count"] + 48 * e.size + 2 ** 20

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -150,7 +151,10 @@ def test_verify_forms_each_mask_table_and_phi_hat_once(config, tables):
     rc = RunConfig.load(os.path.join(CONFIGS, config))
     with _counting("fast_transform", "iterate_refinement") as calls:
         runner.verify_report(rc)
-    assert calls["fast_transform"].call_count == tables == len(rc.sys.masks)
+    # besides the mask tables: each generator's transform, and the suite's
+    # one block
+    assert tables == len(rc.sys.masks)
+    assert calls["fast_transform"].call_count == tables + len(rc.sys.masks) + 1
     assert calls["iterate_refinement"].call_count == 1
 
 
@@ -199,7 +203,9 @@ def test_verify_seed_flag_changes_suite_but_not_verdict(tmp_path):
     ra, rb = load_report(a), load_report(b)
     assert ra["config"]["seed"] == 1 and rb["config"]["seed"] == 2
     assert ra["verdicts"]["overall"] and rb["verdicts"]["overall"]
-    assert ra["two_scale"]["max_residual"] != rb["two_scale"]["max_residual"]
+    # both suites check at roundoff, so one of the two numbers may coincide
+    assert (ra["two_scale"]["max_residual"], ra["frame_ratio"]["max_abs_deviation"]) != \
+        (rb["two_scale"]["max_residual"], rb["frame_ratio"]["max_abs_deviation"])
 
 
 def _qn_masks(tmp_path, name):
@@ -919,16 +925,19 @@ def test_scale_options_are_capped_before_allocation(tmp_path, capsys, option,
     assert str(CELL_CAP) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, option", [("verify", "j1"), ("periodic", "j_max")])
+@pytest.mark.parametrize("command, option, named", [
+    ("verify", "j1", "scales 0 to 1000000000"), ("periodic", "j_max", "at scale")])
 def test_bank_scales_are_capped_before_allocation(tmp_path, capsys, monkeypatch,
-                                                  command, option):
-    # a bank scale has no load-time bound: each bank is checked before it is built
+                                                  command, option, named):
+    # a scale has no load-time bound: verify counts its energies per function,
+    # periodic the label arrays of each pair before it forms them
     cfg = _scales_cfg(tmp_path, "haar_q2.masks", **{option: 10 ** 9},
                       cascade_iterations=0)
     assert getattr(RunConfig.load(cfg), option) == 10 ** 9
-    # at a small cap, the run never holds the rows of a refused bank
+    # at a small cap, the run never holds the rows of a refused table
     cap = 2 ** 12
     monkeypatch.setattr(framekit, "CELL_CAP", cap)
+    monkeypatch.setattr(periodic, "CELL_CAP", cap)
     tracemalloc.start()
     try:
         assert run([command, "--config", cfg]) == 2
@@ -936,19 +945,21 @@ def test_bank_scales_are_capped_before_allocation(tmp_path, capsys, monkeypatch,
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert "at scale" in err and f"the cap of {cap}" in err
+    assert named in err and f"the cap of {cap}" in err
     assert peak < 8 * cap + 2 ** 20
 
 
-@pytest.mark.parametrize("command, option, built", [
-    ("verify", "j1", [(framekit, "MemberBank")]),
-    ("periodic", "j_max", [(periodic, "system_member"), (periodic, "periodize")]),
+@pytest.mark.parametrize("command, option, built, error", [
+    ("verify", "j1", [(framekit, "_folded_norm2")],
+     "the energies of scales 0 to 1000000000 need 1000000001 entries per function"),
+    ("periodic", "j_max", [(periodic, "system_member"), (periodic, "fast_transform")],
+     "the label counts of generator 0 at scale 20 need 28311552 table entries"),
 ], ids=["verify", "periodic"])
 def test_a_huge_scale_is_refused_before_any_bank_is_built(tmp_path, capsys, command,
-                                                          option, built):
-    # every bank's count is checked before the first bank is built, a folded
-    # one before its member is formed, so the bank of scale 20 is refused
-    # while no smaller one exists
+                                                          option, built, error):
+    # verify refuses the energy arrays of a huge scale range before it forms
+    # any energy; periodic checks the label arrays of every pair before it
+    # forms any, so scale 20 is refused while no smaller pair is built
     with open(os.path.join(CONFIGS, "haar_q2.cfg")) as fh:
         body = fh.read().replace(f"{option} = 4\n", f"{option} = 1000000000\n").replace(
             "file = ", "file = " + CONFIGS + os.sep)
@@ -959,9 +970,7 @@ def test_a_huge_scale_is_refused_before_any_bank_is_built(tmp_path, capsys, comm
                  for module, name in built]
         assert run([command, "--config", cfg]) == 2
     assert [c.call_count for c in calls] == [0] * len(built)
-    assert capsys.readouterr().err == (
-        "error: the member bank of generator 0 at scale 20 needs 28311552 table "
-        f"entries, above the cap of {CELL_CAP}\n")
+    assert capsys.readouterr().err == f"error: {error}, above the cap of {CELL_CAP}\n"
 
 
 def test_a_coarse_j0_is_refused_by_verify(tmp_path, capsys):
@@ -974,7 +983,7 @@ def test_a_coarse_j0_is_refused_by_verify(tmp_path, capsys):
     assert run(["verify", "--config", cfg]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert str(CELL_CAP) in err and f"at scale {-10 ** 9}" in err
+    assert str(CELL_CAP) in err and f"scales {-10 ** 9} to " in err
     assert run(["periodic", "--config", cfg, "--out", str(tmp_path / "p.json")]) == 0
 
 
@@ -984,6 +993,45 @@ def test_fourier_q3_runs_at_resolution_6(tmp_path, command):
             "[scales]\nj1 = 6\nj_max = 6\n\n[suite]\ncount = 5\nresolution = 6\n")
     cfg = write_cfg(tmp_path, "", 3, body=body)
     assert run([command, "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify", "periodic", "dump-wavelets"])
+def test_an_overflowing_refinement_product_is_refused(tmp_path, capsys, command):
+    # haar_q2's masks times 1e300: the second refinement product passes the
+    # largest double, whose NaN cells prune used to read as zero, so that
+    # dump-wavelets wrote an empty phi.csv and exited 0
+    with open(os.path.join(CONFIGS, "haar_q2.masks")) as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) == 4:
+            lines[i] = f"{parts[0]} {parts[1]} {float(parts[2]) * 1e300!r} {parts[3]}"
+    masks = tmp_path / "big.masks"
+    masks.write_text("\n".join(lines) + "\n")
+    with open(os.path.join(CONFIGS, "haar_q2.cfg")) as fh:
+        body = fh.read().replace("file = haar_q2.masks", f"file = {masks}")
+    cfg = write_cfg(tmp_path, "", 2, body=body)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "error: the product with mask 0 in refinement step 2 exceeds the largest double\n")
+    assert not (out / "phi.csv").exists() and not (command != "dump-wavelets" and out.exists())
+
+
+def test_verify_runs_far_past_the_scales_a_bank_could_hold(tmp_path):
+    # every energy is one product of transforms, so haar_q2 at j1 = 24, whose
+    # member bank at scale 20 was refused, runs and balances at roundoff
+    body = (f"[masks]\nfile = {os.path.join(CONFIGS, 'haar_q2.masks')}\n\n"
+            "[scales]\nj1 = 24\n\n[suite]\ncount = 20\nresolution = 4\n")
+    cfg = write_cfg(tmp_path, "", 2, body=body)
+    out = str(tmp_path / "r.json")
+    assert run(["verify", "--config", cfg, "--out", out]) == 0
+    report = load_report(out)
+    assert report["config"]["j1"] == 24 and report["config"]["resolution"] == 4
+    assert report["two_scale"]["max_residual"] < 1e-12
 
 
 def test_dump_wavelets_builds_no_bank(tmp_path):

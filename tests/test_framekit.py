@@ -392,25 +392,24 @@ def test_coefficient_rows_haar_orthonormal_expansion():
 
 
 def test_coefficient_rows_stable_across_bank_rebuilds():
-    # a function of wider support adds a wider bank beside every bank; the
-    # banks and the rows of the first function must not change with it
+    # a function of wider support scans more translations; the rows of the
+    # first function, and the generator transforms the energies keep, must
+    # not change with it
     rng = np.random.Generator(np.random.PCG64(502))
     sys = haar_system()
     gens = derive_generators(sys, 2)
     f = random_domain_step(F2, 3, rng)
     an = FrameAnalyzer(sys, gens)
     first = _wavelet_rows(an, f, range(0, 3))
-    banks = dict(an._members)
-    cells = {key: bank.cells.copy() for key, bank in banks.items()}
+    energies = an.energies(f, 0, 3)
+    kept = dict(an._members)
+    assert sorted(kept) == [0, 1]
     wide = from_cells(F2, 0, {F2.element({-2: 1}): 1.0})
     _wavelet_rows(an, wide, range(0, 3))
-    assert len(an._members) == 2 * len(banks)
-    for (l, j, bound), bank in banks.items():
-        assert an._members[l, j, bound] is bank
-        assert np.array_equal(bank.cells, cells[l, j, bound])
-        wider = max(b for (l2, j2, b) in an._members if (l2, j2) == (l, j))
-        assert an._members[l, j, wider].cells.size > bank.cells.size
+    an.energies(wide, 0, 3)
+    assert an._members == kept and all(an._members[l] is kept[l] for l in kept)
     assert _wavelet_rows(an, f, range(0, 3)) == first
+    assert all(np.array_equal(a, b) for a, b in zip(an.energies(f, 0, 3), energies))
 
 
 def test_coefficient_rows_zero_function():

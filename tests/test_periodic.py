@@ -9,8 +9,7 @@ from oracles import allclose, character_table
 from walshframes import periodic, runner
 from walshframes.algebra import FieldConfig, SystemConfig, uindex
 from walshframes.errors import ConfigError, DegenerateInput, TruncationError
-from walshframes.framekit import (FrameAnalyzer, Mask, MemberBank, derive_generators,
-                                 energy_balance)
+from walshframes.framekit import FrameAnalyzer, Mask, derive_generators, energy_balance
 from walshframes.harmonic import fast_transform
 from walshframes.periodic import (
     PeriodicSystemSpec,
@@ -286,7 +285,7 @@ def test_periodic_report_forms_one_energy_balance_per_block(monkeypatch):
     rc = RunConfig.load(config)
     spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, 4), rc.j_max)
     # blocks of 7 functions: 100 = 14 * 7 + 2
-    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width())
+    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width(rc.resolution))
     sizes = []
 
     def counted(S, W):
@@ -305,15 +304,21 @@ def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
     rc = RunConfig.load(config)
     spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, 4), rc.j_max)
     # blocks of 7 functions: 100 = 14 * 7 + 2
-    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width())
-    calls = collections.Counter()
-    sizes = collections.Counter()
-    gather = MemberBank.gather
+    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width(rc.resolution))
+    sums = collections.Counter()
+    contract = periodic._contract
 
-    def counted(bank, f, lo, tables):
-        calls[bank] += 1
-        sizes[f.values.shape[0]] += 1
-        return gather(bank, f, lo, tables)
+    def counted(cfg, values, m, forward):
+        # the pairs of one digit count, then the functions of the block
+        sums[values.shape[:2]] += 1
+        return contract(cfg, values, m, forward)
+
+    builds = collections.Counter()
+    samples = PeriodicSystemSpec.samples
+
+    def counted_samples(self, l, j):
+        builds[l, j] += (l, j) not in self._members
+        return samples(self, l, j)
 
     norms = collections.Counter()
     norm2 = StepFunction.norm2
@@ -322,12 +327,14 @@ def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
         norms[f.values.shape[0] if f.values.ndim > 1 else None] += 1
         return norm2(f)
 
-    monkeypatch.setattr(MemberBank, "gather", counted)
+    monkeypatch.setattr(periodic, "_contract", counted)
+    monkeypatch.setattr(PeriodicSystemSpec, "samples", counted_samples)
     monkeypatch.setattr(StepFunction, "norm2", counted_norm2)
     periodic_report(rc)
-    # one bank per (l, j), each gathered once per block
-    assert list(calls.values()) == [15] * 2 * (rc.j_max + 1)
-    assert sizes == {7: 14 * len(calls), 2: len(calls)}
+    # the samples of each (l, j) are formed once; each block takes one
+    # character sum per digit count min(k, j) = j, over both generators
+    assert builds == {(l, j): 1 for l in range(2) for j in range(rc.j_max + 1)}
+    assert sums == {(2, 7): 14 * (rc.j_max + 1), (2, 2): rc.j_max + 1}
     # folded_energies forms ||f||^2 and both checks that need it read it there
     assert norms == {7: 14, 2: 1}
 

@@ -45,7 +45,7 @@ def _width(rc, command):
     gens = derive_generators(rc.sys, rc.cascade_iterations)
     if command == "verify":
         return FrameAnalyzer(rc.sys, gens).table_width(rc.resolution, rc.j0, rc.j1)
-    return PeriodicSystemSpec(rc.sys, gens, rc.j_max).table_width()
+    return PeriodicSystemSpec(rc.sys, gens, rc.j_max).table_width(rc.resolution)
 
 
 def _block_of(rc, command, functions):
@@ -177,11 +177,11 @@ def test_block_reports_match_one_at_a_time_loop(monkeypatch, block_sizes, name,
 @pytest.mark.parametrize("name", ["haar_q2", "fourier_q3"])
 def test_block_reports_match_one_at_a_time_loop_below_scale_zero(monkeypatch,
                                                                 block_sizes, name):
-    # banks coarser than D: the block is widened to B^K, K < 0, and the
-    # width counts that table
+    # scales below 0 move f^'s window up, widening no table: the transform
+    # of a function stays the widest one
     rc = dataclasses.replace(_config(name), j0=-2, count=10)
     width = _width(rc, "verify")
-    assert width >= rc.cfg.q ** (rc.resolution + 2)
+    assert width == rc.cfg.q ** rc.resolution
     monkeypatch.setattr(runner, "SUITE_BLOCK", 4 * width)
     _check_verify(verify_report(rc), verify_numbers(rc))
     assert block_sizes == [4, 4, 2]
