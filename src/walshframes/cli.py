@@ -89,11 +89,14 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command in ("field-info", "uindex"):
+    if args.command == "field-info":
         rc = RunConfig.load(args.config, need_masks=False)
-        report = field_info_report(rc) if args.command == "field-info" \
-            else uindex_report(rc, args.count)
-        _emit(render_report(report), args.out)
+        _emit(render_report(field_info_report(rc)), args.out)
+        return 0
+
+    if args.command == "uindex":
+        rc = RunConfig.load(args.config, need_masks=False)
+        _emit(render_report(uindex_report(rc, args.count)), args.out)
         return 0
 
     if args.command == "transform":
@@ -110,9 +113,15 @@ def _dispatch(args: argparse.Namespace) -> int:
             dump_csv(g, sys.stdout if args.out is None else args.out)
         return 0
 
-    if args.command in ("verify", "periodic"):
+    if args.command == "verify":
         rc = RunConfig.load(args.config, seed=args.seed)
-        report = verify_report(rc) if args.command == "verify" else periodic_report(rc)
+        report = verify_report(rc)
+        _emit(render_report(report), args.out)
+        return 0 if report["verdicts"]["overall"] else 1
+
+    if args.command == "periodic":
+        rc = RunConfig.load(args.config, seed=args.seed)
+        report = periodic_report(rc)
         _emit(render_report(report), args.out)
         return 0 if report["verdicts"]["overall"] else 1
 

@@ -243,17 +243,17 @@ def _table(f: StepFunction, lo: int, k: int) -> np.ndarray:
     return np.repeat(values, q ** (k - max(r, lo)), axis=-1)
 
 
-def _folded_norm2(a: StepFunction, b: StepFunction) -> tuple[np.ndarray, int]:
-    """(q^k ||periodize(a conj(b))||^2 over D per function of a block a, k):
-    the product is formed at resolution k over the smaller of the windows."""
+def _folded_norm2(a: StepFunction, b: StepFunction) -> np.ndarray:
+    """q^k ||periodize(a conj(b))||^2 over D per function of a block a, formed
+    at resolution k = max(res(a), res(b)) over the smaller of the windows."""
     q, lo = a.cfg.q, max(a.lo, b.lo)
     k = max(a.resolution, b.resolution, lo)
     F = _table(a, lo, k) * np.conj(_table(b, lo, k))
     if k <= 0:   # constant on D: a cell holds q^-k lattice points
-        return np.abs(F.sum(axis=-1)) ** 2 * float(q) ** -k, k
+        return np.abs(F.sum(axis=-1)) ** 2 * float(q) ** -k
     if lo < 0:   # sum over the digits at negative exponents
         F = F.reshape(F.shape[:-1] + (-1, q ** k)).sum(axis=-2)
-    return np.sum(np.abs(F) ** 2, axis=-1), k
+    return np.sum(np.abs(F) ** 2, axis=-1)
 
 
 def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,10 +262,15 @@ def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
     residuals[i] = |S[i+1] - (S[i] + W[i])|, the two-scale balance of step i;
     total = S[0] + W[0] + ... + W[n-1], added in that order: the frame sum."""
     n = len(S) - 1
-    total = S[0]
-    for w in W[:n]:
-        total = total + w
+    total = np.cumsum(np.concatenate((S[:1], W[:n])), axis=0)[-1]
     return np.abs(S[1:] - (S[:-1] + W[:n])), total
+
+
+def _generator_transform(owner, l: int) -> StepFunction:
+    """g_l^ of owner's generators, kept in owner._members under the key l."""
+    if l not in owner._members:
+        owner._members[l] = fast_transform(owner.generators[l])
+    return owner._members[l]
 
 
 class FrameAnalyzer:
@@ -285,11 +290,6 @@ class FrameAnalyzer:
     def member(self, l: int, j: int, idx: LambdaIndex) -> StepFunction:
         """The member D^j T_lambda(idx) g_l as a step function."""
         return system_member(l, j, idx, self.sys, self.generators)
-
-    def _transform(self, l: int) -> StepFunction:
-        if l not in self._members:
-            self._members[l] = fast_transform(self.generators[l])
-        return self._members[l]
 
     def coefficient_row(self, f: StepFunction, l: int, j: int) -> dict[LambdaIndex, complex]:
         """All <f, member(l, j, idx)> whose supports overlap, for one f, member
@@ -322,32 +322,45 @@ class FrameAnalyzer:
         amplitude and B the branch count: the offset branch is the lattice
         relabelled. Multiplying xi by the unit nu^-j maps the lattice and D
         onto themselves, so F may take f^(t^-j xi) conj(g_l^(nu^-j xi)): f^
-        is transformed once, and only its window moves with j."""
+        is transformed once, and only its window moves with j. Up to the scale
+        lo(g_l^) - res(f^), F is f^(0) times g_l^ with its cells permuted by
+        nu^-j, and from max(res(g_l^), 0) - lo(f^) on, f^ times g_l^(0): the
+        norm is formed at the scales between and kept for the rest, and only
+        s^(2j) q^-k = (s^2 / q)^j q^(j - k), k = max(res(f^) + j, res(g_l^)),
+        moves with j there."""
         fhat = fast_transform(f)
         S = np.zeros((j1 - j0 + 1,) + f.values.shape[:-1])
         W = np.zeros_like(S[1:])
         B, s2, q = self.sys.branches, self.sys.dilation_amplitude ** 2, self.sys.q
-        for l, j in self._pairs(j0, j1):   # W adds generator l = 1, 2, ... in turn
-            fj = StepFunction(f.cfg, fhat.resolution + j, fhat.values, fhat.lo + j)
-            norm2, k = _folded_norm2(fj, rescale(self._transform(l), nu_power(self.sys, j), 0))
-            # s^(2j) q^-k as (s^2 / q)^j q^(j - k), exact in unitary mode
-            (W if l else S)[j - j0] += B * (s2 / q) ** j * float(q) ** (j - k) * norm2
+        for l in range(len(self.generators)):   # W adds generator l = 1, 2, ... in turn
+            ghat, E = _generator_transform(self, l), W if l else S
+            last = j0 + len(E) - 1   # E may be empty: then one empty slice below
+            js = np.arange(j0, last + 1).reshape((-1,) + (1,) * (S.ndim - 1))
+            scale = B * (s2 / q) ** js * float(q) ** np.minimum(
+                -fhat.resolution, js - ghat.resolution)
+            c0 = min(max(j0, ghat.lo - fhat.resolution), last)
+            c1 = max(min(last, max(ghat.resolution, 0) - fhat.lo), c0)
+            for c in range(c0, c1 + 1):
+                fc = StepFunction(f.cfg, fhat.resolution + c, fhat.values, fhat.lo + c)
+                at = slice(0 if c == c0 else c - j0, None if c == c1 else c - j0 + 1)
+                E[at] += scale[at] * _folded_norm2(fc, rescale(ghat, nu_power(self.sys, c), 0))
         return S, W
-
-    def _pairs(self, j0: int, j1: int) -> Iterator[tuple[int, int]]:
-        """The (l, j) of every energy the checks over [j0, j1) read, one at a time."""
-        yield from ((0, j) for j in range(j0, j1 + 1))
-        yield from ((l, j) for l in range(1, len(self.generators)) for j in range(j0, j1))
 
     def table_width(self, k: int, j0: int, j1: int) -> int:
         """Entries one function on D at resolution k adds to the largest table
         the checks over [j0, j1) form: its j1 - j0 + 1 energies, checked
         first, its transform, or a product with a generator's transform,
-        which holds no more cells than the larger of the two."""
+        which holds no more cells than the larger of the two. A range whose
+        energy factor B (s^2 / q)^j1 passes the largest double is refused."""
+        q = self.sys.q
         if j1 - j0 + 1 > CELL_CAP:
             raise ConfigError(f"the energies of scales {j0} to {j1} need {j1 - j0 + 1} "
                               f"entries per function, above the cap of {CELL_CAP}")
-        q = self.sys.q
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.sys.branches * np.power(
+                    self.sys.dilation_amplitude ** 2 / q, float(j1))):
+                raise ConfigError(f"the energies of scale {j1} carry a factor "
+                                  f"B (s^2/q)^{j1} past the largest double")
         return max(j1 - j0 + 1, q ** k,
                    *(q ** (g.resolution - g.support_ball()) for g in self.generators))
 

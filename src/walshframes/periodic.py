@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import energy_balance, nu_power, system_member
+from .framekit import _generator_transform, energy_balance, nu_power, system_member
 from .harmonic import _contract, fast_transform
 from .stepfn import CELL_CAP, StepFunction, periodize, refine, rescale
 
@@ -59,7 +59,8 @@ def lattice_samples(g: StepFunction, m: int) -> np.ndarray:
 
 class PeriodicSystemSpec:
     """Generators plus a scale cap; _members keeps, per (l, j), the label
-    counts of the translations on D and the lattice samples e of the member.
+    counts of the translations on D and the lattice samples e of the member,
+    and under the key l the transform of generator l.
 
     A folded member depends on its translation only through the digits z of
     mu that land at exponents 0..m-1, m = min(j, K) with K the folded
@@ -69,7 +70,7 @@ class PeriodicSystemSpec:
     coinciding member as often as it is indexed and nothing is deduplicated.
     """
 
-    __slots__ = ("sys", "generators", "j_max", "_members", "_transforms")
+    __slots__ = ("sys", "generators", "j_max", "_members")
 
     def __init__(self, sys, generators: Sequence[StepFunction], j_max: int):
         if not generators:
@@ -79,8 +80,7 @@ class PeriodicSystemSpec:
         self.sys = sys
         self.generators = tuple(generators)
         self.j_max = j_max
-        self._members: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._transforms: dict[int, StepFunction] = {}
+        self._members: dict = {}
 
     def _resolution(self, l: int, j: int) -> int:
         """K, the resolution of the folded members of (l, j)."""
@@ -119,9 +119,7 @@ class PeriodicSystemSpec:
             np.add.at(weights, cell_index(q, mu.items(), m,
                                           out=np.zeros(counts.size, dtype=np.int64)), counts)
             del mu, residues, counts, n, delta
-            if l not in self._transforms:
-                self._transforms[l] = fast_transform(self.generators[l])
-            ghat = rescale(self._transforms[l], nu_power(sys, j), -j)
+            ghat = rescale(_generator_transform(self, l), nu_power(sys, j), -j)
             e = lattice_samples(ghat, K) * (sys.dilation_amplitude ** j * float(q) ** -j)
             got = self._members[(l, j)] = (weights, e)
         return got

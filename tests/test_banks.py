@@ -275,6 +275,25 @@ def test_bank_rows_match_support_scan_outside_the_unit_ball(name, ball,
         _check_sums(name, f, 0, 1)
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_energies_of_a_wide_range_match_each_scale_alone(name):
+    # the range passes, on both sides, the scales where f^ and g_l^ overlap
+    # in more than one cell of either, past which the energies keep one norm;
+    # a range of one scale forms the product at that scale itself
+    an, cfg, gens = ANALYZERS[name], SYSTEMS[name].field, GENERATORS[name]
+    j0, j1 = -9, 12
+    for f in (random_step(cfg, 0, 2, 7, False), random_step(cfg, -1, 1, 8, True)):
+        fhat = fast_transform(f)
+        for g in map(fast_transform, gens):
+            assert j0 < g.lo - fhat.resolution and max(g.resolution, 0) - fhat.lo < j1
+        S, W = an.energies(f, j0, j1)
+        scale = f.norm2() * max(g.norm2() for g in gens) * SYSTEMS[name].branches
+        for i, j in enumerate(range(j0, j1 + 1)):
+            assert _close(S[i], an.energies(f, j, j)[0][0], scale), (j, S[i])
+            if j < j1:
+                assert _close(W[i], an.energies(f, j, j + 1)[1][0], scale), (j, W[i])
+
+
 def test_bank_row_of_a_shipped_suite_function():
     # the suite's own layout: a dense table turned into a step function
     for name in ("fourier_q3", "nonuniform_q2_N3_r5"):
@@ -477,14 +496,16 @@ def test_folded_count_before_any_member_matches_the_build(name):
                 spec.samples(l, j)
     built = [c.args for c in counted.call_args_list][len(first):]
     assert first == built
-    assert [c[:2] for c in first] == sorted(spec._members)
+    pairs = sorted(key for key in spec._members if isinstance(key, tuple))
+    assert [c[:2] for c in first] == pairs
+    assert len(spec._members) == len(pairs) + len(spec.generators)
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
     # every cache a report creates, kept as the benchmark's cache probe keeps
     # them, over a suite drawn one function per block: verify keeps one
-    # transform per generator, periodic one entry per (l, j)
+    # transform per generator, periodic the same and one entry per (l, j)
     monkeypatch.setattr(runner, "SUITE_BLOCK", 1)
     caches = {FrameAnalyzer: [], PeriodicSystemSpec: []}
     for cls in caches:
@@ -499,7 +520,10 @@ def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
     L = len(rc.sys.masks)
     (transforms,), (folded,) = caches[FrameAnalyzer], caches[PeriodicSystemSpec]
     assert sorted(transforms) == list(range(L))
-    assert sorted(folded) == [(l, j) for l in range(L) for j in range(rc.j_max + 1)]
+    assert sorted(key for key in folded if isinstance(key, int)) == list(range(L))
+    assert sorted(key for key in folded if isinstance(key, tuple)) == \
+        [(l, j) for l in range(L) for j in range(rc.j_max + 1)]
+    assert len(folded) == L * (rc.j_max + 2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
