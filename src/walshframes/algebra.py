@@ -466,10 +466,13 @@ class SystemConfig:
         return self.field.q * self.N
 
     @property
+    def dilation_ratio(self) -> int:
+        """s^2 / q for the dilation amplitude s, exactly: 1 in unitary mode, N in qn mode."""
+        return 1 if self.normalization == "unitary" else self.N
+
+    @property
     def dilation_amplitude(self) -> float:
-        if self.normalization == "unitary":
-            return math.sqrt(self.q)
-        return math.sqrt(self.qN)
+        return math.sqrt(self.q * self.dilation_ratio)
 
     @property
     def mask_norm_const(self) -> float:

@@ -331,13 +331,16 @@ class FrameAnalyzer:
         fhat = fast_transform(f)
         S = np.zeros((j1 - j0 + 1,) + f.values.shape[:-1])
         W = np.zeros_like(S[1:])
-        B, s2, q = self.sys.branches, self.sys.dilation_amplitude ** 2, self.sys.q
+        B, ratio, q = self.sys.branches, self.sys.dilation_ratio, self.sys.q
         for l in range(len(self.generators)):   # W adds generator l = 1, 2, ... in turn
             ghat, E = _generator_transform(self, l), W if l else S
             last = j0 + len(E) - 1   # E may be empty: then one empty slice below
             js = np.arange(j0, last + 1).reshape((-1,) + (1,) * (S.ndim - 1))
-            scale = B * (s2 / q) ** js * float(q) ** np.minimum(
-                -fhat.resolution, js - ghat.resolution)
+            # powers below 2^-1100 are 0.0: left unformed, off numpy's slow underflow path
+            x = np.minimum(-fhat.resolution, js - ghat.resolution)   # j - k
+            scale = B * np.power(float(q), x, out=np.zeros(js.shape), where=x >= -1100)
+            if ratio > 1:
+                scale *= np.power(float(ratio), js, out=np.zeros(js.shape), where=js >= -1100)
             c0 = min(max(j0, ghat.lo - fhat.resolution), last)
             c1 = max(min(last, max(ghat.resolution, 0) - fhat.lo), c0)
             for c in range(c0, c1 + 1):
@@ -358,7 +361,7 @@ class FrameAnalyzer:
                               f"entries per function, above the cap of {CELL_CAP}")
         with np.errstate(over="ignore"):
             if not np.isfinite(self.sys.branches * np.power(
-                    self.sys.dilation_amplitude ** 2 / q, float(j1))):
+                    float(self.sys.dilation_ratio), float(j1))):
                 raise ConfigError(f"the energies of scale {j1} carry a factor "
                                   f"B (s^2/q)^{j1} past the largest double")
         return max(j1 - j0 + 1, q ** k,

@@ -22,16 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import cell_index
+from .algebra import cell_digits, cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
 from .framekit import _generator_transform, energy_balance, nu_power, system_member
 from .harmonic import _contract, fast_transform
-from .stepfn import CELL_CAP, StepFunction, periodize, refine, rescale
+from .stepfn import StepFunction, periodize, rescale
 
 __all__ = [
     "PeriodicSystemSpec",
     "folded_energies",
-    "label_entries",
     "lattice_samples",
     "periodic_tightness_check",
     "periodic_two_scale_check",
@@ -39,35 +38,30 @@ __all__ = [
 ]
 
 
-def label_entries(l: int, j: int, rows: int, arrays: int) -> int:
-    """Integer entries the label counts of (l, j) hold at once: `arrays`
-    arrays of `rows` entries. ConfigError above CELL_CAP, before any exists."""
-    count = arrays * rows
-    if count > CELL_CAP:
-        raise ConfigError(f"the label counts of generator {l} at scale {j} need "
-                          f"{count} table entries, above the cap of {CELL_CAP}")
-    return count
-
-
 def lattice_samples(g: StepFunction, m: int) -> np.ndarray:
     """g at the lattice points u(n), n < q^m, per function of a block: the
-    value on the cell of u(n) at resolution max(res(g), 0). g's window may
-    not reach past B^-m."""
-    g = refine(g, max(g.resolution, 0))
-    return g.window(-m).values.reshape(g.values.shape[:-1] + (-1, g.cfg.q ** g.resolution))[..., 0]
+    value on the cell of u(n), index n q^r // q^-r at g's resolution r, and
+    zero past g's window. n // q^x is 0 for x >= m, so x stops at m."""
+    q, r = g.cfg.q, g.resolution
+    cells = np.arange(q ** m) * q ** max(r, 0) // q ** min(max(-r, 0), m)
+    inside = cells < g.values.shape[-1]
+    return np.where(inside, g.values[..., np.where(inside, cells, 0)], 0)
 
 
 class PeriodicSystemSpec:
-    """Generators plus a scale cap; _members keeps, per (l, j), the label
-    counts of the translations on D and the lattice samples e of the member,
-    and under the key l the transform of generator l.
+    """Generators plus a scale cap; _members keeps, per (l, j, k), the label
+    counts of the translations on D and the lattice samples e of the member
+    that a function at resolution k reads, and under the key l the transform
+    of generator l.
 
     A folded member depends on its translation only through the digits z of
     mu that land at exponents 0..m-1, m = min(j, K) with K the folded
-    member's resolution, so the (qN)^j labels of scale j fold onto at most
-    q^m distinct members. Each counts with its integer label count; the
-    counts sum to exactly (qN)^j, so a degenerate family counts every
-    coinciding member as often as it is indexed and nothing is deduplicated.
+    member's resolution, and a function at resolution k reads the first
+    d = min(k, m) of them, so the (qN)^j labels of scale j fold onto at most
+    q^d cells. Each counts with its integer label count; the counts sum to
+    exactly (qN)^j, so a degenerate family counts every coinciding member as
+    often as it is indexed and nothing is deduplicated. The counts are 64-bit
+    integers, so a scale cap with (qN)^j_max labels past them is refused.
     """
 
     __slots__ = ("sys", "generators", "j_max", "_members")
@@ -77,6 +71,10 @@ class PeriodicSystemSpec:
             raise ConfigError("need at least the refinable generator")
         if not isinstance(j_max, int) or j_max < 0:
             raise ConfigError(f"j_max must be a nonnegative integer, got {j_max!r}")
+        j = next(j for j in range(64) if sys.qN ** j > np.iinfo(np.int64).max)
+        if j_max >= j:   # qN >= 2, so j <= 63 and (qN)^j_max is never formed
+            raise ConfigError(f"scale {j} of the folded system has (qN)^{j} = "
+                              f"{sys.qN}^{j} labels, too many to count in 64 bits")
         self.sys = sys
         self.generators = tuple(generators)
         self.j_max = j_max
@@ -86,42 +84,33 @@ class PeriodicSystemSpec:
         """K, the resolution of the folded members of (l, j)."""
         return max(self.generators[l].resolution + j, 0)
 
-    def samples(self, l: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, e) of (l, j): weights[z] the label count of the digits z
-        of mu at resolution m, and e_n = s^j q^-j g_l^(a^-j u(n)) for
-        n < q^K, the only n where it can be nonzero."""
-        got = self._members.get((l, j))
+    def samples(self, l: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, e) of (l, j) for a function at resolution k: weights[z]
+        the label count of the digits z of mu at exponents 0..d-1,
+        d = min(k, j, K), and e_n = s^j q^-j g_l^(a^-j u(n)) for n < q^min(k, K),
+        the only n where both it and the function's transform can be nonzero."""
+        got = self._members.get((l, j, k))
         if got is None:
             sys = self.sys
-            L = sys.qN ** j
-            if L > np.iinfo(np.int64).max:   # the label counts below are int64
-                raise ConfigError(f"scale {j} of the folded system has (qN)^{j} = "
-                                  f"{sys.qN}^{j} labels, too many to count in 64 bits")
-            q, B, K = sys.q, sys.branches, self._resolution(l, j)
-            m = min(j, K)
-            # residues, label counts, the labels n and delta, m digits, three in flight
-            label_entries(l, j, B * q ** j, m + 7)
-            # only n mod q^j reaches D after j dilations, so count the labels
-            # of each residue instead of enumerating all (qN)^j of them
-            residues = np.arange(q ** j)
-            per_branch = (L,) if B == 1 else ((L + 1) // 2, L // 2)
-            counts = np.concatenate([size // q ** j + (residues < size % q ** j)
-                                     for size in per_branch])
-            n, delta = np.tile(residues, B), np.repeat(np.arange(B), residues.size)
-            # the digits of mu = a^-j lambda at the exponents e of D, as
-            # D^j T_lambda g = T_mu D^j g: nu^-j times lambda's digit at e - j,
-            # base-q digit j-1-e of n, plus theta's
+            q, L, K = sys.q, sys.qN ** j, self._resolution(l, j)
+            d = min(k, j, K)
+            # digit e of mu = a^-j lambda, as D^j T_lambda g = T_mu D^j g: nu^-j
+            # times lambda's digit at e - j, base-q digit j-1-e of n, plus
+            # theta's. For e < d, n's digits come from G, the cell at resolution
+            # d of the top d digits of n mod q^j, which holds q^(j-d) residues;
+            # the map is a bijection per branch, so no two G share a cell.
+            G, width = np.arange(q ** d), q ** (j - d)
             cfg, c = sys.field, nu_power(sys, -j)
-            mu = {e: cfg.mul_table[c, cfg.add_table[n // q ** (j - 1 - e) % q,
-                                                    delta * sys.theta.coefficient(e - j)]]
-                  for e in range(m)}
-            weights = np.zeros(q ** m, dtype=np.int64)
-            np.add.at(weights, cell_index(q, mu.items(), m,
-                                          out=np.zeros(counts.size, dtype=np.int64)), counts)
-            del mu, residues, counts, n, delta
+            weights = np.zeros(q ** d, dtype=np.int64)
+            for delta, size in enumerate((L,) if sys.branches == 1 else ((L + 1) // 2, L // 2)):
+                cycles, rest = divmod(size, q ** j)
+                mu = ((e, cfg.mul_table[c, cfg.add_table[g, delta * sys.theta.coefficient(e - j)]])
+                      for e, g in cell_digits(q, G, d, 0))
+                weights[cell_index(q, mu, d, out=np.zeros_like(G))] += \
+                    cycles * width + np.clip(rest - G * width, 0, width)
             ghat = rescale(_generator_transform(self, l), nu_power(sys, j), -j)
-            e = lattice_samples(ghat, K) * (sys.dilation_amplitude ** j * float(q) ** -j)
-            got = self._members[(l, j)] = (weights, e)
+            e = lattice_samples(ghat, min(k, K)) * (sys.dilation_amplitude ** j * float(q) ** -j)
+            got = self._members[(l, j, k)] = (weights, e)
         return got
 
     def member(self, l: int, j: int, label: int) -> StepFunction:
@@ -146,12 +135,8 @@ class PeriodicSystemSpec:
     def table_width(self, k: int) -> int:
         """Entries one function at resolution k adds to the largest table the
         folded checks form: its transform, or the stacked character sums of
-        the pairs of one digit count. Every pair's label arrays are counted
-        first, so a refusal comes before any of them is formed."""
-        q, B = self.sys.q, self.sys.branches
-        for l in range(len(self.generators)):
-            for j in range(self.j_max + 1):
-                label_entries(l, j, B * q ** j, min(j, self._resolution(l, j)) + 7)
+        the pairs of one digit count."""
+        q = self.sys.q
         return max([q ** k] + [len(pairs) * q ** d for d, pairs in self._groups(k).items()])
 
 
@@ -170,15 +155,14 @@ def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
     fhat = lattice_samples(fast_transform(f.window(0)), k)
     E = np.zeros((len(spec.generators), spec.j_max + 1) + f.values.shape[:-1])
     for d, pairs in spec._groups(k).items():
-        folded, weights = [], []
+        folded = []
         for l, j in pairs:
-            w, e = spec.samples(l, j)
-            F = fhat[..., :e.size] * np.conj(e[:fhat.shape[-1]])
+            e = spec.samples(l, j, k)[1]
+            F = fhat[..., :e.size] * np.conj(e)
             folded.append(F.reshape(F.shape[:-1] + (-1, spec.sys.q ** d)).sum(axis=-2))
-            weights.append(w.reshape(spec.sys.q ** d, -1).sum(axis=1))
         R = _contract(spec.sys.field, np.array(folded), d, forward=False)
-        for (l, j), w, r in zip(pairs, weights, R):
-            E[l, j] = np.sum(w * np.abs(r) ** 2, axis=-1)
+        for (l, j), r in zip(pairs, R):
+            E[l, j] = np.sum(spec.samples(l, j, k)[0] * np.abs(r) ** 2, axis=-1)
     S, W = E[0], E[1:].sum(axis=0)
     return (S, W, f.norm2()) + energy_balance(S, W)
 

@@ -389,6 +389,8 @@ def test_normalization_amplitudes():
     qn = SystemConfig(F2, N=3, r=1, normalization="qn")
     assert uni.dilation_amplitude == pytest.approx(math.sqrt(2))
     assert qn.dilation_amplitude == pytest.approx(math.sqrt(6))
+    # s^2 / q, exact where the rounded amplitude squared is not
+    assert (uni.dilation_ratio, qn.dilation_ratio) == (1, 3)
     assert uni.mask_norm_const == pytest.approx(1 / math.sqrt(2))
     assert qn.mask_norm_const == pytest.approx(1 / math.sqrt(6))
 

@@ -7,25 +7,23 @@ summed over every label of a scale. The energies the library forms from
 transforms (FrameAnalyzer.energies, folded_energies) must agree with them
 to 1e-12 of the Cauchy-Schwarz scale on every system, including the
 degenerate nonuniform family, a nontrivial dilation unit, an extension
-field and functions off D. The label counts of a folded pair must stay
-within the entries label_entries counts for them, or allocate nothing
-row-sized when the count passes the cap.
+field and functions off D. The label counts of a folded pair, formed in
+closed form, must equal the count over every label, and a pair's memory
+must not grow with its scale.
 """
 
 import math
 import os
 import tracemalloc
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import character_table
 
-from walshframes import framekit, periodic, runner
+from walshframes import framekit, runner
 from walshframes.algebra import FieldConfig, LambdaIndex, SystemConfig, cell_index, digit_count
-from walshframes.errors import ConfigError
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
@@ -38,7 +36,6 @@ from walshframes.harmonic import fast_transform
 from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
-    label_entries,
     periodic_tightness_check,
     periodic_two_scale_check,
     projection_energy_scan,
@@ -396,12 +393,12 @@ def test_folded_members_match_periodized_members(name):
     sys, cfg = spec.sys, spec.sys.field
     for l in range(len(spec.generators)):
         for j in range(spec.j_max + 1):
-            _, e = spec.samples(l, j)
             L = sys.qN ** j
             for label in sorted({0, L - 1} | set(range(0, L, max(1, L // 7)))):
                 idx = sys.branch_index(label)
                 want = periodize(system_member(l, j, idx, sys, spec.generators))
                 K = want.resolution
+                _, e = spec.samples(l, j, K)   # a function at resolution K reads all of e
                 assert want.lo == 0 and e.size == cfg.q ** K
                 got = spec.member(l, j, label)
                 assert got.resolution == K and np.array_equal(got.values, want.values)
@@ -421,7 +418,7 @@ def test_folded_weights_count_every_label(name):
     sys = spec.sys
     for l in range(len(spec.generators)):
         for j in range(spec.j_max + 1):
-            weights, e = spec.samples(l, j)
+            weights, e = spec.samples(l, j, j)   # at resolution j, d = min(j, K)
             assert int(weights.sum()) == sys.qN ** j
             rows = _folded_rows(sys, j, digit_count(sys.q, e.size - 1))
             assert np.array_equal(np.bincount(rows, minlength=weights.size), weights)
@@ -434,24 +431,57 @@ def test_folded_weights_count_every_label(name):
             assert weights.size == len(digits)
 
 
-# ------------------------------------------------------------- bank sizes --
+# ---------------------------------------------------- folded label counts --
 
 @st.composite
-def bank_systems(draw):
-    """(system, generators, cascade iterations): a system above, or two
-    random masks over GF(2), GF(3) or GF(4) with N <= 3."""
-    if draw(st.booleans()):
-        name = draw(st.sampled_from(sorted(SYSTEMS)))
-        return SYSTEMS[name], GENERATORS[name], 4
+def folded_pairs(draw):
+    """(spec, j, k): one generator over GF(2), GF(3) or GF(4) with N in
+    {1, 2, 3, 5} a unit mod p, any valid r and dilation unit, at a scale
+    j <= 6 of at most 4096 labels, read at a resolution k in [0, j + 2]. The
+    generator's resolution, from -2 to 2, puts K = max(res + j, 0) on either
+    side of j and k."""
     cfg = draw(st.sampled_from([FieldConfig(2), FieldConfig(3), FieldConfig(2, 2, (1, 1, 1))]))
-    base = SystemConfig(cfg, N=draw(st.sampled_from([N for N in (1, 2, 3) if N % cfg.p])))
-    index = st.tuples(st.integers(0, cfg.q ** 2 - 1), st.integers(0, base.branches - 1))
-    value = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
-    sys = base.with_masks(tuple(
-        Mask(base, draw(st.dictionaries(index, value, min_size=1, max_size=4)))
-        for _ in range(2)))
-    iterations = draw(st.integers(0, 3))
-    return sys, derive_generators(sys, iterations), iterations
+    N = draw(st.sampled_from([N for N in (1, 2, 3, 5) if N % cfg.p]))
+    r = draw(st.sampled_from([r for r in range(1, cfg.q * N, 2) if math.gcd(r, N) == 1]))
+    sys = SystemConfig(cfg, N, r, dilation_unit=draw(st.integers(1, cfg.q - 1)))
+    resolution = draw(st.integers(-2, 2))
+    lo = resolution - draw(st.integers(0, 2))
+    g = StepFunction(cfg, resolution, np.ones(cfg.q ** (resolution - lo)), lo)
+    j = draw(st.integers(0, max(j for j in range(7) if sys.qN ** j <= 4096)))
+    return PeriodicSystemSpec(sys, (g,), j), j, draw(st.integers(0, j + 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(folded_pairs())
+def test_closed_form_label_counts_match_every_label(pair):
+    # samples' weights against all (qN)^j labels of the scale, each taken
+    # through branch_index and lambda_element to its translation mu, and
+    # counted on mu's digits at exponents 0..d-1, d = min(k, j, K)
+    spec, j, k = pair
+    sys = spec.sys
+    K = max(spec.generators[0].resolution + j, 0)
+    d = min(k, j, K)
+    weights, e = spec.samples(0, j, k)
+    assert weights.dtype == np.int64 and e.size == sys.q ** min(k, K)
+    assert np.array_equal(weights, np.bincount(_folded_rows(sys, j, d), minlength=sys.q ** d))
+
+
+@pytest.mark.parametrize("k", [0, 4, 8, 12])
+def test_a_pair_far_out_holds_tables_of_its_resolution_only(k):
+    # the label counts of scale 40 come in closed form on the q^k cells a
+    # function at resolution k reads, so the pair holds no table of its 2^40
+    # labels: its memory is a small multiple of q^k
+    spec = PeriodicSystemSpec(SYSTEMS["haar_q2"], GENERATORS["haar_q2"], 40)
+    for l in range(len(spec.generators)):
+        spec.samples(l, 0, k)   # forms and keeps the generator's transform
+        tracemalloc.start()
+        try:
+            weights, e = spec.samples(l, 40, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert weights.size == e.size == 2 ** k and int(weights.sum()) == 2 ** 40
+        assert peak <= 128 * 2 ** k + 2 ** 14, (l, peak)
 
 
 SHIPPED = ["fourier_q3", "haar_q2", "haar_q2_perturbed", "nonuniform_q2_N3_r1",
@@ -481,27 +511,6 @@ def test_table_width_bounds_every_product(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", SHIPPED)
-def test_folded_count_before_any_member_matches_the_build(name):
-    # table_width counts every folded pair's label arrays from g_l's
-    # resolution before any pair is formed: the rows and arrays of the build
-    rc = RunConfig.load(os.path.join(CONFIGS, name + ".cfg"))
-    spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, rc.cascade_iterations),
-                              rc.j_max + 3)
-    with mock.patch.object(periodic, "label_entries", wraps=label_entries) as counted:
-        spec.table_width(rc.resolution)
-        assert not spec._members
-        first = [c.args for c in counted.call_args_list]
-        for l in range(len(spec.generators)):
-            for j in range(spec.j_max + 1):
-                spec.samples(l, j)
-    built = [c.args for c in counted.call_args_list][len(first):]
-    assert first == built
-    pairs = sorted(key for key in spec._members if isinstance(key, tuple))
-    assert [c[:2] for c in first] == pairs
-    assert len(spec._members) == len(pairs) + len(spec.generators)
-
-
-@pytest.mark.parametrize("name", SHIPPED)
 def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
     # every cache a report creates, kept as the benchmark's cache probe keeps
     # them, over a suite drawn one function per block: verify keeps one
@@ -522,41 +531,5 @@ def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
     assert sorted(transforms) == list(range(L))
     assert sorted(key for key in folded if isinstance(key, int)) == list(range(L))
     assert sorted(key for key in folded if isinstance(key, tuple)) == \
-        [(l, j) for l in range(L) for j in range(rc.j_max + 1)]
+        [(l, j, rc.resolution) for l in range(L) for j in range(rc.j_max + 1)]
     assert len(folded) == L * (rc.j_max + 2)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(bank_systems(), st.integers(0, 2), st.integers(0, 16))
-def test_label_entries_bound_each_build(system, l, j):
-    sys, gens, iterations = system
-    K = max(m.constancy_resolution for m in sys.masks)
-    assert max(g.values.size for g in gens) <= sys.q ** (K + iterations)
-    l %= len(gens)
-    # up to about 2^16 label rows, and samples of at most 2^16 cells
-    top = int(16 // math.log2(sys.q)) - sys.branches + 1
-    j = max(0, min(j, top - max(gens[l].resolution, 0)))
-    seen = {}
-
-    def spy(*args):
-        seen["count"] = label_entries(*args)
-        return seen["count"]
-
-    cap = 2 ** 20
-    spec = PeriodicSystemSpec(sys, gens, j)
-    with mock.patch.object(periodic, "CELL_CAP", cap), \
-            mock.patch.object(periodic, "label_entries", spy):
-        tracemalloc.start()
-        try:
-            weights, e = spec.samples(l, j)
-        except ConfigError as exc:
-            assert f"scale {j}" in str(exc) and str(cap) in str(exc)
-            weights = None
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    if weights is None:
-        # refused before a row-sized array: the rows alone would need 8 MiB
-        assert "count" not in seen and peak < 2 ** 20
-    else:
-        # the label arrays, and the generator's transform and samples
-        assert peak <= 8 * seen["count"] + 48 * e.size + 2 ** 20

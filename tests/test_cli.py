@@ -927,18 +927,18 @@ def test_scale_options_are_capped_before_allocation(tmp_path, capsys, option,
 
 
 @pytest.mark.parametrize("command, option, named", [
-    ("verify", "j1", "scales 0 to 1000000000"), ("periodic", "j_max", "at scale")])
+    ("verify", "j1", "scales 0 to 1000000000"),
+    ("periodic", "j_max", "2^63 labels")])
 def test_bank_scales_are_capped_before_allocation(tmp_path, capsys, monkeypatch,
                                                   command, option, named):
     # a scale has no load-time bound: verify counts its energies per function,
-    # periodic the label arrays of each pair before it forms them
+    # periodic refuses a scale cap whose labels do not fit in 64 bits
     cfg = _scales_cfg(tmp_path, "haar_q2.masks", **{option: 10 ** 9},
                       cascade_iterations=0)
     assert getattr(RunConfig.load(cfg), option) == 10 ** 9
     # at a small cap, the run never holds the rows of a refused table
     cap = 2 ** 12
     monkeypatch.setattr(framekit, "CELL_CAP", cap)
-    monkeypatch.setattr(periodic, "CELL_CAP", cap)
     tracemalloc.start()
     try:
         assert run([command, "--config", cfg]) == 2
@@ -946,21 +946,23 @@ def test_bank_scales_are_capped_before_allocation(tmp_path, capsys, monkeypatch,
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert named in err and f"the cap of {cap}" in err
+    # verify names the cap its energy arrays pass; periodic has no cap
+    assert named in err and (command == "periodic" or f"the cap of {cap}" in err)
     assert peak < 8 * cap + 2 ** 20
 
 
 @pytest.mark.parametrize("command, option, built, error", [
     ("verify", "j1", [(framekit, "_folded_norm2")],
-     "the energies of scales 0 to 1000000000 need 1000000001 entries per function"),
+     "the energies of scales 0 to 1000000000 need 1000000001 entries per function, "
+     f"above the cap of {CELL_CAP}"),
     ("periodic", "j_max", [(periodic, "system_member"), (periodic, "fast_transform")],
-     "the label counts of generator 0 at scale 20 need 28311552 table entries"),
+     "scale 63 of the folded system has (qN)^63 = 2^63 labels, too many to count in 64 bits"),
 ], ids=["verify", "periodic"])
 def test_a_huge_scale_is_refused_before_any_bank_is_built(tmp_path, capsys, command,
                                                           option, built, error):
     # verify refuses the energy arrays of a huge scale range before it forms
-    # any energy; periodic checks the label arrays of every pair before it
-    # forms any, so scale 20 is refused while no smaller pair is built
+    # any energy; periodic refuses a scale cap past the 64-bit label counts
+    # before it forms any pair, naming the first scale that does not fit
     with open(os.path.join(CONFIGS, "haar_q2.cfg")) as fh:
         body = fh.read().replace(f"{option} = 4\n", f"{option} = 1000000000\n").replace(
             "file = ", "file = " + CONFIGS + os.sep)
@@ -971,7 +973,41 @@ def test_a_huge_scale_is_refused_before_any_bank_is_built(tmp_path, capsys, comm
                  for module, name in built]
         assert run([command, "--config", cfg]) == 2
     assert [c.call_count for c in calls] == [0] * len(built)
-    assert capsys.readouterr().err == f"error: {error}, above the cap of {CELL_CAP}\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("name, last", [("haar_q2", 62), ("fourier_q3", 39),
+                                        ("nonuniform_q2_N3_r5", 24)])
+def test_periodic_runs_every_scale_whose_labels_fit_in_64_bits(tmp_path, capsys,
+                                                               name, last):
+    # the label counts come in closed form on the digits a function reads, so
+    # periodic runs up to the last scale whose (qN)^j labels fit in 64 bits
+    # and refuses the next one, or a huge one, at once by name
+    cfg = _scales_cfg(tmp_path, f"{name}.masks", j_max=last)
+    assert run(["periodic", "--config", cfg, "--out", str(tmp_path / "r.json")]) in (0, 1)
+    assert load_report(str(tmp_path / "r.json"))["config"]["j_max"] == last
+    qN = framekit.load_masks(os.path.join(CONFIGS, f"{name}.masks")).qN
+    for j_max in (last + 1, 10 ** 9):
+        start = time.perf_counter()
+        assert run(["periodic", "--config", _scales_cfg(tmp_path, f"{name}.masks",
+                                                         j_max=j_max)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: scale {last + 1} of the folded system has (qN)^{last + 1} = "
+            f"{qN}^{last + 1} labels, too many to count in 64 bits\n")
+
+
+def test_periodic_reaches_scale_62_with_generators_above_the_unit_ball(tmp_path, capsys):
+    # masks on n = 0 alone give generators on B^1, whose lattice samples at
+    # scale j read cell n // 2^(j + 1): a divisor past int64 at j = 62, where
+    # every n < q^m already reads cell 0
+    masks = tmp_path / "k0.masks"
+    masks.write_text("# walshframes-masks v1\np = 2\nc = 1\nN = 1\nr = 1\nnu = 1\n"
+                     "normalization = unitary\nmask 0\n0 0 1.0 0.0\nmask 1\n0 0 0.5 0.0\n")
+    assert framekit.derive_generators(framekit.load_masks(str(masks)), 4)[0].lo == 1
+    cfg = _scales_cfg(tmp_path, str(masks), j_max=62)
+    assert run(["periodic", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_a_coarse_j0_is_refused_by_verify(tmp_path, capsys):

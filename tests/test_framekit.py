@@ -529,6 +529,20 @@ def test_frame_ratio_nonuniform_doubles():
         assert an.frame_ratio(f, 0, 3) == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("system", [haar_system, fourier3_system])
+def test_unitary_energies_stop_moving_bit_for_bit(system):
+    # s^2 / q is exactly 1 in unitary mode, so once f^ and every g_l^ meet
+    # in one cell the energy factor no longer moves: S at j = 10^6 is S at
+    # j = 30 bit for bit (sqrt(2) ** 2 / 2 = 1 + 2.2e-16 would compound to
+    # 2.2e-10 there)
+    rng = np.random.Generator(np.random.PCG64(510))
+    sys = system()
+    f = random_domain_step(sys.field, 2, rng)
+    S, W = FrameAnalyzer(sys, derive_generators(sys, 4)).energies(f, 0, 10 ** 6)
+    assert S[10 ** 6].tobytes() == S[30].tobytes()
+    assert W[10 ** 6 - 1].tobytes() == W[30].tobytes()
+
+
 @pytest.mark.parametrize("functions", [None, 1])
 @pytest.mark.parametrize("name, j0", [("haar_q2", 0), ("fourier_q3", 0),
                                       ("fourier_q3", -1), ("nonuniform_q2_N3_r5", 0)])

@@ -316,9 +316,9 @@ def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
     builds = collections.Counter()
     samples = PeriodicSystemSpec.samples
 
-    def counted_samples(self, l, j):
-        builds[l, j] += (l, j) not in self._members
-        return samples(self, l, j)
+    def counted_samples(self, l, j, k):
+        builds[l, j] += (l, j, k) not in self._members
+        return samples(self, l, j, k)
 
     norms = collections.Counter()
     norm2 = StepFunction.norm2
