@@ -23,7 +23,6 @@ from .algebra import (  # noqa: E402
     FieldElement,
     LambdaIndex,
     SystemConfig,
-    chi,
     embed_integer,
     uindex,
 )

@@ -19,9 +19,11 @@ The digit codec of every module, cell_digits / cell_index / digit_count,
 numbers a cell of B^lo / B^k by the integer whose base-q digit k-1-e is the
 cell's digit at exponent e: u(n) is the cell of index n at resolution 0.
 
-The additive character chi is trivial on D and is evaluated from the
-zeta_0-coordinate a of the coefficient at exponent -1: chi(x) =
-exp(2*pi*i*a/p), read from the table of p-th roots of unity.
+The additive character chi of K is trivial on D and reads the coordinate
+a on 1 of the coefficient at exponent -1: chi(x) = exp(2*pi*i*a/p), an
+entry of root_table. harmonic evaluates it on whole digit tables at once.
+FieldElement itself appears only in translations and in the field-info
+and uindex reports.
 """
 
 from __future__ import annotations
@@ -43,11 +45,9 @@ __all__ = [
     "SystemConfig",
     "cell_digits",
     "cell_index",
-    "chi",
     "digit_count",
     "embed_integer",
     "uindex",
-    "uindex_inverse",
 ]
 
 NORMALIZATIONS = ("unitary", "qn")
@@ -191,20 +191,10 @@ class FieldConfig:
         """a's power-basis coordinates, low to high: the digits of u(a) over GF(p)."""
         return tuple(d for _, d in cell_digits(self.p, a, 0, -self.c))[::-1]
 
-    def zeta0(self, a: int) -> int:
-        """Coordinate of a on the basis element 1 (used by the character)."""
-        return a % self.p
-
     # -- element constructors ---------------------------------------------
-
-    def element(self, terms: dict[int, int]) -> "FieldElement":
-        return FieldElement(self, terms)
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, {})
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, {0: 1})
 
     def monomial(self, coeff: int, exponent: int) -> "FieldElement":
         return FieldElement(self, {exponent: coeff})
@@ -240,7 +230,7 @@ class FieldElement:
         if any(not 0 < c < cfg.q for _, c in self.terms):
             raise ValueError("coefficients must lie in [0, q)")
 
-    # -- ring structure -----------------------------------------------------
+    # -- additive group -----------------------------------------------------
 
     def _same_field(self, other: "FieldElement") -> None:
         if self.cfg != other.cfg:
@@ -261,24 +251,10 @@ class FieldElement:
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        add, mul = self.cfg.gf_add, self.cfg.gf_mul
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = add(acc.get(e, 0), mul(c1, c2))
-        return FieldElement(self.cfg, acc)
-
     def scale(self, a: int) -> "FieldElement":
         """Multiply by the GF(q) scalar a."""
         mul = self.cfg.gf_mul
         return FieldElement(self.cfg, {e: mul(a, c) for e, c in self.terms})
-
-    def shift(self, j: int) -> "FieldElement":
-        """Multiply by t^j (shift every exponent by j)."""
-        return FieldElement(self.cfg, {e + j: c for e, c in self.terms})
 
     # -- valuation ------------------------------------------------------------
 
@@ -298,14 +274,6 @@ class FieldElement:
 
     def coefficient(self, exponent: int) -> int:
         return dict(self.terms).get(exponent, 0)
-
-    def truncate(self, k: int) -> "FieldElement":
-        """Keep exponents < k: the canonical representative mod B^k."""
-        return FieldElement(self.cfg, {e: c for e, c in self.terms if e < k})
-
-    def tail(self, k: int) -> "FieldElement":
-        """Keep exponents >= k."""
-        return FieldElement(self.cfg, {e: c for e, c in self.terms if e >= k})
 
     # -- plumbing -----------------------------------------------------------
 
@@ -330,14 +298,6 @@ class FieldElement:
                 coeff = "(" + ",".join(str(d) for d in self.cfg.gf_digits(c)) + ")"
             parts.append(f"{coeff}*t^{e}")
         return " + ".join(parts)
-
-
-# -------------------------------------------------------------- character --
-
-def chi(x: FieldElement) -> complex:
-    """Additive character of K: exp(2*pi*i*a/p) with a the zeta_0 coordinate
-    of the coefficient at exponent -1. Trivial on D, nontrivial on B^(-1)."""
-    return x.cfg.root_table.item(x.cfg.zeta0(x.coefficient(-1)))
 
 
 # ------------------------------------------------------------ digit codec --
@@ -383,13 +343,6 @@ def uindex(cfg: FieldConfig, n: int) -> FieldElement:
     if n < 0:
         raise ValueError("uindex is defined on nonnegative integers")
     return FieldElement(cfg, dict(cell_digits(cfg.q, n, 0, -digit_count(cfg.q, n))))
-
-
-def uindex_inverse(x: FieldElement) -> int:
-    """Recover n from u(n); the element must have exponents < 0 only."""
-    if any(e >= 0 for e, _ in x.terms):
-        raise ValueError("not a lattice representative: nonnegative exponents")
-    return cell_index(x.cfg.q, x.terms, 0)
 
 
 def embed_integer(cfg: FieldConfig, n: int) -> int:

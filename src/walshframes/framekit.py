@@ -53,7 +53,6 @@ __all__ = [
     "load_masks",
     "mask_refine",
     "nu_power",
-    "save_masks",
     "sigma_v0",
     "system_member",
     "uep_gram",
@@ -107,9 +106,6 @@ class Mask:
             self._table = refine(m_hat, K).scale(self.sys.mask_norm_const)
             self._table.values.flags.writeable = False
         return self._table
-
-    def items_sorted(self) -> list[tuple[LambdaIndex, complex]]:
-        return sorted(self.coeffs.items())
 
     def __repr__(self):
         return f"<Mask terms={len(self.coeffs)} K={self.constancy_resolution}>"
@@ -382,30 +378,6 @@ class FrameAnalyzer:
 
 # ---------------------------------------------------------------- mask files --
 
-def save_masks(sys: SystemConfig, dest: str | TextIO) -> None:
-    """Write the full system description: field/system header plus one
-    coefficient block per mask, rows "n delta re im"."""
-    if isinstance(dest, str):
-        with open(dest, "w") as fh:
-            save_masks(sys, fh)
-        return
-    cfg = sys.field
-    w = dest.write
-    w(MASK_MAGIC + "\n")
-    w(f"p = {cfg.p}\n")
-    w(f"c = {cfg.c}\n")
-    if cfg.modulus_text:
-        w(f"modulus = {cfg.modulus_text}\n")
-    w(f"N = {sys.N}\n")
-    w(f"r = {sys.r}\n")
-    w(f"nu = {sys.nu}\n")
-    w(f"normalization = {sys.normalization}\n")
-    for l, m in enumerate(sys.masks):
-        w(f"mask {l}\n")
-        for idx, a in m.items_sorted():
-            w(f"{idx.n} {idx.delta} {a.real!r} {a.imag!r}\n")
-
-
 def _lines(src: TextIO) -> Iterator[tuple[int, str]]:
     """src's lines numbered from 1, refusing one with a surrogate-escaped byte."""
     for n, line in enumerate(src, start=1):
@@ -415,7 +387,9 @@ def _lines(src: TextIO) -> Iterator[tuple[int, str]]:
 
 
 def load_masks(src: str | TextIO) -> SystemConfig:
-    """Inverse of save_masks; returns the system with masks attached.
+    """The system a mask file describes, with its masks attached: a
+    field/system header of "key = value" lines, then one block per mask,
+    "mask l" and rows "n delta re im".
 
     Structural problems in the file raise InputDataError with a line
     number; inconsistent field/system parameters raise ConfigError.

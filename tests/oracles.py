@@ -1,5 +1,11 @@
 """Reference routes for the tests.
 
+The field references are the FieldElement arithmetic that only the
+references need: the product of two Laurent series, the shift by a power of
+t, the truncation to a canonical representative, the additive character chi
+and the inverse of u(n). The library reads characters from digit tables
+and keeps FieldElement to translations and the field reports.
+
 The transform references are the dense, unfactorized forms of what the
 library computes by digit contraction: the full character matrix of a
 window, built from FieldElement products and chi alone, the character table
@@ -8,7 +14,7 @@ Fourier coefficient, and the per-term character sum of a mask's values.
 
 The step-function references are the cell-dictionary forms of the
 operators that the library computes on dense digit tables: each reads
-{canonical representative: amplitude} through .cells, works on
+{canonical representative: amplitude} through cells, works on
 FieldElements cell by cell, and returns through from_cells. Pointwise mask
 values and the partition sum over an explicit list of translations are
 computed the same way. None of these share a code path with
@@ -19,8 +25,9 @@ Python, where stepfn parses and formats blocks of rows as arrays. The reader
 holds to the format's line grammar by itself: it refuses a line with a CR
 and splits every other line at ','.
 
-The small helpers compare two step functions and compute field and label
-quantities that only the tests ask for.
+The small helpers compare two step functions, compute field and label
+quantities that only the tests ask for, and write a mask file, the format
+framekit.load_masks reads.
 
 The suite references draw the random test family and run the verify and
 periodic checks one function at a time, where runner draws and checks
@@ -33,6 +40,7 @@ import csv
 import itertools
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,11 +49,10 @@ from walshframes.algebra import (
     FieldElement,
     cell_digits,
     cell_index,
-    chi,
     uindex,
 )
 from walshframes.errors import InputDataError
-from walshframes.framekit import FrameAnalyzer, derive_generators
+from walshframes.framekit import MASK_MAGIC, FrameAnalyzer, derive_generators
 from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
@@ -58,21 +65,97 @@ from walshframes.stepfn import (
     CSV_HEADER_KEYS,
     CSV_MAGIC,
     StepFunction,
-    from_cells,
     within_cap,
 )
 
 
+# ------------------------------------------------------------------ field --
+
+def mul(x, y):
+    """x * y in K: the Laurent convolution of the two term lists."""
+    if x.cfg != y.cfg:
+        raise ValueError("elements belong to different field configs")
+    cfg, acc = x.cfg, {}
+    for e1, c1 in x.terms:
+        for e2, c2 in y.terms:
+            acc[e1 + e2] = cfg.gf_add(acc.get(e1 + e2, 0), cfg.gf_mul(c1, c2))
+    return FieldElement(cfg, acc)
+
+
+def shift(x, j):
+    """x * t^j: every exponent moved by j."""
+    return FieldElement(x.cfg, {e + j: c for e, c in x.terms})
+
+
+def truncate(x, k):
+    """The terms of x below exponent k: its canonical representative mod B^k."""
+    return FieldElement(x.cfg, {e: c for e, c in x.terms if e < k})
+
+
+def tail(x, k):
+    """The terms of x at exponents k and above."""
+    return FieldElement(x.cfg, {e: c for e, c in x.terms if e >= k})
+
+
+def chi(x):
+    """The additive character exp(2 pi i a / p), a the coordinate on 1 (the
+    residue mod p) of x's coefficient at exponent -1: trivial on D."""
+    return x.cfg.root_table.item(x.coefficient(-1) % x.cfg.p)
+
+
+def uindex_inverse(x):
+    """The n with u(n) = x; x must have negative exponents only."""
+    if any(e >= 0 for e, _ in x.terms):
+        raise ValueError("not a lattice representative: nonnegative exponents")
+    return cell_index(x.cfg.q, x.terms, 0)
+
+
 # ------------------------------------------------------ small helpers --
 
-def allclose(f, g, tol):
-    """Whether two step functions over one field agree cellwise to tol."""
+def _aligned(f, g):
+    """f and g over one field, refined to one resolution over one window."""
     if f.cfg != g.cfg:
-        return False
+        raise ValueError("mixed field configs")
     k = max(f.resolution, g.resolution)
     f, g = f.refine(k), g.refine(k)
     lo = min(f.lo, g.lo)
-    return bool(np.all(np.abs(f.window(lo).values - g.window(lo).values) <= tol))
+    return f.window(lo), g.window(lo)
+
+
+def add(f, g):
+    """The step function f + g."""
+    a, b = _aligned(f, g)
+    return StepFunction(a.cfg, a.resolution, a.values + b.values, a.lo)
+
+
+def max_difference(f, g):
+    """The largest cellwise |f - g| of two step functions over one field."""
+    a, b = _aligned(f, g)
+    return float(np.max(np.abs(a.values - b.values)))
+
+
+def allclose(f, g, tol):
+    """Whether two step functions over one field agree cellwise to tol."""
+    return f.cfg == g.cfg and max_difference(f, g) <= tol
+
+
+def save_masks(sys, dest):
+    """Write sys and its masks as a mask file to the path or stream dest: the
+    field and system header, then each mask's coefficients in index order."""
+    if isinstance(dest, str):
+        with open(dest, "w") as fh:
+            save_masks(sys, fh)
+        return
+    cfg = sys.field
+    dest.write(f"{MASK_MAGIC}\np = {cfg.p}\nc = {cfg.c}\n")
+    if cfg.modulus_text:
+        dest.write(f"modulus = {cfg.modulus_text}\n")
+    dest.write(f"N = {sys.N}\nr = {sys.r}\nnu = {sys.nu}\n"
+               f"normalization = {sys.normalization}\n")
+    for l, m in enumerate(sys.masks):
+        dest.write(f"mask {l}\n")
+        for idx, a in sorted(m.coeffs.items()):
+            dest.write(f"{idx.n} {idx.delta} {a.real!r} {a.imag!r}\n")
 
 
 def prime_element(cfg):
@@ -110,7 +193,7 @@ def character_matrix(cfg, k, l):
     rows and x over B^l / B^k on the columns."""
     xs = enumerate_reps(cfg, l, k)
     xis = enumerate_reps(cfg, -k, -l)
-    matrix = np.array([[chi(xi * x) for x in xs] for xi in xis], dtype=complex)
+    matrix = np.array([[chi(mul(xi, x)) for x in xs] for xi in xis], dtype=complex)
     return xis, xs, matrix
 
 
@@ -119,8 +202,8 @@ def dense_transform(f, forward=True):
     with the dense character matrix of f's window."""
     cfg, k, l = f.cfg, f.resolution, f.support_ball()
     xis, xs, matrix = character_matrix(cfg, k, l)
-    cells = f.cells
-    v = np.array([cells.get(x, 0) for x in xs], dtype=complex)
+    f_cells = cells(f)
+    v = np.array([f_cells.get(x, 0) for x in xs], dtype=complex)
     out = ((matrix.conj() if forward else matrix) @ v) * float(cfg.q) ** (-k)
     return from_cells(cfg, -l, dict(zip(xis, out)))
 
@@ -142,9 +225,9 @@ def mask_table(m, shift, resolution):
     character table per term of m."""
     cfg = m.sys.field
     out = np.zeros(cfg.q ** resolution, dtype=complex)
-    for idx, a in m.items_sorted():
+    for idx, a in sorted(m.coeffs.items()):
         lam = m.sys.lambda_element(idx)
-        phase = chi(lam * shift).conjugate()
+        phase = chi(mul(lam, shift)).conjugate()
         out += (a * phase) * np.conj(character_table(cfg, lam, resolution))
     return out * m.sys.mask_norm_const
 
@@ -163,19 +246,52 @@ def fourier_coefficient(f, n):
 
 # ------------------------------------------------------ cell dictionaries --
 
+def cells(f):
+    """Read-only {canonical representative: amplitude} of f's nonzero cells,
+    in table order."""
+    q, k = f.cfg.q, f.resolution
+    return MappingProxyType({
+        FieldElement(f.cfg, dict(cell_digits(q, int(i), k, f.lo))): complex(f.values[i])
+        for i in np.flatnonzero(f.values)})
+
+
+def from_cells(cfg, resolution, cells):
+    """The step function with the given {canonical representative: amplitude}
+    cells at resolution k; its window is the smallest ball holding them."""
+    q, k = cfg.q, int(resolution)
+    lo = k
+    for rep in cells:
+        if rep.cfg != cfg:
+            raise ValueError("representative from a different field config")
+        if rep.terms and rep.terms[-1][0] >= k:
+            raise ValueError(
+                f"representative {rep.text()} not canonical at resolution {k}")
+        if rep.terms:
+            lo = min(lo, rep.terms[0][0])
+    values = np.zeros(q ** (k - lo), dtype=complex)
+    for rep, value in cells.items():
+        values[cell_index(q, rep.terms, k)] = value
+    return StepFunction(cfg, k, values, lo)
+
+
+def indicator(cfg, resolution, h):
+    """The indicator of the single coset h + B^resolution."""
+    return from_cells(cfg, resolution, {truncate(h, resolution): 1.0})
+
+
 def _refined(f, resolution):
     """f's cells split onto the finer grid B^resolution."""
     cfg, k = f.cfg, f.resolution
-    cells = {}
-    for rep, value in f.cells.items():
+    out = {}
+    for rep, value in cells(f).items():
         base = dict(rep.terms)
         for digits in itertools.product(range(cfg.q), repeat=resolution - k):
             terms = dict(base)
             for e, d in zip(range(k, resolution), digits):
                 if d:
                     terms[e] = d
-            cells[FieldElement(cfg, terms)] = value
-    return cells
+            out[FieldElement(cfg, terms)] = value
+    return out
 
 
 def refine(f, resolution):
@@ -185,8 +301,8 @@ def refine(f, resolution):
 def translate(f, a):
     """(T_a f)(x) = f(x - a), one representative at a time."""
     k = f.resolution
-    return from_cells(f.cfg, k, {(rep + a).truncate(k): v
-                                 for rep, v in f.cells.items()})
+    return from_cells(f.cfg, k, {truncate(rep + a, k): v
+                                 for rep, v in cells(f).items()})
 
 
 def modulate(f, b):
@@ -194,7 +310,7 @@ def modulate(f, b):
     if b.is_zero:
         return f
     k = max(f.resolution, -b.valuation())
-    return from_cells(f.cfg, k, {rep: v * chi(b * rep)
+    return from_cells(f.cfg, k, {rep: v * chi(mul(b, rep))
                                  for rep, v in _refined(f, k).items()})
 
 
@@ -213,9 +329,9 @@ def dilate(f, sys, direction="fine"):
     if direction == "fine":
         inv_nu = cfg.gf_inv(sys.nu)
         return from_cells(cfg, f.resolution + 1, {
-            rep.scale(inv_nu).shift(1): v * s for rep, v in f.cells.items()})
+            shift(rep.scale(inv_nu), 1): v * s for rep, v in cells(f).items()})
     return from_cells(cfg, f.resolution - 1, {
-        rep.scale(sys.nu).shift(-1): v / s for rep, v in f.cells.items()})
+        shift(rep.scale(sys.nu), -1): v / s for rep, v in cells(f).items()})
 
 
 def inner(f, g):
@@ -235,7 +351,7 @@ def periodize(f):
     k = max(f.resolution, 0)
     sums = {}
     for rep, v in _refined(f, k).items():
-        frac = rep.tail(0)
+        frac = tail(rep, 0)
         sums[frac] = sums.get(frac, 0) + v
     return from_cells(f.cfg, k, sums)
 
@@ -244,11 +360,11 @@ def brute_partition(phi_hat, sys, lam_range):
     """sum over the given translation indices of |phi_hat(xi + lambda)|^2
     on the cells of D."""
     K = max(phi_hat.resolution, 0)
-    cells = _refined(phi_hat, K)
+    refined = _refined(phi_hat, K)
     sums = {}
     for idx in lam_range:
         lam = sys.lambda_element(idx)
-        for rep, v in cells.items():
+        for rep, v in refined.items():
             d = rep - lam
             if d.terms and d.terms[0][0] < 0:
                 continue
@@ -259,8 +375,8 @@ def brute_partition(phi_hat, sys, lam_range):
 def mask_value(m, xi):
     """The mask m at the point xi, as its character polynomial."""
     acc = 0j
-    for idx, a in m.items_sorted():
-        acc += a * chi(m.sys.lambda_element(idx) * xi).conjugate()
+    for idx, a in sorted(m.coeffs.items()):
+        acc += a * chi(mul(m.sys.lambda_element(idx), xi)).conjugate()
     return m.sys.mask_norm_const * acc
 
 

@@ -20,10 +20,17 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import character_table
+from oracles import add, cells, character_table, from_cells, shift, truncate
 
 from walshframes import framekit, runner
-from walshframes.algebra import FieldConfig, LambdaIndex, SystemConfig, cell_index, digit_count
+from walshframes.algebra import (
+    FieldConfig,
+    FieldElement,
+    LambdaIndex,
+    SystemConfig,
+    cell_index,
+    digit_count,
+)
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
@@ -41,7 +48,7 @@ from walshframes.periodic import (
     projection_energy_scan,
 )
 from walshframes.runner import RunConfig, periodic_report, verify_report
-from walshframes.stepfn import StepFunction, from_cells, inner, periodize, refine
+from walshframes.stepfn import StepFunction, inner, periodize, refine
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -76,14 +83,14 @@ def random_step(cfg, ball, resolution, seed, sparse):
     about half of the cells are zero, so supports overlap partially."""
     rng = np.random.default_rng(seed)
     q = cfg.q
-    cells = {}
+    amplitudes = {}
     for i in range(q ** (resolution - ball)):
         if sparse and rng.random() < 0.5:
             continue
         terms = {ball + e: (i // q ** e) % q for e in range(resolution - ball)}
-        cells[cfg.element(terms)] = complex(rng.standard_normal(),
-                                            rng.standard_normal())
-    return from_cells(cfg, resolution, cells)
+        amplitudes[FieldElement(cfg, terms)] = complex(rng.standard_normal(),
+                                                       rng.standard_normal())
+    return from_cells(cfg, resolution, amplitudes)
 
 
 SYSTEMS = {
@@ -129,15 +136,15 @@ def _support_overlaps(f, g):
         coarse, fine = f, g
     else:
         coarse, fine = g, f
-    keys = coarse.cells.keys()
+    keys = cells(coarse).keys()
     kc = coarse.resolution
-    return any(rep.truncate(kc) in keys for rep in fine.cells)
+    return any(truncate(rep, kc) in keys for rep in cells(fine))
 
 
 def oracle_coefficient_row(name, f, l, j, margin=0):
     """The support scan: one member and one inner product per translation."""
     sys, gens = SYSTEMS[name], GENERATORS[name]
-    if f.is_zero or gens[l].is_zero:
+    if not f.values.any() or not gens[l].values.any():
         return {}
     A = min(f.support_ball() - j, gens[l].support_ball())
     exp = max(0, -A)
@@ -160,7 +167,7 @@ def _energy(row):
 def _expand(name, row, l, j):
     out = from_cells(SYSTEMS[name].field, 0, {})
     for idx in sorted(row):
-        out = out + oracle_member(name, l, j, idx).scale(row[idx])
+        out = add(out, oracle_member(name, l, j, idx).scale(row[idx]))
     return out
 
 
@@ -251,7 +258,7 @@ def test_bank_rows_match_support_scan_on_suite_functions(name, resolution,
         resolution -= 1
     f = random_step(cfg, 0, resolution, seed, sparse)
     _check_rows(name, f, range(-1, 4), wide=(-1, 0, 1))
-    if not f.is_zero:
+    if f.values.any():
         _check_sums(name, f, 0, 3)
 
 
@@ -268,7 +275,7 @@ def test_bank_rows_match_support_scan_outside_the_unit_ball(name, ball,
         resolution -= 1
     f = random_step(cfg, ball, resolution, seed, sparse)
     _check_rows(name, f, range(0, 2), wide=(0, 1))
-    if not f.is_zero:
+    if f.values.any():
         _check_sums(name, f, 0, 1)
 
 
@@ -372,7 +379,7 @@ def _folded_rows(sys, j, K):
     m, c = min(j, K), nu_power(sys, -j)
     rows = []
     for label in range(sys.qN ** j):
-        mu = sys.lambda_element(sys.branch_index(label)).scale(c).shift(j)
+        mu = shift(sys.lambda_element(sys.branch_index(label)).scale(c), j)
         rows.append(cell_index(sys.q, [(e, d) for e, d in mu.terms if 0 <= e < m], m))
     return np.array(rows, dtype=np.int64)
 
@@ -403,7 +410,7 @@ def test_folded_members_match_periodized_members(name):
                 got = spec.member(l, j, label)
                 assert got.resolution == K and np.array_equal(got.values, want.values)
                 coeffs = refine(fast_transform(want), 0).window(-K).values
-                mu = sys.lambda_element(idx).scale(nu_power(sys, -j)).shift(j)
+                mu = shift(sys.lambda_element(idx).scale(nu_power(sys, -j)), j)
                 chars = character_table(cfg, mu, 0, -K)
                 scale = math.sqrt(want.norm2()) or 1.0
                 assert np.abs(coeffs - e * np.conj(chars)).max() <= REL * scale, \

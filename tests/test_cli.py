@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import allclose
+from oracles import allclose, from_cells
 
 import walshframes
 from walshframes import framekit, periodic, runner
@@ -18,7 +18,7 @@ from walshframes.algebra import Q_CAP, FieldConfig
 from walshframes.cli import main
 from walshframes.errors import ConfigError
 from walshframes.runner import UINDEX_CAP, RunConfig
-from walshframes.stepfn import CELL_CAP, StepFunction, dump_csv, from_cells, load_csv
+from walshframes.stepfn import CELL_CAP, StepFunction, dump_csv, load_csv
 
 CONFIGS = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "configs"))
@@ -318,12 +318,10 @@ def test_run_config_is_frozen(tmp_path):
 def test_transform_roundtrip(tmp_path):
     cfg = FieldConfig(2)
     rng = np.random.default_rng(5150)
-    cells = {}
-    reps = [cfg.zero(), cfg.one(), cfg.monomial(1, 1),
-            cfg.one() + cfg.monomial(1, 2)]
-    for rep in reps:
-        cells[rep] = complex(rng.standard_normal(), rng.standard_normal())
-    f = from_cells(cfg, 3, cells)
+    reps = [cfg.zero(), cfg.monomial(1, 0), cfg.monomial(1, 1),
+            cfg.monomial(1, 0) + cfg.monomial(1, 2)]
+    f = from_cells(cfg, 3, {rep: complex(rng.standard_normal(), rng.standard_normal())
+                            for rep in reps})
     src = str(tmp_path / "f.csv")
     fwd = str(tmp_path / "fhat.csv")
     back = str(tmp_path / "back.csv")

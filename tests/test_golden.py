@@ -5,10 +5,14 @@ configs as recorded before the step functions became dense digit tables.
 It also holds the reports of four edge cases of the energy checks, recorded
 while each check still summed the energies in its own loop: an empty verify
 scale range, a periodic scale cap of 0, and a system without wavelets.
-A refactor must reproduce each exit code and verdict block exactly and
+Those reports are compared as numbers: a refactor must reproduce each exit code and verdict block exactly and
 every report number to 1e-12 relative; a number recorded below 1e-12 (a
 residual at roundoff level) only has to stay below 1e-12. Strings, such
 as the version, are not compared.
+
+The `field-info` and `uindex` reports (count 32) of haar_q2 and of a GF(4)
+field (p = 2, c = 2, modulus 1.1.1, a config with a [field] section only)
+spell FieldElements as text, and are replayed byte for byte.
 """
 
 import configparser
@@ -35,6 +39,7 @@ EDGES = {
     "haar_q2_mask_0.verify": ("verify", "haar_q2", {}, 1),
     "haar_q2_mask_0.periodic": ("periodic", "haar_q2", {}, 1),
 }
+GF4_CONFIG = "[field]\np = 2\nc = 2\nmodulus = 1.1.1\n"
 
 
 def differences(got, want, where="report"):
@@ -118,3 +123,18 @@ def test_golden_comparison_catches_a_moved_number():
     assert differences({**want, "a": 1.0 + 1e-11}, want) != []
     assert differences({**want, "flag": False}, want) != []
     assert differences({**want, "xs": [2.0, 0.0]}, want) != []
+
+
+@pytest.mark.parametrize("command", ["field-info", "uindex"])
+@pytest.mark.parametrize("name", ["haar_q2", "gf4"])
+def test_field_report_reproduces_golden_bytes(tmp_path, name, command):
+    config = os.path.join(CONFIGS, f"{name}.cfg")
+    if name == "gf4":
+        config = str(tmp_path / "gf4.cfg")
+        with open(config, "w") as fh:
+            fh.write(GF4_CONFIG)
+    out = tmp_path / "report.json"
+    count = ["32"] if command == "uindex" else []
+    assert main([command, "--config", config, "--out", str(out), *count]) == 0
+    with open(os.path.join(GOLDEN, f"{name}.{command}.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()

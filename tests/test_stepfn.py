@@ -11,12 +11,24 @@ import numpy as np
 import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import allclose, enumerate_reps, modulate_table
+from oracles import (
+    add,
+    allclose,
+    cells,
+    chi,
+    enumerate_reps,
+    from_cells,
+    indicator,
+    modulate_table,
+    mul,
+    save_masks,
+    shift,
+)
 
 from walshframes import stepfn
-from walshframes.algebra import FieldConfig, FieldElement, SystemConfig, chi, uindex
+from walshframes.algebra import FieldConfig, FieldElement, SystemConfig, uindex
 from walshframes.errors import InputDataError, ResolutionError
-from walshframes.framekit import MASK_MAGIC, Mask, load_masks, save_masks
+from walshframes.framekit import MASK_MAGIC, Mask, load_masks
 from walshframes.harmonic import fast_inverse_transform, fast_transform
 from walshframes.stepfn import (
     StepFunction,
@@ -25,8 +37,6 @@ from walshframes.stepfn import (
     digit_count,
     dilate,
     dump_csv,
-    from_cells,
-    indicator,
     inner,
     load_csv,
     periodize,
@@ -54,18 +64,18 @@ def test_indicator_and_unit_ball():
     one = unit_ball(F2)
     assert one.resolution == 0
     assert one.norm2() == 1.0
-    cell = indicator(F2, 2, F2.element({0: 1, 3: 1}))  # t^3 lies above res 2
-    assert list(cell.cells) == [F2.element({0: 1})]
+    cell = indicator(F2, 2, FieldElement(F2, {0: 1, 3: 1}))  # t^3 lies above res 2
+    assert list(cells(cell)) == [FieldElement(F2, {0: 1})]
 
 
 def test_constructor_rejects_non_canonical_rep():
     with pytest.raises(ValueError):
-        from_cells(F2, 1, {F2.element({1: 1}): 1.0})
+        from_cells(F2, 1, {FieldElement(F2, {1: 1}): 1.0})
 
 
 def test_zero_amplitudes_dropped():
     f = from_cells(F2, 0, {F2.zero(): 0.0})
-    assert f.is_zero
+    assert not f.values.any()
     assert f.norm2() == 0.0
 
 
@@ -73,7 +83,7 @@ def test_zero_amplitudes_dropped():
 
 def test_translate_moves_cells():
     f = translate(unit_ball(F2), uindex(F2, 1))
-    assert list(f.cells) == [uindex(F2, 1)]
+    assert list(cells(f)) == [uindex(F2, 1)]
     back = translate(f, -uindex(F2, 1))
     assert back == unit_ball(F2)
 
@@ -87,14 +97,14 @@ def test_translate_preserves_norm_exactly():
 def test_modulate_haar_character():
     g = modulate_table(unit_ball(F2), uindex(F2, 1))
     assert g.resolution == 1
-    assert g.cells[F2.zero()] == pytest.approx(1.0)
-    assert g.cells[F2.one()] == pytest.approx(-1.0)
+    assert cells(g)[F2.zero()] == pytest.approx(1.0)
+    assert cells(g)[F2.monomial(1, 0)] == pytest.approx(-1.0)
 
 
 def test_modulate_by_integral_element_is_identity():
     f = unit_ball(F2)
     assert modulate_table(f, F2.zero()) == f
-    assert modulate_table(f, F2.one()) == f  # chi trivial on D
+    assert modulate_table(f, F2.monomial(1, 0)) == f  # chi trivial on D
 
 
 def test_modulate_preserves_norm():
@@ -108,8 +118,8 @@ def test_dilate_fine_haar():
     sys = SystemConfig(F2, N=1, r=1)
     g = dilate(unit_ball(F2), sys, "fine")
     assert g.resolution == 1
-    assert list(g.cells) == [F2.zero()]
-    assert g.cells[F2.zero()] == pytest.approx(math.sqrt(2))
+    assert list(cells(g)) == [F2.zero()]
+    assert cells(g)[F2.zero()] == pytest.approx(math.sqrt(2))
 
 
 def test_dilate_with_nontrivial_unit():
@@ -117,8 +127,8 @@ def test_dilate_with_nontrivial_unit():
     f = indicator(F3, 0, uindex(F3, 1))
     g = dilate(f, sys, "fine")
     assert g.resolution == 1
-    assert list(g.cells) == [F3.element({0: 2})]
-    assert g.cells[F3.element({0: 2})] == pytest.approx(math.sqrt(3))
+    assert list(cells(g)) == [FieldElement(F3, {0: 2})]
+    assert cells(g)[FieldElement(F3, {0: 2})] == pytest.approx(math.sqrt(3))
 
 
 def test_dilate_round_trip_and_isometry():
@@ -134,7 +144,7 @@ def test_dilate_round_trip_and_isometry():
 def test_dilate_qn_mode_amplitude():
     sys = SystemConfig(F2, N=3, r=1, normalization="qn")
     g = dilate(unit_ball(F2), sys, "fine")
-    assert g.cells[F2.zero()] == pytest.approx(math.sqrt(6))
+    assert cells(g)[F2.zero()] == pytest.approx(math.sqrt(6))
 
 
 def test_refine_preserves_norm_and_splits():
@@ -142,7 +152,7 @@ def test_refine_preserves_norm_and_splits():
     f = random_step(F2, 1, rng)
     g = refine(f, 4)
     assert g.resolution == 4
-    assert len(g.cells) == len(f.cells) * 2 ** 3
+    assert len(cells(g)) == len(cells(f)) * 2 ** 3
     assert g.norm2() == pytest.approx(f.norm2(), rel=1e-14)
     with pytest.raises(ResolutionError):
         refine(f, 0)
@@ -162,7 +172,7 @@ def test_inner_matches_norm2():
     f = random_step(F4, 2, rng)
     assert inner(f, f) == pytest.approx(f.norm2(), rel=1e-14)
     assert f.norm2() == pytest.approx(
-        sum(abs(v) ** 2 for v in f.cells.values()) * F4.q ** -2.0)
+        sum(abs(v) ** 2 for v in cells(f).values()) * F4.q ** -2.0)
 
 
 def test_inner_conjugate_symmetry_and_linearity():
@@ -170,7 +180,7 @@ def test_inner_conjugate_symmetry_and_linearity():
     f = random_step(F3, 2, rng)
     g = random_step(F3, 3, rng)
     assert inner(f, g) == pytest.approx(inner(g, f).conjugate(), rel=1e-12)
-    h = f + g.scale(2 - 1j)
+    h = add(f, g.scale(2 - 1j))
     hh = inner(h, h)
     assert hh.real >= 0 and abs(hh.imag) < 1e-14
     assert inner(h, g) == pytest.approx(inner(f, g) + (2 - 1j) * inner(g, g), rel=1e-12)
@@ -182,10 +192,10 @@ def test_commutation_translate_modulate():
     for cfg in (F2, F3):
         f = random_step(cfg, 2, rng)
         for a, b in [(uindex(cfg, 1), uindex(cfg, 2)),
-                     (cfg.one(), uindex(cfg, 3)),
-                     (uindex(cfg, 2), uindex(cfg, 1) + cfg.one())]:
+                     (cfg.monomial(1, 0), uindex(cfg, 3)),
+                     (uindex(cfg, 2), uindex(cfg, 1) + cfg.monomial(1, 0))]:
             lhs = translate(modulate_table(f, b), a)
-            rhs = modulate_table(translate(f, a), b).scale(chi(b * a).conjugate())
+            rhs = modulate_table(translate(f, a), b).scale(chi(mul(b, a)).conjugate())
             assert allclose(lhs, rhs, 1e-12)
 
 
@@ -195,15 +205,6 @@ def test_support_ball():
     f = from_cells(F2, 0, {uindex(F2, 2): 1.0, F2.zero(): 2.0})
     assert f.support_ball() == -2
     assert from_cells(F2, 3, {}).support_ball() == 3
-
-
-def test_add_refines_to_common_resolution():
-    f = unit_ball(F2)
-    g = indicator(F2, 1, F2.one()).scale(3.0)
-    h = f + g
-    assert h.resolution == 1
-    assert h.cells[F2.one()] == pytest.approx(4.0)
-    assert h.cells[F2.zero()] == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------ serialization --
@@ -1044,12 +1045,12 @@ def test_periodic_from_complete_table():
     assert f.norm2() == pytest.approx((1 + 4 + 9 + 16) / 4)
     # index order: digit at exponent 0 is most significant
     one_hot = StepFunction(F2, 2, np.eye(4)[0b10])
-    assert list(one_hot.cells) == [F2.one()]  # digits (1, 0) -> 1*t^0
+    assert list(cells(one_hot)) == [F2.monomial(1, 0)]  # digits (1, 0) -> 1*t^0
 
 
 def test_periodic_index_rep_round_trip():
     for idx in range(27):
-        (rep,) = StepFunction(F3, 3, np.eye(27)[idx]).cells
+        (rep,) = cells(StepFunction(F3, 3, np.eye(27)[idx]))
         assert rep == enumerate_reps(F3, 0, 3)[idx]
         assert from_cells(F3, 3, {rep: 1.0}).window(0).values.argmax() == idx
 
@@ -1074,7 +1075,7 @@ def test_periodic_step_conversion():
     rng = np.random.Generator(np.random.PCG64(16))
     vals = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     f = StepFunction(F2, 3, vals)
-    g = from_cells(F2, 3, f.cells)
+    g = from_cells(F2, 3, cells(f))
     assert g.norm2() == pytest.approx(f.norm2(), rel=1e-14)
     assert allclose(g.window(0), f, 0)
     with pytest.raises(ValueError):
@@ -1082,9 +1083,9 @@ def test_periodic_step_conversion():
 
 
 def test_prune_drops_small_amplitudes():
-    f = from_cells(F2, 1, {F2.zero(): 1.0, F2.one(): 1e-15})
+    f = from_cells(F2, 1, {F2.zero(): 1.0, F2.monomial(1, 0): 1e-15})
     g = prune(f, 1e-14)
-    assert g.cells == {F2.zero(): 1.0}
+    assert cells(g) == {F2.zero(): 1.0}
     assert prune(f) == f
     with pytest.raises(ValueError):
         prune(f, -1.0)
@@ -1117,10 +1118,10 @@ def test_table_round_trip_against_index_of_rep(cfg, ball, digits, pad, seed):
     # a window padded below the support holds the same cells
     wide = f.window(lo - pad)
     assert wide.lo == lo - pad and wide.values.size == cfg.q ** (k - wide.lo)
-    assert np.count_nonzero(wide.values) == len(f.cells)
+    assert np.count_nonzero(wide.values) == len(cells(f))
     # cell i of the table is the i-th representative in digit order
     reps = enumerate_reps(cfg, wide.lo, k)
-    for rep, v in f.cells.items():
+    for rep, v in cells(f).items():
         assert wide.values[reps.index(rep)] == v
     assert StepFunction(cfg, k, values, lo) == f
     assert StepFunction(cfg, k, wide.values, wide.lo) == f
@@ -1151,7 +1152,7 @@ def tables(draw, cfg=None):
 def elements(cfg):
     """Field elements with digits at exponents -2..1."""
     return st.lists(st.integers(0, cfg.q - 1), min_size=4, max_size=4).map(
-        lambda ds: cfg.element(dict(zip(range(-2, 2), ds))))
+        lambda ds: FieldElement(cfg, dict(zip(range(-2, 2), ds))))
 
 
 @st.composite
@@ -1192,10 +1193,10 @@ def test_commutation_identities(ops):
     f, _, a, b, sys = ops
     # T_a E_b = chi(-ab) E_b T_a
     lhs = translate(modulate_table(f, b), a)
-    rhs = modulate_table(translate(f, a), b).scale(chi(-(a * b)))
+    rhs = modulate_table(translate(f, a), b).scale(chi(-mul(a, b)))
     assert allclose(lhs, rhs, 1e-12)
     # D T_a = T_(t nu^-1 a) D
-    moved = a.scale(f.cfg.gf_inv(sys.nu)).shift(1)
+    moved = shift(a.scale(f.cfg.gf_inv(sys.nu)), 1)
     assert allclose(dilate(translate(f, a), sys),
         translate(dilate(f, sys), moved), 1e-12)
 
