@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
-from .errors import ConfigError, InputDataError, WalshFramesError
+from .errors import InputDataError, WalshFramesError
 from .harmonic import fast_inverse_transform, fast_transform
 from .runner import (
     RunConfig,
@@ -89,14 +89,11 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "field-info":
+    if args.command in ("field-info", "uindex"):
         rc = RunConfig.load(args.config, need_masks=False)
-        _emit(render_report(field_info_report(rc)), args.out)
-        return 0
-
-    if args.command == "uindex":
-        rc = RunConfig.load(args.config, need_masks=False)
-        _emit(render_report(uindex_report(rc, args.count)), args.out)
+        report = field_info_report(rc) if args.command == "field-info" \
+            else uindex_report(rc, args.count)
+        _emit(render_report(report), args.out)
         return 0
 
     if args.command == "transform":
@@ -113,26 +110,17 @@ def _dispatch(args: argparse.Namespace) -> int:
             dump_csv(g, sys.stdout if args.out is None else args.out)
         return 0
 
-    if args.command == "verify":
+    if args.command in ("verify", "periodic"):
         rc = RunConfig.load(args.config, seed=args.seed)
-        report = verify_report(rc)
+        report = (verify_report if args.command == "verify" else periodic_report)(rc)
         _emit(render_report(report), args.out)
         return 0 if report["verdicts"]["overall"] else 1
 
-    if args.command == "periodic":
-        rc = RunConfig.load(args.config, seed=args.seed)
-        report = periodic_report(rc)
-        _emit(render_report(report), args.out)
-        return 0 if report["verdicts"]["overall"] else 1
-
-    if args.command == "dump-wavelets":
-        rc = RunConfig.load(args.config)
-        with _writing(args.out):
-            report = dump_wavelets_report(rc, args.out)
-        sys.stdout.write(render_report(report))
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    rc = RunConfig.load(args.config)   # dump-wavelets: argparse allows no other
+    with _writing(args.out):
+        report = dump_wavelets_report(rc, args.out)
+    sys.stdout.write(render_report(report))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -126,8 +126,7 @@ class RunConfig:
 
     @classmethod
     def _build(cls, parser, path, seed, need_masks):
-        sys_cfg = None
-        cfg = None
+        sys_cfg = cfg = None
         mask_file = parser.get("masks", "file", fallback=None)
         if mask_file is not None:
             if not os.path.isabs(mask_file):
@@ -464,21 +463,15 @@ def dump_wavelets_report(rc: RunConfig, out_dir: str) -> dict:
     sys_cfg = _require_system(rc)
     generators = derive_generators(sys_cfg, rc.cascade_iterations)
     os.makedirs(out_dir, exist_ok=True)
-    files = []
-    norms = []
-    resolutions = []
-    for l, g in enumerate(generators):
-        name = "phi.csv" if l == 0 else f"psi_{l}.csv"
+    files = ["phi.csv"] + [f"psi_{l}.csv" for l in range(1, len(generators))]
+    for name, g in zip(files, generators):
         dump_csv(g, os.path.join(out_dir, name))
-        files.append(name)
-        norms.append(g.norm2())
-        resolutions.append(g.resolution)
     return {
         "version": __version__,
         "command": "dump-wavelets",
         "config": rc.config_block(),
         "directory": out_dir,
         "files": files,
-        "norm2": norms,
-        "resolutions": resolutions,
+        "norm2": [g.norm2() for g in generators],
+        "resolutions": [g.resolution for g in generators],
     }

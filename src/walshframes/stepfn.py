@@ -253,15 +253,15 @@ def periodize(f: StepFunction) -> StepFunction:
 # ------------------------------------------------------------- CSV format --
 
 # Rows formatted, and characters read, per array pass. A pass has a fixed
-# cost: an _accept call takes about 0.28 ms whatever its size, plus about
-# 0.5 us per row, and a 2^17-character chunk of a 65,536-row GF(4) file
-# holds about 2,300 rows, so about a fifth of its time is the fixed part.
+# cost: an _accept call takes about 0.26 ms whatever its size, plus about
+# 0.34 us per row, and a 2^17-character chunk of a 65,536-row GF(4) file
+# holds about 2,500 rows, so about a quarter of its time is the fixed part.
 # Larger chunks trade it for memory. load_csv alone on that file, in fresh
-# processes (median of 5, shared 2-vCPU host, Python 3.11, numpy 2.4), takes
-# 60 ms at a peak RSS of 36.4 MB with 2^17 characters a pass, 54 ms at
-# 38.1 MB with 2^18, 52 ms at 41.7 MB with 2^19, and peaks at 50.6 MB with
-# 2^20. `transform` on it peaks at 38 MB with these sizes, at 42 MB
-# formatting 8192 rows a pass and at 90 MB reading the file in one pass.
+# processes (median of 7, shared 2-vCPU host, Python 3.11, numpy 2.4), takes
+# 45 ms at a peak RSS of 34.6 MB with 2^17 characters a pass, 41 ms at
+# 36.7 MB with 2^18, 39 ms at 37.5 MB with 2^19 and 44 ms at 43.0 MB with
+# 2^20. `transform` on it peaks at 37 MB with these sizes, at 41 MB
+# formatting 8192 rows a pass and at 67 MB reading the file in one pass.
 CSV_BLOCK = 4096
 CSV_CHUNK = 1 << 17
 
@@ -688,41 +688,65 @@ def _chunks(src: TextIO):
         yield text + "\n"
 
 
+def _digits(raw: np.ndarray, at: np.ndarray, q: int, cap: int):
+    """(index, n) of a chunk's rows if each digits field is n <= cap pieces of
+    1 to w = len(str(q - 1)) ASCII decimal digits below q, else None. Piece j
+    from the end of row r is set at columns[j, :w, r], last character first,
+    the '.' before it at columns[j, w, r]; past a field they read '0's, '.'."""
+    w = len(str(q - 1))
+    size = (second := at[1::4]) - at[0::4]   # a field and the ',' before it
+    if size.max() > cap * (w + 1):
+        return None
+    width = int(size.max()) + 1 & ~1
+    column = np.arange(width)[:, None]   # byte c from a field's end; size - 1: the ',' before it
+    window = np.concatenate((np.zeros(width, np.uint8), raw))[second + width - 1 - column]
+    if w == 1:   # piece j is byte 2j, and the byte before it 2j + 1
+        if np.count_nonzero(size & 1) > np.count_nonzero(size == 1):   # else empty
+            return None
+        fill = np.resize(np.frombuffer(b"0.", np.uint8), (width, 1))   # from the ',' on
+        columns = ((window - fill) * (column < size - 1) + fill).reshape(-1, 2, size.size)
+        n = size >> 1
+    else:   # the pieces end at the '.'s and at the ',' before the field
+        window = (window * (column < size)).T.ravel()   # row by row
+        end = np.flatnonzero((window == ord(".")) | (window == ord(",")))
+        r = end // width
+        pieces = np.bincount(r, minlength=size.size)
+        before = np.maximum(np.concatenate(([-1], end[:-1])), r * width - 1)   # in row r
+        lengths = end - before - 1
+        if pieces.max() > cap or lengths.max() > w \
+                or np.count_nonzero(lengths == 0) > np.count_nonzero(size == 1):
+            return None
+        columns = np.tile(np.frombuffer(b"0" * w + b".", np.uint8)[:, None],
+                          (pieces.max(), 1, size.size))
+        at_piece = (np.arange(r.size) - (np.cumsum(pieces) - pieces)[r]) * columns[0].size + r
+        for i in range(w):   # each piece's characters, last first, '0' past its length
+            columns.ravel()[at_piece + i * size.size] = \
+                (window.take(before + 1 + i, mode="clip") - ord("0")) * (lengths > i) + ord("0")
+        n = pieces - (size == 1)
+    code = columns[:, :w] - ord("0")   # below 10 for a digit
+    digit = np.einsum("jir,i->jr", code, 10 ** np.arange(w))
+    if code.max() > 9 or digit.max() >= q or (columns[:, w] != ord(".")).any():
+        return None
+    return q ** np.arange(len(digit)) @ digit, n
+
+
 def _accept(text: str, q: int, resolution: int, cap: int):
     """(index, amplitude) of a chunk's rows if every row passes _check, else
     None. One scan of the chunk's bytes holds its lines to the grammar
     (exactly three ','s and no CR on every line, so no blank line) and finds
-    the field bounds. Array passes over the fields' bytes then give up at the
-    first sign that a row may fail: an amplitude that float() refuses (read
-    by _read_doubles), a digit token other than 1 to 18 ASCII decimal digits
-    or a lo other than str(resolution - digit count) (dump_csv writes no
-    other), a digit out of range, a non-finite amplitude or a cell past the
-    cap."""
+    the field bounds. Array passes then give up at the first sign that a row
+    may fail: a digits field that _digits refuses, a lo other than
+    str(resolution - digit count) (dump_csv writes no other), or an amplitude
+    that float() refuses (read by _read_doubles) or that is not finite."""
     # a ',', CR or LF byte is that character; a non-ASCII character or a lone
     # surrogate becomes bytes above 127, neither digit nor separator
     raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
     at = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")) | (raw == ord("\n")))
-    m = at.size // 4
-    if raw[at].tobytes() != b",,,\n" * m:
+    if raw[at].tobytes() != b",,,\n" * (at.size // 4):
         return None
-    # the digits fields, each with its ',' after it, one after another: a '.'
-    # or that ',' ends each piece, and an empty field's one piece reads as 0
-    size = at[1::4] - at[0::4]
-    ends = np.cumsum(size)
-    col = raw[np.arange(ends[-1]) + np.repeat(at[0::4] + 1 - ends + size, size)]
-    code = col - ord("0")   # below 10 for a decimal digit only
-    sep = np.flatnonzero(code > 9)
-    lengths = np.diff(sep, prepend=-1) - 1
-    if np.count_nonzero(col[sep] == ord(".")) + m < sep.size or lengths.max() > 18 \
-            or np.count_nonzero(lengths == 0) > np.count_nonzero(size == 1):
+    if not (cells := _digits(raw, at, q, cap)):
         return None
-    digit = np.zeros(sep.size, dtype=np.int64)
-    for e in reversed(range(lengths.max())):   # e places from a piece's end
-        digit = digit * 10 + np.where(lengths > e, code[sep - 1 - e], 0)
-    comma = np.flatnonzero(col[sep] == ord(","))   # each field's last piece
-    field = np.repeat(np.arange(m), np.diff(comma, prepend=-1))
-    dist = comma[field] - np.arange(sep.size) + 1   # 1 for a field's last digit
-    counts = np.diff(comma, prepend=-1) - (size == 1)
+    index, counts = cells
     # each row's first bytes, up to its first ',', against the lo it needs,
     # as whole words of the bytes from the row's start
     spelled = [b"%d," % (resolution - n) for n in range(counts.max() + 1)]
@@ -734,19 +758,14 @@ def _accept(text: str, q: int, resolution: int, cap: int):
     if (head[np.concatenate(([0], at[3:-1:4] + 1))] & keep[counts] != expect[counts]).any():
         return None
     # re and im of each row in turn: the layout of a complex array
-    bounds = at.reshape(m, 4)
+    bounds = at.reshape(-1, 4)
     try:
         amplitude = _read_doubles(raw, bounds[:, 1:3].ravel() + 1, bounds[:, 2:].ravel())
     except ValueError:
         return None
-    if (digit >= q).any() or (dist[digit != 0] > cap).any() \
-            or not np.isfinite(amplitude).all():
+    if not np.isfinite(amplitude).all():
         return None
-    amplitude = amplitude.view(complex)
-    # each digit at cell_index's place value q^(dist - 1), looked up; past the
-    # cap every digit is 0, so the clipped place changes nothing
-    weight = digit * (q ** np.arange(cap + 1))[np.minimum(dist - 1, cap)]
-    return np.bincount(field, weights=weight, minlength=m).astype(np.int64), amplitude
+    return index, amplitude.view(complex)
 
 
 def _line(text: str, n: int) -> str:

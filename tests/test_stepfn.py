@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -288,8 +289,9 @@ def test_load_csv_accepts_resolution_with_normal_measure(resolution, q):
 
 # -------------------------------------------- CSV against the row oracles --
 
-# GF(16) digits take two characters; GF(9) has the explicit modulus z^2 + 1
-CSV_FIELDS = (F2, F3, F4, FieldConfig(3, 2, (1, 0, 1)),
+# GF(16) digits take two characters, GF(101) three and GF(1021) four; GF(9)
+# has the explicit modulus z^2 + 1
+CSV_FIELDS = (F2, F3, F4, FieldConfig(3, 2, (1, 0, 1)), FieldConfig(101), FieldConfig(1021),
               FieldConfig(2, 4, (1, 1, 0, 0, 1)))
 # amplitudes whose repr is long, short, signed zero, subnormal or huge
 SPECIAL = (0.0, -0.0, 1.0, -1.5, 1 / 3, 5e-324, 1e300, -2.5e-17, 1e16, 123456.0)
@@ -302,10 +304,10 @@ CHUNKS = (1, 3, 20, 150, stepfn.CSV_CHUNK)
 
 @st.composite
 def csv_functions(draw):
-    """(step function, rng seed): windows of up to ~600 cells, about a third
+    """(step function, rng seed): windows of up to ~1,000 cells, about a third
     of them zero, the rest drawn from SPECIAL and standard normals."""
     cfg = draw(st.sampled_from(CSV_FIELDS))
-    width = draw(st.integers(0, {2: 9, 3: 5, 4: 4, 9: 2, 16: 2}[cfg.q]))
+    width = draw(st.integers(0, {2: 9, 3: 5, 4: 4, 9: 2, 16: 2, 101: 1, 1021: 1}[cfg.q]))
     k = draw(st.integers(-3, 4))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -770,6 +772,67 @@ def test_load_csv_accepts_the_full_size_file_without_row_checks():
     assert len(uncovered) > 1 and not any(uncovered)
 
 
+@pytest.mark.parametrize("cfg, width", [(FieldConfig(11), 4), (CSV_FIELDS[-1], 4),
+                                        (FieldConfig(101), 3), (FieldConfig(1021), 2)],
+                         ids=repr)
+@pytest.mark.parametrize("chunk", [150, stepfn.CSV_CHUNK])
+def test_load_csv_accepts_multi_character_digits_in_every_place(cfg, width, chunk):
+    # 400 cells of a window as wide as width digits, so that rows hold up to
+    # width pieces of one to len(str(q - 1)) characters each; 101^3 and 1021^2
+    # are the widest windows of their fields within CELL_CAP
+    rng = np.random.default_rng(cfg.q)
+    n = cfg.q ** width
+    values = np.zeros(n, dtype=complex)
+    values[rng.choice(n, 400, replace=False)] = rng.standard_normal(400) + 1j
+    f = StepFunction(cfg, 1, values, 1 - width)
+    text = _oracle_text(f)
+    with mock.patch.object(stepfn, "CSV_CHUNK", chunk):
+        g, checks = _load_counting_checks(text)
+    assert checks == 0
+    assert g == f.window(g.lo)
+    assert _load_both(text, chunk)[1] == (g.resolution, g.lo, g.values.tobytes())
+
+
+@pytest.mark.parametrize("q, digits, count", [
+    (2, ".1", 1),               # an empty first digit
+    (2, "1_0", 2),              # int() reads 10, not the digits 1 and 0
+    (16, "100", 1),             # longer than the two characters of a GF(16) digit
+    (16, "0007", 1),            # longer too, though int() reads it as 7
+    (16, "1..2", 3),            # an empty digit
+    (16, "1.0.0.0.0.0.0", 7),   # seven digits: the cell 16^6 is past the cap
+    (101, ":", 1),              # ':' follows '9' but is no digit
+])
+def test_load_csv_gives_other_digit_spellings_to_the_line_checker(q, digits, count):
+    # lo = resolution - count, count the digits the field has when read at
+    # fixed columns, so that the digits field alone sends the row to _check,
+    # which reads it as int() does
+    cfg = {2: F2, 16: CSV_FIELDS[-1], 101: FieldConfig(101)}[q]
+    row = f"{2 - count},{digits},1.0,0.0\n"
+    assert stepfn._accept(row, q, 2, digit_count(q, stepfn.CELL_CAP) - 1) is None
+    text = (f"# walshframes-stepfn v1 p={cfg.p} c={cfg.c} modulus={cfg.modulus_text or '-'} "
+            f"resolution=2\nlo,digits,re,im\n{row}")
+    new, old = _load_both(text, stepfn.CSV_CHUNK)
+    assert new == old
+
+
+def test_load_csv_memory_stays_bounded_on_a_wide_digits_field():
+    # 2,000 rows in one chunk, one of them written with 100,000 zero digits
+    # before its own: a window as wide as that field on every row of the
+    # chunk would take 400 MB
+    lines = _big_file()[:2000]
+    lo, digits, re, im = lines[1000].split(",")
+    lines[1000] = ",".join((str(int(lo) - 100_000), "0." * 100_000 + digits, re, im))
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        g = load_csv(io.StringIO(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _load_both(text, stepfn.CSV_CHUNK)[1] == (g.resolution, g.lo, g.values.tobytes())
+    assert peak < 8e6
+
+
 # ------------------------------------------------ repr of amplitude parts --
 
 def _kernel_lines(x):
@@ -1022,19 +1085,22 @@ def test_load_csv_reads_other_spellings_like_the_row_reader(case, chunk, spellin
 
 
 def test_import_and_verify_leave_the_decimal_tables_unbuilt():
-    # they are built on a CSV's first load, inside the command's work
+    # the CSV kernels' tables are built on a CSV's first load or dump, inside
+    # the command's work
     probe = ("import sys, walshframes\n"
              "from walshframes import cli, stepfn\n"
-             "built = stepfn._decimal_tables.cache_info().currsize\n"
+             "tables = (stepfn._decimal_tables, stepfn._repr_tables)\n"
+             "built = [t.cache_info().currsize for t in tables]\n"
              "code = cli.main(['verify', '--config', sys.argv[1]])\n"
-             "sys.stderr.write(f'{built} {stepfn._decimal_tables.cache_info().currsize}\\n')\n"
+             "built += [t.cache_info().currsize for t in tables]\n"
+             "sys.stderr.write(' '.join(map(str, built)) + '\\n')\n"
              "sys.exit(code)\n")
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stepfn.__file__)))
     out = subprocess.run([sys.executable, "-c", probe, os.path.join(root, "configs", "haar_q2.cfg")],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stderr.split() == ["0", "0"]
+    assert out.stderr.split() == ["0"] * 4
 
 
 # ------------------------------------------------------------- periodic type --
