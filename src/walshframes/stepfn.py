@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Mapping, TextIO
+from typing import BinaryIO, Mapping, TextIO
 
 import numpy as np
 
@@ -252,18 +252,16 @@ def periodize(f: StepFunction) -> StepFunction:
 
 # ------------------------------------------------------------- CSV format --
 
-# Rows formatted, and characters read, per array pass. A pass has a fixed
-# cost: an _accept call takes about 0.26 ms whatever its size, plus about
-# 0.34 us per row, and a 2^17-character chunk of a 65,536-row GF(4) file
-# holds about 2,500 rows, so about a quarter of its time is the fixed part.
-# Larger chunks trade it for memory. load_csv alone on that file, in fresh
-# processes (median of 7, shared 2-vCPU host, Python 3.11, numpy 2.4), takes
-# 45 ms at a peak RSS of 34.6 MB with 2^17 characters a pass, 41 ms at
-# 36.7 MB with 2^18, 39 ms at 37.5 MB with 2^19 and 44 ms at 43.0 MB with
-# 2^20. `transform` on it peaks at 37 MB with these sizes, at 41 MB
-# formatting 8192 rows a pass and at 67 MB reading the file in one pass.
+# Rows formatted, and characters read, per array pass. An _accept pass takes
+# about 0.26 ms whatever its size plus 0.36 us per row, and holds about 290 B
+# per row beside its chunk's bytes; a 2^19-character chunk of a 65,536-row
+# GF(4) file holds about 9,300 rows. On that file, in fresh processes (median
+# of 15, shared 2-vCPU host, Python 3.11, numpy 2.4), load_csv takes 51, 46,
+# 42 and 49 ms with 2^17, 2^18, 2^19 and 2^20 characters a pass and peaks at
+# 31.0, 32.4, 34.7 and 38.9 MB; `transform` peaks at 37.3, 38.0, 38.0 and
+# 40.6 MB, and at 41.8 MB formatting 8192 rows a pass.
 CSV_BLOCK = 4096
-CSV_CHUNK = 1 << 17
+CSV_CHUNK = 1 << 19
 
 # ------------------------------------------------------- repr of doubles --
 #
@@ -313,33 +311,34 @@ class _ReprTables:
         self.g = [g1 >> 32, g1 & 0xFFFFFFFF, g0 >> 32, g0 & 0xFFFFFFFF]
         self.r = np.array(r, dtype=np.int64)
         self.pow10 = 10 ** np.arange(18, dtype=np.int64)
-        quads = np.arange(10000)[:, None] // self.pow10[3::-1] % 10
-        self.quad = (quads + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+        digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)   # of each group
+        self.quad = np.ascontiguousarray(digits.T + ord("0")).view(np.uint32).ravel()
         self.last = np.array([f"{d}0.e" for d in range(10)], "S4").view(np.uint32)
         self.signs = np.array([b"-,"], "S4").view(np.uint32)
-        places = ((quads > 0) * np.arange(1, 5)).max(axis=1)
-        self.ends = [np.where(places > 0, places + 4 * j, j == 0) for j in range(4)]
-        points = range(-323, 310)
-        self.exponent = np.array([f"{p - 1:+04d}" for p in points], "S4").view(np.uint32)
-        self.shape = np.array([17 * (p + 3 if -3 <= p <= 16 else 20 + (abs(p - 1) >= 100)) - 1
-                               for p in points])
-        self.layout = np.array([self._layout(negative, code, n) for negative in (0, 1)
-                                for code in range(22) for n in range(1, 18)], dtype=np.intp)
-
-    @classmethod
-    def _layout(cls, negative: int, code: int, n: int) -> list[int]:
-        digits = list(range(n))
-        if code >= 20:
-            body = digits[:1] + ([cls.POINT] + digits[1:]) * (n > 1) + [cls.E] \
-                + [cls.EXPONENT + i for i in range(4) if i != 1 or code == 21]
-        elif (point := code - 3) <= 0:
-            body = [cls.ZERO, cls.POINT] + [cls.ZERO] * -point + digits
-        elif point < n:
-            body = digits[:point] + [cls.POINT] + digits[point:]
-        else:
-            body = digits + [cls.ZERO] * (point - n) + [cls.POINT, cls.ZERO]
-        row = [cls.COMMA] + [cls.MINUS] * negative + body
-        return row + [cls.NUL] * (cls.WIDTH - len(row))
+        places = ((digits > 0) * np.arange(1, 5, dtype=np.uint8)[:, None]).max(axis=0)
+        self.ends = np.where(places > 0, places + [[0], [4], [8], [12]], [[1], [0], [0], [0]])
+        points = np.arange(-323, 310)   # the exponent: its sign, the last 3 digits of its group
+        sign = np.where(points > 0, ord("+"), ord("-")).astype(np.uint8)
+        self.exponent = np.c_[sign, digits[1:, abs(points - 1)].T + ord("0")] \
+            .view(np.uint32).ravel()
+        self.shape = 17 * np.where((-3 <= points) & (points <= 16), points + 3,
+                                   20 + (np.abs(points - 1) >= 100)) - 1
+        # the bytes after a row's ',' by (code, n, place k); exponent notation is fixed
+        # with point 1 but no point after one digit, then 'e', sign and 2 or 3 digits
+        code, n, k = np.ogrid[:22, 1:18, :self.WIDTH - 1]
+        point = np.where(code < 20, code - 3, 1)
+        whole = np.maximum(point, 1)   # the places before the point
+        digit = k - (k > whole) - np.maximum(1 - point, 0)
+        size = np.where(code < 20, whole + 1 + np.maximum(n - point, 1), n + (n > 1))
+        after = k - size - 1 + ((code == 20) & (k > size + 1))   # the place in the exponent
+        inside = k < size
+        body = np.select([inside & (k == whole), inside & (0 <= digit) & (digit < n), inside,
+                          code < 20, k == size, (0 <= after) & (after < 4)],
+                         [self.POINT, digit, self.ZERO, self.NUL, self.E, self.EXPONENT + after],
+                         self.NUL).reshape(22 * 17, -1)
+        head = np.full((len(body), 1), self.COMMA)   # a negative row: ',', '-' and the same row
+        self.layout = np.block([[head, body],
+                                [head, np.full_like(head, self.MINUS), body[:, :-1]]])
 
 
 _repr_tables = functools.cache(_ReprTables)
@@ -514,8 +513,8 @@ class _DecimalTables:
             else:
                 c = (1 << (n.bit_length() + 127 if q >= -27 else 2 * n.bit_length() + 128)) // n + 1
                 five.append(c >> max(c.bit_length() - 128, 0))
-        words = np.array([(c >> 64, c & (1 << 64) - 1) for c in five], dtype=np.uint64).T
-        self.five = [limb for word in words for limb in (word >> 32, word & 0xFFFFFFFF)]
+        self.five = [np.array([c >> bit & 0xFFFFFFFF for c in five], np.uint32)
+                     for bit in (96, 64, 32, 0)]
         r = np.array([0, 5, 4, 0, 3, 0, 0, 0])
         self.end = 32 - r
         self.tail = (10 ** r).astype(np.uint64)
@@ -527,13 +526,13 @@ _decimal_tables = functools.cache(_DecimalTables)
 
 
 def _bits(mask: np.ndarray) -> np.ndarray:
-    """(T, 32) bool -> (T,) uint64 with bit j set for a True in column j."""
-    return np.packbits(mask, axis=None, bitorder="little").view("<u4").astype(np.uint64)
+    """(T, 32) bool -> (T,) uint32 with bit j set for a True in column j."""
+    return np.packbits(mask, axis=None, bitorder="little").view("<u4")
 
 
 def _unpack(bits: np.ndarray) -> np.ndarray:
     """The inverse of _bits, as (T, 32) uint8 of 0 and 1."""
-    return np.unpackbits(bits.astype("<u4").view(np.uint8), bitorder="little") \
+    return np.unpackbits(bits.astype("<u4", copy=False).view(np.uint8), bitorder="little") \
         .reshape(bits.size, 32)
 
 
@@ -549,58 +548,53 @@ def _eight_digits(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _decimal_layout(window: np.ndarray, length: np.ndarray):
-    """(covered, digit, point, e, negative, negative exponent) of the tokens
-    that end their windows: covered where the token is in the kernel's
-    grammar; digit, point and e the bits of its digits, of its point and of
-    its 'e' (0 if it has none)."""
-    u = np.uint64
-    first = u(1) << (32 - np.minimum(length, 32)).astype(u)   # the token's first byte
-    token = u(1 << 32) - first
-    digit = _bits(window - ord("0") < 10) & token
-    point, e, minus, plus = (_bits(window == ord(c)) & token for c in ".e-+")
-    negative = minus & first
-    point &= ~point + u(1)   # the first of each
-    e &= ~e + u(1)
-    sign = e << u(1)
-    other = negative | point | e | sign
-    # every byte but those of other is a digit; the first after the '-' and
-    # the one after the point are digits, the point comes before the 'e', a
-    # sign follows the 'e' and 1 to 3 digits end the token
-    covered = ((token & ~digit) == other) & (length <= DECIMAL_BYTES) \
-        & (((first + negative) | point << u(1)) & (other | u(1 << 32)) == 0) \
-        & ((e == 0) | (point < e)) & ((e & ~u(0x38000000)) == 0) \
-        & ((minus | plus) & sign == sign)
-    return covered, digit, point, e, negative != 0, minus & sign != 0
-
-
 def _decimal_fields(raw: np.ndarray, start: np.ndarray, end: np.ndarray):
     """(covered, negative, w, q) for the tokens raw[start:end]: where covered,
     the token is in the kernel's grammar and spells -w 10^q if negative,
     else w 10^q."""
     tables = _decimal_tables()
-    u = np.uint64
+    u, u32 = np.uint64, np.uint32
     # the 32 bytes that end each token; bit j of a mask stands for byte j
     window = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((np.zeros(32, np.uint8), raw)), 32)[end]
-    covered, digit, point, e, negative, down = _decimal_layout(window, end - start)
+    length = end - start   # an empty token's first byte is the one before it, no digit
+    first = u32(1) << (32 - np.clip(length, 1, 32)).astype(u32)
+    token = ~first + u32(1)
+    point, e, minus, plus = (_bits(window == ord(c)) & token for c in ".e-+")
+    window -= ord("0")   # a digit's byte becomes its value
+    digit = _bits(window < 10) & token
+    negative = minus & first
+    point &= ~point + u32(1)
+    e &= ~e + u32(1)
+    sign = e << u32(1)
+    other = negative | point | e | sign
+    # every byte but those of other is a digit, the last one too; the first
+    # after the '-' and the one after the point are digits, the point comes
+    # before the 'e', a sign follows the 'e' and 1 to 3 digits end the token
+    covered = ((token & ~digit) == other) & (length <= DECIMAL_BYTES) & (digit >> u32(31) == 1) \
+        & (((first + negative) | point << u32(1)) & other == 0) \
+        & ((e == 0) | (point < e)) & ((e & ~u32(0x38000000)) == 0) \
+        & ((minus | plus) & sign == sign)
+    negative, down = negative != 0, minus & sign != 0
+    del length, first, token, minus, plus, sign, other
     # the digits alone, those before the point moved up one byte onto it:
     # the digits before the exponent end at byte 32 - r, the exponent's at 32
     window *= _unpack(digit)
     flat = window.ravel()
     moved = flat[:-1] - flat[1:]
-    moved *= _unpack(((point << u(1)) - (point != 0)) & ~u(1)).ravel()[1:]   # bytes 1 to the point
+    moved *= _unpack((point << u32(1)) - (point != 0) & ~u32(1)).ravel()[1:]   # 1 to the point
     flat[1:] += moved
     words = window.view("<u8")
     covered &= words[:, 0] & u(0x0F0F0F0F0F0F0F0F) == 0   # no digit but 0 before word 1
     high, mid, low = _eight_digits(words[:, 1:].T.astype(u, order="C"))
-    k = (e >> u(27)) & u(7)
+    del window, flat, moved, words   # the bytes: the rest works on one word per token
+    k = (e >> u32(27)) & u32(7)
     tail = tables.tail[k]
     w = (low / tail).astype(u)   # exact: low < 10^8
     low -= w * tail              # the exponent
     w += high * tables.scale[0][k] + mid * tables.scale[1][k]
     covered &= high < tables.cap[k]
-    q = low.view(np.int64)
+    q = low.astype(np.int64)
     q[down] *= -1
     q -= (tables.end[k] - np.frexp(point.astype(float))[1]) * (point != 0)   # fraction digits
     return covered, negative, w, q
@@ -611,8 +605,8 @@ def _decimals(raw: np.ndarray, start: np.ndarray, end: np.ndarray):
     token is in the kernel's grammar and values holds the double float()
     reads from it, bit for bit; values is meaningless elsewhere."""
     covered, negative, w, q = _decimal_fields(raw, start, end)
-    bits, normal = _nearest_double(w, q)
     zero = w == 0
+    bits, normal = _nearest_double(w, q)
     covered &= normal | zero
     bits[zero] = 0
     bits |= negative.astype(np.uint64) << np.uint64(63)
@@ -623,28 +617,28 @@ def _nearest_double(w: np.ndarray, q: np.ndarray):
     """(bits, normal): the bits of the double nearest w 10^q (on a tie the
     even one) for uint64 w and int64 q, by Eisel-Lemire; normal is False
     where that double is subnormal or overflows or q is outside the table.
-    The bits are meaningless there and where w is 0."""
+    The bits are meaningless there and where w is 0. w is overwritten."""
     tables = _decimal_tables()
     u = np.uint64
     # w << lz has its top bit set; float(w) may round up to the next power of 2
-    lz = 64 - np.frexp(w.astype(float))[1].astype(np.int64)
-    w = w << lz.view(u)
-    short = (w >> u(63)).view(np.int64) ^ 1
-    w <<= short.view(u)
-    lz += short
+    lz = (64 - np.frexp(w.astype(float))[1]).astype(u)
+    lz += w << lz >> u(63) ^ u(1)
+    w <<= lz
     index = q + 342
-    w1, w0 = w >> u(32), w & u(0xFFFFFFFF)
-    hi, lo = _mul128(w1, w0, *(limb.take(index, mode="clip") for limb in tables.five[:2]))
+    w0 = w & u(0xFFFFFFFF)
+    w >>= u(32)
+    hi, lo = _mul128(w, w0, *(t.take(index, mode="clip") for t in tables.five[:2]))
     # where the 9 bits below the 55 that matter are all ones, a carry from the
     # product with the low word of 5^q may reach them
     i = np.flatnonzero(hi & u(0x1FF) == 0x1FF)
-    lo_i = lo[i] + _mul128(w1[i], w0[i], *(limb.take(index[i], mode="clip") for limb in tables.five[2:]))[0]
+    lo_i = lo[i] + _mul128(w[i], w0[i],
+                           *(t.take(index[i], mode="clip") for t in tables.five[2:]))[0]
     hi[i] += lo_i < lo[i]
     lo[i] = lo_i
-    upper = (hi >> u(63)).view(np.int64)
-    shift = (upper + 9).view(u)
+    shift = (hi >> u(63)) + u(9)
     mantissa = hi >> shift   # 54 bits: the 53 of a double and a round bit
-    power2 = (217706 * q >> 16) + upper - lz + 1086
+    lz -= shift
+    power2 = (217706 * q >> 16) - lz.view(np.int64) + 1077
     # a tie: the bits below the round bit are all zero, which only happens
     # where 5^q is exact in 64 bits; it rounds to even, not up
     i = np.flatnonzero(lo <= 1)
@@ -672,20 +666,22 @@ def _read_doubles(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     return values
 
 
-def _chunks(src: TextIO):
-    """The text of the lines after the column header, read CSV_CHUNK
-    characters at a time and cut after the last LF of each read: a line
-    longer than a read waits for its LF, and the file's last line gets one
-    if it lacks it, so that every text ends in LF."""
-    rest = []
+def _chunks(src: TextIO | BinaryIO):
+    """Views of the bytes of the lines after the column header, read
+    CSV_CHUNK characters (bytes from a binary source) at a time, text as
+    UTF-8 with lone surrogates passed through, and cut after the last LF of
+    each read: a line longer than a read waits for its LF, and the file's
+    last line gets one if it lacks it, so that every chunk ends in LF."""
+    tail = []
     while data := src.read(CSV_CHUNK):
-        cut = data.rfind("\n") + 1
-        if cut:
-            yield "".join(rest) + data[:cut]
-            rest = []
-        rest.append(data[cut:])
-    if text := "".join(rest):
-        yield text + "\n"
+        tail.append(data.encode(errors="surrogatepass") if isinstance(data, str) else data)
+        if cut := tail[-1].rfind(b"\n") + 1:
+            data = b"".join(tail)   # the read itself when nothing was left over
+            cut += len(data) - len(tail[-1])
+            tail = [data[cut:]]
+            yield memoryview(data)[:cut]
+    if data := b"".join(tail):
+        yield data + b"\n"
 
 
 def _digits(raw: np.ndarray, at: np.ndarray, q: int, cap: int):
@@ -730,17 +726,19 @@ def _digits(raw: np.ndarray, at: np.ndarray, q: int, cap: int):
     return q ** np.arange(len(digit)) @ digit, n
 
 
-def _accept(text: str, q: int, resolution: int, cap: int):
-    """(index, amplitude) of a chunk's rows if every row passes _check, else
-    None. One scan of the chunk's bytes holds its lines to the grammar
-    (exactly three ','s and no CR on every line, so no blank line) and finds
-    the field bounds. Array passes then give up at the first sign that a row
-    may fail: a digits field that _digits refuses, a lo other than
-    str(resolution - digit count) (dump_csv writes no other), or an amplitude
-    that float() refuses (read by _read_doubles) or that is not finite."""
+def _accept(chunk, q: int, resolution: int, cap: int):
+    """(index, amplitude) of a chunk's rows, its bytes or text, if every row
+    passes _check, else None. One scan of the bytes holds the lines to the
+    grammar (exactly three ','s and no CR on every line, so no blank line)
+    and finds the field bounds. Array passes then give up at the first sign
+    that a row may fail: a digits field that _digits refuses, a lo other
+    than str(resolution - digit count) (dump_csv writes no other), or an
+    amplitude that float() refuses (read by _read_doubles) or is not finite."""
     # a ',', CR or LF byte is that character; a non-ASCII character or a lone
     # surrogate becomes bytes above 127, neither digit nor separator
-    raw = np.frombuffer(text.encode(errors="surrogatepass"), np.uint8)
+    if isinstance(chunk, str):
+        chunk = chunk.encode(errors="surrogatepass")
+    raw = np.frombuffer(chunk, np.uint8)
     at = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")) | (raw == ord("\n")))
     if raw[at].tobytes() != b",,,\n" * (at.size // 4):
         return None
@@ -754,13 +752,16 @@ def _accept(text: str, q: int, resolution: int, cap: int):
     expect, keep = (np.array(table, f"S{width}").view("<u8").reshape(len(spelled), -1)
                     for table in (spelled, [b"\xff" * len(s) for s in spelled]))
     head = np.ndarray((raw.size, width // 8), "<u8",
-                      np.concatenate((raw, np.zeros(width, np.uint8))), strides=(1, 8))
-    if (head[np.concatenate(([0], at[3:-1:4] + 1))] & keep[counts] != expect[counts]).any():
+                      np.concatenate((raw, np.zeros(width, np.uint8))), strides=(1, 8)
+                      )[np.concatenate(([0], at[3:-1:4] + 1))]
+    if (head & keep[counts] != expect[counts]).any():
         return None
     # re and im of each row in turn: the layout of a complex array
     bounds = at.reshape(-1, 4)
+    start, end = bounds[:, 1:3].ravel() + 1, bounds[:, 2:].ravel()
+    del at, bounds   # the separators are not held through the amplitude kernel
     try:
-        amplitude = _read_doubles(raw, bounds[:, 1:3].ravel() + 1, bounds[:, 2:].ravel())
+        amplitude = _read_doubles(raw, start, end)
     except ValueError:
         return None
     if not np.isfinite(amplitude).all():
@@ -768,22 +769,24 @@ def _accept(text: str, q: int, resolution: int, cap: int):
     return index, amplitude.view(complex)
 
 
-def _line(text: str, n: int) -> str:
-    """Line n of a file without its LF; InputDataError if it holds a CR."""
+def _line(line, n: int, errors: str = "strict") -> str:
+    """Line n of a file without its LF, bytes as UTF-8; InputDataError if it holds a CR."""
+    text = line if isinstance(line, str) else str(line, "utf-8", errors)
     if "\r" in text:
         raise InputDataError(f"line {n}: CR in line (lines end in LF alone)")
     return text.removesuffix("\n")
 
 
-def _check(first: int, lines, q: int, resolution: int, cap: int):
-    """(index, amplitude) of a chunk's rows, lines numbered from first, before
-    the first failing one, and that row's InputDataError, else None. A row's checks run in
-    this order, the first failing one naming the error: no CR, field count,
-    malformed token, lo against the digit count, digit range, finite
+def _check(first: int, chunk, errors: str, q: int, resolution: int, cap: int):
+    """(index, amplitude) of a chunk's rows, its bytes read as UTF-8 with the
+    errors handler and its lines numbered from first, before the first
+    failing one, and that row's InputDataError, else None. A row's checks run
+    in this order, the first failing one naming the error: no CR, field
+    count, malformed token, lo against the digit count, digit range, finite
     amplitude, cell cap. Duplicates span chunks and are left to the caller."""
     kept, error = [], None
     try:
-        for n, text in enumerate(lines, first):
+        for n, text in enumerate(str(chunk[:-1], "utf-8", errors).split("\n"), first):
             row = _line(text, n).split(",")
             if len(row) != 4:
                 raise InputDataError(
@@ -811,7 +814,7 @@ def _check(first: int, lines, q: int, resolution: int, cap: int):
     return np.array(index, dtype=np.int64), np.array(amplitude, dtype=complex), error
 
 
-def load_csv(src: str | TextIO) -> StepFunction:
+def load_csv(src: str | TextIO | BinaryIO) -> StepFunction:
     """Inverse of dump_csv; raises InputDataError with a line number, also
     for a header field that FieldConfig refuses (line 1).
 
@@ -823,10 +826,11 @@ def load_csv(src: str | TextIO) -> StepFunction:
     before any index is formed or any table allocated.
     """
     if isinstance(src, str):
-        # a byte that is not UTF-8 reads as a lone surrogate: a malformed row
-        with open(src, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(src, "rb") as fh:
             return load_csv(fh)
-    header = _line(src.readline(), 1)
+    header = src.readline()   # a file's bytes that are not UTF-8 read as lone surrogates
+    errors = "surrogatepass" if isinstance(header, str) else "surrogateescape"
+    header = _line(header, 1, errors)
     if not header.startswith(CSV_MAGIC):
         raise InputDataError("line 1: missing step function header")
     fields: dict[str, str] = {}
@@ -853,29 +857,25 @@ def load_csv(src: str | TextIO) -> StepFunction:
     if not np.finfo(float).smallest_normal <= measure < math.inf:
         raise InputDataError(f"line 1: resolution {resolution} gives cells of "
                              f"measure {q}^{-resolution}, outside the normal floats")
-    if _line(src.readline(), 2) != "lo,digits,re,im":
+    if _line(src.readline(), 2, errors) != "lo,digits,re,im":
         raise InputDataError("line 2: expected column header lo,digits,re,im")
     cap = digit_count(q, CELL_CAP) - 1   # widest cell q^cap <= CELL_CAP
-    parsed, error = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))], None
-    # every line after the column header is a row: row i is on line 3 + i
-    first = 3
-    for text in _chunks(src):
-        if not (cells := _accept(text, q, resolution, cap)):
-            *cells, error = _check(first, text[:-1].split("\n"), q, resolution, cap)
-        parsed.append(cells)
+    values, seen, error = np.zeros(1, dtype=complex), np.zeros(1, dtype=bool), None
+    first = 3   # every line after the column header is a row: row i is on line 3 + i
+    for chunk in _chunks(src):
+        if not (cells := _accept(chunk, q, resolution, cap)):
+            *cells, error = _check(first, chunk, errors, q, resolution, cap)
+        index, amplitude = cells
+        if (size := q ** digit_count(q, int(index.max(initial=0)))) > values.size:
+            values, seen = (np.pad(t, (0, size - t.size)) for t in (values, seen))
+        again = seen[index]   # a cell of an earlier chunk
+        seen[index] = True
+        if np.count_nonzero(seen) < first - 3 + index.size:   # name the second row of a cell
+            order = np.argsort(index, kind="stable")
+            again[order[1:][index[order[1:]] == index[order[:-1]]]] = True
+            raise InputDataError(f"line {first + again.argmax()}: duplicate representative")
         if error is not None:
-            break
-        first += cells[0].size
-    index, amplitude = (np.concatenate(part) for part in zip(*parsed))
-    width = digit_count(q, int(index.max(initial=0)))
-    seen = np.zeros(q ** width, dtype=bool)
-    seen[index] = True
-    if np.count_nonzero(seen) < index.size:   # name the second row of a cell
-        order = np.argsort(index, kind="stable")
-        again = order[1:][index[order[1:]] == index[order[:-1]]]
-        raise InputDataError(f"line {3 + again.min()}: duplicate representative")
-    if error is not None:
-        raise error
-    values = np.zeros(q ** width, dtype=complex)
-    values[index] = amplitude
-    return StepFunction(cfg, resolution, values, resolution - width)
+            raise error
+        values[index] = amplitude
+        first += index.size
+    return StepFunction(cfg, resolution, values, resolution - digit_count(q, values.size - 1))

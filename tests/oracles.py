@@ -23,7 +23,9 @@ walshframes.harmonic's contraction or with stepfn's table operators.
 The CSV references read and write a step-function file one row at a time in
 Python, where stepfn parses and formats blocks of rows as arrays. The reader
 holds to the format's line grammar by itself: it refuses a line with a CR
-and splits every other line at ','.
+and splits every other line at ','. The byte tables of the writer's repr
+kernel are built entry by entry, one layout row per number shape, where
+stepfn forms each table with array operations.
 
 The small helpers compare two step functions, compute field and label
 quantities that only the tests ask for, and write a mask file, the format
@@ -398,6 +400,39 @@ def dump_csv(f, dest):
         value = complex(f.values[i])
         writer.writerow([k - len(digits), ".".join(reversed(digits)),
                          repr(value.real), repr(value.imag)])
+
+
+def repr_tables(t):
+    """{name: table} of stepfn._ReprTables' byte tables for the source-row
+    constants of t: quad and ends by int64 division over the 4-digit groups,
+    exponent and shape one decimal point position at a time, and layout one
+    row per (sign, layout code, digit count)."""
+    def layout(negative, code, n):
+        digits = list(range(n))
+        if code >= 20:
+            body = digits[:1] + ([t.POINT] + digits[1:]) * (n > 1) + [t.E] \
+                + [t.EXPONENT + i for i in range(4) if i != 1 or code == 21]
+        elif (point := code - 3) <= 0:
+            body = [t.ZERO, t.POINT] + [t.ZERO] * -point + digits
+        elif point < n:
+            body = digits[:point] + [t.POINT] + digits[point:]
+        else:
+            body = digits + [t.ZERO] * (point - n) + [t.POINT, t.ZERO]
+        row = [t.COMMA] + [t.MINUS] * negative + body
+        return row + [t.NUL] * (t.WIDTH - len(row))
+
+    quads = np.arange(10000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    places = ((quads > 0) * np.arange(1, 5)).max(axis=1)
+    points = range(-323, 310)
+    return {
+        "quad": (quads + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+        "ends": [np.where(places > 0, places + 4 * j, j == 0) for j in range(4)],
+        "exponent": np.array([f"{p - 1:+04d}" for p in points], "S4").view(np.uint32),
+        "shape": np.array([17 * (p + 3 if -3 <= p <= 16 else 20 + (abs(p - 1) >= 100)) - 1
+                           for p in points]),
+        "layout": np.array([layout(negative, code, n) for negative in (0, 1)
+                            for code in range(22) for n in range(1, 18)], dtype=np.intp),
+    }
 
 
 def _line(lineno, text):

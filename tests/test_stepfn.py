@@ -372,6 +372,33 @@ def _load_both(text, chunk, open_src=None):
     return out
 
 
+def test_accept_holds_a_bounded_working_set_per_row():
+    # one full chunk of the 65,536-row GF(4) file, about 9,300 rows at 2^19
+    # characters: _accept's arrays peak near 290 B per row beside the
+    # chunk's bytes (528 B, its encoded bytes among them, when a chunk came
+    # as text and _accept encoded it)
+    rng = np.random.default_rng(2026)
+    n = 4 ** 8
+    f = StepFunction(FieldConfig(2, 2, (1, 1, 1)), 8,
+                     rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    buf = io.StringIO()
+    dump_csv(f, buf)
+    buf.seek(0)
+    buf.readline()
+    buf.readline()
+    chunk = next(stepfn._chunks(buf))
+    rows = chunk.tobytes().count(b"\n")
+    cap = digit_count(4, stepfn.CELL_CAP) - 1
+    assert stepfn._accept(chunk, 4, 8, cap) is not None   # and the tables are built
+    tracemalloc.start()
+    try:
+        stepfn._accept(chunk, 4, 8, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 310 * rows
+
+
 def _shuffled(text, rng):
     """The file with its cell rows in random order, some written with leading
     zero digits below their valuation."""
@@ -518,12 +545,17 @@ def test_load_csv_names_the_first_failing_check_of_a_row(row):
 
 
 def _big_file():
-    """A 6,000-row GF(2) file of about 295,000 characters: past the first
-    chunk of CSV_CHUNK characters."""
+    """A 6,000-row GF(2) file of about 2.25 chunks of CSV_CHUNK characters,
+    lines[4500] in the second. Its rows come to about 295,000 characters as
+    dump_csv writes them, and at most 4,500 of them cannot fill a larger
+    chunk: each row's im field, 0.0, is written with as many more zeros as
+    make the file CSV_CHUNK / 2^17 times as long."""
     rng = np.random.default_rng(77)
     f = StepFunction(F2, 3, rng.standard_normal(2 ** 13), -10)
     lines = _oracle_text(f).splitlines()[:6002]
-    assert stepfn.CSV_CHUNK < _offset(lines, 4500) < 2 * stepfn.CSV_CHUNK
+    pad = "0" * (_offset(lines, 6002) * (stepfn.CSV_CHUNK - 2 ** 17) // 2 ** 17 // 6000)
+    lines[2:] = [line + pad for line in lines[2:]]
+    assert stepfn.CSV_CHUNK < _offset(lines, 4500) < 2 * stepfn.CSV_CHUNK < _offset(lines, 6002)
     return lines
 
 
@@ -846,6 +878,12 @@ def _kernel_lines(x):
                               axis=1)
         text.append(rows[rows != 0].tobytes().decode("ascii"))
     return "".join(text)
+
+
+def test_repr_tables_match_their_entry_by_entry_build():
+    tables = stepfn._ReprTables()
+    for name, table in oracles.repr_tables(tables).items():
+        assert np.array_equal(getattr(tables, name), table), name
 
 
 def _repr_lines(x):
