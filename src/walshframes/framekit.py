@@ -56,7 +56,6 @@ __all__ = [
     "sigma_v0",
     "system_member",
     "uep_gram",
-    "wavelet_generators",
 ]
 
 STRUCTURAL_TOL = 1e-12   # identities that involve no transform roundoff
@@ -69,10 +68,10 @@ MASK_HEADER_KEYS = ("p", "c", "modulus", "N", "r", "nu", "normalization")
 class Mask:
     """Finitely supported coefficients over the translation family."""
 
-    __slots__ = ("sys", "coeffs", "_cells", "constancy_resolution", "_table")
+    __slots__ = ("sys", "coeffs", "name", "_cells", "constancy_resolution", "_table")
 
     def __init__(self, sys: SystemConfig,
-                 coeffs: Mapping | Iterable[tuple]):
+                 coeffs: Mapping | Iterable[tuple], name: str = "a mask"):
         items = coeffs.items() if hasattr(coeffs, "items") else coeffs
         table: dict[LambdaIndex, complex] = {}
         for idx, value in items:
@@ -84,6 +83,7 @@ class Mask:
                 table[idx] = value
         self.sys = sys
         self.coeffs = table
+        self.name = name   # "mask l" in its mask file, for error messages
         # lambda_idx has negative exponents only, so lambda_idx + D is the
         # cell of this index at resolution 0; K is the widest one's digit count
         self._cells = [(cell_index(sys.q, sys.lambda_element(idx).terms, 0), a)
@@ -96,13 +96,17 @@ class Mask:
     def table(self) -> StepFunction:
         """The finitely many values m takes on D, one cell per coset of B^K:
         the transform of F_m times mask_norm_const, formed on first use and
-        kept (read-only). m is lattice periodic, so this determines it."""
+        kept (read-only). m is lattice periodic, so this determines it.
+        ConfigError, naming the mask, if a value passes the largest double."""
         if self._table is None:
             cfg, K = self.sys.field, self.constancy_resolution
             F_m = np.zeros(cfg.q ** K, dtype=complex)
             for cell, a in self._cells:
                 F_m[cell] += a   # two indices of the degenerate family share a cell
-            m_hat = fast_transform(StepFunction(cfg, 0, F_m, -K))
+            try:
+                m_hat = fast_transform(StepFunction(cfg, 0, F_m, -K))
+            except InputDataError as exc:
+                raise ConfigError(f"the values of {self.name} exceed the largest double") from exc
             self._table = refine(m_hat, K).scale(self.sys.mask_norm_const)
             self._table.values.flags.writeable = False
         return self._table
@@ -125,9 +129,8 @@ def mask_refine(phi_hat: StepFunction, mask: Mask, sys: SystemConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         product = g.values * m
     if not np.isfinite(product).all():
-        name = f"mask {sys.masks.index(mask)}" if mask in sys.masks else "a mask"
         at = "" if step is None else f" in refinement step {step}"
-        raise ConfigError(f"the product with {name}{at} exceeds the largest double")
+        raise ConfigError(f"the product with {mask.name}{at} exceeds the largest double")
     return rescale(StepFunction(sys.field, g.resolution, product, g.lo), sys.nu, -1)
 
 
@@ -144,18 +147,14 @@ def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunc
 
 
 def derive_generators(sys: SystemConfig, iterations: int = 4) -> tuple[StepFunction, ...]:
-    """(phi, psi_1, ..., psi_L): wavelet_generators of m_0's refinement iterate."""
+    """The generators' transforms (phi^, psi_1^, ..., psi_L^): m_0's
+    refinement iterate, and its refinement product with each high-pass mask.
+    No gate, so detectably broken masks still produce inspectable ones."""
     if not sys.masks:
         raise ConfigError("system has no masks configured")
-    return wavelet_generators(iterate_refinement(sys.masks[0], sys, iterations), sys)
-
-
-def wavelet_generators(phi_hat: StepFunction, sys: SystemConfig) -> tuple[StepFunction, ...]:
-    """(phi, psi_1, ..., psi_L) from phi_hat and the high-pass masks; no gate,
-    so detectably broken masks still produce inspectable generators."""
-    return (fast_inverse_transform(phi_hat),) + tuple(
-        fast_inverse_transform(prune(mask_refine(phi_hat, ml, sys), PRUNE_TOL))
-        for ml in sys.masks[1:])
+    phi_hat = iterate_refinement(sys.masks[0], sys, iterations)
+    return (phi_hat,) + tuple(prune(mask_refine(phi_hat, ml, sys), PRUNE_TOL)
+                              for ml in sys.masks[1:])
 
 
 # ------------------------------------------------------ partition of unity --
@@ -218,9 +217,10 @@ def bessel_mask_check(m0: Mask, sys: SystemConfig) -> dict:
 # ------------------------------------------------------------ member system --
 
 def system_member(l: int, j: int, idx: LambdaIndex, sys: SystemConfig,
-                  generators: Sequence[StepFunction]) -> StepFunction:
-    """Translate generator l by lambda_idx, then apply j dilation steps."""
-    g = translate(generators[l], sys.lambda_element(idx))
+                  transforms: Sequence[StepFunction]) -> StepFunction:
+    """Generator l, the inverse transform of transforms[l], translated by
+    lambda_idx, then taken through j dilation steps."""
+    g = translate(fast_inverse_transform(transforms[l]), sys.lambda_element(idx))
     for _ in range(abs(j)):
         g = dilate(g, sys, "fine" if j > 0 else "coarse")
     return g
@@ -262,36 +262,30 @@ def energy_balance(S: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return np.abs(S[1:] - (S[:-1] + W[:n])), total
 
 
-def _generator_transform(owner, l: int) -> StepFunction:
-    """g_l^ of owner's generators, kept in owner._members under the key l."""
-    if l not in owner._members:
-        owner._members[l] = fast_transform(owner.generators[l])
-    return owner._members[l]
-
-
 class FrameAnalyzer:
-    """Coefficient analysis against one system. The checks take one
-    function, or a block with one number per function; _members keeps the
-    transform of each generator, formed on first use."""
+    """Coefficient analysis against one system, given by the transforms of
+    its generators (derive_generators). The checks take one function, or a
+    block with one number per function."""
 
-    __slots__ = ("sys", "generators", "_members")
+    __slots__ = ("sys", "transforms", "_members")
 
-    def __init__(self, sys: SystemConfig, generators: Sequence[StepFunction]):
-        if not generators:
+    def __init__(self, sys: SystemConfig, transforms: Sequence[StepFunction]):
+        if not transforms:
             raise ConfigError("need at least the refinable generator")
         self.sys = sys
-        self.generators = tuple(generators)
-        self._members: dict[int, StepFunction] = {}
+        self.transforms = tuple(transforms)
+        self._members: dict = {}   # always empty: perfbench's cache probe reads it
 
     def member(self, l: int, j: int, idx: LambdaIndex) -> StepFunction:
         """The member D^j T_lambda(idx) g_l as a step function."""
-        return system_member(l, j, idx, self.sys, self.generators)
+        return system_member(l, j, idx, self.sys, self.transforms)
 
     def coefficient_row(self, f: StepFunction, l: int, j: int) -> dict[LambdaIndex, complex]:
         """All <f, member(l, j, idx)> whose supports overlap, for one f, member
         by member. The scan is exhaustive: a translation outside B^A,
-        A = min(ball(f) - j, ball(g_l)), cannot meet f's support."""
-        exp = max(0, j - f.support_ball(), -self.generators[l].support_ball())
+        A = min(ball(f) - j, -res(g_l^)), cannot meet f's support, since g_l
+        lies in B^-res(g_l^)."""
+        exp = max(0, j - f.support_ball(), self.transforms[l].resolution)
         if self.sys.branches == 2:
             exp = max(exp, -self.sys.theta.valuation())
         if not within_cap(self.sys.q, exp):
@@ -328,8 +322,8 @@ class FrameAnalyzer:
         S = np.zeros((j1 - j0 + 1,) + f.values.shape[:-1])
         W = np.zeros_like(S[1:])
         B, ratio, q = self.sys.branches, self.sys.dilation_ratio, self.sys.q
-        for l in range(len(self.generators)):   # W adds generator l = 1, 2, ... in turn
-            ghat, E = _generator_transform(self, l), W if l else S
+        for l, ghat in enumerate(self.transforms):   # W adds generator l = 1, 2, ... in turn
+            E = W if l else S
             last = j0 + len(E) - 1   # E may be empty: then one empty slice below
             js = np.arange(j0, last + 1).reshape((-1,) + (1,) * (S.ndim - 1))
             # powers below 2^-1100 are 0.0: left unformed, off numpy's slow underflow path
@@ -360,8 +354,7 @@ class FrameAnalyzer:
                     float(self.sys.dilation_ratio), float(j1))):
                 raise ConfigError(f"the energies of scale {j1} carry a factor "
                                   f"B (s^2/q)^{j1} past the largest double")
-        return max(j1 - j0 + 1, q ** k,
-                   *(q ** (g.resolution - g.support_ball()) for g in self.generators))
+        return max(j1 - j0 + 1, q ** k, *(g.values.shape[-1] for g in self.transforms))
 
     def two_scale_check(self, f: StepFunction, j: int):
         """energy_balance's residual across one scale step of the summed
@@ -457,4 +450,5 @@ def load_masks(src: str | TextIO) -> SystemConfig:
             f"line {offset_lines[0]}: delta = 1 needs an offset branch, but N = 1")
     base = SystemConfig(cfg, N, r, dilation_unit=nu,
                         normalization=header.get("normalization", "unitary"))
-    return base.with_masks(tuple(Mask(base, block) for block in rows))
+    return base.with_masks(tuple(Mask(base, block, f"mask {l}")
+                                 for l, block in enumerate(rows)))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import cell_digits, cell_index
 from .errors import ConfigError, DegenerateInput, TruncationError
-from .framekit import _generator_transform, energy_balance, nu_power, system_member
+from .framekit import energy_balance, nu_power, system_member
 from .harmonic import _contract, fast_transform
 from .stepfn import StepFunction, periodize, rescale
 
@@ -49,10 +49,10 @@ def lattice_samples(g: StepFunction, m: int) -> np.ndarray:
 
 
 class PeriodicSystemSpec:
-    """Generators plus a scale cap; _members keeps, per (l, j, k), the label
-    counts of the translations on D and the lattice samples e of the member
-    that a function at resolution k reads, and under the key l the transform
-    of generator l.
+    """The transforms of the generators (derive_generators) plus a scale
+    cap; _members keeps, per (l, j, k), the label counts of the translations
+    on D and the lattice samples e of the member that a function at
+    resolution k reads.
 
     A folded member depends on its translation only through the digits z of
     mu that land at exponents 0..m-1, m = min(j, K) with K the folded
@@ -64,10 +64,10 @@ class PeriodicSystemSpec:
     integers, so a scale cap with (qN)^j_max labels past them is refused.
     """
 
-    __slots__ = ("sys", "generators", "j_max", "_members")
+    __slots__ = ("sys", "transforms", "j_max", "_members")
 
-    def __init__(self, sys, generators: Sequence[StepFunction], j_max: int):
-        if not generators:
+    def __init__(self, sys, transforms: Sequence[StepFunction], j_max: int):
+        if not transforms:
             raise ConfigError("need at least the refinable generator")
         if not isinstance(j_max, int) or j_max < 0:
             raise ConfigError(f"j_max must be a nonnegative integer, got {j_max!r}")
@@ -76,13 +76,14 @@ class PeriodicSystemSpec:
             raise ConfigError(f"scale {j} of the folded system has (qN)^{j} = "
                               f"{sys.qN}^{j} labels, too many to count in 64 bits")
         self.sys = sys
-        self.generators = tuple(generators)
+        self.transforms = tuple(transforms)
         self.j_max = j_max
         self._members: dict = {}
 
     def _resolution(self, l: int, j: int) -> int:
-        """K, the resolution of the folded members of (l, j)."""
-        return max(self.generators[l].resolution + j, 0)
+        """K, the resolution of the folded members of (l, j): generator l,
+        in space, has the resolution -lo(g_l^)."""
+        return max(j - self.transforms[l].lo, 0)
 
     def samples(self, l: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(weights, e) of (l, j) for a function at resolution k: weights[z]
@@ -108,7 +109,7 @@ class PeriodicSystemSpec:
                       for e, g in cell_digits(q, G, d, 0))
                 weights[cell_index(q, mu, d, out=np.zeros_like(G))] += \
                     cycles * width + np.clip(rest - G * width, 0, width)
-            ghat = rescale(_generator_transform(self, l), nu_power(sys, j), -j)
+            ghat = rescale(self.transforms[l], nu_power(sys, j), -j)
             e = lattice_samples(ghat, min(k, K)) * (sys.dilation_amplitude ** j * float(q) ** -j)
             got = self._members[(l, j, k)] = (weights, e)
         return got
@@ -121,13 +122,13 @@ class PeriodicSystemSpec:
             raise IndexError(
                 f"label {label} outside [0, {self.sys.qN ** j}) at scale {j}")
         return periodize(system_member(l, j, self.sys.branch_index(label), self.sys,
-                                       self.generators))
+                                       self.transforms))
 
     def _groups(self, k: int) -> dict[int, list[tuple[int, int]]]:
         """The (l, j) of every energy, by the digit count min(k, m) of their
         character sums for a function at resolution k."""
         groups: dict[int, list[tuple[int, int]]] = {}
-        for l in range(len(self.generators)):
+        for l in range(len(self.transforms)):
             for j in range(self.j_max + 1):
                 groups.setdefault(min(k, j, self._resolution(l, j)), []).append((l, j))
         return groups
@@ -153,7 +154,7 @@ def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
     that share that digit count take one inverse character sum together."""
     k = f.resolution
     fhat = lattice_samples(fast_transform(f.window(0)), k)
-    E = np.zeros((len(spec.generators), spec.j_max + 1) + f.values.shape[:-1])
+    E = np.zeros((len(spec.transforms), spec.j_max + 1) + f.values.shape[:-1])
     for d, pairs in spec._groups(k).items():
         folded = []
         for l, j in pairs:

@@ -30,12 +30,11 @@ from .framekit import (
     check_partition,
     derive_generators,
     energy_balance,
-    iterate_refinement,
     load_masks,
     sigma_v0,
     uep_gram,
-    wavelet_generators,
 )
+from .harmonic import fast_inverse_transform
 from .periodic import (
     PeriodicSystemSpec,
     folded_energies,
@@ -330,13 +329,13 @@ def uindex_report(rc: RunConfig, count: int) -> dict:
 def verify_report(rc: RunConfig) -> dict:
     sys_cfg = _require_system(rc)
 
-    phi_hat = iterate_refinement(sys_cfg.masks[0], sys_cfg, rc.cascade_iterations)
-    part = check_partition(phi_hat, sys_cfg)
+    transforms = derive_generators(sys_cfg, rc.cascade_iterations)
+    part = check_partition(transforms[0], sys_cfg)
     part_min = float(part.values.real.min())
     part_max = float(part.values.real.max())
     partition_ok = abs(part_max - 1.0) <= rc.residual_tol and \
         abs(part_min - 1.0) <= rc.residual_tol
-    phi_at_zero = abs(phi_hat.values[0])
+    phi_at_zero = abs(transforms[0].values[0])
 
     gram = uep_gram(sys_cfg)
     gram.update(tolerance=rc.gram_tol, verdict=gram["max_deviation"] <= rc.gram_tol)
@@ -344,7 +343,7 @@ def verify_report(rc: RunConfig) -> dict:
     bessel.update(tolerance=rc.gram_tol,
                   verdict=bessel["max_sum"] <= 1.0 + rc.gram_tol)
 
-    analyzer = FrameAnalyzer(sys_cfg, wavelet_generators(phi_hat, sys_cfg))
+    analyzer = FrameAnalyzer(sys_cfg, transforms)
     worst = worst_ratio = 0.0
     width = analyzer.table_width(rc.resolution, rc.j0, rc.j1)
     for f in suite_blocks(sys_cfg.field, rc.resolution, rc.count, rc.seed, width):
@@ -402,8 +401,8 @@ def periodic_report(rc: RunConfig) -> dict:
 
     gram = uep_gram(sys_cfg)
     gram.update(tolerance=rc.gram_tol, verdict=gram["max_deviation"] <= rc.gram_tol)
-    generators = derive_generators(sys_cfg, rc.cascade_iterations)
-    spec = PeriodicSystemSpec(sys_cfg, generators, rc.j_max)
+    spec = PeriodicSystemSpec(sys_cfg, derive_generators(sys_cfg, rc.cascade_iterations),
+                              rc.j_max)
 
     all_finite = True
     finite_js = set()
@@ -461,7 +460,9 @@ def periodic_report(rc: RunConfig) -> dict:
 
 def dump_wavelets_report(rc: RunConfig, out_dir: str) -> dict:
     sys_cfg = _require_system(rc)
-    generators = derive_generators(sys_cfg, rc.cascade_iterations)
+    # the one command that forms the generators in space
+    generators = [fast_inverse_transform(g)
+                  for g in derive_generators(sys_cfg, rc.cascade_iterations)]
     os.makedirs(out_dir, exist_ok=True)
     files = ["phi.csv"] + [f"psi_{l}.csv" for l in range(1, len(generators))]
     for name, g in zip(files, generators):

@@ -105,13 +105,15 @@ SYSTEMS = {
     # qN = 15 is odd, so the two branches hold different label counts
     "fourier_q3_n5": _fourier_q3(5, (2, 1)),
 }
+# the transforms of the generators, as the library takes them
 GENERATORS = {name: derive_generators(s, 4) for name, s in SYSTEMS.items()}
 # generators reaching outside D, so member cells and translations share digits
 for _name, _base in (("gf4_wide", "gf4_nu2"),
                      ("nonuniform_wide", "nonuniform_q2_N3_r5")):
     SYSTEMS[_name] = SYSTEMS[_base]
-    GENERATORS[_name] = tuple(random_step(SYSTEMS[_base].field, -1, 1, seed, True)
-                              for seed in (41, 42))
+    GENERATORS[_name] = tuple(
+        fast_transform(random_step(SYSTEMS[_base].field, -1, 1, seed, True))
+        for seed in (41, 42))
 ANALYZERS = {name: FrameAnalyzer(s, GENERATORS[name])
              for name, s in SYSTEMS.items()}
 J_MAX = 3
@@ -310,21 +312,21 @@ def test_bank_row_of_a_shipped_suite_function():
 
 
 def test_bank_grows_without_changing_entries():
-    # the analyzer keeps one transform per generator, formed on first use: a
+    # the analyzer reads the transforms it was given and keeps nothing: a
     # function on B^-1, which reaches q times more translations at scale 2,
-    # adds nothing to it and changes no energy of the first function
+    # leaves them as they were and changes no energy of the first function
     name = "fourier_q3"
     an = FrameAnalyzer(SYSTEMS[name], GENERATORS[name])
     f = random_step(SYSTEMS[name].field, 0, 3, 11, False)
     first = an.coefficient_row(f, 1, 2), an.energies(f, 0, 3)
-    kept = dict(an._members)
-    assert sorted(kept) == [0, 1, 2]
-    for l, ghat in kept.items():
-        assert ghat == fast_transform(GENERATORS[name][l])
+    kept = [(ghat, ghat.values.copy()) for ghat in an.transforms]
+    assert an.transforms == GENERATORS[name]
     g = random_step(SYSTEMS[name].field, -1, 2, 12, False)
     an.coefficient_row(g, 1, 2)
     an.energies(g, 0, 3)
-    assert all(an._members[l] is ghat for l, ghat in kept.items())
+    assert an._members == {}
+    assert all(now is ghat and np.array_equal(now.values, values)
+               for now, (ghat, values) in zip(an.transforms, kept))
     row, (S, W) = an.coefficient_row(f, 1, 2), an.energies(f, 0, 3)
     assert row == first[0]
     assert np.array_equal(S, first[1][0]) and np.array_equal(W, first[1][1])
@@ -355,10 +357,10 @@ def test_folded_energies_match_label_loop(name, resolution, seed):
     f = StepFunction(
         cfg, resolution, rng.standard_normal(n) + 1j * rng.standard_normal(n))
     n2 = f.norm2()
-    scale = n2 * spec.sys.qN ** J_MAX * max(g.norm2() for g in spec.generators)
+    scale = n2 * spec.sys.qN ** J_MAX * max(g.norm2() for g in spec.transforms)
     scaling = [oracle_folded_energy(name, f, 0, j) for j in range(J_MAX + 1)]
     wavelet = [sum(oracle_folded_energy(name, f, l, j)
-                   for l in range(1, len(spec.generators)))
+                   for l in range(1, len(spec.transforms)))
                for j in range(J_MAX + 1)]
     energies = folded_energies(f, spec)
     _, sums = projection_energy_scan(f, 0.5, spec, energies)
@@ -398,12 +400,12 @@ def test_folded_members_match_periodized_members(name):
     # translation mu, are that member's Fourier coefficients
     spec = _folded_spec(name)
     sys, cfg = spec.sys, spec.sys.field
-    for l in range(len(spec.generators)):
+    for l in range(len(spec.transforms)):
         for j in range(spec.j_max + 1):
             L = sys.qN ** j
             for label in sorted({0, L - 1} | set(range(0, L, max(1, L // 7)))):
                 idx = sys.branch_index(label)
-                want = periodize(system_member(l, j, idx, sys, spec.generators))
+                want = periodize(system_member(l, j, idx, sys, spec.transforms))
                 K = want.resolution
                 _, e = spec.samples(l, j, K)   # a function at resolution K reads all of e
                 assert want.lo == 0 and e.size == cfg.q ** K
@@ -423,7 +425,7 @@ def test_folded_weights_count_every_label(name):
     # digits and by brute force; the weights add up to (qN)^j
     spec = _folded_spec(name)
     sys = spec.sys
-    for l in range(len(spec.generators)):
+    for l in range(len(spec.transforms)):
         for j in range(spec.j_max + 1):
             weights, e = spec.samples(l, j, j)   # at resolution j, d = min(j, K)
             assert int(weights.sum()) == sys.qN ** j
@@ -446,7 +448,7 @@ def folded_pairs(draw):
     {1, 2, 3, 5} a unit mod p, any valid r and dilation unit, at a scale
     j <= 6 of at most 4096 labels, read at a resolution k in [0, j + 2]. The
     generator's resolution, from -2 to 2, puts K = max(res + j, 0) on either
-    side of j and k."""
+    side of j and k; the spec takes its transform, of lo = -res."""
     cfg = draw(st.sampled_from([FieldConfig(2), FieldConfig(3), FieldConfig(2, 2, (1, 1, 1))]))
     N = draw(st.sampled_from([N for N in (1, 2, 3, 5) if N % cfg.p]))
     r = draw(st.sampled_from([r for r in range(1, cfg.q * N, 2) if math.gcd(r, N) == 1]))
@@ -455,7 +457,7 @@ def folded_pairs(draw):
     lo = resolution - draw(st.integers(0, 2))
     g = StepFunction(cfg, resolution, np.ones(cfg.q ** (resolution - lo)), lo)
     j = draw(st.integers(0, max(j for j in range(7) if sys.qN ** j <= 4096)))
-    return PeriodicSystemSpec(sys, (g,), j), j, draw(st.integers(0, j + 2))
+    return PeriodicSystemSpec(sys, (fast_transform(g),), j), j, draw(st.integers(0, j + 2))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -466,7 +468,7 @@ def test_closed_form_label_counts_match_every_label(pair):
     # counted on mu's digits at exponents 0..d-1, d = min(k, j, K)
     spec, j, k = pair
     sys = spec.sys
-    K = max(spec.generators[0].resolution + j, 0)
+    K = max(j - spec.transforms[0].lo, 0)
     d = min(k, j, K)
     weights, e = spec.samples(0, j, k)
     assert weights.dtype == np.int64 and e.size == sys.q ** min(k, K)
@@ -479,8 +481,7 @@ def test_a_pair_far_out_holds_tables_of_its_resolution_only(k):
     # function at resolution k reads, so the pair holds no table of its 2^40
     # labels: its memory is a small multiple of q^k
     spec = PeriodicSystemSpec(SYSTEMS["haar_q2"], GENERATORS["haar_q2"], 40)
-    for l in range(len(spec.generators)):
-        spec.samples(l, 0, k)   # forms and keeps the generator's transform
+    for l in range(len(spec.transforms)):
         tracemalloc.start()
         try:
             weights, e = spec.samples(l, 40, k)
@@ -520,8 +521,8 @@ def test_table_width_bounds_every_product(monkeypatch, name):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
     # every cache a report creates, kept as the benchmark's cache probe keeps
-    # them, over a suite drawn one function per block: verify keeps one
-    # transform per generator, periodic the same and one entry per (l, j)
+    # them, over a suite drawn one function per block: verify keeps nothing,
+    # periodic one entry per (l, j)
     monkeypatch.setattr(runner, "SUITE_BLOCK", 1)
     caches = {FrameAnalyzer: [], PeriodicSystemSpec: []}
     for cls in caches:
@@ -534,9 +535,7 @@ def test_each_report_builds_one_bank_per_pair(monkeypatch, name):
     verify_report(rc)
     periodic_report(rc)
     L = len(rc.sys.masks)
-    (transforms,), (folded,) = caches[FrameAnalyzer], caches[PeriodicSystemSpec]
-    assert sorted(transforms) == list(range(L))
-    assert sorted(key for key in folded if isinstance(key, int)) == list(range(L))
-    assert sorted(key for key in folded if isinstance(key, tuple)) == \
+    (kept,), (folded,) = caches[FrameAnalyzer], caches[PeriodicSystemSpec]
+    assert kept == {}
+    assert sorted(folded) == \
         [(l, j, rc.resolution) for l in range(L) for j in range(rc.j_max + 1)]
-    assert len(folded) == L * (rc.j_max + 2)

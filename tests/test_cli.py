@@ -122,14 +122,15 @@ def test_verify_report_forms_the_partition_once(tmp_path):
 @contextlib.contextmanager
 def _counting(*names):
     """{name: mock} counting the calls of each framekit function named,
-    made through framekit's binding or runner's."""
+    made through framekit's binding, runner's or periodic's."""
     with contextlib.ExitStack() as stack:
         calls = {}
         for name in names:
             calls[name] = stack.enter_context(
                 mock.patch.object(framekit, name, wraps=getattr(framekit, name)))
-            if hasattr(runner, name):
-                stack.enter_context(mock.patch.object(runner, name, calls[name]))
+            for module in (runner, periodic):
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(module, name, calls[name]))
         yield calls
 
 
@@ -147,25 +148,38 @@ def test_mask_checks_transform_each_mask_once(masks):
 
 
 @pytest.mark.parametrize("config, tables", [("fourier_q3.cfg", 3), ("haar_q2.cfg", 2)])
-def test_verify_forms_each_mask_table_and_phi_hat_once(config, tables):
+def test_verify_forms_each_mask_table_and_phi_hat_once(monkeypatch, config, tables):
+    # verify transforms each mask and the suite's one block, and no
+    # generator: the partition and the energies read the phi^ that the
+    # refinement built, one object, and nothing is formed in space
     rc = RunConfig.load(os.path.join(CONFIGS, config))
-    with _counting("fast_transform", "iterate_refinement") as calls:
+    analyzers = []
+
+    def analyzer(*args):
+        analyzers.append(framekit.FrameAnalyzer(*args))
+        return analyzers[-1]
+
+    monkeypatch.setattr(runner, "FrameAnalyzer", analyzer)
+    with _counting("fast_transform", "fast_inverse_transform", "iterate_refinement",
+                   "check_partition") as calls:
         runner.verify_report(rc)
-    # besides the mask tables: each generator's transform, and the suite's
-    # one block
     assert tables == len(rc.sys.masks)
-    assert calls["fast_transform"].call_count == tables + len(rc.sys.masks) + 1
+    assert calls["fast_transform"].call_count == tables + 1
+    assert calls["fast_inverse_transform"].call_count == 0
     assert calls["iterate_refinement"].call_count == 1
+    assert calls["check_partition"].call_count == len(analyzers) == 1
+    assert calls["check_partition"].call_args.args[0] is analyzers[0].transforms[0]
 
 
 def test_periodic_forms_each_mask_table_once():
+    # periodic transforms each mask and the suite's one block, and no
+    # generator, and forms nothing in space
     rc = RunConfig.load(os.path.join(CONFIGS, "nonuniform_q2_N3_r5.cfg"))
-    with _counting("fast_transform") as calls:
+    with _counting("fast_transform", "fast_inverse_transform") as calls:
         runner.periodic_report(rc)
-    # besides the mask tables: each generator's transform, which the folded
-    # system forms through framekit
     assert len(rc.sys.masks) == 2
-    assert calls["fast_transform"].call_count == 2 * len(rc.sys.masks)
+    assert calls["fast_transform"].call_count == len(rc.sys.masks) + 1
+    assert calls["fast_inverse_transform"].call_count == 0
 
 
 @pytest.mark.parametrize("config", sorted(f for f in os.listdir(CONFIGS) if f.endswith(".cfg")))
@@ -996,13 +1010,13 @@ def test_periodic_runs_every_scale_whose_labels_fit_in_64_bits(tmp_path, capsys,
 
 
 def test_periodic_reaches_scale_62_with_generators_above_the_unit_ball(tmp_path, capsys):
-    # masks on n = 0 alone give generators on B^1, whose lattice samples at
-    # scale j read cell n // 2^(j + 1): a divisor past int64 at j = 62, where
-    # every n < q^m already reads cell 0
+    # masks on n = 0 alone give generators on B^1, transforms at resolution
+    # -1, whose lattice samples at scale j read cell n // 2^(j + 1): a divisor
+    # past int64 at j = 62, where every n < q^m already reads cell 0
     masks = tmp_path / "k0.masks"
     masks.write_text("# walshframes-masks v1\np = 2\nc = 1\nN = 1\nr = 1\nnu = 1\n"
                      "normalization = unitary\nmask 0\n0 0 1.0 0.0\nmask 1\n0 0 0.5 0.0\n")
-    assert framekit.derive_generators(framekit.load_masks(str(masks)), 4)[0].lo == 1
+    assert framekit.derive_generators(framekit.load_masks(str(masks)), 4)[0].resolution == -1
     cfg = _scales_cfg(tmp_path, str(masks), j_max=62)
     assert run(["periodic", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err == ""
@@ -1054,6 +1068,26 @@ def test_an_overflowing_refinement_product_is_refused(tmp_path, capsys, command)
     assert capsys.readouterr().err == (
         "error: the product with mask 0 in refinement step 2 exceeds the largest double\n")
     assert not (out / "phi.csv").exists() and not (command != "dump-wavelets" and out.exists())
+
+
+@pytest.mark.parametrize("command", ["verify", "periodic", "dump-wavelets"])
+def test_an_overflowing_mask_table_is_refused_by_name(tmp_path, capsys, command):
+    # mask 0 with two coefficients of 1e308: its value at 0 is their sum,
+    # past the largest double, so its value table is refused, naming the
+    # mask, before any check or refinement product reads it
+    masks = tmp_path / "huge.masks"
+    masks.write_text("# walshframes-masks v1\np = 2\nc = 1\nN = 1\nr = 1\nnu = 1\n"
+                     "normalization = unitary\nmask 0\n0 0 1e308 0\n1 0 1e308 0\n"
+                     "mask 1\n0 0 0.5 0\n1 0 -0.5 0\n")
+    cfg = _scales_cfg(tmp_path, str(masks))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == \
+        "error: the values of mask 0 exceed the largest double\n"
+    assert not out.exists()
 
 
 def test_verify_runs_far_past_the_scales_a_bank_could_hold(tmp_path):
@@ -1127,7 +1161,6 @@ def test_non_finite_or_negative_settings_are_config_errors(tmp_path, capsys, mon
         RunConfig.load(cfg)
     # refused before any work
     monkeypatch.setattr("walshframes.runner.derive_generators", None)
-    monkeypatch.setattr("walshframes.runner.iterate_refinement", None)
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert option in err and value.lstrip("-") in err

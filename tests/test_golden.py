@@ -115,6 +115,22 @@ def test_energy_check_edge_case_reproduces_golden_report(tmp_path, golden):
                   _edge_config(str(tmp_path), name, options, masks))
 
 
+@pytest.mark.parametrize("golden", ["fourier_q3.periodic", "fourier_q3_resolution_0.periodic"])
+def test_a_tail_of_exact_zeros_reads_exactly_zero(tmp_path, golden):
+    # fourier_q3's wavelet transforms vanish exactly on every cell the tail
+    # at j_max reads, and the checks read those transforms themselves: a
+    # copy taken to space and back left a tail of about 1e-31, which the
+    # floor of the comparison above cannot tell from 0
+    if golden in EDGES:
+        command, name, options, masks = EDGES[golden]
+        config = _edge_config(str(tmp_path), name, options, masks)
+    else:
+        config = os.path.join(CONFIGS, "fourier_q3.cfg")
+    out = tmp_path / "report.json"
+    assert main(["periodic", "--config", config, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tightness"]["max_tail"] == 0.0
+
+
 def test_golden_comparison_catches_a_moved_number():
     want = {"a": 1.0, "tiny": 1e-15, "flag": True, "xs": [2.0, None]}
     assert differences(dict(want), want) == []

@@ -10,7 +10,7 @@ from walshframes import periodic, runner
 from walshframes.algebra import FieldConfig, SystemConfig, uindex
 from walshframes.errors import ConfigError, DegenerateInput, TruncationError
 from walshframes.framekit import FrameAnalyzer, Mask, derive_generators, energy_balance
-from walshframes.harmonic import fast_transform
+from walshframes.harmonic import fast_inverse_transform, fast_transform
 from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
@@ -110,7 +110,7 @@ def test_periodize_linear_and_l1_contractive():
 
 def test_member_at_scale_zero_is_periodized_generator():
     spec = haar_spec()
-    phi, psi = spec.generators
+    phi, psi = (fast_inverse_transform(g) for g in spec.transforms)
     assert allclose(spec.member(0, 0, 0), periodize(phi), 0.0)
     assert allclose(spec.member(1, 0, 0), periodize(psi), 0.0)
 
@@ -152,7 +152,7 @@ def test_zero_wavelet_gives_zero_member():
 
 def test_member_fourier_energy_matches_norm():
     for spec in (haar_spec(j_max=2), fourier3_spec(j_max=2)):
-        for l in range(len(spec.generators)):
+        for l in range(len(spec.transforms)):
             for j, label in ((0, 0), (1, 1), (2, 3)):
                 m = spec.member(l, j, label)
                 # the coefficients <m, chi(u(n) .)>: the cell of u(n) at index n
@@ -354,7 +354,7 @@ def test_two_scale_matches_line_analysis_on_unfolded_input():
     )
     for spec, res in cases:
         rng = np.random.default_rng(61)
-        analyzer = FrameAnalyzer(spec.sys, spec.generators)
+        analyzer = FrameAnalyzer(spec.sys, spec.transforms)
         for _ in range(3):
             f = random_table(spec.sys.field, res, rng)
             for j in range(res):
@@ -378,7 +378,7 @@ def test_tightness_haar_random_resolution_four():
 
 def test_tightness_scaling_member_alone():
     spec = haar_spec()
-    f = periodize(spec.generators[0])
+    f = periodize(fast_inverse_transform(spec.transforms[0]))
     out = periodic_tightness_check(f, spec, folded_energies(f, spec))
     assert out["residual"] <= 1e-12
     assert out["total"] == pytest.approx(
