@@ -11,9 +11,10 @@ The folded energies come from the Fourier side. For f on D, Poisson
 summation gives <f, periodize(h)> = sum_n f^(u(n)) conj(h^(u(n))), and
 for the member h of label lambda at scale j, h^(u(n)) = e_n
 conj(chi(u(n) mu)) with e_n = s^j q^-j g_l^(a^-j u(n)), a = t^(-1) nu and
-mu = a^-j lambda. So the coefficients of all labels at scale j are one
-inverse character sum R(z) of f^(u(n)) conj(e_n), read at the digits z of
-mu on D, and no folded member is built.
+mu = a^-j lambda. So the coefficients of all labels of generator l at
+scale j are one inverse character sum R(z) of f^(u(n)) conj(e_n), read at
+the digits z of mu on D: one sum per (l, j) pair, and no folded member is
+built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import cell_digits, cell_index
+from .algebra import cell_digits, cell_index, digit_count
 from .errors import ConfigError, DegenerateInput, TruncationError
 from .framekit import energy_balance, nu_power, system_member
 from .harmonic import _contract, fast_transform
@@ -58,10 +59,11 @@ class PeriodicSystemSpec:
     mu that land at exponents 0..m-1, m = min(j, K) with K the folded
     member's resolution, and a function at resolution k reads the first
     d = min(k, m) of them, so the (qN)^j labels of scale j fold onto at most
-    q^d cells. Each counts with its integer label count; the counts sum to
-    exactly (qN)^j, so a degenerate family counts every coinciding member as
-    often as it is indexed and nothing is deduplicated. The counts are 64-bit
-    integers, so a scale cap with (qN)^j_max labels past them is refused.
+    q^d cells, the length of the pair's one character sum. Each cell counts
+    with its integer label count; the counts sum to exactly (qN)^j, so a
+    degenerate family counts every coinciding member as often as it is
+    indexed and nothing is deduplicated. The counts are 64-bit integers, so
+    a scale cap with (qN)^j_max labels past them is refused.
     """
 
     __slots__ = ("sys", "transforms", "j_max", "_members")
@@ -124,22 +126,6 @@ class PeriodicSystemSpec:
         return periodize(system_member(l, j, self.sys.branch_index(label), self.sys,
                                        self.transforms))
 
-    def _groups(self, k: int) -> dict[int, list[tuple[int, int]]]:
-        """The (l, j) of every energy, by the digit count min(k, m) of their
-        character sums for a function at resolution k."""
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for l in range(len(self.transforms)):
-            for j in range(self.j_max + 1):
-                groups.setdefault(min(k, j, self._resolution(l, j)), []).append((l, j))
-        return groups
-
-    def table_width(self, k: int) -> int:
-        """Entries one function at resolution k adds to the largest table the
-        folded checks form: its transform, or the stacked character sums of
-        the pairs of one digit count."""
-        q = self.sys.q
-        return max([q ** k] + [len(pairs) * q ** d for d, pairs in self._groups(k).items()])
-
 
 def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
     """(S, W, ||f||^2, residuals, total), S and W of shape (j_max + 1,) + block
@@ -149,21 +135,20 @@ def folded_energies(f: StepFunction, spec: PeriodicSystemSpec) -> tuple:
     them once.
 
     The energy of (l, j) is sum_z weights[z] |R(z)|^2 (see the module
-    docstring). f^ is zero past n = q^k and R reads the low min(k, m) digits
-    of n only, so f^ conj(e) is folded onto those digits first; the pairs
-    that share that digit count take one inverse character sum together."""
-    k = f.resolution
+    docstring). f^ is zero past n = q^k and R reads the low d digits of n
+    only, q^d = weights.size, so f^ conj(e) is folded onto those digits
+    first and each (l, j) pair takes its own inverse character sum."""
+    k, q = f.resolution, spec.sys.q
     fhat = lattice_samples(fast_transform(f.window(0)), k)
     E = np.zeros((len(spec.transforms), spec.j_max + 1) + f.values.shape[:-1])
-    for d, pairs in spec._groups(k).items():
-        folded = []
-        for l, j in pairs:
-            e = spec.samples(l, j, k)[1]
+    for l in range(len(spec.transforms)):
+        for j in range(spec.j_max + 1):
+            weights, e = spec.samples(l, j, k)
             F = fhat[..., :e.size] * np.conj(e)
-            folded.append(F.reshape(F.shape[:-1] + (-1, spec.sys.q ** d)).sum(axis=-2))
-        R = _contract(spec.sys.field, np.array(folded), d, forward=False)
-        for (l, j), r in zip(pairs, R):
-            E[l, j] = np.sum(spec.samples(l, j, k)[0] * np.abs(r) ** 2, axis=-1)
+            F = F.reshape(F.shape[:-1] + (-1, weights.size)).sum(axis=-2)
+            d = digit_count(q, weights.size - 1)
+            R = _contract(spec.sys.field, F, d, forward=False)
+            E[l, j] = np.sum(weights * np.abs(R) ** 2, axis=-1)
     S, W = E[0], E[1:].sum(axis=0)
     return (S, W, f.norm2()) + energy_balance(S, W)
 

@@ -63,7 +63,7 @@ RESIDUAL_TOL = 1e-9
 TAIL_TOL = 1e-12
 # Table entries of one block of suite functions (see suite_blocks): 256 KiB
 # of complex entries, so a full block stays a few MB; the shipped configs
-# check their 100 functions in one block (two for periodic on fourier_q3).
+# check their 100 functions in one block.
 SUITE_BLOCK = 2 ** 14
 MAX_SEED = 2 ** 64
 # Largest uindex count: every report row, about 1.5 KB, is held until the
@@ -408,7 +408,7 @@ def periodic_report(rc: RunConfig) -> dict:
     finite_js = set()
     first_scan = None
     worst_residual = worst_tightness = worst_tail = 0.0
-    for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed, spec.table_width(rc.resolution)):
+    for f in suite_blocks(cfg, rc.resolution, rc.count, rc.seed):
         energies = folded_energies(f, spec)   # (S, W, ||f||^2, residuals, total)
         Js, S = projection_energy_scan(f, rc.epsilon, spec, energies)
         if first_scan is None:

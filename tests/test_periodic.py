@@ -280,9 +280,8 @@ def test_periodic_report_forms_one_energy_balance_per_block(monkeypatch):
     config = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "haar_q2.cfg")
     rc = RunConfig.load(config)
-    spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, 4), rc.j_max)
     # blocks of 7 functions: 100 = 14 * 7 + 2
-    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width(rc.resolution))
+    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * rc.cfg.q ** rc.resolution)
     sizes = []
 
     def counted(S, W):
@@ -299,15 +298,14 @@ def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
     config = os.path.join(os.path.dirname(__file__), "..", "configs",
                           "haar_q2.cfg")
     rc = RunConfig.load(config)
-    spec = PeriodicSystemSpec(rc.sys, derive_generators(rc.sys, 4), rc.j_max)
     # blocks of 7 functions: 100 = 14 * 7 + 2
-    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * spec.table_width(rc.resolution))
+    monkeypatch.setattr(runner, "SUITE_BLOCK", 7 * rc.cfg.q ** rc.resolution)
     sums = collections.Counter()
     contract = periodic._contract
 
     def counted(cfg, values, m, forward):
-        # the pairs of one digit count, then the functions of the block
-        sums[values.shape[:2]] += 1
+        # the functions of the block, then the cells of one pair
+        sums[values.shape[:-1]] += 1
         return contract(cfg, values, m, forward)
 
     builds = collections.Counter()
@@ -329,9 +327,9 @@ def test_periodic_report_reduces_each_bank_and_norm_once_per_block(monkeypatch):
     monkeypatch.setattr(StepFunction, "norm2", counted_norm2)
     periodic_report(rc)
     # the samples of each (l, j) are formed once; each block takes one
-    # character sum per digit count min(k, j) = j, over both generators
+    # character sum per (l, j) pair, over both generators
     assert builds == {(l, j): 1 for l in range(2) for j in range(rc.j_max + 1)}
-    assert sums == {(2, 7): 14 * (rc.j_max + 1), (2, 2): rc.j_max + 1}
+    assert sums == {(7,): 14 * 2 * (rc.j_max + 1), (2,): 2 * (rc.j_max + 1)}
     # folded_energies forms ||f||^2 and both checks that need it read it there
     assert norms == {7: 14, 2: 1}
 

@@ -20,7 +20,6 @@ from oracles import periodic_numbers, suite_functions, verify_numbers
 from walshframes import runner
 from walshframes.errors import ConfigError
 from walshframes.framekit import FrameAnalyzer, derive_generators
-from walshframes.periodic import PeriodicSystemSpec
 from walshframes.runner import (
     RunConfig,
     periodic_report,
@@ -41,11 +40,13 @@ def _config(name):
 
 
 def _width(rc, command):
-    """The table width runner passes to suite_blocks for the command."""
-    gens = derive_generators(rc.sys, rc.cascade_iterations)
+    """The table width runner passes to suite_blocks for the command: the
+    transform of a function for periodic, whose pairs each take one
+    character sum of at most as many cells."""
     if command == "verify":
+        gens = derive_generators(rc.sys, rc.cascade_iterations)
         return FrameAnalyzer(rc.sys, gens).table_width(rc.resolution, rc.j0, rc.j1)
-    return PeriodicSystemSpec(rc.sys, gens, rc.j_max).table_width(rc.resolution)
+    return rc.cfg.q ** rc.resolution
 
 
 def _block_of(rc, command, functions):
@@ -163,7 +164,7 @@ def test_block_reports_match_one_at_a_time_loop(monkeypatch, block_sizes, name,
     rc = _config(name)
     assert rc.count == 100
     if functions is None:
-        # the default cap: one block, except two (67 + 33) for periodic on fourier_q3
+        # the default cap: one block of the 100 functions
         functions = runner.SUITE_BLOCK // _block_of(rc, command, 1)
     else:
         # 100 = 14 * 7 + 2, and 100 blocks of one
@@ -172,6 +173,18 @@ def test_block_reports_match_one_at_a_time_loop(monkeypatch, block_sizes, name,
     assert block_sizes == _sizes(100, min(functions, 100))
     check = _check_verify if command == "verify" else _check_periodic
     check(report, _oracle(name, command, rc))
+
+
+def test_a_long_scale_cap_keeps_whole_blocks(block_sizes):
+    # each folded pair takes one character sum of at most q^k cells, so the
+    # scale cap does not shrink the blocks: fourier_q3 at j_max = 39, the
+    # last cap whose 3^j labels fit in 64 bits, checks its 100 functions in
+    # blocks of SUITE_BLOCK // 3^4, not one at a time
+    rc = dataclasses.replace(_config("fourier_q3"), j_max=39)
+    assert rc.count == 100 and rc.resolution == 4
+    report = periodic_report(rc)
+    assert block_sizes == _sizes(100, min(runner.SUITE_BLOCK // 3 ** 4, 100))
+    _check_periodic(report, periodic_numbers(rc))
 
 
 @pytest.mark.parametrize("name", ["haar_q2", "fourier_q3"])
