@@ -59,7 +59,6 @@ from walshframes.periodic import (
     PeriodicSystemSpec,
     folded_energies,
     periodic_tightness_check,
-    periodic_two_scale_check,
     projection_energy_scan,
 )
 from walshframes.stepfn import (
@@ -569,9 +568,9 @@ def periodic_numbers(rc):
             out["all_finite"] = False
         elif out["max_J"] is None or J > out["max_J"]:
             out["max_J"] = J
-        for j in range(rc.j_max):
-            out["max_residual"] = max(out["max_residual"],
-                                      periodic_two_scale_check(f, j, spec))
+        # energy_balance's residuals of steps 0..j_max-1, one per
+        # periodic_two_scale_check(f, j, spec)
+        out["max_residual"] = max([out["max_residual"], *energies[3]])
         tight = periodic_tightness_check(f, spec, energies)
         out["max_tightness"] = max(out["max_tightness"], tight["residual"])
         out["max_tail"] = max(out["max_tail"], tight["tail"])

@@ -1,4 +1,7 @@
 import contextlib
+import gc
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -760,6 +763,63 @@ def test_dump_wavelets(tmp_path):
     for name in names:
         g = load_csv(os.path.join(out_dir, name))
         assert g.norm2() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------- exit --
+
+def _python(*args):
+    """stdout of a fresh interpreter run with `args` on this library."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(walshframes.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          check=True, timeout=120).stdout
+
+
+# registered before anything else, so atexit runs it last: it prints the
+# objects gc.freeze moved aside and how often it ran
+EXIT_PROBE = """import atexit, gc, sys
+freezes = []
+freeze = gc.freeze
+gc.freeze = lambda: (freezes.append(1), freeze())[1]
+atexit.register(lambda: print(gc.get_freeze_count() > 0, len(freezes)))
+"""
+
+
+def test_a_command_freezes_its_heap_once_at_exit(tmp_path):
+    # main twice in one process registers one handler, which runs at exit
+    code = EXIT_PROBE + (
+        "from walshframes.cli import main\n"
+        "for out in sys.argv[2:]:\n"
+        "    main(['field-info', '--config', sys.argv[1], '--out', out])\n")
+    out = _python("-c", code, write_cfg(tmp_path, "haar_q2.masks", 2),
+                  str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    assert out.split() == [b"True", b"1"]
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_importing_the_cli_leaves_the_exit_alone():
+    out = _python("-c", EXIT_PROBE + "import walshframes.cli\n")
+    assert out.split() == [b"False", b"0"]
+
+
+def test_main_freezes_nothing_while_the_process_runs(tmp_path):
+    assert run(["field-info", "--config", write_cfg(tmp_path, "haar_q2.masks", 2),
+                "--out", str(tmp_path / "r.json")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_transform_flushes_every_byte_before_the_heap_is_left(tmp_path):
+    # perfbench's transform-q4 input: 65,536 GF(4) cells, drawn from seed 1
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_check", os.path.join(CONFIGS, "..", "perfbench", "check.py"))
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    src = str(tmp_path / "f.csv")
+    check.write_step_csv(src, 2, 2, "1.1.1", 8, 1)
+    out = tmp_path / "fhat.csv"
+    printed = _python("-m", "walshframes.cli", "transform", src)
+    assert _python("-m", "walshframes.cli", "transform", src, "--out", str(out)) == b""
+    assert printed == out.read_bytes()
+    assert hashlib.md5(printed).hexdigest() == "7726c33b395fb05c00f4a95cb210e857"
 
 
 # ------------------------------------------------------ unwritable --out --
