@@ -2,14 +2,14 @@
 
 A mask is a finitely supported character polynomial over the translation
 family: m(xi) = norm_const * sum_idx a_idx * conj(chi(lambda_idx * xi)),
-the transform of F_m, the amplitudes a_idx placed on the cells
-lambda_idx + D. Mask values come from harmonic's kernel alone, and a shift
-in D only translates their digits. Masks are locally constant, so every
-check below reduces to finitely many exact evaluations:
+the transform by harmonic's kernel of F_m, the amplitudes a_idx on the
+cells lambda_idx + D. The UEP checks read each fiber {xi + tau : tau in
+GF(q)} as a column of that one table, no shifted copy. Masks are locally
+constant, so every check below reduces to finitely many exact evaluations:
 
   * refinement and wavelet generation in the frequency domain,
   * the partition-of-unity sum over the translation family,
-  * the shift-Gram (perfect reconstruction) matrix and a Bessel bound,
+  * the shift-Gram (perfect reconstruction) matrix and Bessel sum per fiber,
   * the per-scale energy identity and the frame sum of the squared
     coefficients, each energy one product of transforms (see
     FrameAnalyzer.energies), so no translated member is built.
@@ -184,34 +184,33 @@ def sigma_v0(part: StepFunction) -> StepFunction:
 
 # ------------------------------------------------------------- UEP matrix --
 
-def _shifted_tables(m: Mask, shifts, resolution: int) -> np.ndarray:
-    """m(xi + shift) over the cells xi of D at the given resolution (at least
-    m's constancy resolution), one row per shift: every shift lies in D, so a
-    row is m's one table with its digits translated, exactly."""
-    table = refine(m.table, resolution)
-    return np.array([translate(table, -shift).window(0).values for shift in shifts])
+def _fibers(m: Mask, resolution: int) -> np.ndarray:
+    """m over the cells of D at max(resolution, 1), one fiber {xi + tau : tau
+    in GF(q)} per column: a shift in D moves only a cell's digit at exponent
+    0, the top digit of its index, which numbers the rows."""
+    return refine(m.table, max(resolution, 1)).values.reshape(m.sys.q, -1)
 
 
 def uep_gram(sys: SystemConfig) -> dict:
-    """Max deviation of G(xi) = sum_l m_l(xi+tau_s) conj(m_l(xi+tau_s'))
-    from the identity over the cells of D."""
+    """Max deviation from the identity of G(xi) = sum_l m_l(xi+tau)
+    conj(m_l(xi+tau')), tau, tau' in GF(q), over the cells of D: one q x q
+    matrix per fiber, which each cell of the fiber sees permuted."""
     if not sys.masks:
         raise ConfigError("system has no masks configured")
     K = max(m.constancy_resolution for m in sys.masks)
-    T = np.array([_shifted_tables(m, sys.shift_set, K) for m in sys.masks])
-    G = np.einsum("lsc,ltc->cst", T, np.conj(T))
-    dev = np.abs(G - np.eye(len(sys.shift_set)))
+    T = np.array([_fibers(m, K) for m in sys.masks])
+    G = np.einsum("ldr,ler->rde", T, np.conj(T))
     return {
-        "max_deviation": float(dev.max()),
+        "max_deviation": float(np.abs(G - np.eye(sys.q)).max()),
         "resolution": K,
-        "cells_checked": int(dev.shape[0]),
+        "cells_checked": sys.q ** K,
     }
 
 
 def bessel_mask_check(m0: Mask, sys: SystemConfig) -> dict:
-    """The largest per-cell sum_s |m0(xi + tau_s)|^2; the Bessel bound is 1."""
-    rows = _shifted_tables(m0, sys.shift_set, m0.constancy_resolution)
-    return {"max_sum": float(np.sum(np.abs(rows) ** 2, axis=0).max())}
+    """The largest fiber sum sum_tau |m0(xi + tau)|^2; the Bessel bound is 1."""
+    fibers = _fibers(m0, m0.constancy_resolution)
+    return {"max_sum": float(np.sum(np.abs(fibers) ** 2, axis=0).max())}
 
 
 # ------------------------------------------------------------ member system --

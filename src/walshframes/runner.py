@@ -150,17 +150,19 @@ class RunConfig:
         if need_masks and sys_cfg is None:
             raise ConfigError("this command needs a [masks] file entry")
 
-        if sys_cfg is not None and parser.has_section("system"):
-            for key, actual in (("n", sys_cfg.N), ("r", sys_cfg.r),
-                                ("dilation_unit", sys_cfg.nu)):
-                if parser.has_option("system", key) and \
-                        parser.getint("system", key) != actual:
-                    raise ConfigError(
-                        f"system option {key} disagrees with the masks file")
-            stated = parser.get("system", "normalization", fallback=None)
-            if stated is not None and stated != sys_cfg.normalization:
-                raise ConfigError(
-                    "system normalization disagrees with the masks file")
+        # [system] as a mask file header reads it, with its defaults for the rest
+        system = {"n": 1, "r": 1, "dilation_unit": None, "normalization": "unitary"}
+        for key, attr in zip(system, ("N", "r", "nu", "normalization")):
+            if parser.has_option("system", key):
+                try:
+                    system[key] = (parser.get if key == "normalization" else parser.getint)(
+                        "system", key)
+                except ValueError as exc:
+                    raise ConfigError(f"system option {key} is malformed ({exc})") from exc
+                if sys_cfg is not None and system[key] != getattr(sys_cfg, attr):
+                    raise ConfigError(f"system option {key} disagrees with the masks file")
+        if sys_cfg is None:
+            SystemConfig(cfg, *system.values())
 
         resolution = parser.getint("suite", "resolution", fallback=4)
         count = parser.getint("suite", "count", fallback=100)

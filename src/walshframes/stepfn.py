@@ -727,8 +727,8 @@ def _digits(raw: np.ndarray, at: np.ndarray, q: int, cap: int):
 
 
 def _accept(chunk, q: int, resolution: int, cap: int):
-    """(index, amplitude) of a chunk's rows, its bytes or text, if every row
-    passes _check, else None. One scan of the bytes holds the lines to the
+    """(index, amplitude) of a chunk's rows, its bytes from _chunks, if every
+    row passes _check, else None. One scan of the bytes holds the lines to the
     grammar (exactly three ','s and no CR on every line, so no blank line)
     and finds the field bounds. Array passes then give up at the first sign
     that a row may fail: a digits field that _digits refuses, a lo other
@@ -736,8 +736,6 @@ def _accept(chunk, q: int, resolution: int, cap: int):
     amplitude that float() refuses (read by _read_doubles) or is not finite."""
     # a ',', CR or LF byte is that character; a non-ASCII character or a lone
     # surrogate becomes bytes above 127, neither digit nor separator
-    if isinstance(chunk, str):
-        chunk = chunk.encode(errors="surrogatepass")
     raw = np.frombuffer(chunk, np.uint8)
     at = np.flatnonzero((raw == ord(",")) | (raw == ord("\r")) | (raw == ord("\n")))
     if raw[at].tobytes() != b",,,\n" * (at.size // 4):

@@ -159,6 +159,23 @@ def save_masks(sys, dest):
             dest.write(f"{idx.n} {idx.delta} {a.real!r} {a.imag!r}\n")
 
 
+def reducible_moduli(p, c):
+    """The monic polynomials of degree c over GF(p) that factor, as digit
+    tuples low power first: every product of two monic polynomials of
+    lower degree, multiplied out."""
+    def monic(d):
+        return [low + (1,) for low in itertools.product(range(p), repeat=d)]
+
+    out = set()
+    for d in range(1, c // 2 + 1):
+        for g, h in itertools.product(monic(d), monic(c - d)):
+            product = [0] * (c + 1)
+            for (i, a), (j, b) in itertools.product(enumerate(g), enumerate(h)):
+                product[i + j] = (product[i + j] + a * b) % p
+            out.add(tuple(product))
+    return out
+
+
 def prime_element(cfg):
     """The prime element t of K."""
     return cfg.monomial(1, 1)

@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     gf_from_digits,
     mul,
     prime_element,
+    reducible_moduli,
     shift,
     tail,
     truncate,
@@ -361,13 +363,6 @@ def test_system_config_validation():
     assert sys.nu == 2
 
 
-def test_default_shift_set():
-    sys = SystemConfig(F2, N=1, r=1)
-    assert sys.shift_set == (F2.zero(), F2.monomial(1, 0))
-    sys3 = SystemConfig(F3, N=1, r=1)
-    assert [s.text() for s in sys3.shift_set] == ["0", "1*t^0", "2*t^0"]
-
-
 def test_coset_label_decompose():
     sys = SystemConfig(F2, N=1, r=1)
     assert coset_label_decompose(sys, 0, 2) == (0, 0)
@@ -490,6 +485,27 @@ def random_fields(draw):
     p = draw(st.sampled_from((2, 3, 5)))
     c = draw(st.sampled_from((1, 2, 3)))
     return _field(p, c, None if c == 1 else draw(st.sampled_from(IRREDUCIBLE[(p, c)])))
+
+
+# every (p, c) with c > 1 and q = p^c <= 81, and the count of monic
+# irreducible polynomials of degree c over GF(p) by Gauss's formula; the
+# sweep holds reducible moduli with no root, such as z^4 + z^2 + 1 =
+# (z^2 + z + 1)^2 over GF(2), which _has_root would take as irreducible
+@pytest.mark.parametrize("p, c, irreducible", [
+    (2, 2, 1), (2, 3, 2), (2, 4, 3), (2, 5, 6), (2, 6, 9),
+    (3, 2, 3), (3, 3, 8), (3, 4, 18), (5, 2, 10), (7, 2, 21)])
+def test_field_config_accepts_exactly_the_irreducible_moduli(p, c, irreducible):
+    reducible = reducible_moduli(p, c)
+    accepted = []
+    for low in itertools.product(range(p), repeat=c):
+        modulus = low + (1,)
+        if modulus in reducible:
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"modulus {modulus} is reducible over GF({p})")):
+                FieldConfig(p, c, modulus)
+        else:
+            accepted.append(FieldConfig(p, c, modulus))
+    assert len(accepted) == irreducible
 
 
 def test_from_text_reads_back_every_irreducible_modulus():

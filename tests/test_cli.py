@@ -141,7 +141,7 @@ def _counting(*names):
                                    "nonuniform_q2_N3_r5.masks"])
 def test_mask_checks_transform_each_mask_once(masks):
     sys = framekit.load_masks(os.path.join(CONFIGS, masks))
-    assert len(sys.shift_set) > 1
+    assert sys.q > 1
     with _counting("fast_transform") as calls:
         framekit.uep_gram(sys)
         assert calls["fast_transform"].call_count == len(sys.masks)
@@ -632,6 +632,7 @@ def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line)
 @pytest.mark.parametrize("fields, message", [
     ("p=4 c=1 modulus=-", "p must be prime"),
     ("p=2 c=2 modulus=1.0.1", "reducible"),           # z^2 + 1 = (z + 1)^2
+    ("p=2 c=4 modulus=1.0.1.0.1", "reducible"),       # (z^2 + z + 1)^2, with no root
     ("p=3 c=2 modulus=-", "c = 2 > 1 must state its modulus"),
     # no default modulus stands in for GF(4) either
     ("p=2 c=2 modulus=-", "c = 2 > 1 must state its modulus"),
@@ -641,7 +642,7 @@ def test_transform_rejects_malformed_csv_structure(tmp_path, capsys, text, line)
     # no digit is reduced mod p: 3.3.1 and -1.1.1 are not z^2 + z + 1
     ("p=2 c=2 modulus=3.3.1", "modulus digit 3 is outside [0, 2)"),
     ("p=2 c=2 modulus=-1.1.1", "modulus digit -1 is outside [0, 2)"),
-], ids=["nonprime-p", "reducible", "no-modulus", "shipped-modulus", "p-cap", "c-cap",
+], ids=["nonprime-p", "reducible", "reducible-no-root", "no-modulus", "shipped-modulus", "p-cap", "c-cap",
         "q-cap", "digit-above-p", "negative-digit"])
 def test_transform_refuses_a_bad_field_on_line_1(tmp_path, capsys, fields, message):
     path = tmp_path / "bad.csv"
@@ -876,6 +877,26 @@ r = 5
 """
     cfg = write_cfg(tmp_path, "", 2, body=body)
     assert run(["verify", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("system, message", [
+    ("n = banana\nnormalization = bogus\n", "system option n is malformed"),
+    ("normalization = bogus\n", "normalization must be one of"),
+    ("n = 0\n", "N must be a positive integer"),
+    ("r = 2\n", "r must be odd"),
+    ("n = 3\nr = 3\n", "r = 3 must be coprime to N = 3"),
+    ("dilation_unit = 2\n", "dilation_unit must be a unit of GF(2)"),
+    ("n = 3\nr = 5\ndilation_unit = 1\nnormalization = qn\n", None),
+], ids=["malformed-n", "normalization", "n-zero", "even-r", "r-not-coprime",
+        "non-unit-nu", "admissible"])
+@pytest.mark.parametrize("command", ["field-info", "uindex"])
+def test_system_section_is_checked_without_a_masks_file(tmp_path, capsys, command,
+                                                        system, message):
+    # [system] is read as a mask file header is, its defaults for the rest
+    cfg = write_cfg(tmp_path, "", 2, body=f"[field]\np = 2\n\n[system]\n{system}")
+    assert run([command, "--config", cfg]) == (2 if message else 0)
+    err = capsys.readouterr().err
+    assert (message in err and "Traceback" not in err) if message else err == ""
 
 
 def test_corrupt_masks_file_is_input_data_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from oracles import (
     uindex_inverse,
 )
 
-from walshframes import runner
+from walshframes import framekit, runner
 from walshframes.algebra import (
     FieldConfig,
     FieldElement,
@@ -34,7 +35,7 @@ from walshframes.errors import ConfigError, DegenerateInput, InputDataError
 from walshframes.framekit import (
     FrameAnalyzer,
     Mask,
-    _shifted_tables,
+    _fibers,
     bessel_mask_check,
     check_partition,
     derive_generators,
@@ -177,12 +178,15 @@ def test_mask_tables_match_term_by_term_sums(m, seed):
     assert m.table.resolution == K
     assert np.abs(m.table.values - mask_table(m, cfg.zero(), K)).max() <= 1e-12
     rng = np.random.default_rng(seed)
-    for R in (K, K + 1):
+    for R in (max(K, 1), K + 1):
         reps = enumerate_reps(cfg, 0, R)
-        for tau, got in zip(m.sys.shift_set, _shifted_tables(m, m.sys.shift_set, R)):
-            assert np.abs(got - mask_table(m, tau, R)).max() <= 1e-12
+        for tau in range(cfg.q):
+            # the shift by tau takes each cell's digit at exponent 0, its
+            # fiber table row, through add_table[tau]
+            got = _fibers(m, R)[cfg.add_table[tau]].ravel()
+            assert np.abs(got - mask_table(m, cfg.monomial(tau, 0), R)).max() <= 1e-12
             for i in rng.choice(len(reps), min(len(reps), 8), replace=False):
-                assert abs(got[i] - mask_value(m, reps[i] + tau)) <= 1e-12
+                assert abs(got[i] - mask_value(m, reps[i] + cfg.monomial(tau, 0))) <= 1e-12
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -196,24 +200,32 @@ def test_mask_cells_sum_indices_that_share_a_cell(coeffs):
     m = Mask(sys, coeffs)
     assert m.table.resolution == m.constancy_resolution == 1
     for R in (1, 2):
-        for tau, got in zip(sys.shift_set, _shifted_tables(m, sys.shift_set, R)):
-            want = [mask_value(m, rep + tau) for rep in enumerate_reps(F2, 0, R)]
+        for tau in range(F2.q):
+            got = _fibers(m, R)[F2.add_table[tau]].ravel()
+            shift = F2.monomial(tau, 0)
+            want = [mask_value(m, rep + shift) for rep in enumerate_reps(F2, 0, R)]
             assert np.abs(got - want).max() <= 1e-15
-            assert np.abs(got - mask_table(m, tau, R)).max() <= 1e-15
+            assert np.abs(got - mask_table(m, shift, R)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_uep_gram_and_bessel_match_term_by_term_tables(name):
     sys = load_masks(os.path.join(CONFIGS, name + ".masks"))
     K = max(m.constancy_resolution for m in sys.masks)
-    T = np.array([[mask_table(m, tau, K) for tau in sys.shift_set] for m in sys.masks])
-    gram = np.einsum("lsc,ltc->cst", T, np.conj(T))
-    want = np.abs(gram - np.eye(len(sys.shift_set))).max()
-    assert abs(uep_gram(sys)["max_deviation"] - want) <= 1e-12
     m0 = sys.masks[0]
-    rows = [mask_table(m0, tau, m0.constancy_resolution) for tau in sys.shift_set]
+    # the checks read the fibers off each mask's one table: no shifted copy
+    with mock.patch.object(framekit, "translate", wraps=framekit.translate) as calls:
+        gram, bessel = uep_gram(sys), bessel_mask_check(m0, sys)
+    assert calls.call_count == 0
+    # every cell xi of D against xi + tau for each constant tau of GF(q)
+    shifts = [sys.field.monomial(tau, 0) for tau in range(sys.q)]
+    T = np.array([[mask_table(m, tau, K) for tau in shifts] for m in sys.masks])
+    want = np.abs(np.einsum("lsc,ltc->cst", T, np.conj(T)) - np.eye(sys.q)).max()
+    assert abs(gram["max_deviation"] - want) <= 1e-12
+    assert gram["cells_checked"] == sys.q ** K
+    rows = [mask_table(m0, tau, m0.constancy_resolution) for tau in shifts]
     want = np.sum(np.abs(rows) ** 2, axis=0).max()
-    assert abs(bessel_mask_check(m0, sys)["max_sum"] - want) <= 1e-12
+    assert abs(bessel["max_sum"] - want) <= 1e-12
 
 
 def test_mask_rejects_bad_index():

@@ -375,8 +375,7 @@ def _load_both(text, chunk, open_src=None):
 def test_accept_holds_a_bounded_working_set_per_row():
     # one full chunk of the 65,536-row GF(4) file, about 9,300 rows at 2^19
     # characters: _accept's arrays peak near 290 B per row beside the
-    # chunk's bytes (528 B, its encoded bytes among them, when a chunk came
-    # as text and _accept encoded it)
+    # chunk's bytes
     rng = np.random.default_rng(2026)
     n = 4 ** 8
     f = StepFunction(FieldConfig(2, 2, (1, 1, 1)), 8,
@@ -840,7 +839,7 @@ def test_load_csv_gives_other_digit_spellings_to_the_line_checker(q, digits, cou
     # which reads it as int() does
     cfg = {2: F2, 16: CSV_FIELDS[-1], 101: FieldConfig(101)}[q]
     row = f"{2 - count},{digits},1.0,0.0\n"
-    assert stepfn._accept(row, q, 2, digit_count(q, stepfn.CELL_CAP) - 1) is None
+    assert stepfn._accept(row.encode(), q, 2, digit_count(q, stepfn.CELL_CAP) - 1) is None
     text = (f"# walshframes-stepfn v1 p={cfg.p} c={cfg.c} modulus={cfg.modulus_text or '-'} "
             f"resolution=2\nlo,digits,re,im\n{row}")
     new, old = _load_both(text, stepfn.CSV_CHUNK)
