@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NonUnitScalar
+from .errors import ConfigError
 
 __all__ = [
     "FieldConfig",
@@ -45,7 +45,6 @@ __all__ = [
     "cell_digits",
     "cell_index",
     "digit_count",
-    "embed_integer",
     "uindex",
 ]
 
@@ -332,14 +331,6 @@ def uindex(cfg: FieldConfig, n: int) -> FieldElement:
     return FieldElement(cfg, dict(cell_digits(cfg.q, n, 0, -digit_count(cfg.q, n))))
 
 
-def embed_integer(cfg: FieldConfig, n: int) -> int:
-    """n mod p as a scalar of the prime subfield; must be a unit."""
-    a = n % cfg.p
-    if a == 0:
-        raise NonUnitScalar(f"{n} reduces to 0 mod {cfg.p}: not a unit")
-    return a
-
-
 class LambdaIndex(NamedTuple):
     """Index of a translation: the element u(n) + delta * theta."""
     n: int
@@ -350,16 +341,31 @@ class SystemConfig:
     """Field, sampling density N, offset index r and normalization mode.
 
     The dilation is x -> t^(-1) * nu * x with nu a unit scalar, by default
-    embed_integer(N). The translation family pairs the lattice {u(n)} with
-    the offset branch {u(n) + theta}, theta = u(r) * nu^(-1); for N = 1 only
-    the lattice branch exists. In positive characteristic theta always has
-    purely negative exponents, so for N > 1 the indexed family is a multiset
-    over the lattice; `lambda_degenerate` reports this and downstream checks
-    surface it instead of deduplicating.
+    N mod p, which is refused when it is 0. The translation family pairs the
+    lattice {u(n)} with the offset branch {u(n) + theta}, theta = u(r) *
+    nu^(-1); for N = 1 only the lattice branch exists. In positive
+    characteristic theta always has purely negative exponents, so for N > 1
+    the indexed family is a multiset over the lattice; `lambda_degenerate`
+    reports this and downstream checks surface it instead of deduplicating.
+    A mask header or [system] section states any of the options, each read
+    by read_option; the rest take the constructor's defaults, the only copy.
     """
 
     __slots__ = ("field", "N", "r", "nu", "normalization", "masks",
                  "theta", "branches")
+
+    OPTIONS = {"N": "N", "n": "N", "r": "r", "nu": "dilation_unit",
+               "dilation_unit": "dilation_unit", "normalization": "normalization"}
+
+    @classmethod
+    def read_option(cls, key: str, text: str) -> tuple[str, int | str]:
+        """(parameter, value) that option key, a spelling in OPTIONS, states
+        as text; ConfigError naming key as written if the value is malformed."""
+        param = cls.OPTIONS[key]
+        try:
+            return param, text if param == "normalization" else int(text)
+        except ValueError as exc:
+            raise ConfigError(f"system option {key} is malformed ({exc})") from exc
 
     def __init__(self, field: FieldConfig, N: int = 1, r: int = 1,
                  dilation_unit: int | None = None,
@@ -376,12 +382,12 @@ class SystemConfig:
         if normalization not in NORMALIZATIONS:
             raise ConfigError(
                 f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
-        if dilation_unit is None:
-            nu = embed_integer(field, N)
-        else:
-            nu = int(dilation_unit)
-            if not 1 <= nu < field.q:
-                raise ConfigError(f"dilation_unit must be a unit of GF({field.q})")
+        if dilation_unit is None and N % field.p == 0:
+            raise ConfigError(f"N = {N} is 0 mod {field.p}, so the default dilation_unit "
+                              f"N mod p is not a unit: state one")
+        nu = N % field.p if dilation_unit is None else int(dilation_unit)
+        if not 1 <= nu < field.q:
+            raise ConfigError(f"dilation_unit must be a unit of GF({field.q})")
         self.field = field
         self.N = N
         self.r = r

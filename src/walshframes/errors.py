@@ -13,10 +13,6 @@ class InputDataError(WalshFramesError, ValueError):
     """Malformed input data such as a bad CSV row (CLI exit code 3)."""
 
 
-class NonUnitScalar(ConfigError):
-    """An integer that must embed as a unit of GF(q) reduced to zero."""
-
-
 class ResolutionError(WalshFramesError, ValueError):
     """A requested resolution would coarsen or otherwise break a cell table."""
 

@@ -146,7 +146,7 @@ def iterate_refinement(m0: Mask, sys: SystemConfig, iterations: int) -> StepFunc
     return phi_hat
 
 
-def derive_generators(sys: SystemConfig, iterations: int = 4) -> tuple[StepFunction, ...]:
+def derive_generators(sys: SystemConfig, iterations: int) -> tuple[StepFunction, ...]:
     """The generators' transforms (phi^, psi_1^, ..., psi_L^): m_0's
     refinement iterate, and its refinement product with each high-pass mask.
     No gate, so detectably broken masks still produce inspectable ones."""
@@ -207,7 +207,7 @@ def uep_gram(sys: SystemConfig) -> dict:
     }
 
 
-def bessel_mask_check(m0: Mask, sys: SystemConfig) -> dict:
+def bessel_mask_check(m0: Mask) -> dict:
     """The largest fiber sum sum_tau |m0(xi + tau)|^2; the Bessel bound is 1."""
     fibers = _fibers(m0, m0.constancy_resolution)
     return {"max_sum": float(np.sum(np.abs(fibers) ** 2, axis=0).max())}
@@ -384,7 +384,8 @@ def load_masks(src: str | TextIO) -> SystemConfig:
     "mask l" and rows "n delta re im".
 
     Structural problems in the file raise InputDataError with a line
-    number; inconsistent field/system parameters raise ConfigError.
+    number; inconsistent field/system parameters raise ConfigError, and
+    so does a malformed system value, named with its line and key.
     """
     if isinstance(src, str):
         with open(src, encoding="utf-8", errors="surrogateescape") as fh:
@@ -393,6 +394,7 @@ def load_masks(src: str | TextIO) -> SystemConfig:
     if not next(lines, (1, ""))[1].startswith(MASK_MAGIC):
         raise InputDataError("line 1: missing mask file header")
     header: dict[str, str] = {}
+    stated: dict[str, int | str] = {}   # SystemConfig's parameters the header sets
     rows: list[dict[tuple[int, int], complex]] = []
     offset_lines: list[int] = []
     for lineno, raw in lines:
@@ -415,6 +417,12 @@ def load_masks(src: str | TextIO) -> SystemConfig:
             if key in header:
                 raise InputDataError(f"line {lineno}: repeated header key {key!r}")
             header[key] = val
+            if key in SystemConfig.OPTIONS:
+                try:
+                    param, value = SystemConfig.read_option(key, val)
+                except ConfigError as exc:
+                    raise ConfigError(f"line {lineno}: {exc}") from exc
+                stated[param] = value
             continue
         parts = line.split()
         if len(parts) != 4:
@@ -438,16 +446,9 @@ def load_masks(src: str | TextIO) -> SystemConfig:
         cfg = FieldConfig.from_text(header["p"], header["c"], header.get("modulus"))
     except KeyError as exc:
         raise ConfigError(f"mask file header needs p and c ({exc})") from exc
-    try:
-        N = int(header.get("N", "1"))
-        r = int(header.get("r", "1"))
-        nu = int(header["nu"]) if "nu" in header else None
-    except ValueError as exc:
-        raise ConfigError(f"mask file header has a malformed value ({exc})") from exc
-    if N == 1 and offset_lines:
+    base = SystemConfig(cfg, **stated)
+    if base.N == 1 and offset_lines:
         raise InputDataError(
             f"line {offset_lines[0]}: delta = 1 needs an offset branch, but N = 1")
-    base = SystemConfig(cfg, N, r, dilation_unit=nu,
-                        normalization=header.get("normalization", "unitary"))
     return base.with_masks(tuple(Mask(base, block, f"mask {l}")
                                  for l, block in enumerate(rows)))

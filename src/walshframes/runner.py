@@ -150,19 +150,16 @@ class RunConfig:
         if need_masks and sys_cfg is None:
             raise ConfigError("this command needs a [masks] file entry")
 
-        # [system] as a mask file header reads it, with its defaults for the rest
-        system = {"n": 1, "r": 1, "dilation_unit": None, "normalization": "unitary"}
-        for key, attr in zip(system, ("N", "r", "nu", "normalization")):
-            if parser.has_option("system", key):
-                try:
-                    system[key] = (parser.get if key == "normalization" else parser.getint)(
-                        "system", key)
-                except ValueError as exc:
-                    raise ConfigError(f"system option {key} is malformed ({exc})") from exc
-                if sys_cfg is not None and system[key] != getattr(sys_cfg, attr):
-                    raise ConfigError(f"system option {key} disagrees with the masks file")
+        # [system] read as a mask file header is, SystemConfig's defaults for the rest
+        stated = {}
+        for key, text in parser.items("system") if "system" in parser else ():
+            param, value = SystemConfig.read_option(key, text)
+            if sys_cfg is not None and value != getattr(
+                    sys_cfg, "nu" if param == "dilation_unit" else param):
+                raise ConfigError(f"system option {key} disagrees with the masks file")
+            stated[param] = value
         if sys_cfg is None:
-            SystemConfig(cfg, *system.values())
+            SystemConfig(cfg, **stated)
 
         resolution = parser.getint("suite", "resolution", fallback=4)
         count = parser.getint("suite", "count", fallback=100)
@@ -341,7 +338,7 @@ def verify_report(rc: RunConfig) -> dict:
 
     gram = uep_gram(sys_cfg)
     gram.update(tolerance=rc.gram_tol, verdict=gram["max_deviation"] <= rc.gram_tol)
-    bessel = bessel_mask_check(sys_cfg.masks[0], sys_cfg)
+    bessel = bessel_mask_check(sys_cfg.masks[0])
     bessel.update(tolerance=rc.gram_tol,
                   verdict=bessel["max_sum"] <= 1.0 + rc.gram_tol)
 

@@ -34,10 +34,9 @@ from walshframes.algebra import (
     FieldElement,
     LambdaIndex,
     SystemConfig,
-    embed_integer,
     uindex,
 )
-from walshframes.errors import ConfigError, NonUnitScalar
+from walshframes.errors import ConfigError
 
 
 # ---------------------------------------------------------------- oracles --
@@ -302,11 +301,12 @@ def test_translation_set_identity():
 
 # ------------------------------------------------- system configuration ----
 
-def test_embed_integer():
-    assert embed_integer(F2, 3) == 1
-    assert embed_integer(F3, 5) == 2
-    with pytest.raises(NonUnitScalar):
-        embed_integer(F2, 4)
+def test_default_dilation_unit_is_n_mod_p():
+    assert SystemConfig(F2, N=3, r=1).nu == 1
+    assert SystemConfig(F3, N=5, r=1).nu == 2
+    # N = 0 mod p leaves no default unit: the refusal names N and dilation_unit
+    with pytest.raises(ConfigError, match=r"^N = 4 is 0 mod 2, so the default dilation_unit"):
+        SystemConfig(F2, N=4, r=1)
 
 
 def test_lambda_element_uniform():
@@ -352,7 +352,7 @@ def test_system_config_validation():
         SystemConfig(F2, N=3, r=3)  # gcd(r, N) > 1
     with pytest.raises(ConfigError):
         SystemConfig(F2, N=3, r=7)  # r > qN - 1
-    with pytest.raises(NonUnitScalar):
+    with pytest.raises(ConfigError, match="dilation_unit"):
         SystemConfig(F2, N=2, r=1)  # N = 0 in GF(2), no override
     with pytest.raises(ConfigError):
         SystemConfig(F2, N=3, r=1, dilation_unit=0)

@@ -146,7 +146,7 @@ def test_mask_checks_transform_each_mask_once(masks):
         framekit.uep_gram(sys)
         assert calls["fast_transform"].call_count == len(sys.masks)
         # the low-pass mask keeps the table uep_gram formed
-        framekit.bessel_mask_check(sys.masks[0], sys)
+        framekit.bessel_mask_check(sys.masks[0])
         assert calls["fast_transform"].call_count == len(sys.masks)
 
 
@@ -886,9 +886,10 @@ r = 5
     ("r = 2\n", "r must be odd"),
     ("n = 3\nr = 3\n", "r = 3 must be coprime to N = 3"),
     ("dilation_unit = 2\n", "dilation_unit must be a unit of GF(2)"),
+    ("n = 2\n", "N = 2 is 0 mod 2, so the default dilation_unit N mod p is not a unit"),
     ("n = 3\nr = 5\ndilation_unit = 1\nnormalization = qn\n", None),
 ], ids=["malformed-n", "normalization", "n-zero", "even-r", "r-not-coprime",
-        "non-unit-nu", "admissible"])
+        "non-unit-nu", "n-zero-mod-p", "admissible"])
 @pytest.mark.parametrize("command", ["field-info", "uindex"])
 def test_system_section_is_checked_without_a_masks_file(tmp_path, capsys, command,
                                                         system, message):
@@ -980,6 +981,29 @@ def test_mask_header_key_must_be_known_and_unique(tmp_path, capsys, lineno, row)
     cfg = _masks_with_row(tmp_path, "haar_q2.masks", lineno, row)
     assert run(["verify", "--config", cfg]) == 3
     assert f"line {lineno}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lineno, key, value", [(4, "N", "banana"), (5, "r", "1.5"),
+                                                (6, "nu", "x")])
+def test_malformed_mask_header_value_is_named_with_its_line(tmp_path, capsys,
+                                                            lineno, key, value):
+    cfg = _masks_with_row(tmp_path, "haar_q2.masks", lineno, f"{key} = {value}")
+    assert run(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {lineno}: system option {key} is malformed "
+        f"(invalid literal for int() with base 10: {value!r})\n")
+
+
+def test_mask_header_n_zero_mod_p_states_its_unit(tmp_path, capsys):
+    # N = 2 over GF(2) with no nu line: the default unit N mod p is 0
+    with open(os.path.join(CONFIGS, "haar_q2.masks")) as fh:
+        text = fh.read().replace("N = 1\n", "N = 2\n").replace("nu = 1\n", "")
+    masks = tmp_path / "n2.masks"
+    masks.write_text(text)
+    cfg = write_cfg(tmp_path, "", 2, body=f"[masks]\nfile = {masks}\n")
+    assert run(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("error: N = 2 is 0 mod 2, so the default "
+                                       "dilation_unit N mod p is not a unit: state one\n")
 
 
 @pytest.mark.parametrize("extra", [

@@ -215,7 +215,7 @@ def test_uep_gram_and_bessel_match_term_by_term_tables(name):
     m0 = sys.masks[0]
     # the checks read the fibers off each mask's one table: no shifted copy
     with mock.patch.object(framekit, "translate", wraps=framekit.translate) as calls:
-        gram, bessel = uep_gram(sys), bessel_mask_check(m0, sys)
+        gram, bessel = uep_gram(sys), bessel_mask_check(m0)
     assert calls.call_count == 0
     # every cell xi of D against xi + tau for each constant tau of GF(q)
     shifts = [sys.field.monomial(tau, 0) for tau in range(sys.q)]
@@ -356,15 +356,15 @@ def test_uep_gram_phase_invariance():
 
 def test_bessel_mask_check():
     sys = haar_system()
-    report = bessel_mask_check(sys.masks[0], sys)
+    report = bessel_mask_check(sys.masks[0])
     assert set(report) == {"max_sum"}
     assert report["max_sum"] == pytest.approx(1.0, abs=1e-12)
     assert report["max_sum"] <= 1.0 + GRAM_TOL
     base = SystemConfig(F2, N=1, r=1)
     scaled = Mask(base, {k: 1.1 * v for k, v in haar_rows()[0].items()})
-    assert bessel_mask_check(scaled, sys)["max_sum"] > 1.0 + GRAM_TOL
+    assert bessel_mask_check(scaled)["max_sum"] > 1.0 + GRAM_TOL
     zero = Mask(base, {})
-    assert bessel_mask_check(zero, sys)["max_sum"] == 0.0
+    assert bessel_mask_check(zero)["max_sum"] == 0.0
 
 
 # ------------------------------------------------------------ system members --

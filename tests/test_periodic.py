@@ -43,14 +43,14 @@ def haar_spec(j_max=4, perturb=None):
         l, n = perturb
         rows[l][(n, 0)] += 0.01
     sys = base.with_masks(tuple(Mask(base, row) for row in rows))
-    return PeriodicSystemSpec(sys, derive_generators(sys), j_max)
+    return PeriodicSystemSpec(sys, derive_generators(sys, 4), j_max)
 
 
 def fourier3_spec(j_max=3):
     base = SystemConfig(F3, N=1, r=1)
     rows = [{(n, 0): RT3 * W3 ** (l * n) for n in range(3)} for l in range(3)]
     sys = base.with_masks(tuple(Mask(base, row) for row in rows))
-    return PeriodicSystemSpec(sys, derive_generators(sys), j_max)
+    return PeriodicSystemSpec(sys, derive_generators(sys, 4), j_max)
 
 
 def random_table(cfg, resolution, rng):
