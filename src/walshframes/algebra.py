@@ -45,6 +45,7 @@ __all__ = [
     "cell_digits",
     "cell_index",
     "digit_count",
+    "numeral",
     "uindex",
 ]
 
@@ -54,6 +55,14 @@ NORMALIZATIONS = ("unitary", "qn")
 # array passes: GF(1021) takes about 35 ms and 25 MB of peak memory on a
 # shared 2-vCPU host, GF(7^3) = 343 about 11 ms and 5 MB.
 Q_CAP = 2 ** 10
+
+
+def numeral(text: str, kind=int):
+    """kind(text), int or float, for a text in ASCII without '_': int() and
+    float() read '_' and any Unicode digit too. Else ValueError naming text."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII numeral: {text!r}")
+    return kind(text)
 
 
 def _is_prime(n: int) -> bool:
@@ -118,12 +127,11 @@ class FieldConfig:
 
     @classmethod
     def from_text(cls, p: str, c: str, modulus: str | None) -> "FieldConfig":
-        """The field that header strings name; modulus None when not stated.
-        ConfigError (a ValueError) for anything but the one format, a modulus
-        digit outside [0, p) included, as the constructor refuses it."""
+        """The field that header strings name, modulus None when not stated;
+        ConfigError (a ValueError) for any other spelling or a refused field."""
         try:
-            p, c = int(p), int(c)
-            digits = None if modulus is None else tuple(int(d) for d in modulus.split("."))
+            p, c = numeral(p), numeral(c)
+            digits = None if modulus is None else tuple(map(numeral, modulus.split(".")))
         except ValueError as exc:
             raise ConfigError(f"field needs integer p, c and modulus digits ({exc})") from exc
         return cls(p, c, digits)
@@ -363,7 +371,7 @@ class SystemConfig:
         as text; ConfigError naming key as written if the value is malformed."""
         param = cls.OPTIONS[key]
         try:
-            return param, text if param == "normalization" else int(text)
+            return param, text if param == "normalization" else numeral(text)
         except ValueError as exc:
             raise ConfigError(f"system option {key} is malformed ({exc})") from exc
 

@@ -24,6 +24,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__
+from .algebra import numeral
 from .errors import InputDataError, WalshFramesError
 from .harmonic import fast_inverse_transform, fast_transform
 from .runner import (
@@ -55,14 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if out:
             cmd.add_argument("--out", help="write the report here")
         if seed:
-            cmd.add_argument("--seed", type=int,
-                             help="override the suite seed (64-bit)")
+            cmd.add_argument("--seed", type=numeral, help="override the suite seed (64-bit)")
         return cmd
 
     add("field-info", "describe the field and the coset enumeration")
 
     cmd = add("uindex", "tabulate the coset enumeration u(n)")
-    cmd.add_argument("count", type=int, nargs="?", default=32,
+    cmd.add_argument("count", type=numeral, nargs="?", default=32,
                      help="tabulate n < count (default 32)")
 
     cmd = add("transform", "transform a dumped step function", config=False)

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .algebra import FieldConfig, LambdaIndex, SystemConfig, cell_index, digit_count
+from .algebra import FieldConfig, LambdaIndex, SystemConfig, cell_index, digit_count, numeral
 from .errors import ConfigError, DegenerateInput, InputDataError
 from .harmonic import fast_inverse_transform, fast_transform
 from .stepfn import (
@@ -403,9 +403,8 @@ def load_masks(src: str | TextIO) -> SystemConfig:
             continue
         if line.startswith("mask"):
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) != len(rows):
-                raise InputDataError(
-                    f"line {lineno}: mask sections must be numbered consecutively")
+            if parts != ["mask", str(len(rows))]:   # "mask 0", "mask 1", ... as written
+                raise InputDataError(f"line {lineno}: mask sections must be numbered consecutively")
             rows.append({})
             continue
         if not rows:
@@ -428,13 +427,12 @@ def load_masks(src: str | TextIO) -> SystemConfig:
         if len(parts) != 4:
             raise InputDataError(f"line {lineno}: expected 'n delta re im'")
         try:
-            key = (int(parts[0]), int(parts[1]))
-            value = complex(float(parts[2]), float(parts[3]))
+            key = (numeral(parts[0]), numeral(parts[1]))
+            value = complex(numeral(parts[2], float), numeral(parts[3], float))
         except ValueError as exc:
             raise InputDataError(f"line {lineno}: malformed row ({exc})") from exc
         if key[0] < 0 or key[1] not in (0, 1):
-            raise InputDataError(
-                f"line {lineno}: index needs n >= 0 and delta in {{0, 1}}")
+            raise InputDataError(f"line {lineno}: index needs n >= 0 and delta in {{0, 1}}")
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise InputDataError(f"line {lineno}: non-finite coefficient")
         if key in rows[-1]:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .algebra import FieldConfig, SystemConfig, uindex
-from .errors import ConfigError, DegenerateInput, WalshFramesError
+from .algebra import FieldConfig, SystemConfig, numeral, uindex
+from .errors import ConfigError, DegenerateInput
 from .framekit import (
     FrameAnalyzer,
     bessel_mask_check,
@@ -118,9 +118,7 @@ class RunConfig:
                 raise ConfigError(f"unknown option {unknown[0]!r} in [{section}]")
         try:
             return cls._build(parser, path, seed, need_masks)
-        except (ValueError, configparser.Error) as exc:
-            if isinstance(exc, WalshFramesError):
-                raise
+        except configparser.Error as exc:   # every value reader raises a ConfigError
             raise ConfigError(f"malformed config value ({exc})") from exc
 
     @classmethod
@@ -161,32 +159,33 @@ class RunConfig:
         if sys_cfg is None:
             SystemConfig(cfg, **stated)
 
-        resolution = parser.getint("suite", "resolution", fallback=4)
-        count = parser.getint("suite", "count", fallback=100)
-        cfg_seed = parser.getint("suite", "seed", fallback=0)
-        seed = cfg_seed if seed is None else seed
-        if not 0 <= seed < MAX_SEED:
-            raise ConfigError(f"seed must fit in 64 bits, got {seed}")
-        if count < 1:
-            raise ConfigError(f"suite count must be positive, got {count}")
-        if resolution < 0:
-            raise ConfigError(f"suite resolution must be >= 0, got {resolution}")
+        def bounded(name, value, low, high):
+            if not low <= value < high:   # NaN lies in no interval
+                raise ConfigError(f"{name} must lie in [{low}, {high}), got {value}")
+            return value
+
+        def setting(section, option, default, low=-math.inf, high=math.inf, kind=int):
+            text = parser.get(section, option, fallback=None)
+            try:
+                value = default if text is None else numeral(text, kind)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {option} is malformed ({exc})") from exc
+            return bounded(f"[{section}] {option}", value, low, high)
+
+        resolution = setting("suite", "resolution", 4, 0)
+        count = setting("suite", "count", 100, 1)
+        cfg_seed = setting("suite", "seed", 0, 0, MAX_SEED)
+        seed = cfg_seed if seed is None else bounded("--seed", seed, 0, MAX_SEED)
         if not within_cap(cfg.q, resolution):
             raise ConfigError(
                 f"suite resolution {resolution} needs q^{resolution} cells, "
                 f"above the cap of {CELL_CAP}")
 
-        j0 = parser.getint("scales", "j0", fallback=0)
-        j1 = parser.getint("scales", "j1", fallback=resolution)
-        j_max = parser.getint("scales", "j_max", fallback=resolution)
-        epsilon = parser.getfloat("scales", "epsilon", fallback=0.01)
-        iterations = parser.getint("scales", "cascade_iterations", fallback=4)
-        if j1 < j0:
-            raise ConfigError(f"need j0 <= j1, got [{j0}, {j1}]")
-        if j_max < 0 or iterations < 0:
-            raise ConfigError("j_max and cascade_iterations must be >= 0")
-        if not 0 < epsilon < math.inf:
-            raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
+        j0 = setting("scales", "j0", 0)
+        j1 = setting("scales", "j1", resolution, j0)
+        j_max = setting("scales", "j_max", resolution, 0)
+        epsilon = setting("scales", "epsilon", 0.01, math.ulp(0), kind=float)
+        iterations = setting("scales", "cascade_iterations", 4, 0)
         if sys_cfg is not None:
             # generators hold at most q^(K + iterations) cells
             K = max((m.constancy_resolution for m in sys_cfg.masks), default=0)
@@ -194,13 +193,8 @@ class RunConfig:
                 raise ConfigError(f"cascade_iterations needs tables of q^{K + iterations} "
                                   f"cells, above the cap of {CELL_CAP}")
 
-        tolerances = []
-        for option, default in (("gram", GRAM_TOL), ("residual", RESIDUAL_TOL),
-                                ("tail", TAIL_TOL)):
-            tolerances.append(parser.getfloat("tolerances", option, fallback=default))
-            if not 0 <= tolerances[-1] < math.inf:
-                raise ConfigError(f"[tolerances] {option} must be finite and >= 0, "
-                                  f"got {tolerances[-1]}")
+        tolerances = [setting("tolerances", option, default, 0, kind=float) for option, default
+                      in (("gram", GRAM_TOL), ("residual", RESIDUAL_TOL), ("tail", TAIL_TOL))]
         return cls(cfg, sys_cfg, j0, j1, j_max, epsilon, iterations,
                    seed, count, resolution, *tolerances)
 

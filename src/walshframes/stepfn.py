@@ -33,7 +33,7 @@ from typing import BinaryIO, Mapping, TextIO
 import numpy as np
 
 from .algebra import (FieldConfig, FieldElement, SystemConfig, cell_digits, cell_index,
-                      digit_count)
+                      digit_count, numeral)
 from .errors import InputDataError, ResolutionError
 
 __all__ = [
@@ -474,14 +474,14 @@ def dump_csv(f: StepFunction, dest: str | TextIO) -> None:
 
 # ------------------------------------------------- decimals to doubles --
 #
-# load_csv reads each amplitude part as float() reads it. _decimals reads the
-# tokens of a whole chunk at once when they are spelled -?D+(.D+)?(e[+-]D{1,3})?
-# in at most DECIMAL_BYTES bytes, with at most 19 significant digits: such a
-# token stands for w 10^q with w < 10^19, and Eisel-Lemire (D. Lemire, "Number
-# parsing at a gigabyte per second", 2021) rounds that to the nearest double
-# through a 128-bit approximation of 5^q. It flags every other token, and each
-# with a nonzero digit whose double is not normal (subnormal, zero or past the
-# largest double); _read_doubles reads those by float() alone.
+# load_csv reads each amplitude part by numeral(part, float). _decimals reads a
+# chunk's tokens at once when spelled -?D+(.D+)?(e[+-]D{1,3})? in at most
+# DECIMAL_BYTES bytes, with at most 19 significant digits: such a token stands
+# for w 10^q with w < 10^19, and Eisel-Lemire (D. Lemire, "Number parsing at a
+# gigabyte per second", 2021) rounds that to the nearest double through a
+# 128-bit approximation of 5^q. It flags every other token, and each with a
+# nonzero digit whose double is not normal (subnormal, zero or past the
+# largest double); _read_doubles reads those by numeral alone.
 
 DECIMAL_BYTES = 31   # a window of 32 bytes holds a token and the byte before it
 
@@ -657,12 +657,12 @@ def _nearest_double(w: np.ndarray, q: np.ndarray):
 
 
 def _read_doubles(raw: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """float() of each token raw[start:end]: by _decimals, and by float()
-    alone for each token that it does not cover. ValueError as float()."""
+    """numeral(token, float) of each token raw[start:end]: by _decimals, and by
+    numeral alone for each token that it does not cover. ValueError as numeral."""
     values, covered = _decimals(raw, start, end)
     for i in np.flatnonzero(~covered).tolist():
         # the token's own bytes: positions count bytes of the encoded chunk
-        values[i] = float(raw[start[i]:end[i]].tobytes().decode(errors="surrogatepass"))
+        values[i] = numeral(raw[start[i]:end[i]].tobytes().decode(errors="surrogatepass"), float)
     return values
 
 
@@ -733,7 +733,7 @@ def _accept(chunk, q: int, resolution: int, cap: int):
     and finds the field bounds. Array passes then give up at the first sign
     that a row may fail: a digits field that _digits refuses, a lo other
     than str(resolution - digit count) (dump_csv writes no other), or an
-    amplitude that float() refuses (read by _read_doubles) or is not finite."""
+    amplitude that numeral refuses (read by _read_doubles) or is not finite."""
     # a ',', CR or LF byte is that character; a non-ASCII character or a lone
     # surrogate becomes bytes above 127, neither digit nor separator
     raw = np.frombuffer(chunk, np.uint8)
@@ -790,9 +790,9 @@ def _check(first: int, chunk, errors: str, q: int, resolution: int, cap: int):
                 raise InputDataError(
                     f"line {n}: expected 4 fields lo,digits,re,im, got {len(row)}")
             try:
-                lo = int(row[0])
-                digits = [int(d) for d in row[1].split(".")] if row[1] else []
-                value = complex(float(row[2]), float(row[3]))
+                lo = numeral(row[0])
+                digits = [numeral(d) for d in row[1].split(".")] if row[1] else []
+                value = complex(numeral(row[2], float), numeral(row[3], float))
             except ValueError as exc:
                 raise InputDataError(f"line {n}: malformed row ({exc})") from exc
             if lo + len(digits) != resolution:
@@ -844,7 +844,7 @@ def load_csv(src: str | TextIO | BinaryIO) -> StepFunction:
     try:   # FieldConfig's ConfigError is a ValueError
         modulus = None if fields["modulus"] == "-" else fields["modulus"]
         cfg = FieldConfig.from_text(fields["p"], fields["c"], modulus)
-        resolution = int(fields["resolution"])
+        resolution = numeral(fields["resolution"])
     except (KeyError, ValueError) as exc:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
     q = cfg.q

@@ -22,10 +22,11 @@ walshframes.harmonic's contraction or with stepfn's table operators.
 
 The CSV references read and write a step-function file one row at a time in
 Python, where stepfn parses and formats blocks of rows as arrays. The reader
-holds to the format's line grammar by itself: it refuses a line with a CR
-and splits every other line at ','. The byte tables of the writer's repr
-kernel are built entry by entry, one layout row per number shape, where
-stepfn forms each table with array operations.
+holds to the format's line grammar by itself: it refuses a line with a CR,
+splits every other line at ',' and reads each number by int() or float()
+once its own check has refused '_' and any character outside ASCII. The
+byte tables of the writer's repr kernel are built entry by entry, one layout
+row per number shape, where stepfn forms each table with array operations.
 
 The small helpers compare two step functions, compute field and label
 quantities that only the tests ask for, and write a mask file, the format
@@ -451,6 +452,14 @@ def repr_tables(t):
     }
 
 
+def _number(text, kind=int):
+    """kind(text) of a text in ASCII without '_', as the file format spells a
+    number; any other text raises the ValueError that walshframes raises."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII numeral: {text!r}")
+    return kind(text)
+
+
 def _line(lineno, text):
     if "\r" in text:
         raise InputDataError(f"line {lineno}: CR in line (lines end in LF alone)")
@@ -473,10 +482,10 @@ def load_csv(src):
             raise InputDataError(f"line 1: repeated header key {key!r}")
         fields[key] = value
     try:
-        p, c = int(fields["p"]), int(fields["c"])
-        resolution = int(fields["resolution"])
+        p, c = _number(fields["p"]), _number(fields["c"])
+        resolution = _number(fields["resolution"])
         modulus = (None if fields["modulus"] == "-" else
-                   tuple(int(d) for d in fields["modulus"].split(".")))
+                   tuple(_number(d) for d in fields["modulus"].split(".")))
         cfg = FieldConfig(p, c, modulus)   # c > 1 states its modulus
     except (KeyError, ValueError) as exc:
         raise InputDataError(f"line 1: bad header field ({exc})") from exc
@@ -498,9 +507,9 @@ def load_csv(src):
             raise InputDataError(
                 f"line {lineno}: expected 4 fields lo,digits,re,im, got {len(row)}")
         try:
-            lo = int(row[0])
-            digits = [int(d) for d in row[1].split(".")] if row[1] else []
-            value = complex(float(row[2]), float(row[3]))
+            lo = _number(row[0])
+            digits = [_number(d) for d in row[1].split(".")] if row[1] else []
+            value = complex(_number(row[2], float), _number(row[3], float))
         except ValueError as exc:
             raise InputDataError(f"line {lineno}: malformed row ({exc})") from exc
         if lo + len(digits) != resolution:

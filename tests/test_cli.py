@@ -3,6 +3,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -976,6 +977,8 @@ def test_negative_mask_index_is_input_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("lineno, row", [
     (5, "N = 3"),                  # repeated: N = 1 is on line 4
     (7, "normalisation = qn"),     # misspelled: would run unitary
+    (11, "mask \u00b9"),            # a superscript digit, which int() refuses
+    (11, "mask \u0661"),            # an Arabic-Indic 1, which int() reads as 1
 ])
 def test_mask_header_key_must_be_known_and_unique(tmp_path, capsys, lineno, row):
     cfg = _masks_with_row(tmp_path, "haar_q2.masks", lineno, row)
@@ -992,6 +995,61 @@ def test_malformed_mask_header_value_is_named_with_its_line(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"error: line {lineno}: system option {key} is malformed "
         f"(invalid literal for int() with base 10: {value!r})\n")
+
+
+def _numeral_case(tmp_path, case, text):
+    """The command line that runs text as the input that case names."""
+    cfg = write_cfg(tmp_path, "", 2, body=text if case == "config" else "[field]\np = 2\n")
+    if case == "seed":
+        return ["verify", "--config", os.path.join(CONFIGS, "haar_q2.cfg"), "--seed", text]
+    if case == "uindex":
+        return ["uindex", "--config", cfg, text]
+    if case.startswith("mask line"):
+        cfg = _masks_with_row(tmp_path, "haar_q2.masks", int(case.split()[-1]), text)
+    if case != "csv":
+        return ["field-info", "--config", cfg]
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    return ["transform", str(path), "--out", str(tmp_path / "g.csv")]
+
+
+CSV_ROWS = "lo,digits,re,im\n0,1,1.0,0.0\n"
+
+
+@pytest.mark.parametrize("case, text, code, message", [
+    ("config", "[field]\np = 2\n\n[system]\nn = 3\nr = 0_5\n", 2,
+     "system option r is malformed (not a plain ASCII numeral: '0_5')"),
+    ("config", "[field]\np = 2\n\n[suite]\ncount = 1_00\n", 2,
+     "[suite] count is malformed (not a plain ASCII numeral: '1_00')"),
+    ("config", "[field]\np = 2\n\n[scales]\nepsilon = 1e-2_0\n", 2,
+     "[scales] epsilon is malformed (not a plain ASCII numeral: '1e-2_0')"),
+    ("config", "[field]\np = 2\nc = 2\nmodulus = 1.1.\u0661\n", 2,
+     "modulus digits (not a plain ASCII numeral: '\u0661')"),
+    ("mask line 2", "p = \uff13", 2, "p, c and modulus digits (not a plain ASCII numeral: "
+                                     "'\uff13')"),
+    ("mask line 9", "0 0 0.577_3502691896258 0.0", 3,
+     "line 9: malformed row (not a plain ASCII numeral: '0.577_3502691896258')"),
+    ("csv", "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\nlo,digits,re,im\n"
+     "0,0,1_0.25,0.0\n", 3, "line 3: malformed row (not a plain ASCII numeral: '1_0.25')"),
+    ("csv", "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=1\n" + CSV_ROWS
+     + "0,0,\u0665,0.0\n", 3, "line 4: malformed row (not a plain ASCII numeral: '\u0665')"),
+    ("csv", "# walshframes-stepfn v1 p=2 c=1 modulus=- resolution=\uff11\n" + CSV_ROWS, 3,
+     "line 1: bad header field (not a plain ASCII numeral: '\uff11')"),
+    ("seed", "1_0", 2, "argument --seed: invalid numeral value: '1_0'"),
+    ("uindex", "\u0663", 2, "argument count: invalid numeral value: '\u0663'"),
+], ids=["system-r", "suite-count", "scales-epsilon", "field-modulus", "mask-header-p",
+        "mask-row", "csv-underscore", "csv-arabic-indic", "csv-header-resolution",
+        "seed-flag", "uindex-count"])
+def test_each_reader_refuses_a_numeral_int_or_float_would_read(tmp_path, capsys, case, text,
+                                                               code, message):
+    # int() and float() read '_' between digits and any Unicode digit: each
+    # of these inputs ran as another number before numeral read them all
+    try:
+        assert run(_numeral_case(tmp_path, case, text)) == code
+    except SystemExit as exc:   # argparse's refusal of an option
+        assert exc.code == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_mask_header_n_zero_mod_p_states_its_unit(tmp_path, capsys):
@@ -1269,6 +1327,42 @@ def test_non_finite_or_negative_settings_are_config_errors(tmp_path, capsys, mon
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert option in err and value.lstrip("-") in err
+
+
+@pytest.mark.parametrize("section, option, low, high, outside", [
+    ("suite", "resolution", 0, math.inf, [-1]),
+    ("suite", "count", 1, math.inf, [0]),
+    ("suite", "seed", 0, 2 ** 64, [-1, 2 ** 64]),
+    ("scales", "j1", 2, math.inf, [1]),   # j0 = 2
+    ("scales", "j_max", 0, math.inf, [-1]),
+    ("scales", "cascade_iterations", 0, math.inf, [-1]),
+    ("scales", "epsilon", 5e-324, math.inf, [0.0, -1.0, math.inf]),
+    ("tolerances", "gram", 0, math.inf, [-1e-300, math.inf]),
+])
+def test_each_setting_lies_in_its_interval(tmp_path, section, option, low, high, outside):
+    # [low, high): low, and below a finite high its predecessor, load; a value
+    # outside is refused with the one message, naming the option
+    def load(value):
+        j0 = "j0 = 2\n" if option == "j1" else ""
+        body = f"[field]\np = 2\n\n[{section}]\n{j0}{option} = {value!r}\n"
+        return RunConfig.load(write_cfg(tmp_path, "", 2, body=body), need_masks=False)
+
+    read = load(low)
+    assert getattr(read, "gram_tol" if option == "gram" else option) == low
+    if high < math.inf:
+        assert getattr(load(high - 1), option) == high - 1
+    for value in outside:
+        with pytest.raises(ConfigError) as exc:
+            load(value)
+        assert str(exc.value) == f"[{section}] {option} must lie in [{low}, {high}), got {value}"
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_flag_lies_in_the_seed_interval(seed):
+    cfg = os.path.join(CONFIGS, "haar_q2.cfg")
+    assert RunConfig.load(cfg, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    with pytest.raises(ConfigError, match=rf"^--seed must lie in \[0, {2 ** 64}\), got {seed}$"):
+        RunConfig.load(cfg, seed=seed)
 
 
 def test_reports_refuse_non_finite_numbers():
